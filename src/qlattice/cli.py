@@ -13,6 +13,8 @@ Exit codes, fixed for scriptability:
   3  parse errors in terms, equations, sentences, or fixture files
   4  semantic errors (unbound variables, ambient mismatches, compile
      preconditions, solver malfunction)
+  5  internal errors (an unexpected exception, such as a recursion limit
+     hit on a deeply nested term)
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_SEMANTIC = 4
+EXIT_INTERNAL = 5
 
 
 class UsageError(ValueError):
@@ -306,6 +309,10 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
+    except Exception as exc:
+        # never fall through to status 1, which means "counterexample found"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -221,6 +221,7 @@ def transport(a: Assignment, extra: int) -> Assignment:
     )
 
 
+@cache
 def counterexample_catalog() -> tuple[Counterexample, ...]:
     """Known falsifying assignments, re-derivable and exact."""
     distrib = Counterexample(

@@ -9,6 +9,14 @@ product (conjugate-linear in the first argument).
 The production ``meet`` intersects constraint matrices directly;
 ``meet_via_demorgan`` is an independent route through complements kept for
 cross-checking, never called by the evaluator.
+
+Because the form is canonical, the result of ``meet`` or ``join`` depends
+only on the operands' canonical rows.  Both therefore consult one
+module-level memo keyed on ``(op, p, q)``, after their shortcuts and
+before any elimination; equal operands built separately hit it too.  The
+memo holds at most ``_MEMO_LIMIT`` entries and is cleared when full.
+``meet_via_demorgan`` never reads or writes the meet entries, so
+certification stays independent of the memoised ``meet``.
 """
 
 from __future__ import annotations
@@ -27,6 +35,11 @@ from .linalg import (
 )
 
 _MAX_SAMPLE_TRIES = 200
+_MEMO_LIMIT = 1024
+
+_MEET = "meet"
+_JOIN = "join"
+_memo: dict[tuple[str, "Subspace", "Subspace"], "Subspace"] = {}
 
 
 class AmbientMismatch(ValueError):
@@ -149,6 +162,13 @@ def _check_ambient(p: Subspace, q: Subspace) -> None:
         )
 
 
+def _remember(key: tuple[str, Subspace, Subspace], value: Subspace) -> Subspace:
+    if len(_memo) >= _MEMO_LIMIT:
+        _memo.clear()
+    _memo[key] = value
+    return value
+
+
 def join(p: Subspace, q: Subspace) -> Subspace:
     """Smallest subspace containing both: the span of the union."""
     _check_ambient(p, q)
@@ -156,8 +176,12 @@ def join(p: Subspace, q: Subspace) -> Subspace:
         return q
     if not q._rows:
         return p
+    key = (_JOIN, p, q)
+    hit = _memo.get(key)
+    if hit is not None:
+        return hit
     red, _ = _reduce_int_rows(p._rows + q._rows, p.ambient)
-    return Subspace._make(p.ambient, red)
+    return _remember(key, Subspace._make(p.ambient, red))
 
 
 def complement(p: Subspace) -> Subspace:
@@ -188,12 +212,20 @@ def meet(p: Subspace, q: Subspace) -> Subspace:
         return p
     if not p._rows or not q._rows:
         return p if not p._rows else q
+    key = (_MEET, p, q)
+    hit = _memo.get(key)
+    if hit is not None:
+        return hit
     rows, _ = _kernel_int(_constraint_rows(p) + _constraint_rows(q), p.ambient)
-    return Subspace._make(p.ambient, rows)
+    return _remember(key, Subspace._make(p.ambient, rows))
 
 
 def meet_via_demorgan(p: Subspace, q: Subspace) -> Subspace:
-    """Intersection through the De Morgan dual; independent of :func:`meet`."""
+    """Intersection through the De Morgan dual; independent of :func:`meet`.
+
+    It never touches the meet entries of the op memo (only ``join`` and
+    ``complement`` run), so a wrong memoised meet cannot leak into it.
+    """
     _check_ambient(p, q)
     return complement(join(complement(p), complement(q)))
 

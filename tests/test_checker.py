@@ -31,8 +31,9 @@ from qlattice.formulas import (
     orthomodular_law,
 )
 from qlattice.linalg import GaussianRational
+import qlattice.subspaces as sub
 from qlattice.subspaces import Subspace
-from qlattice.terms import BOT, Equation, parse_equation
+from qlattice.terms import BOT, Assignment, Equation, parse_equation
 
 
 def test_family_ambient2_no_extras():
@@ -177,6 +178,25 @@ def test_check_reports_unbindable_variables():
     eq = parse_equation("z = z ^ z")
     with pytest.raises(CheckError, match="broken"):
         check(eq, 4, [_WrongNames()])
+
+
+class _TwoLines:
+    name = "two-lines"
+
+    def __init__(self, p, q):
+        self.assignment = Assignment(2, {"p": p, "q": q})
+
+    def assignments(self, eq, ambient):
+        yield self.assignment
+
+
+def test_corrupted_meet_memo_fails_certification(monkeypatch):
+    # a wrong memoised p ^ q makes "p ^ q = q ^ p" look refuted; the
+    # De Morgan route must catch it instead of reporting a counterexample
+    p, q = Subspace.line(2, [1, 0]), Subspace.line(2, [0, 1])
+    monkeypatch.setattr(sub, "_memo", {(sub._MEET, p, q): p})
+    with pytest.raises(CheckError, match="certification"):
+        check(parse_equation("p ^ q = q ^ p"), 2, [_TwoLines(p, q)])
 
 
 def test_default_strategy_order():

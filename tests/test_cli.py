@@ -249,6 +249,15 @@ def test_usage_errors(capsys):
     assert run(capsys, "check", "p = p")[0] == 2  # missing --ambient
 
 
+def test_internal_error_is_not_a_counterexample(capsys):
+    # a term this deep exhausts the recursion limit; status 1 would read
+    # as "counterexample found"
+    code, out, err = run(capsys, "check", "~" * 3000 + "p = p", "--ambient", "2")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("internal error: RecursionError")
+
+
 @pytest.mark.skipif(shutil.which("qlattice") is None, reason="entry point not installed")
 def test_console_script_entry_point():
     proc = subprocess.run(

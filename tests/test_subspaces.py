@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qlattice.subspaces as sub
 from qlattice.linalg import GR_I, Matrix, hermitian_dot, matmul, rref
 from qlattice.subspaces import (
     AmbientMismatch,
@@ -173,6 +174,49 @@ class TestComplement:
         lhs = join(meet(p, r), meet(q, r))
         rhs = meet(join(meet(p, r), q), r)
         assert lhs == rhs
+
+
+@pytest.fixture()
+def empty_memo(monkeypatch):
+    memo = {}
+    monkeypatch.setattr(sub, "_memo", memo)
+    return memo
+
+
+class TestOpMemo:
+    @given(subspace_pairs())
+    @settings(max_examples=80)
+    def test_memoised_results_match_fresh_ones(self, pq):
+        p, q = pq
+        m, j = meet(p, q), join(p, q)
+        assert meet(p, q) is m and join(p, q) is j
+        sub._memo.clear()
+        assert meet(p, q) == m and join(p, q) == j
+
+    def test_equal_operands_built_separately_hit(self, empty_memo):
+        p, q = span(3, [1, 1, 0], [0, 0, 1]), span(3, [1, 0, 0], [0, 1, 1])
+        m, j = meet(p, q), join(p, q)
+        p2, q2 = span(3, [2, 2, 0], [0, 0, 3]), span(3, [1, 1, 1], [0, 1, 1])
+        assert p2 is not p and q2 is not q
+        assert meet(p2, q2) is m and join(p2, q2) is j
+        assert len(empty_memo) == 2
+
+    def test_memo_is_bounded(self, empty_memo):
+        lines = [span(3, [1, k, 0]) for k in range(40)]
+        largest = 0
+        for p in lines:
+            for q in lines:
+                if p is not q:
+                    join(p, q)
+                    largest = max(largest, len(empty_memo))
+        assert 40 * 39 > sub._MEMO_LIMIT
+        assert largest <= sub._MEMO_LIMIT
+        assert 0 < len(empty_memo) < 40 * 39
+
+    def test_demorgan_route_adds_no_meet_entry(self, empty_memo):
+        p, q = span(3, [1, 1, 0], [0, 0, 1]), span(3, [1, 0, 0], [0, 1, 1])
+        meet_via_demorgan(p, q)
+        assert not any(op == sub._MEET for op, _, _ in empty_memo)
 
 
 class TestEmbed:
