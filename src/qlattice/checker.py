@@ -50,6 +50,7 @@ from .terms import (
     Assignment,
     Equation,
     Evaluator,
+    Program,
     UnboundVariableError,
     evaluate,
     holds,
@@ -179,6 +180,18 @@ class CoordinateFamilyStrategy:
                 yield Assignment(ambient, bindings)
 
 
+def _random_assignments(
+    seed: str, ambient: int, names: Sequence[str], count: int, coeff_bound: int
+) -> Iterator[Assignment]:
+    """`count` assignments of `names`, each a random subspace of uniform dimension."""
+    rng = Random(seed)
+    for _ in range(count):
+        yield Assignment(ambient, {
+            name: _random_from(rng, ambient, rng.randint(0, ambient), coeff_bound)
+            for name in names
+        })
+
+
 class RandomSampling:
     """Seeded random assignments; dimensions drawn uniformly in 0..ambient."""
 
@@ -190,16 +203,10 @@ class RandomSampling:
         self.coeff_bound = coeff_bound
 
     def assignments(self, eq: Equation, ambient: int) -> Iterator[Assignment]:
-        rng = Random(f"random:{self.seed}:{ambient}")
-        names = eq.free_vars
-        for _ in range(self.count):
-            bindings = {
-                name: _random_from(
-                    rng, ambient, rng.randint(0, ambient), self.coeff_bound
-                )
-                for name in names
-            }
-            yield Assignment(ambient, bindings)
+        yield from _random_assignments(
+            f"random:{self.seed}:{ambient}", ambient, eq.free_vars,
+            self.count, self.coeff_bound,
+        )
 
 
 def default_strategies(
@@ -266,6 +273,7 @@ def check(eq: Equation, ambient: int, strategies: Sequence | None = None) -> Ver
         raise ValueError("ambient dimension must be at least 1")
     if strategies is None:
         strategies = default_strategies()
+    program = Program((eq.lhs, eq.rhs))
     samples_tried = 0
     log: list[str] = []
     for strategy in strategies:
@@ -274,7 +282,7 @@ def check(eq: Equation, ambient: int, strategies: Sequence | None = None) -> Ver
             in_strategy += 1
             samples_tried += 1
             try:
-                ev = Evaluator(a)
+                ev = Evaluator(a, program=program)
                 lhs_value = ev.eval(eq.lhs)
                 rhs_value = ev.eval(eq.rhs)
             except UnboundVariableError as exc:
@@ -363,21 +371,14 @@ def run_lemma2_suite(
     """Dimension bound 2*dim(alpha) <= ambient on random triples, plus the
     even-ambient triple that meets the bound exactly."""
     term = alpha()
+    program = Program((term,))
     records = []
     for ambient in ambients:
-        rng = Random(f"lemma2:{seed}:{ambient}")
         max_dim = 0
-        for _ in range(samples):
-            a = Assignment(
-                ambient,
-                {
-                    name: _random_from(
-                        rng, ambient, rng.randint(0, ambient), coeff_bound
-                    )
-                    for name in ("p", "q", "r")
-                },
-            )
-            d = evaluate(term, a).dim
+        for a in _random_assignments(
+            f"lemma2:{seed}:{ambient}", ambient, ("p", "q", "r"), samples, coeff_bound
+        ):
+            d = evaluate(term, a, program=program).dim
             if 2 * d > ambient:
                 records.append(_fail(
                     "lemma2", ambient, samples,
@@ -410,13 +411,14 @@ def run_lemma3_suite(extra_lines: int = 5) -> SuiteReport:
     """Classification in the plane: alpha is nonzero exactly on triples of
     three distinct lines, where it equals the complement of p."""
     term = alpha()
+    program = Program((term,))
     family = coordinate_family(2, extra_lines)
     nonzero = 0
     total = 0
     for p, q, r in itertools.product(family, repeat=3):
         total += 1
         a = Assignment(2, {"p": p, "q": q, "r": r})
-        value = evaluate(term, a)
+        value = evaluate(term, a, program=program)
         distinct_lines = (
             p.dim == 1 and q.dim == 1 and r.dim == 1
             and p != q and q != r and p != r
@@ -507,24 +509,17 @@ def run_laws_suite(
     characterizations in both directions, and the dimension formula."""
     catalogue = named_equations()
     laws = [(name, catalogue[name]) for name in _LAW_NAMES]
-    eq_char = catalogue["eq-char"]
-    eq_char_dual = catalogue["eq-char-dual"]
+    eq_char, eq_char_dual = catalogue["eq-char"], catalogue["eq-char-dual"]
+    chars = [(eq, Program((eq.lhs, eq.rhs))) for eq in (eq_char, eq_char_dual)]
+    law_program = Program(t for _, eq in laws for t in (eq.lhs, eq.rhs))
     records = []
     for ambient in ambients:
-        rng = Random(f"laws:{seed}:{ambient}")
         failure = None
         distinct_pairs = 0
-        for _ in range(samples):
-            a = Assignment(
-                ambient,
-                {
-                    name: _random_from(
-                        rng, ambient, rng.randint(0, ambient), coeff_bound
-                    )
-                    for name in ("p", "q", "r")
-                },
-            )
-            ev = Evaluator(a)
+        for a in _random_assignments(
+            f"laws:{seed}:{ambient}", ambient, ("p", "q", "r"), samples, coeff_bound
+        ):
+            ev = Evaluator(a, program=law_program)
             for name, eq in laws:
                 if ev.eval(eq.lhs) != ev.eval(eq.rhs):
                     failure = (name, a)
@@ -534,12 +529,12 @@ def run_laws_suite(
             p, q = a["p"], a["q"]
             # Equality characterizations: both formulas detect p = q.
             same = Assignment(ambient, {"p": p, "q": p})
-            if not holds(eq_char, same) or not holds(eq_char_dual, same):
+            if not all(holds(eq, same, program=prog) for eq, prog in chars):
                 failure = ("eq-char-equal", same)
                 break
             if p != q:
                 distinct_pairs += 1
-                if holds(eq_char, a) or holds(eq_char_dual, a):
+                if any(holds(eq, a, program=prog) for eq, prog in chars):
                     failure = ("eq-char-distinct", a)
                     break
             if join(p, q).dim + meet(p, q).dim != p.dim + q.dim:
@@ -580,9 +575,10 @@ def run_meet_agreement_suite(
     strategy = CoordinateFamilyStrategy(extra_lines=extra_lines, cap=cap, seed=seed)
     evaluated = 0
     for name, eq in named_equations().items():
+        program = Program((eq.lhs, eq.rhs))
         for a in strategy.assignments(eq, ambient):
             evaluated += 1
-            if holds(eq, a) != holds(eq, a, meet_op=meet_via_demorgan):
+            if holds(eq, a, None, program) != holds(eq, a, meet_via_demorgan, program):
                 return SuiteReport((_fail(
                     "meet-agreement", ambient, pairs + evaluated,
                     f"routes disagree evaluating {name}", a,
@@ -626,6 +622,7 @@ def run_gamma_suite() -> SuiteReport:
     everything.  Away from those degeneracies the value is p itself.
     """
     term = gamma_distinct_lines(4)
+    program = Program((term,))
     lines = [
         Subspace.line(2, [1, 0]),
         Subspace.line(2, [0, 1]),
@@ -641,7 +638,7 @@ def run_gamma_suite() -> SuiteReport:
         total += 1
         p, q, r, s = combo
         a = Assignment(2, dict(zip(("p", "q", "r", "s"), combo)))
-        value = evaluate(term, a)
+        value = evaluate(term, a, program=program)
         distinct = len(set(combo)) == 4
         if not distinct:
             coincident += 1

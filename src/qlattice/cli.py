@@ -13,8 +13,10 @@ Exit codes, fixed for scriptability:
   3  parse errors in terms, equations, sentences, or fixture files
   4  semantic errors (unbound variables, ambient mismatches, compile
      preconditions, solver malfunction)
-  5  internal errors (an unexpected exception, such as a recursion limit
-     hit on a deeply nested term)
+  5  internal errors (an unexpected exception: a defect, not a verdict)
+
+Ambients above ``subspaces.MAX_AMBIENT`` are usage errors, or parse errors
+in a fixture.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .formulas import (
 )
 from .linalg import DimensionMismatch, ScalarFormatError
 from .sentences import parse_sentence
-from .subspaces import AmbientMismatch
+from .subspaces import MAX_AMBIENT, AmbientMismatch
 from .terms import (
     Equation,
     Evaluator,
@@ -150,7 +152,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _bounded_ambient(flag: str, n: int) -> int:
+    if n > MAX_AMBIENT:
+        raise UsageError(f"{flag} {n} exceeds the maximum ambient {MAX_AMBIENT}")
+    return n
+
+
 def cmd_check(args: argparse.Namespace) -> int:
+    _bounded_ambient("--ambient", args.ambient)
     eq = parse_equation(args.equation)
     strategies = default_strategies(
         samples=args.samples, seed=args.seed, coeff_bound=args.coeff_bound
@@ -250,6 +259,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
+    _bounded_ambient("--n", args.n)
     sentence = parse_sentence(_read(args.path))
     real = compile_sentence(sentence, args.n)
     text = emit_solver_text(real, args.form)

@@ -5,7 +5,8 @@ lattice of C^n:
 
 1. ``flatten``: name every compound subterm with a fresh universally
    quantified variable, so each atom mentions only variables and the
-   constants 0, 1.
+   constants 0, 1.  The definitions are the non-variable slots of one
+   term ``Program`` over the atom sides, so equal subterms share a name.
 2. ``encode_kernels``: read each lattice variable as the kernel of an
    n x n complex matrix and expand the flat atoms into quantified
    statements about vectors (membership, orthogonality, and the span
@@ -20,8 +21,8 @@ never needed to build or test this module.
 
 Stage one is independently checkable without any solver: a flat
 sentence's fresh variables are pinned by their defining atoms, so
-``eval_flat`` chases the definitions and must agree with direct
-evaluation of the source sentence over any finite domain.
+``eval_flat`` runs the definitions through the term evaluator and must
+agree with direct evaluation of the source over any finite domain.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .subspaces import Subspace, complement, join, meet
-from .terms import BOT, TOP, Join, Meet, Not, Term, Var
+from .subspaces import Subspace
+from .terms import BOT, CONSTRUCTORS, TOP, Assignment, Evaluator, Meet, Program, Term, Var
 from . import sentences as S
 
 
@@ -51,19 +52,7 @@ class Definition:
     operands: tuple[str, ...]
 
     def as_sentence(self) -> S.Sentence:
-        ops = tuple(Var(o) for o in self.operands)
-        if self.kind == "meet":
-            rhs: Term = Meet(*ops)
-        elif self.kind == "join":
-            rhs = Join(*ops)
-        elif self.kind == "not":
-            rhs = Not(*ops)
-        elif self.kind == "top":
-            rhs = TOP
-        elif self.kind == "bot":
-            rhs = BOT
-        else:
-            raise CompileError(f"unknown definition kind {self.kind!r}")
+        rhs = CONSTRUCTORS[self.kind](*(Var(o) for o in self.operands))
         return S.Eq(Var(self.name), rhs)
 
 
@@ -179,36 +168,23 @@ def _name_subterms(
 ) -> tuple[S.Sentence, tuple[Definition, ...]]:
     """Give every compound subterm a fresh variable, shared on structural
     equality, and rewrite the matrix atoms over the resulting leaves."""
+    program = Program()
+    leaf: list[str] = []  # per slot: the variable naming it
     definitions: list[Definition] = []
-    seen: dict[Term, Term] = {}
-
-    def leaf_for(t: Term) -> Term:
-        if type(t) is Var:
-            return t
-        if t in seen:
-            return seen[t]
-        if t is TOP or t is BOT:
-            kind, operands = ("top" if t is TOP else "bot"), ()
-        elif type(t) is Not:
-            kind, operands = "not", (leaf_for(t.child),)
-        elif type(t) is Meet:
-            kind, operands = "meet", (leaf_for(t.left), leaf_for(t.right))
-        elif type(t) is Join:
-            kind, operands = "join", (leaf_for(t.left), leaf_for(t.right))
-        else:
-            raise CompileError(f"not a term node: {t!r}")
-        fresh = Var(names.take())
-        definitions.append(
-            Definition(fresh.name, kind, tuple(o.name for o in operands))
-        )
-        seen[t] = fresh
-        return fresh
 
     def side(t: Term) -> Term:
         # bare constants are legal atom sides; only nested ones get names
         if type(t) is Var or t is TOP or t is BOT:
             return t
-        return leaf_for(t)
+        root = program.slot(t)
+        for op, a, b in program.code[len(leaf):]:
+            if op == "var":
+                leaf.append(a)
+            else:
+                leaf.append(names.take())
+                operands = tuple(leaf[s] for s in (a, b) if s is not None)
+                definitions.append(Definition(leaf[-1], op, operands))
+        return Var(leaf[root])
 
     def walk(s: S.Sentence) -> S.Sentence:
         if isinstance(s, S.Eq):
@@ -238,21 +214,6 @@ def flatten(s: S.Sentence) -> FlatSentence:
     return FlatSentence(full_prefix, definitions, conclusion, fresh)
 
 
-def _apply_definition(d: Definition, env: dict[str, Subspace], ambient: int) -> Subspace:
-    ops = [env[name] for name in d.operands]
-    if d.kind == "meet":
-        return meet(*ops)
-    if d.kind == "join":
-        return join(*ops)
-    if d.kind == "not":
-        return complement(*ops)
-    if d.kind == "top":
-        return Subspace.full(ambient)
-    if d.kind == "bot":
-        return Subspace.zero(ambient)
-    raise CompileError(f"unknown definition kind {d.kind!r}")
-
-
 def eval_flat(flat: FlatSentence, domain: Iterable[Subspace], ambient: int) -> bool:
     """Truth of the flat sentence with source variables ranging over
     ``domain``.
@@ -266,12 +227,17 @@ def eval_flat(flat: FlatSentence, domain: Iterable[Subspace], ambient: int) -> b
         if d.ambient != ambient:
             raise ValueError("domain member has the wrong ambient dimension")
     split = len(flat.prefix) - len(flat.fresh)
+    # each fresh variable as a term over the source variables
+    defined: dict[str, Term] = {}
+    for d in flat.definitions:
+        operands = (defined.get(o, Var(o)) for o in d.operands)
+        defined[d.name] = CONSTRUCTORS[d.kind](*operands)
+    program = Program(defined.values())
 
     def go(i: int, env: dict[str, Subspace]) -> bool:
         if i == split:
-            full = dict(env)
-            for d in flat.definitions:
-                full[d.name] = _apply_definition(d, full, ambient)
+            ev = Evaluator(Assignment(ambient, env), program=program)
+            full = {**env, **{name: ev.eval(t) for name, t in defined.items()}}
             return S.eval_sentence(flat.conclusion, (), ambient, full)
         kind, name = flat.prefix[i]
         results = (go(i + 1, {**env, name: s}) for s in pool)
@@ -650,10 +616,16 @@ def complex_to_real(c):
         return RIff(complex_to_real(c.lhs), complex_to_real(c.rhs))
     if isinstance(c, CNot):
         return RNot(complex_to_real(c.body))
-    if isinstance(c, CForall):
-        return RForall(_split_vars(c.vars), complex_to_real(c.body))
-    if isinstance(c, CExists):
-        return RExists(_split_vars(c.vars), complex_to_real(c.body))
+    if isinstance(c, (CForall, CExists)):
+        # the prefix has one block per lattice variable, so walk it by a loop
+        chain = []
+        while isinstance(c, (CForall, CExists)):
+            chain.append(c)
+            c = c.body
+        r = complex_to_real(c)
+        for q in reversed(chain):
+            r = (RForall if isinstance(q, CForall) else RExists)(_split_vars(q.vars), r)
+        return r
     raise CompileError(f"not a complex formula: {c!r}")
 
 
@@ -726,9 +698,14 @@ def _fmt_formula(f, indent: int) -> str:
     if isinstance(f, RNot):
         return f"{pad}(not\n{_fmt_formula(f.body, indent + 2)})"
     if isinstance(f, (RForall, RExists)):
-        word = "forall" if isinstance(f, RForall) else "exists"
-        binders = " ".join(f"({name} Real)" for name in f.vars)
-        return f"{pad}({word} ({binders})\n{_fmt_formula(f.body, indent + 2)})"
+        lines = []
+        while isinstance(f, (RForall, RExists)):
+            word = "forall" if isinstance(f, RForall) else "exists"
+            binders = " ".join(f"({name} Real)" for name in f.vars)
+            lines.append(f"{' ' * indent}({word} ({binders})")
+            f = f.body
+            indent += 2
+        return "\n".join(lines + [_fmt_formula(f, indent)]) + ")" * len(lines)
     raise CompileError(f"not a real formula: {f!r}")
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 
 from .linalg import Matrix, ScalarFormatError, format_matrix, parse_scalar
-from .subspaces import Subspace
+from .subspaces import MAX_AMBIENT, Subspace
 from .terms import Assignment
 
 
@@ -62,8 +62,10 @@ def _parse_ambient(lines: list[tuple[int, str]]) -> int:
     if not re.fullmatch(r"\d+", head):
         raise FixtureError(f"expected ambient dimension, found {head!r}", lineno)
     ambient = int(head)
-    if ambient < 1:
-        raise FixtureError("ambient dimension must be at least 1", lineno)
+    if not 1 <= ambient <= MAX_AMBIENT:
+        raise FixtureError(
+            f"ambient dimension must be between 1 and {MAX_AMBIENT}", lineno
+        )
     return ambient
 
 

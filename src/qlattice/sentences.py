@@ -15,6 +15,8 @@ A quantifier scopes maximally to the right, so ``forall x. A & B``
 quantifies over the whole conjunction.  An opening parenthesis is
 ambiguous between a grouped sentence and a parenthesised term inside an
 atom; the parser tries the atom reading first and backtracks.
+Parentheses, ``!`` and quantified names together nest at most
+``terms.MAX_NESTING`` levels; deeper input is a :class:`ParseError`.
 
 Evaluation is over a caller-supplied finite domain of subspaces, which
 makes quantifiers decidable by brute force; that is only the truth of
@@ -151,14 +153,16 @@ def _parse_sunary(ts: TokenStream) -> Sentence:
     tok = ts.peek()
     if tok.kind == "BANG":
         ts.advance()
-        return Neg(_parse_sunary(ts))
+        with ts.nested(tok):
+            return Neg(_parse_sunary(ts))
     if tok.kind in ("FORALL", "EXISTS"):
         ts.advance()
         names = [ts.expect("ID", "a variable name").text]
         while ts.match("COMMA"):
             names.append(ts.expect("ID", "a variable name").text)
         ts.expect("DOT", "'.' after the quantified variables")
-        body = _parse_iff(ts)
+        with ts.nested(tok, len(names)):  # one binder per name
+            body = _parse_iff(ts)
         cls = Forall if tok.kind == "FORALL" else Exists
         for name in reversed(names):
             body = cls(name, body)
@@ -177,9 +181,9 @@ def _parse_atom(ts: TokenStream) -> Sentence:
             if ts.peek().kind in ("EQ", "LEQ"):
                 return _finish_atom(ts, lhs)
             ts.index = saved
-        ts.advance()
-        s = _parse_iff(ts)
-        ts.expect("RP", "')'")
+        with ts.nested(ts.advance()):
+            s = _parse_iff(ts)
+            ts.expect("RP", "')'")
         return s
     lhs = parse_term_stream(ts)
     return _finish_atom(ts, lhs)

@@ -35,6 +35,8 @@ from .linalg import (
 )
 
 _MAX_SAMPLE_TRIES = 200
+# Largest ambient accepted from fixtures and the command line.
+MAX_AMBIENT = 64
 _MEMO_LIMIT = 1024
 
 _MEET = "meet"

@@ -5,17 +5,21 @@ with constants ``0`` and ``1`` and variables as identifiers.  Binary
 operators associate to the left; ``v`` is a reserved word and cannot be a
 variable.  The same tokenizer also covers the first-order sentence layer
 (``forall``/``exists``, connectives, ``=`` and ``<=``), so sentence parsing
-can share the term sub-parser.
+can share the term sub-parser.  Nesting is capped at ``MAX_NESTING``;
+chains and runs of ``~`` are parsed by loops and may be any length.
 
-Terms are immutable trees with cached structural hashes.  Equal subterms
-hash-cons into the same memo slots during evaluation, so iterated formulas
-that share structure evaluate in time proportional to the number of
-distinct subterms, not the tree size.
+Terms are immutable trees with cached structural hashes.  A
+:class:`Program` lists the distinct subterms of some root terms in
+post-order, one ``(op, a, b)`` instruction per slot.  Evaluation,
+equality, printing, free variables, substitution and the compiler's
+flattening loop over programs, in time linear in the number of distinct
+subterms and without recursion, so no term is too deep for them.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import subspaces as _sub
 from .subspaces import AmbientMismatch, Subspace
@@ -46,6 +50,14 @@ class Term:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other: object) -> bool:
+        """Structural equality: a term's one-root program determines it."""
+        return self is other or (
+            isinstance(other, Term)
+            and self._hash == other._hash
+            and Program((self,)).code == Program((other,)).code
+        )
+
     def __str__(self) -> str:
         return format_term(self)
 
@@ -60,11 +72,6 @@ class Var(Term):
         self.name = name
         self._hash = hash(("var", name))
 
-    def __eq__(self, other: object) -> bool:
-        return self is other or (type(other) is Var and other.name == self.name)
-
-    __hash__ = Term.__hash__
-
 
 class _TopTerm(Term):
     __slots__ = ()
@@ -72,22 +79,12 @@ class _TopTerm(Term):
     def __init__(self) -> None:
         self._hash = hash("top")
 
-    def __eq__(self, other: object) -> bool:
-        return type(other) is _TopTerm
-
-    __hash__ = Term.__hash__
-
 
 class _BotTerm(Term):
     __slots__ = ()
 
     def __init__(self) -> None:
         self._hash = hash("bot")
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is _BotTerm
-
-    __hash__ = Term.__hash__
 
 
 TOP = _TopTerm()
@@ -101,11 +98,6 @@ class Not(Term):
         self.child = child
         self._hash = hash(("not", child._hash))
 
-    def __eq__(self, other: object) -> bool:
-        return self is other or (type(other) is Not and other.child == self.child)
-
-    __hash__ = Term.__hash__
-
 
 class Meet(Term):
     __slots__ = ("left", "right")
@@ -114,13 +106,6 @@ class Meet(Term):
         self.left = left
         self.right = right
         self._hash = hash(("meet", left._hash, right._hash))
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            type(other) is Meet and other.left == self.left and other.right == self.right
-        )
-
-    __hash__ = Term.__hash__
 
 
 class Join(Term):
@@ -131,12 +116,13 @@ class Join(Term):
         self.right = right
         self._hash = hash(("join", left._hash, right._hash))
 
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            type(other) is Join and other.left == self.left and other.right == self.right
-        )
 
-    __hash__ = Term.__hash__
+# Term constructor for each op of a program instruction other than "var";
+# the op names are also the compiler's definition kinds.
+CONSTRUCTORS = {
+    "top": lambda: TOP, "bot": lambda: BOT, "not": Not, "meet": Meet, "join": Join,
+}
+_OP_OF = {_TopTerm: "top", _BotTerm: "bot", Meet: "meet", Join: "join"}
 
 
 class Equation:
@@ -276,14 +262,31 @@ def tokenize(src: str) -> list[Token]:
     return tokens
 
 
-class TokenStream:
-    """Cursor over a token list with one-token lookahead and backtracking."""
+# Deepest nesting of parentheses, '!' and quantified names; parsers recurse per level.
+MAX_NESTING = 100
 
-    __slots__ = ("tokens", "index")
+
+class TokenStream:
+    """Cursor over a token list with one-token lookahead and backtracking;
+    ``depth`` counts the nesting levels open at the cursor."""
+
+    __slots__ = ("tokens", "index", "depth")
 
     def __init__(self, tokens: Sequence[Token]) -> None:
         self.tokens = tokens
         self.index = 0
+        self.depth = 0
+
+    @contextmanager
+    def nested(self, tok: Token, levels: int = 1) -> Iterator[None]:
+        """Hold `levels` more nesting levels, opened at `tok`, for the body."""
+        self.depth += levels
+        try:
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
+            yield
+        finally:
+            self.depth -= levels
 
     def peek(self) -> Token:
         return self.tokens[self.index]
@@ -334,26 +337,26 @@ def _parse_meet(ts: TokenStream) -> Term:
 
 
 def _parse_unary(ts: TokenStream) -> Term:
-    tok = ts.peek()
-    if tok.kind == "NOT":
-        ts.advance()
-        return Not(_parse_unary(ts))
+    negations = 0
+    while ts.match("NOT"):
+        negations += 1
+    tok = ts.advance()
     if tok.kind == "LP":
-        ts.advance()
-        t = _parse_join(ts)
-        ts.expect("RP", "')'")
-        return t
-    if tok.kind == "ZERO":
-        ts.advance()
-        return BOT
-    if tok.kind == "ONE":
-        ts.advance()
-        return TOP
-    if tok.kind == "ID":
-        ts.advance()
-        return Var(tok.text)
-    shown = tok.text or "end of input"
-    raise ParseError(f"expected a term, found {shown!r}", tok.pos)
+        with ts.nested(tok):
+            t = _parse_join(ts)
+            ts.expect("RP", "')'")
+    elif tok.kind == "ZERO":
+        t = BOT
+    elif tok.kind == "ONE":
+        t = TOP
+    elif tok.kind == "ID":
+        t = Var(tok.text)
+    else:
+        shown = tok.text or "end of input"
+        raise ParseError(f"expected a term, found {shown!r}", tok.pos)
+    for _ in range(negations):
+        t = Not(t)
+    return t
 
 
 def parse_term(src: str) -> Term:
@@ -374,31 +377,103 @@ def parse_equation(src: str) -> Equation:
     return Equation(lhs, rhs)
 
 
+# --- programs ---------------------------------------------------------------
+
+
+class Program:
+    """The distinct subterms of some root terms in post-order, one per slot.
+
+    Slot ``i`` holds ``(op, a, b)``: ``("var", name, None)``, ``("top" or
+    "bot", None, None)``, ``("not", c, None)`` or ``("meet" or "join", l, r)``
+    with ``c``, ``l``, ``r`` earlier slots.  Structurally equal subterms share
+    a slot.  :meth:`slot` appends, without recursion, the subterms a new root
+    lacks, root last.
+    """
+
+    __slots__ = ("code", "_index", "_roots")
+
+    def __init__(self, roots: Iterable[Term] = ()) -> None:
+        self.code: list[tuple[str, object, object]] = []
+        self._index: dict[tuple[str, object, object], int] = {}
+        # id(root) -> (root, slot): no lookup compares terms, and holding the
+        # root keeps its id from being reused
+        self._roots: dict[int, tuple[Term, int]] = {}
+        for t in roots:
+            self.slot(t)
+
+    def slot(self, root: Term) -> int:
+        """Slot of `root`, appending its missing subterms first."""
+        hit = self._roots.get(id(root))
+        if hit is None:
+            hit = self._roots[id(root)] = (root, self._append(root))
+        return hit[1]
+
+    def _append(self, root: Term) -> int:
+        code, index = self.code, self._index
+        done: dict[int, int] = {}  # id of a node met in this walk -> slot
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if id(node) in done:
+                continue
+            tt = type(node)
+            if tt is Var:
+                instr = ("var", node.name, None)
+            elif tt is Not:
+                a = done.get(id(node.child))
+                if a is None:
+                    stack += (node, node.child)
+                    continue
+                instr = ("not", a, None)
+            elif tt is Meet or tt is Join:
+                a, b = done.get(id(node.left)), done.get(id(node.right))
+                if a is None or b is None:
+                    # revisit after the missing operands, left first
+                    stack.append(node)
+                    if b is None:
+                        stack.append(node.right)
+                    if a is None:
+                        stack.append(node.left)
+                    continue
+                instr = (_OP_OF[tt], a, b)
+            else:
+                instr = (_OP_OF[tt], None, None)
+            s = index.get(instr)
+            if s is None:
+                s = index[instr] = len(code)
+                code.append(instr)
+            done[id(node)] = s
+        return done[id(root)]
+
+
 # --- printing ---------------------------------------------------------------
 
 _PREC_JOIN, _PREC_MEET, _PREC_UNARY = 1, 2, 3
+_PREC = {"join": _PREC_JOIN, "meet": _PREC_MEET}
 
 
 def format_term(t: Term) -> str:
     """Print with minimal parentheses; ``parse_term`` inverts this exactly."""
+    prog = Program((t,))
+    texts: list[str] = []
 
-    def go(t: Term, prec: int) -> str:
-        tt = type(t)
-        if tt is Var:
-            return t.name
-        if tt is _TopTerm:
-            return "1"
-        if tt is _BotTerm:
-            return "0"
-        if tt is Not:
-            return "~" + go(t.child, _PREC_UNARY)
-        if tt is Meet:
-            s = f"{go(t.left, _PREC_MEET)} ^ {go(t.right, _PREC_UNARY)}"
-            return f"({s})" if prec > _PREC_MEET else s
-        s = f"{go(t.left, _PREC_JOIN)} v {go(t.right, _PREC_MEET)}"
-        return f"({s})" if prec > _PREC_JOIN else s
+    def operand(slot: int, prec: int) -> str:
+        text = texts[slot]
+        return f"({text})" if _PREC.get(prog.code[slot][0], _PREC_UNARY) < prec else text
 
-    return go(t, 0)
+    for op, a, b in prog.code:
+        if op == "var":
+            text = a
+        elif op == "not":
+            text = "~" + operand(a, _PREC_UNARY)
+        elif op == "meet":
+            text = f"{operand(a, _PREC_MEET)} ^ {operand(b, _PREC_UNARY)}"
+        elif op == "join":
+            text = f"{operand(a, _PREC_JOIN)} v {operand(b, _PREC_MEET)}"
+        else:
+            text = "1" if op == "top" else "0"
+        texts.append(text)
+    return texts[-1]
 
 
 # --- structural operations --------------------------------------------------
@@ -406,42 +481,7 @@ def format_term(t: Term) -> str:
 
 def free_vars(t: Term) -> frozenset[str]:
     """Variable names occurring in `t`; linear in the number of distinct subterms."""
-    seen: set[int] = set()
-    out: set[str] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        tt = type(node)
-        if tt is Var:
-            out.add(node.name)
-        elif tt is Not:
-            stack.append(node.child)
-        elif tt is Meet or tt is Join:
-            stack.append(node.left)
-            stack.append(node.right)
-    return frozenset(out)
-
-
-def subterms(t: Term) -> Iterator[Term]:
-    """Distinct subterms in post-order (children before parents)."""
-    seen: set[Term] = set()
-
-    def go(node: Term):
-        if node in seen:
-            return
-        tt = type(node)
-        if tt is Not:
-            yield from go(node.child)
-        elif tt is Meet or tt is Join:
-            yield from go(node.left)
-            yield from go(node.right)
-        seen.add(node)
-        yield node
-
-    yield from go(t)
+    return frozenset(a for op, a, _ in Program((t,)).code if op == "var")
 
 
 def to_nnf(t: Term) -> Term:
@@ -521,30 +561,18 @@ def restrict(t: Term, bound: Term) -> Term:
 
 
 def substitute(t: Term, replacements: Mapping[str, Term]) -> Term:
-    """Simultaneous substitution of terms for variables."""
-    memo: dict[Term, Term] = {}
-
-    def go(t: Term) -> Term:
-        r = memo.get(t)
-        if r is None:
-            tt = type(t)
-            if tt is Var:
-                r = replacements.get(t.name, t)
-            elif tt is Not:
-                c = go(t.child)
-                r = t if c is t.child else Not(c)
-            elif tt is Meet:
-                l, rr = go(t.left), go(t.right)
-                r = t if l is t.left and rr is t.right else Meet(l, rr)
-            elif tt is Join:
-                l, rr = go(t.left), go(t.right)
-                r = t if l is t.left and rr is t.right else Join(l, rr)
-            else:
-                r = t
-            memo[t] = r
-        return r
-
-    return go(t)
+    """Simultaneous substitution of terms for variables; `t` itself when no
+    variable of `t` is replaced."""
+    code = Program((t,)).code
+    if all(op != "var" or a not in replacements for op, a, _ in code):
+        return t
+    out: list[Term] = []
+    for op, a, b in code:
+        if op == "var":
+            out.append(replacements.get(a) or Var(a))
+        else:
+            out.append(CONSTRUCTORS[op](*(out[k] for k in (a, b) if k is not None)))
+    return out[-1]
 
 
 def rename(t: Term, mapping: Mapping[str, str]) -> Term:
@@ -556,53 +584,54 @@ def rename(t: Term, mapping: Mapping[str, str]) -> Term:
 
 
 class Evaluator:
-    """Evaluates terms under one assignment with a persistent memo table.
+    """Evaluates terms under one assignment by running a program's slots.
 
-    Reusing an Evaluator across several terms lets common subterms (and
-    cached complements inside the subspace layer) be computed once.  The
-    meet operation is injectable so an independent implementation can be
+    ``eval(t)`` runs each slot up to that of `t` once.  Callers evaluating
+    the same terms under many assignments share one `program`.  The meet
+    operation is injectable so an independent implementation can be
     swapped in for cross-checks.
     """
 
-    __slots__ = ("assignment", "_memo", "_meet")
+    __slots__ = ("assignment", "program", "_values", "_meet")
 
-    def __init__(self, assignment: Assignment, meet_op=None) -> None:
+    def __init__(self, assignment: Assignment, meet_op=None, program=None) -> None:
         self.assignment = assignment
-        self._memo: dict[Term, Subspace] = {}
+        self.program = program if program is not None else Program()
+        self._values: list[Subspace] = []
         self._meet = meet_op if meet_op is not None else _sub.meet
 
     def eval(self, t: Term) -> Subspace:
-        memo = self._memo
-        v = memo.get(t)
-        if v is not None:
-            return v
-        tt = type(t)
-        if tt is Var:
-            v = self.assignment[t.name]
-        elif tt is Meet:
-            v = self._meet(self.eval(t.left), self.eval(t.right))
-        elif tt is Join:
-            v = _sub.join(self.eval(t.left), self.eval(t.right))
-        elif tt is Not:
-            v = _sub.complement(self.eval(t.child))
-        elif tt is _TopTerm:
-            v = _sub.Subspace.full(self.assignment.ambient)
-        else:
-            v = _sub.Subspace.zero(self.assignment.ambient)
-        memo[t] = v
-        return v
+        slot = self.program.slot(t)
+        values = self._values
+        meet, join, complement = self._meet, _sub.join, _sub.complement
+        ambient = self.assignment.ambient
+        for op, a, b in self.program.code[len(values):slot + 1]:
+            if op == "meet":
+                v = meet(values[a], values[b])
+            elif op == "join":
+                v = join(values[a], values[b])
+            elif op == "not":
+                v = complement(values[a])
+            elif op == "var":
+                v = self.assignment[a]
+            elif op == "top":
+                v = Subspace.full(ambient)
+            else:
+                v = Subspace.zero(ambient)
+            values.append(v)
+        return values[slot]
 
 
-def evaluate(t: Term, assignment: Assignment, meet_op=None) -> Subspace:
+def evaluate(t: Term, assignment: Assignment, meet_op=None, program=None) -> Subspace:
     """Value of `t` under `assignment`.
 
     Raises:
         UnboundVariableError: if a free variable of `t` has no binding.
     """
-    return Evaluator(assignment, meet_op).eval(t)
+    return Evaluator(assignment, meet_op, program).eval(t)
 
 
-def holds(eq: Equation, assignment: Assignment, meet_op=None) -> bool:
+def holds(eq: Equation, assignment: Assignment, meet_op=None, program=None) -> bool:
     """Whether both sides of `eq` evaluate to the same subspace."""
-    ev = Evaluator(assignment, meet_op)
+    ev = Evaluator(assignment, meet_op, program)
     return ev.eval(eq.lhs) == ev.eval(eq.rhs)

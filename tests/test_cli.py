@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qlattice import cli
 from qlattice.cli import main
 from qlattice.fixtures import (
     format_assignment_fixture,
@@ -249,13 +250,57 @@ def test_usage_errors(capsys):
     assert run(capsys, "check", "p = p")[0] == 2  # missing --ambient
 
 
-def test_internal_error_is_not_a_counterexample(capsys):
-    # a term this deep exhausts the recursion limit; status 1 would read
-    # as "counterexample found"
-    code, out, err = run(capsys, "check", "~" * 3000 + "p = p", "--ambient", "2")
+def test_internal_error_is_not_a_counterexample(capsys, monkeypatch):
+    # an unexpected exception inside a command is a defect of the program;
+    # status 1 would read as "counterexample found"
+    def overflow(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "check", overflow)
+    code, out, err = run(capsys, "check", "p = p", "--ambient", "2")
     assert code == 5
     assert out == ""
     assert err.startswith("internal error: RecursionError")
+
+
+_MEET_CHAIN = " ^ ".join(["p"] * 2000)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        pytest.param(["check", _MEET_CHAIN + " = p"], 0, id="meet-chain"),
+        pytest.param(["check", "~" * 3000 + "p = p"], 0, id="negation-run"),
+        pytest.param(["check", f"{_MEET_CHAIN} = {_MEET_CHAIN}"], 0, id="equal-chains"),
+        pytest.param(["check", "(" * 1500 + "p" + ")" * 1500 + " = p"], 3, id="deep-parens"),
+    ],
+)
+def test_deep_terms_get_a_verdict(capsys, argv, expected):
+    code, out, err = run(capsys, *argv, "--ambient", "2", "--samples", "50")
+    assert code == expected, err
+    assert "internal error" not in err
+
+
+def test_compile_long_chain(capsys, tmp_path):
+    src = tmp_path / "chain.sent"
+    src.write_text("forall x. " + " v ".join(["x"] * 1000) + " = x")
+    out_path = tmp_path / "chain.smt2"
+    code, out, err = run(capsys, "compile", str(src), "--n", "1", "--out", str(out_path))
+    assert code == 0, err
+    assert "2000 top-level real variables" in out
+    assert out_path.read_text().startswith("(set-logic NRA)")
+
+
+def test_oversized_ambient_is_refused(capsys, tmp_path):
+    fixture = tmp_path / "huge.fix"
+    fixture.write_text("100000000\n")
+    assert run(capsys, "eval", "1", "--fixture", str(fixture))[0] == 3
+    code, _, err = run(capsys, "check", "p = p", "--ambient", "100000000")
+    assert code == 2 and "maximum ambient 64" in err
+    src = tmp_path / "s.sent"
+    src.write_text("forall x. x = x")
+    code, _, err = run(capsys, "compile", str(src), "--n", "65")
+    assert code == 2 and "maximum ambient 64" in err
 
 
 @pytest.mark.skipif(shutil.which("qlattice") is None, reason="entry point not installed")

@@ -86,6 +86,7 @@ def test_format_sorts_variables():
         ("", 1),                          # empty
         ("x\n1 0\n", 1),                  # ambient not a number
         ("0\n", 1),                       # ambient below one
+        ("100000000\n", 1),               # ambient above MAX_AMBIENT
         ("2\n1 0 0\n", 2),                # row too wide
         ("2\n1 bogus\n", 2),              # bad scalar
         ("2\np = {\n1 0\n", 2),           # unterminated block

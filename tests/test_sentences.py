@@ -23,7 +23,7 @@ from qlattice.sentences import (
     rename_bound,
     universal_closure,
 )
-from qlattice.terms import ParseError, parse_term
+from qlattice.terms import MAX_NESTING, ParseError, parse_term
 
 
 def test_parse_worked_example_shape():
@@ -95,11 +95,32 @@ def test_print_parse_round_trip(text):
         "(x = y",                # unclosed group
         "x = y &",               # dangling connective
         "forall x. x == x",      # '==' is not in the grammar
+        pytest.param("(" * 1500 + "x = y" + ")" * 1500, id="deep-groups"),
+        pytest.param("(" * 1500 + "x" + ")" * 1500 + " = y", id="deep-term"),
+        pytest.param("!" * 1500 + "x = y", id="deep-negation"),
+        pytest.param(
+            "forall " + ", ".join(f"x{i}" for i in range(1500)) + ". x0 = x0",
+            id="many-binders",
+        ),
+        pytest.param("forall x. " * 1500 + "x = x", id="deep-quantifiers"),
     ],
 )
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         parse_sentence(text)
+
+
+def test_nesting_up_to_the_cap():
+    half = MAX_NESTING // 2
+    s = parse_sentence("!" * half + "(" * half + "x = y" + ")" * half)
+    for _ in range(half):
+        assert isinstance(s, Neg)
+        s = s.body
+    assert s == Eq(parse_term("x"), parse_term("y"))
+    with pytest.raises(ParseError, match="nesting deeper"):
+        parse_sentence("!" * half + "(" * (half + 1) + "x = y" + ")" * (half + 1))
+    grouped = "(" * MAX_NESTING + "x = y" + ")" * MAX_NESTING
+    assert parse_sentence(grouped) == Eq(parse_term("x"), parse_term("y"))
 
 
 def test_free_vars_and_closure():

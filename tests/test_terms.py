@@ -9,7 +9,9 @@ from qlattice.subspaces import (
     AmbientMismatch,
     Subspace,
     complement,
+    join,
     leq,
+    meet,
     meet_via_demorgan,
     random_subspace,
 )
@@ -18,11 +20,13 @@ from qlattice.terms import (
     TOP,
     Assignment,
     Equation,
+    MAX_NESTING,
     Evaluator,
     Join,
     Meet,
     Not,
     ParseError,
+    Program,
     UnboundVariableError,
     Var,
     evaluate,
@@ -33,7 +37,6 @@ from qlattice.terms import (
     parse_term,
     restrict,
     substitute,
-    subterms,
     to_nnf,
 )
 
@@ -125,8 +128,9 @@ class TestStructure:
 
     def test_subterms_postorder_distinct(self):
         t = parse_term("(p ^ q) v (p ^ q)")
-        walk = list(subterms(t))
-        assert walk == [p, q, Meet(p, q), t]
+        assert Program([t]).code == [
+            ("var", "p", None), ("var", "q", None), ("meet", 0, 1), ("join", 2, 2),
+        ]
 
     def test_nnf_examples(self):
         assert to_nnf(parse_term("~(p v q)")) == parse_term("~p ^ ~q")
@@ -138,9 +142,10 @@ class TestStructure:
     @given(terms)
     def test_nnf_shape(self, t):
         n = to_nnf(t)
-        for s in subterms(n):
-            if type(s) is Not:
-                assert type(s.child) is Var
+        code = Program([n]).code
+        for op, a, _ in code:
+            if op == "not":
+                assert code[a][0] == "var"
         # idempotent up to structural equality; equal duplicate subtrees may
         # be canonicalised into one shared object
         assert to_nnf(n) == n
@@ -236,3 +241,81 @@ class TestEvaluation:
     def test_meet_routes_agree_on_random_terms(self, ta):
         t, a = ta
         assert evaluate(t, a) == evaluate(t, a, meet_op=meet_via_demorgan)
+
+
+def reference_eval(t, a, meet_op):
+    """Direct recursive evaluation, kept independent of Program."""
+    if type(t) is Var:
+        return a[t.name]
+    if t is TOP:
+        return Subspace.full(a.ambient)
+    if t is BOT:
+        return Subspace.zero(a.ambient)
+    if type(t) is Not:
+        return complement(reference_eval(t.child, a, meet_op))
+    left = reference_eval(t.left, a, meet_op)
+    right = reference_eval(t.right, a, meet_op)
+    return meet_op(left, right) if type(t) is Meet else join(left, right)
+
+
+class TestProgram:
+    @given(term_with_assignment(), st.sampled_from([meet, meet_via_demorgan]))
+    @settings(max_examples=80)
+    def test_evaluator_matches_recursive_reference(self, ta, meet_op):
+        t, a = ta
+        expected = reference_eval(t, a, meet_op)
+        assert Evaluator(a, meet_op).eval(t) == expected
+        # a program shared by two roots evaluates each to its own value
+        shared = Program([to_nnf(t), t])
+        assert Evaluator(a, meet_op, shared).eval(t) == expected
+
+    def test_roots_share_slots(self):
+        lhs, rhs = parse_term("(p ^ q) v r"), parse_term("r v (p ^ q)")
+        program = Program([lhs, rhs])
+        assert program.slot(parse_term("p ^ q")) == 2
+        assert len(program.code) == 6  # p, q, p ^ q, r and the two joins
+        assert program.slot(rhs) == 5
+
+    def test_evaluator_runs_each_slot_once(self):
+        calls = []
+
+        def counting_meet(x, y):
+            calls.append((x, y))
+            return meet(x, y)
+
+        a = Assignment(2, {"p": Subspace.line(2, [1, 0]), "q": Subspace.line(2, [1, 1])})
+        ev = Evaluator(a, counting_meet)
+        ev.eval(parse_term("(p ^ q) v (p ^ q)"))
+        ev.eval(parse_term("~(p ^ q)"))
+        assert len(calls) == 1
+
+
+class TestDeepTerms:
+    """Chains and ~ runs of any length; nesting beyond MAX_NESTING is refused."""
+
+    def test_long_chains(self):
+        chain = parse_term(" v ".join(["p"] * 3000))
+        again = parse_term(" v ".join(["p"] * 3000))
+        assert chain is not again and chain == again
+        assert chain != parse_term(" v ".join(["p"] * 2999) + " v q")
+        assert format_term(chain) == " v ".join(["p"] * 3000)
+        assert free_vars(chain) == {"p"}
+        assert substitute(chain, {"p": q}) == parse_term(" v ".join(["q"] * 3000))
+        a = Assignment(2, {"p": Subspace.line(2, [1, 0])})
+        assert evaluate(chain, a) == a["p"]
+
+    def test_long_negation_run(self):
+        t = parse_term("~" * 3001 + "p")
+        assert format_term(t) == "~" * 3001 + "p"
+        a = Assignment(2, {"p": Subspace.line(2, [1, 0])})
+        assert evaluate(t, a) == Subspace.line(2, [0, 1])
+
+    def test_nesting_cap(self):
+        ok = "(" * MAX_NESTING + "p" + ")" * MAX_NESTING
+        assert parse_term(ok) == p
+        deep = "(" + ok + ")"
+        with pytest.raises(ParseError, match="nesting deeper") as exc:
+            parse_term(deep)
+        assert exc.value.pos == MAX_NESTING
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse_term("(" * 1500 + "p" + ")" * 1500)
