@@ -73,6 +73,11 @@ EXIT_SEMANTIC = 4
 EXIT_INTERNAL = 5
 
 
+# gamma:K is a shared DAG but prints as a tree whose text grows exponentially
+# in K: gamma:5 is 23.5 MB and gamma:6 does not finish printing.
+MAX_GAMMA_EMIT = 5
+
+
 class UsageError(ValueError):
     """Bad argument content that argparse cannot catch (unknown names)."""
 
@@ -192,6 +197,10 @@ def cmd_emit(args: argparse.Namespace) -> int:
     elif (m := _indexed(name, "alpha-iter")) is not None:
         term = alpha_iter(m)
     elif (k := _indexed(name, "gamma")) is not None:
+        if k > MAX_GAMMA_EMIT:
+            raise UsageError(
+                f"gamma:{k} exceeds the maximum gamma:{MAX_GAMMA_EMIT} for emit"
+            )
         term = gamma_distinct_lines(k)
     if term is not None:
         print(format_term(term))

@@ -6,11 +6,14 @@ Row reduction, kernels and products are exact; no floating point is used
 anywhere.
 
 Internally, elimination runs on integer rows: each row is scaled by the
-lcm of its denominators, entries become Gaussian integers stored as
-interleaved ``(re, im)`` machine-int pairs, and every row operation is
-followed by a content strip (division by the gcd of all components) so
-coefficients stay small.  Fractions reappear only when a canonical reduced
-row echelon basis is materialised, with each pivot normalised to 1.
+lcm of its denominators and entries become Gaussian integers stored as
+interleaved ``(re, im)`` machine-int pairs.  Reduction is fraction-free
+Gauss-Jordan (Bareiss): each combine ``D_k * r - r[c_k] * p_k`` is divided
+exactly by the previous pivot value, so every stored entry is a minor of
+the input and coefficient size stays bounded by Hadamard's inequality.
+Rows are rescaled lazily, only when a step touches them.  Fractions
+reappear only when a canonical reduced row echelon basis is materialised,
+with each pivot normalised to 1.
 """
 
 from __future__ import annotations
@@ -370,54 +373,81 @@ def _reduce_int_rows(
     """
     work = [list(r) for r in rows if any(r)]
     width = 2 * ncols
+    # Fraction-free Gauss-Jordan (Bareiss).  With D the pivot value of the
+    # previous step (1 before the first), step k turns every other row r
+    # into (D_k * r - r[c_k] * p_k) / D; the division is exact and every
+    # entry stays a minor of the input.  Rows are scaled lazily: when r is
+    # zero in the pivot column the step would only multiply it by D_k / D,
+    # so it is skipped.  level[i] is the pivot value that was current when
+    # work[i] was last written, so the Bareiss row is work[i] * D / level[i]:
+    # a combine divides by level[i] instead of D, and the pivot row is
+    # brought up to date before its step.
+    d = (1, 0)
+    level = [d] * len(work)
     pivots: list[int] = []
     npiv = 0
-    # Content is stripped once per row and phase, not after every combine;
-    # with small input entries the intermediate growth stays well within a
-    # machine word, and Python ints are exact regardless.
     for pc in range(ncols):
         re_i, im_i = 2 * pc, 2 * pc + 1
-        pi = -1
-        for i in range(npiv, len(work)):
-            if work[i][re_i] or work[i][im_i]:
-                pi = i
+        for pi in range(npiv, len(work)):
+            if work[pi][re_i] or work[pi][im_i]:
                 break
-        if pi < 0:
+        else:
             continue
-        work[npiv], work[pi] = work[pi], work[npiv]
+        if pi != npiv:
+            work[npiv], work[pi] = work[pi], work[npiv]
+            level[npiv], level[pi] = level[pi], level[npiv]
         prow = work[npiv]
-        pa, pb = prow[re_i], prow[im_i]
-        for i in range(npiv + 1, len(work)):
-            r = work[i]
+        if level[npiv] is not d:
+            # Bring the pivot row up to date: work * D / level.
+            da, db = d
+            sa, sb = level[npiv]
+            n2 = sa * sa + sb * sb
+            for k in range(re_i, width, 2):
+                ra, rb = prow[k], prow[k + 1]
+                xa, xb = da * ra - db * rb, da * rb + db * ra
+                prow[k] = (xa * sa + xb * sb) // n2
+                prow[k + 1] = (xb * sa - xa * sb) // n2
+        pa, pb = d = prow[re_i], prow[im_i]
+        for i, r in enumerate(work):
             ta, tb = r[re_i], r[im_i]
-            if ta or tb:
-                for k in range(re_i, width, 2):
+            if i == npiv or not (ta or tb):
+                continue
+            # r := (D_k * r - r[pc] * prow) / level[i], from the row's
+            # leading column on (both rows are zero left of it).
+            start = 2 * pivots[i] if i < npiv else re_i
+            sa, sb = level[i]
+            if sb:
+                n2 = sa * sa + sb * sb
+                for k in range(start, width, 2):
+                    ra, rb = r[k], r[k + 1]
+                    qa, qb = prow[k], prow[k + 1]
+                    xa = pa * ra - pb * rb - ta * qa + tb * qb
+                    xb = pa * rb + pb * ra - ta * qb - tb * qa
+                    r[k] = (xa * sa + xb * sb) // n2
+                    r[k + 1] = (xb * sa - xa * sb) // n2
+            elif sa != 1:
+                for k in range(start, width, 2):
+                    ra, rb = r[k], r[k + 1]
+                    qa, qb = prow[k], prow[k + 1]
+                    r[k] = (pa * ra - pb * rb - ta * qa + tb * qb) // sa
+                    r[k + 1] = (pa * rb + pb * ra - ta * qb - tb * qa) // sa
+            else:  # level 1: nothing to divide
+                for k in range(start, width, 2):
                     ra, rb = r[k], r[k + 1]
                     qa, qb = prow[k], prow[k + 1]
                     r[k] = pa * ra - pb * rb - ta * qa + tb * qb
                     r[k + 1] = pa * rb + pb * ra - ta * qb - tb * qa
-                _strip_content(r)
+            level[i] = d
+        level[npiv] = d
         pivots.append(pc)
         npiv += 1
+        if npiv == len(work):
+            break  # every row holds a pivot, so no later column has one
     work = work[:npiv]
-    # Clear above the pivots, last pivot first.
-    for k in range(npiv - 1, 0, -1):
-        pc = pivots[k]
-        re_i, im_i = 2 * pc, 2 * pc + 1
-        prow = work[k]
-        pa, pb = prow[re_i], prow[im_i]
-        for i in range(k):
-            r = work[i]
-            ta, tb = r[re_i], r[im_i]
-            if ta or tb:
-                for j in range(0, width, 2):
-                    ra, rb = r[j], r[j + 1]
-                    qa, qb = prow[j], prow[j + 1]
-                    r[j] = pa * ra - pb * rb - ta * qa + tb * qb
-                    r[j + 1] = pa * rb + pb * ra - ta * qb - tb * qa
-                _strip_content(r)
     # Normalise: multiply by the conjugate of the pivot entry so the pivot
     # becomes |pivot|^2 > 0, then strip content so each row is primitive.
+    # The result does not depend on the row's scale, so the lazily scaled
+    # rows need no final update.
     for k in range(npiv):
         pc = pivots[k]
         prow = work[k]

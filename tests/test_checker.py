@@ -246,6 +246,15 @@ def test_laws_suite_small():
     assert all("dimension" in r.detail for r in report.records)
 
 
+@pytest.mark.parametrize("ambient,samples", [(12, 3), (16, 2)])
+def test_laws_suite_wide_ambients(ambient, samples):
+    # Elimination without exact pivot division grew coefficients to
+    # hundreds of thousands of bits at n = 12 and took minutes here.
+    report = run_laws_suite(ambients=(ambient,), samples=samples, seed=0)
+    assert report.passed
+    assert [r.ambient for r in report.records] == [ambient]
+
+
 def test_meet_agreement_suite():
     report = run_meet_agreement_suite()
     assert report.passed

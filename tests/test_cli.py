@@ -142,6 +142,16 @@ def test_emit_gamma_below_three_is_semantic(capsys):
     assert run(capsys, "emit", "gamma:2")[0] == 4
 
 
+def test_emit_gamma_above_cap_is_refused(capsys, monkeypatch):
+    def unbuilt(k):
+        raise AssertionError(f"gamma:{k} was built")
+
+    monkeypatch.setattr(cli, "gamma_distinct_lines", unbuilt)
+    code, out, err = run(capsys, "emit", "gamma:6")
+    assert code == 2 and out == ""
+    assert "maximum gamma:5" in err
+
+
 def test_witness_round_trips(capsys):
     code, out, _ = run(capsys, "witness", "separation:0")
     assert code == 0

@@ -1,6 +1,7 @@
 """Exact scalar and matrix layer: arithmetic laws, canonical forms, kernels."""
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from qlattice.linalg import (
     GaussianRational,
     Matrix,
     ScalarFormatError,
+    _conj_int_rows,
+    _kernel_int,
+    _reduce_int_rows,
     conj_transpose,
     format_matrix,
     format_scalar,
@@ -244,6 +248,131 @@ class TestKernel:
         if k.rows:
             e, rank = rref(k)
             assert rank == k.rows and e == k
+
+
+# --- Fraction-level reference for the Z[i] elimination core ----------------
+#
+# Gaussian rationals as (re, im) pairs of Fractions, reduced by textbook
+# Gauss-Jordan with pivot 1.  Shares no code with the integer core.
+
+
+def _gmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ginv(x):
+    n2 = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n2, -x[1] / n2)
+
+
+def _ref_rref(rows, ncols):
+    """Nonzero rows of the reduced echelon form (pivots 1) and pivot columns."""
+    work = [
+        [(Fraction(r[2 * c]), Fraction(r[2 * c + 1])) for c in range(ncols)]
+        for r in rows
+    ]
+    pivots = []
+    for c in range(ncols):
+        k = len(pivots)
+        pi = next((i for i in range(k, len(work)) if work[i][c] != (0, 0)), None)
+        if pi is None:
+            continue
+        work[k], work[pi] = work[pi], work[k]
+        inv = _ginv(work[k][c])
+        work[k] = [_gmul(inv, e) for e in work[k]]
+        for i in range(len(work)):
+            t = work[i][c]
+            if i != k and t != (0, 0):
+                work[i] = [
+                    (e[0] - m[0], e[1] - m[1])
+                    for e, m in zip(work[i], (_gmul(t, q) for q in work[k]))
+                ]
+        pivots.append(c)
+    return work[: len(pivots)], pivots
+
+
+def _ref_canonical(frac_rows):
+    """Each row scaled by the lcm of its denominators, flattened to ints."""
+    out = []
+    for row in frac_rows:
+        d = lcm(*(x.denominator for e in row for x in e))
+        out.append([int(x * d) for e in row for x in e])
+    return out
+
+
+def _ref_reduce(rows, ncols):
+    red, pivots = _ref_rref(rows, ncols)
+    return _ref_canonical(red), pivots
+
+
+def _ref_kernel(rows, ncols):
+    red, pivots = _ref_rref(rows, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * (2 * ncols)
+        v[2 * f] = 1
+        for row, pc in zip(red, pivots):
+            v[2 * pc], v[2 * pc + 1] = -row[f][0], -row[f][1]
+        basis.append(v)
+    return _ref_reduce(basis, ncols)
+
+
+def _times(row, za, zb):
+    out = []
+    for k in range(0, len(row), 2):
+        a, b = row[k], row[k + 1]
+        out += [za * a - zb * b, za * b + zb * a]
+    return out
+
+
+@st.composite
+def gaussian_int_rows(draw, max_cols=8):
+    """Rows of Gaussian integers, some zero, some dependent on earlier rows,
+    some carrying a Gaussian factor (1+i) or (2+i)."""
+    ncols = draw(st.integers(1, max_cols))
+    bound = draw(st.sampled_from([1, 3, 20]))
+    entry = st.integers(-bound, bound)
+    rows = []
+    for _ in range(draw(st.integers(0, ncols + 2))):
+        kind = draw(st.sampled_from(["random", "zero", "dependent"]))
+        if kind == "zero":
+            row = [0] * (2 * ncols)
+        elif kind == "dependent" and rows:
+            row = [0] * (2 * ncols)
+            for base in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
+                za, zb = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+                row = [x + y for x, y in zip(row, _times(base, za, zb))]
+        else:
+            row = [draw(entry) for _ in range(2 * ncols)]
+        factor = draw(st.sampled_from([(1, 0), (1, 1), (2, 1)]))
+        rows.append(_times(row, *factor))
+    return rows, ncols
+
+
+class TestIntCore:
+    @given(gaussian_int_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_reduce_matches_fraction_reference(self, case):
+        rows, ncols = case
+        assert _reduce_int_rows(rows, ncols) == _ref_reduce(rows, ncols)
+
+    @given(gaussian_int_rows())
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_matches_fraction_reference(self, case):
+        rows, ncols = case
+        assert _kernel_int(rows, ncols) == _ref_kernel(rows, ncols)
+
+    @given(gaussian_int_rows())
+    @settings(max_examples=100, deadline=None)
+    def test_complement_rows_are_hermitian_orthogonal(self, case):
+        rows, ncols = case
+        complement, _ = _kernel_int(_conj_int_rows(rows), ncols)
+        for u in rows:
+            for v in complement:
+                # <u, v> = sum conj(u_j) v_j, real and imaginary parts
+                re = sum(u[k] * v[k] + u[k + 1] * v[k + 1] for k in range(0, len(u), 2))
+                im = sum(u[k] * v[k + 1] - u[k + 1] * v[k] for k in range(0, len(u), 2))
+                assert (re, im) == (0, 0)
 
 
 class TestConjTranspose:
