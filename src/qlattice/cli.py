@@ -73,9 +73,11 @@ EXIT_SEMANTIC = 4
 EXIT_INTERNAL = 5
 
 
-# gamma:K is a shared DAG but prints as a tree whose text grows exponentially
-# in K: gamma:5 is 23.5 MB and gamma:6 does not finish printing.
-MAX_GAMMA_EMIT = 5
+# Largest index `emit` accepts per indexed term family.  Both terms are
+# shared DAGs that print as trees whose text grows exponentially in the
+# index: gamma:5 is 23.5 MB and gamma:6 does not finish printing;
+# alpha-iter:5 is 3.7 MB and each step is about 14x longer.
+MAX_EMIT_INDEX = {"alpha-iter": 5, "gamma": 5}
 
 
 class UsageError(ValueError):
@@ -189,19 +191,23 @@ def _indexed(name: str, expected_key: str) -> int | None:
 
 def cmd_emit(args: argparse.Namespace) -> int:
     name = args.name
+    family = name.partition(":")[0]
+    if family in MAX_EMIT_INDEX:
+        index = _indexed(name, family)
+        if index > MAX_EMIT_INDEX[family]:
+            raise UsageError(
+                f"{family}:{index} exceeds the maximum "
+                f"{family}:{MAX_EMIT_INDEX[family]} for emit"
+            )
     term = None
     if name == "alpha":
         term = alpha()
     elif name == "beta":
         term = beta()
-    elif (m := _indexed(name, "alpha-iter")) is not None:
-        term = alpha_iter(m)
-    elif (k := _indexed(name, "gamma")) is not None:
-        if k > MAX_GAMMA_EMIT:
-            raise UsageError(
-                f"gamma:{k} exceeds the maximum gamma:{MAX_GAMMA_EMIT} for emit"
-            )
-        term = gamma_distinct_lines(k)
+    elif family == "alpha-iter":
+        term = alpha_iter(index)
+    elif family == "gamma":
+        term = gamma_distinct_lines(index)
     if term is not None:
         print(format_term(term))
         return EXIT_OK

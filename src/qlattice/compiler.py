@@ -14,6 +14,23 @@ lattice of C^n:
 3. ``complex_to_real``: split every complex quantity into a real pair,
    leaving a sentence in quantified nonlinear real arithmetic.
 
+Stages two and three build formulas of one node shape, a plain
+``(op, args)`` tuple whose ``args`` is always a tuple::
+
+    ("var", (name,))                      a complex or a real variable
+    ("const", (re, im)) / ("const", (x,)) a complex / a real constant
+    ("conj", (e,)) / ("neg", (e,))        complex conjugate / real negation
+    ("mul", (e, e)), ("add", (e, ...))    product, sum; empty sum is 0
+    ("eq", (e, e))                        an equation of two expressions
+    ("and", (f, ...)), ("or", (f, ...))   empty: true, false
+    ("implies", (f, f)), ("iff", (f, f)), ("not", (f,))
+    ("forall", (names, f)), ("exists", (names, f))   names: tuple of str
+
+Complex formulas use ``conj`` and two-part constants, real ones ``neg``
+and one-part constants.  Stage three, the emitter and ``stats`` walk
+formulas with explicit stacks, so no formula is too deep for them;
+expressions are at most three levels deep and are walked recursively.
+
 ``emit_solver_text`` renders the result as SMT-LIB v2.  Truth of the
 source over L(C^n) is equivalent to validity of the output over the
 reals; deciding that validity is delegated to an external solver and is
@@ -38,6 +55,9 @@ from . import sentences as S
 
 class CompileError(ValueError):
     pass
+
+
+Node = tuple  # (op, args); see the module docstring
 
 
 # --- stage 1: flattening ----------------------------------------------------
@@ -246,84 +266,6 @@ def eval_flat(flat: FlatSentence, domain: Iterable[Subspace], ambient: int) -> b
     return go(0, {})
 
 
-# --- complex-level AST ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class CConst:
-    re: Fraction
-    im: Fraction
-
-
-@dataclass(frozen=True)
-class CConj:
-    arg: CVar
-
-
-@dataclass(frozen=True)
-class CMul:
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class CAdd:
-    args: tuple
-
-
-@dataclass(frozen=True)
-class CEq:
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class CAnd:
-    args: tuple  # empty tuple is truth
-
-
-@dataclass(frozen=True)
-class COr:
-    args: tuple
-
-
-@dataclass(frozen=True)
-class CImplies:
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class CIff:
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class CNot:
-    body: object
-
-
-@dataclass(frozen=True)
-class CForall:
-    vars: tuple[str, ...]
-    body: object
-
-
-@dataclass(frozen=True)
-class CExists:
-    vars: tuple[str, ...]
-    body: object
-
-
-_C_ZERO = CConst(Fraction(0), Fraction(0))
-
-
 # --- stage 2: kernel encoding -----------------------------------------------
 #
 # Generated names use '!' and '.', which the sentence grammar cannot
@@ -332,6 +274,17 @@ _C_ZERO = CConst(Fraction(0), Fraction(0))
 #   v!k.j     component j of the k-th quantified vector
 #   w!g.i.j   component j of the i-th combination vector of join group g
 #   r!g.i     the i-th combination scalar of join group g
+
+
+_ZERO = ("const", (Fraction(0), Fraction(0)))
+_QUANTIFIERS = frozenset(("forall", "exists"))
+# connective op -> its SMT-LIB operator
+_CONNECTIVES = {"and": "and", "or": "or", "implies": "=>", "iff": "=", "not": "not"}
+_MATRIX_OPS = {S.And: "and", S.Or: "or", S.Implies: "implies", S.Iff: "iff"}
+
+
+def _var(name: str) -> Node:
+    return ("var", (name,))
 
 
 class _Namer:
@@ -358,55 +311,54 @@ def _matrix_entries(name: str, n: int) -> tuple[str, ...]:
     )
 
 
-def _kernel(name: str, vec: str, n: int) -> CAnd:
+def _kernel(name: str, vec: str, n: int) -> Node:
     """The n row equations of <matrix of name> * vec = 0."""
     rows = []
     for i in range(1, n + 1):
         terms = tuple(
-            CMul(CVar(f"{name}.{i}.{j}"), CVar(f"{vec}.{j}"))
+            ("mul", (_var(f"{name}.{i}.{j}"), _var(f"{vec}.{j}")))
             for j in range(1, n + 1)
         )
-        rows.append(CEq(CAdd(terms), _C_ZERO))
-    return CAnd(tuple(rows))
+        rows.append(("eq", (("add", terms), _ZERO)))
+    return ("and", tuple(rows))
 
 
-def _hermitian_dot_zero(v: str, w: str, n: int) -> CEq:
+def _hermitian_dot_zero(v: str, w: str, n: int) -> Node:
     terms = tuple(
-        CMul(CConj(CVar(f"{v}.{j}")), CVar(f"{w}.{j}")) for j in range(1, n + 1)
+        ("mul", (("conj", (_var(f"{v}.{j}"),)), _var(f"{w}.{j}")))
+        for j in range(1, n + 1)
     )
-    return CEq(CAdd(terms), _C_ZERO)
+    return ("eq", (("add", terms), _ZERO))
 
 
-def _vec_is_zero(vec: str, n: int) -> CAnd:
-    return CAnd(
-        tuple(CEq(CVar(f"{vec}.{j}"), _C_ZERO) for j in range(1, n + 1))
-    )
+def _vec_is_zero(vec: str, n: int) -> Node:
+    return ("and", tuple(("eq", (_var(c), _ZERO)) for c in _components(vec, n)))
 
 
-def _membership(leaf: Term, vec: str, n: int):
+def _membership(leaf: Term, vec: str, n: int) -> Node:
     """Formula: vec lies in the subspace denoted by a leaf term."""
     if type(leaf) is Var:
         return _kernel(leaf.name, vec, n)
     if leaf is TOP:
-        return CAnd(())
+        return ("and", ())
     if leaf is BOT:
         return _vec_is_zero(vec, n)
     raise CompileError(f"atom side is not a leaf: {leaf!r}")
 
 
-def _encode_definition(d: Definition, n: int, namer: _Namer):
+def _encode_definition(d: Definition, n: int, namer: _Namer) -> Node:
     v = namer.vector()
     member = _kernel(d.name, v, n)
     if d.kind == "meet":
         y, z = d.operands
-        rhs = CAnd((_kernel(y, v, n), _kernel(z, v, n)))
+        rhs = ("and", (_kernel(y, v, n), _kernel(z, v, n)))
     elif d.kind == "not":
         (y,) = d.operands
         w = namer.vector()
-        rhs = CForall(
+        rhs = ("forall", (
             _components(w, n),
-            CImplies(_kernel(y, w, n), _hermitian_dot_zero(v, w, n)),
-        )
+            ("implies", (_kernel(y, w, n), _hermitian_dot_zero(v, w, n))),
+        ))
     elif d.kind == "join":
         y, z = d.operands
         g = namer.group()
@@ -416,74 +368,57 @@ def _encode_definition(d: Definition, n: int, namer: _Namer):
             c for vec in vecs for c in _components(vec, n)
         ) + tuple(scalars)
         in_either = tuple(
-            COr((_kernel(y, vec, n), _kernel(z, vec, n))) for vec in vecs
+            ("or", (_kernel(y, vec, n), _kernel(z, vec, n))) for vec in vecs
         )
         combination = tuple(
-            CEq(
-                CVar(f"{v}.{j}"),
-                CAdd(tuple(
-                    CMul(CVar(scalars[i]), CVar(f"{vecs[i]}.{j}"))
+            ("eq", (
+                _var(f"{v}.{j}"),
+                ("add", tuple(
+                    ("mul", (_var(scalars[i]), _var(f"{vecs[i]}.{j}")))
                     for i in range(n)
                 )),
-            )
+            ))
             for j in range(1, n + 1)
         )
-        rhs = CExists(bound, CAnd(in_either + combination))
+        rhs = ("exists", (bound, ("and", in_either + combination)))
     elif d.kind == "top":
-        return CForall(_components(v, n), member)
+        return ("forall", (_components(v, n), member))
     elif d.kind == "bot":
-        return CForall(
-            _components(v, n), CImplies(member, _vec_is_zero(v, n))
-        )
+        return ("forall", (
+            _components(v, n), ("implies", (member, _vec_is_zero(v, n)))
+        ))
     else:
         raise CompileError(f"unknown definition kind {d.kind!r}")
-    return CForall(_components(v, n), CIff(member, rhs))
+    return ("forall", (_components(v, n), ("iff", (member, rhs))))
 
 
-def _encode_atom(atom: S.Eq, n: int, namer: _Namer):
+def _encode_atom(atom: S.Eq, n: int, namer: _Namer) -> Node:
     v = namer.vector()
     lhs, rhs = atom.lhs, atom.rhs
     # normalize so a constant side, if any, comes second
     if type(lhs) is not Var and type(rhs) is Var:
         lhs, rhs = rhs, lhs
     if rhs is TOP:
-        return CForall(_components(v, n), _membership(lhs, v, n))
-    if rhs is BOT:
-        return CForall(
-            _components(v, n),
-            CImplies(_membership(lhs, v, n), _vec_is_zero(v, n)),
-        )
-    return CForall(
-        _components(v, n),
-        CIff(_membership(lhs, v, n), _membership(rhs, v, n)),
-    )
+        body = _membership(lhs, v, n)
+    elif rhs is BOT:
+        body = ("implies", (_membership(lhs, v, n), _vec_is_zero(v, n)))
+    else:
+        body = ("iff", (_membership(lhs, v, n), _membership(rhs, v, n)))
+    return ("forall", (_components(v, n), body))
 
 
-def _encode_matrix(s: S.Sentence, n: int, namer: _Namer):
+def _encode_matrix(s: S.Sentence, n: int, namer: _Namer) -> Node:
     if isinstance(s, S.Eq):
         return _encode_atom(s, n, namer)
     if isinstance(s, S.Neg):
-        return CNot(_encode_matrix(s.body, n, namer))
-    if isinstance(s, S.And):
-        return CAnd((
-            _encode_matrix(s.lhs, n, namer), _encode_matrix(s.rhs, n, namer)
-        ))
-    if isinstance(s, S.Or):
-        return COr((
-            _encode_matrix(s.lhs, n, namer), _encode_matrix(s.rhs, n, namer)
-        ))
-    if isinstance(s, S.Implies):
-        return CImplies(
-            _encode_matrix(s.lhs, n, namer), _encode_matrix(s.rhs, n, namer)
-        )
-    if isinstance(s, S.Iff):
-        return CIff(
-            _encode_matrix(s.lhs, n, namer), _encode_matrix(s.rhs, n, namer)
-        )
-    raise CompileError(f"unexpected node in a flat matrix: {s!r}")
+        return ("not", (_encode_matrix(s.body, n, namer),))
+    op = _MATRIX_OPS.get(type(s))
+    if op is None:
+        raise CompileError(f"unexpected node in a flat matrix: {s!r}")
+    return (op, (_encode_matrix(s.lhs, n, namer), _encode_matrix(s.rhs, n, namer)))
 
 
-def encode_kernels(flat: FlatSentence, n: int):
+def encode_kernels(flat: FlatSentence, n: int) -> Node:
     """Stage two: one n x n matrix of complex variables per lattice
     variable, definitions and atoms expanded per their schemas."""
     if n < 1:
@@ -493,143 +428,73 @@ def encode_kernels(flat: FlatSentence, n: int):
         _encode_definition(d, n, namer) for d in flat.definitions
     )
     conclusion = _encode_matrix(flat.conclusion, n, namer)
-    body = CImplies(CAnd(hypotheses), conclusion) if hypotheses else conclusion
+    body = ("implies", (("and", hypotheses), conclusion)) if hypotheses else conclusion
     for kind, name in reversed(flat.prefix):
-        block = _matrix_entries(name, n)
-        body = CForall(block, body) if kind == "forall" else CExists(block, body)
+        body = (kind, (_matrix_entries(name, n), body))
     return body
 
 
-# --- real-level AST and stage 3 ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class RVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class RConst:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class RNegated:
-    arg: object
-
-
-@dataclass(frozen=True)
-class RMul:
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class RAdd:
-    args: tuple
-
-
-@dataclass(frozen=True)
-class REq:
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class RAnd:
-    args: tuple
-
-
-@dataclass(frozen=True)
-class ROr:
-    args: tuple
-
-
-@dataclass(frozen=True)
-class RImplies:
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class RIff:
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class RNot:
-    body: object
-
-
-@dataclass(frozen=True)
-class RForall:
-    vars: tuple[str, ...]
-    body: object
-
-
-@dataclass(frozen=True)
-class RExists:
-    vars: tuple[str, ...]
-    body: object
+# --- stage 3: realification -------------------------------------------------
 
 
 def _split_vars(names: Sequence[str]) -> tuple[str, ...]:
     return tuple(f"{name}.{part}" for name in names for part in ("re", "im"))
 
 
-def _split_expr(e) -> tuple[object, object]:
+def _split_expr(e: Node) -> tuple[Node, Node]:
     """Real and imaginary parts of a complex expression."""
-    if isinstance(e, CVar):
-        return RVar(f"{e.name}.re"), RVar(f"{e.name}.im")
-    if isinstance(e, CConst):
-        return RConst(e.re), RConst(e.im)
-    if isinstance(e, CConj):
-        re, im = _split_expr(e.arg)
-        return re, RNegated(im)
-    if isinstance(e, CAdd):
-        parts = [_split_expr(a) for a in e.args]
-        return RAdd(tuple(p[0] for p in parts)), RAdd(tuple(p[1] for p in parts))
-    if isinstance(e, CMul):
-        a_re, a_im = _split_expr(e.lhs)
-        b_re, b_im = _split_expr(e.rhs)
-        re = RAdd((RMul(a_re, b_re), RNegated(RMul(a_im, b_im))))
-        im = RAdd((RMul(a_re, b_im), RMul(a_im, b_re)))
+    op, args = e
+    if op == "var":
+        (name,) = args
+        return ("var", (f"{name}.re",)), ("var", (f"{name}.im",))
+    if op == "const":
+        re, im = args
+        return ("const", (re,)), ("const", (im,))
+    if op == "conj":
+        re, im = _split_expr(args[0])
+        return re, ("neg", (im,))
+    if op == "add":
+        parts = [_split_expr(a) for a in args]
+        return ("add", tuple(p[0] for p in parts)), ("add", tuple(p[1] for p in parts))
+    if op == "mul":
+        a_re, a_im = _split_expr(args[0])
+        b_re, b_im = _split_expr(args[1])
+        re = ("add", (("mul", (a_re, b_re)), ("neg", (("mul", (a_im, b_im)),))))
+        im = ("add", (("mul", (a_re, b_im)), ("mul", (a_im, b_re))))
         return re, im
     raise CompileError(f"not a complex expression: {e!r}")
 
 
-def complex_to_real(c):
+def complex_to_real(c: Node) -> Node:
     """Stage three: every complex variable becomes a (re, im) pair and
     every complex equation two real equations."""
-    if isinstance(c, CEq):
-        l_re, l_im = _split_expr(c.lhs)
-        r_re, r_im = _split_expr(c.rhs)
-        return RAnd((REq(l_re, r_re), REq(l_im, r_im)))
-    if isinstance(c, CAnd):
-        return RAnd(tuple(complex_to_real(a) for a in c.args))
-    if isinstance(c, COr):
-        return ROr(tuple(complex_to_real(a) for a in c.args))
-    if isinstance(c, CImplies):
-        return RImplies(complex_to_real(c.lhs), complex_to_real(c.rhs))
-    if isinstance(c, CIff):
-        return RIff(complex_to_real(c.lhs), complex_to_real(c.rhs))
-    if isinstance(c, CNot):
-        return RNot(complex_to_real(c.body))
-    if isinstance(c, (CForall, CExists)):
-        # the prefix has one block per lattice variable, so walk it by a loop
-        chain = []
-        while isinstance(c, (CForall, CExists)):
-            chain.append(c)
-            c = c.body
-        r = complex_to_real(c)
-        for q in reversed(chain):
-            r = (RForall if isinstance(q, CForall) else RExists)(_split_vars(q.vars), r)
-        return r
-    raise CompileError(f"not a complex formula: {c!r}")
+    done: list[Node] = []  # rewritten subformulas, children before parents
+    todo: list[tuple[Node, bool]] = [(c, False)]  # (node, children done?)
+    while todo:
+        node, ready = todo.pop()
+        op, args = node
+        if op == "eq":
+            l_re, l_im = _split_expr(args[0])
+            r_re, r_im = _split_expr(args[1])
+            done.append(("and", (("eq", (l_re, r_re)), ("eq", (l_im, r_im)))))
+        elif op in _QUANTIFIERS:
+            if ready:
+                done.append((op, (_split_vars(args[0]), done.pop())))
+            else:
+                todo += ((node, True), (args[1], False))
+        elif op in _CONNECTIVES:
+            if ready:
+                cut = len(done) - len(args)
+                done[cut:] = [(op, tuple(done[cut:]))]
+            else:
+                todo.append((node, True))
+                todo += ((a, False) for a in reversed(args))
+        else:
+            raise CompileError(f"not a complex formula: {node!r}")
+    return done[0]
 
 
-def compile_sentence(s: S.Sentence, n: int):
+def compile_sentence(s: S.Sentence, n: int) -> Node:
     """The whole pipeline; truth over L(C^n) becomes real validity."""
     return complex_to_real(encode_kernels(flatten(s), n))
 
@@ -651,6 +516,10 @@ class CompileStats:
 # --- SMT-LIB emission -------------------------------------------------------
 
 
+_EXPR_WORDS = {"neg": "-", "mul": "*", "add": "+"}
+_EMPTY_WORDS = {"and": "true", "or": "false"}
+
+
 def _fmt_const(value: Fraction) -> str:
     if value < 0:
         return f"(- {_fmt_const(-value)})"
@@ -659,57 +528,55 @@ def _fmt_const(value: Fraction) -> str:
     return f"(/ {value.numerator} {value.denominator})"
 
 
-def _fmt_expr(e) -> str:
-    if isinstance(e, RVar):
-        return e.name
-    if isinstance(e, RConst):
-        return _fmt_const(e.value)
-    if isinstance(e, RNegated):
-        return f"(- {_fmt_expr(e.arg)})"
-    if isinstance(e, RMul):
-        return f"(* {_fmt_expr(e.lhs)} {_fmt_expr(e.rhs)})"
-    if isinstance(e, RAdd):
-        if not e.args:
-            return "0"
-        if len(e.args) == 1:
-            return _fmt_expr(e.args[0])
-        return "(+ " + " ".join(_fmt_expr(a) for a in e.args) + ")"
-    raise CompileError(f"not a real expression: {e!r}")
+def _fmt_expr(e: Node) -> str:
+    op, args = e
+    if op == "var":
+        return args[0]
+    if op == "const" and len(args) == 1:
+        return _fmt_const(args[0])
+    if op == "add" and len(args) < 2:
+        return _fmt_expr(args[0]) if args else "0"
+    if op not in _EXPR_WORDS:
+        raise CompileError(f"not a real expression: {e!r}")
+    return f"({_EXPR_WORDS[op]} " + " ".join(_fmt_expr(a) for a in args) + ")"
 
 
-def _fmt_formula(f, indent: int) -> str:
-    pad = " " * indent
-    if isinstance(f, REq):
-        return f"{pad}(= {_fmt_expr(f.lhs)} {_fmt_expr(f.rhs)})"
-    if isinstance(f, (RAnd, ROr)):
-        op = "and" if isinstance(f, RAnd) else "or"
-        if not f.args:
-            return f"{pad}true" if isinstance(f, RAnd) else f"{pad}false"
-        if len(f.args) == 1:
-            return _fmt_formula(f.args[0], indent)
-        inner = "\n".join(_fmt_formula(a, indent + 2) for a in f.args)
-        return f"{pad}({op}\n{inner})"
-    if isinstance(f, (RImplies, RIff)):
-        op = "=>" if isinstance(f, RImplies) else "="
-        inner = "\n".join(
-            _fmt_formula(part, indent + 2) for part in (f.lhs, f.rhs)
-        )
-        return f"{pad}({op}\n{inner})"
-    if isinstance(f, RNot):
-        return f"{pad}(not\n{_fmt_formula(f.body, indent + 2)})"
-    if isinstance(f, (RForall, RExists)):
-        lines = []
-        while isinstance(f, (RForall, RExists)):
-            word = "forall" if isinstance(f, RForall) else "exists"
-            binders = " ".join(f"({name} Real)" for name in f.vars)
-            lines.append(f"{' ' * indent}({word} ({binders})")
-            f = f.body
-            indent += 2
-        return "\n".join(lines + [_fmt_formula(f, indent)]) + ")" * len(lines)
-    raise CompileError(f"not a real formula: {f!r}")
+def _fmt_formula(f: Node, indent: int) -> str:
+    out: list[str] = []
+    todo: list = [(f, indent)]  # (node, indent) pairs and literal text
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, indent = item
+        op, args = node
+        pad = " " * indent
+        if op == "eq":
+            out.append(f"{pad}(= {_fmt_expr(args[0])} {_fmt_expr(args[1])})")
+        elif op in _QUANTIFIERS:
+            binders = " ".join(f"({name} Real)" for name in args[0])
+            out.append(f"{pad}({op} ({binders})\n")
+            todo += (")", (args[1], indent + 2))
+        elif op in _EMPTY_WORDS and len(args) < 2:
+            # an empty conjunction or disjunction is a constant, and a
+            # single operand prints without the connective
+            if args:
+                todo.append((args[0], indent))
+            else:
+                out.append(pad + _EMPTY_WORDS[op])
+        elif op in _CONNECTIVES:
+            out.append(f"{pad}({_CONNECTIVES[op]}\n")
+            todo.append(")")
+            for a in reversed(args[1:]):
+                todo += ((a, indent + 2), "\n")
+            todo.append((args[0], indent + 2))
+        else:
+            raise CompileError(f"not a real formula: {node!r}")
+    return "".join(out)
 
 
-def emit_solver_text(r, form: str = "validity") -> str:
+def emit_solver_text(r: Node, form: str = "validity") -> str:
     """SMT-LIB v2 text asserting the negation of the sentence.
 
     ``validity``: unsat means the sentence is valid over the reals.
@@ -791,28 +658,23 @@ def run_external_solver(
     return SolverResult("error", out + proc.stderr)
 
 
-def stats(r) -> CompileStats:
+def stats(r: Node) -> CompileStats:
     top = 0
     node = r
-    lead = type(node) if isinstance(node, (RForall, RExists)) else None
-    while isinstance(node, (RForall, RExists)) and type(node) is lead:
-        top += len(node.vars)
-        node = node.body
+    if r[0] in _QUANTIFIERS:
+        while node[0] == r[0]:
+            names, node = node[1]
+            top += len(names)
     blocks = 0
     equations = 0
-    stack = [r]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, (RForall, RExists)):
+    todo = [r]
+    while todo:
+        op, args = todo.pop()
+        if op in _QUANTIFIERS:
             blocks += 1
-            stack.append(cur.body)
-        elif isinstance(cur, (RAnd, ROr)):
-            stack.extend(cur.args)
-        elif isinstance(cur, (RImplies, RIff)):
-            stack.append(cur.lhs)
-            stack.append(cur.rhs)
-        elif isinstance(cur, RNot):
-            stack.append(cur.body)
-        elif isinstance(cur, REq):
+            todo.append(args[1])
+        elif op in _CONNECTIVES:
+            todo += args
+        elif op == "eq":
             equations += 1
     return CompileStats(top, blocks, equations)

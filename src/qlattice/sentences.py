@@ -16,7 +16,9 @@ quantifies over the whole conjunction.  An opening parenthesis is
 ambiguous between a grouped sentence and a parenthesised term inside an
 atom; the parser tries the atom reading first and backtracks.
 Parentheses, ``!`` and quantified names together nest at most
-``terms.MAX_NESTING`` levels; deeper input is a :class:`ParseError`.
+``terms.MAX_NESTING`` levels, and a sentence has at most
+``MAX_CONNECTIVES`` binary connectives; other input is a
+:class:`ParseError`.
 
 Evaluation is over a caller-supplied finite domain of subspaces, which
 makes quantifiers decidable by brute force; that is only the truth of
@@ -114,8 +116,24 @@ def conjoin(parts: Sequence[Sentence]) -> Sentence:
 # --- parsing ----------------------------------------------------------------
 
 
+# Most binary connectives ('&', '|', '->', '<->') in one sentence.  The
+# sentence walkers here and in the compiler recurse once per connective.
+# Under MAX_NESTING binders and the default recursion limit of 1000, the
+# deepest of them (eval_flat, called 60 frames deep) first fails at 630.
+MAX_CONNECTIVES = 500
+
+_CONNECTIVE_TOKENS = frozenset(("AND", "OR", "ARROW", "IFF"))
+
+
 def parse_sentence(text: str) -> Sentence:
-    ts = TokenStream(tokenize(text))
+    tokens = tokenize(text)
+    connectives = [tok for tok in tokens if tok.kind in _CONNECTIVE_TOKENS]
+    if len(connectives) > MAX_CONNECTIVES:
+        raise ParseError(
+            f"more than {MAX_CONNECTIVES} binary connectives",
+            connectives[MAX_CONNECTIVES].pos,
+        )
+    ts = TokenStream(tokens)
     s = _parse_iff(ts)
     ts.expect("EOF", "end of sentence")
     return s
@@ -129,9 +147,12 @@ def _parse_iff(ts: TokenStream) -> Sentence:
 
 
 def _parse_implies(ts: TokenStream) -> Sentence:
-    s = _parse_or(ts)
-    if ts.match("ARROW"):
-        return Implies(s, _parse_implies(ts))
+    parts = [_parse_or(ts)]
+    while ts.match("ARROW"):
+        parts.append(_parse_or(ts))
+    s = parts.pop()
+    while parts:
+        s = Implies(parts.pop(), s)
     return s
 
 

@@ -16,7 +16,9 @@ from qlattice.fixtures import (
     parse_subspace_fixture,
 )
 from qlattice.formulas import alpha, alpha_iter, beta_witness, gamma_distinct_lines
-from qlattice.terms import format_term
+from qlattice.sentences import MAX_CONNECTIVES
+from qlattice.smtlib import check_solver_text
+from qlattice.terms import MAX_NESTING, format_term
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
@@ -150,6 +152,16 @@ def test_emit_gamma_above_cap_is_refused(capsys, monkeypatch):
     code, out, err = run(capsys, "emit", "gamma:6")
     assert code == 2 and out == ""
     assert "maximum gamma:5" in err
+
+
+def test_emit_alpha_iter_above_cap_is_refused(capsys, monkeypatch):
+    def unbuilt(m):
+        raise AssertionError(f"alpha-iter:{m} was built")
+
+    monkeypatch.setattr(cli, "alpha_iter", unbuilt)
+    code, out, err = run(capsys, "emit", "alpha-iter:6")
+    assert code == 2 and out == ""
+    assert "maximum alpha-iter:5" in err
 
 
 def test_witness_round_trips(capsys):
@@ -299,6 +311,35 @@ def test_compile_long_chain(capsys, tmp_path):
     assert code == 0, err
     assert "2000 top-level real variables" in out
     assert out_path.read_text().startswith("(set-logic NRA)")
+
+
+def _chain(op: str, atoms: int) -> str:
+    return f" {op} ".join(["x = x"] * atoms)
+
+
+@pytest.mark.parametrize("op", ["&", "->"])
+def test_compile_long_sentence(capsys, tmp_path, op):
+    src = tmp_path / "chain.sent"
+    src.write_text("forall x. " + _chain(op, 500))
+    code, out, err = run(capsys, "compile", str(src), "--n", "1")
+    assert code == 0, err
+    check_solver_text(out)
+
+
+@pytest.mark.parametrize("op", ["&", "|", "->", "<->"])
+def test_sentences_over_the_connective_cap_are_refused(capsys, tmp_path, op):
+    src = tmp_path / "chain.sent"
+    src.write_text("forall x. " + _chain(op, 2000))
+    code, out, err = run(capsys, "compile", str(src), "--n", "1")
+    assert code == 3 and out == ""
+    assert f"more than {MAX_CONNECTIVES} binary connectives" in err
+    # the deepest sentence allowed: the cap inside MAX_NESTING levels of
+    # binder, '!' and parentheses
+    bangs = "!" * (MAX_NESTING - 2)
+    src.write_text(f"forall x. {bangs}(" + _chain(op, MAX_CONNECTIVES + 1) + ")")
+    code, out, err = run(capsys, "compile", str(src), "--n", "1")
+    assert code == 0, err
+    check_solver_text(out)
 
 
 def test_oversized_ambient_is_refused(capsys, tmp_path):

@@ -13,19 +13,6 @@ from qlattice.checker import coordinate_family
 from qlattice.compiler import (
     CompileError,
     Definition,
-    RAdd,
-    RAnd,
-    RConst,
-    REq,
-    RExists,
-    RForall,
-    RIff,
-    RImplies,
-    RMul,
-    RNegated,
-    RNot,
-    ROr,
-    RVar,
     SolverResult,
     compile_sentence,
     complex_to_real,
@@ -196,44 +183,48 @@ def test_encoding_is_deterministic():
 def test_realification_doubles_quantifiers():
     flat = flatten(parse_sentence("forall x. x = x"))
     c = encode_kernels(flat, 3)
-    r = complex_to_real(c)
-    assert isinstance(r, RForall)
-    assert len(r.vars) == 2 * 9
-    assert r.vars[0] == "x.1.1.re"
-    assert r.vars[1] == "x.1.1.im"
+    op, (names, _) = complex_to_real(c)
+    assert op == "forall"
+    assert len(names) == 2 * 9
+    assert names[0] == "x.1.1.re"
+    assert names[1] == "x.1.1.im"
 
 
 def _expr_is_linear(e) -> bool:
-    return isinstance(e, (RVar, RConst)) or (
-        isinstance(e, RNegated) and _expr_is_linear(e.arg)
-    )
+    op, args = e
+    return op in ("var", "const") or (op == "neg" and _expr_is_linear(args[0]))
 
 
 def _assert_degree_at_most_two(node) -> None:
     stack = [node]
     while stack:
-        cur = stack.pop()
-        if isinstance(cur, (RForall, RExists, RNot)):
-            stack.append(cur.body)
-        elif isinstance(cur, (RAnd, ROr)):
-            stack.extend(cur.args)
-        elif isinstance(cur, (RImplies, RIff, REq)):
-            stack.extend((cur.lhs, cur.rhs))
-        elif isinstance(cur, RAdd):
-            stack.extend(cur.args)
-        elif isinstance(cur, RNegated):
-            stack.append(cur.arg)
-        elif isinstance(cur, RMul):
+        op, args = stack.pop()
+        if op in ("forall", "exists"):
+            stack.append(args[1])
+        elif op in ("not", "and", "or", "implies", "iff", "eq", "add", "neg"):
+            stack.extend(args)
+        elif op == "mul":
             # a product multiplies two linear atoms, never another product
-            assert _expr_is_linear(cur.lhs) and _expr_is_linear(cur.rhs)
+            assert _expr_is_linear(args[0]) and _expr_is_linear(args[1])
         else:
-            assert isinstance(cur, (RVar, RConst)), repr(cur)
+            assert op in ("var", "const"), repr((op, args))
+            # a real constant has one part; a complex one would have two
+            assert op == "var" or len(args) == 1, repr((op, args))
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_realified_atoms_have_degree_at_most_two(n):
     for s in _CORPUS[:4]:
         _assert_degree_at_most_two(compile_sentence(s, n))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stats_count_the_printed_equations(n):
+    # the emitter and stats walk the same formula separately; an iff
+    # prints as "(=" and a newline, so "(= " counts only equations
+    for s in _CORPUS:
+        r = compile_sentence(s, n)
+        assert stats(r).equations == emit_solver_text(r).count("(= ")
 
 
 def test_emitted_text_matches_golden_files():

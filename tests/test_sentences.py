@@ -3,8 +3,10 @@
 import pytest
 
 from qlattice.checker import coordinate_family
+from qlattice.compiler import eval_flat, flatten
 from qlattice.formulas import distributive_law, orthomodular_law
 from qlattice.sentences import (
+    MAX_CONNECTIVES,
     And,
     Eq,
     Exists,
@@ -121,6 +123,26 @@ def test_nesting_up_to_the_cap():
         parse_sentence("!" * half + "(" * (half + 1) + "x = y" + ")" * (half + 1))
     grouped = "(" * MAX_NESTING + "x = y" + ")" * MAX_NESTING
     assert parse_sentence(grouped) == Eq(parse_term("x"), parse_term("y"))
+
+
+def _chain(op: str, atoms: int) -> str:
+    return f" {op} ".join(["x = x"] * atoms)
+
+
+@pytest.mark.parametrize("op", ["&", "|", "->", "<->"])
+def test_connectives_up_to_the_cap(op):
+    with pytest.raises(ParseError, match=f"more than {MAX_CONNECTIVES} binary"):
+        parse_sentence("forall x. " + _chain(op, MAX_CONNECTIVES + 2))
+    # the deepest sentence allowed: the cap under MAX_NESTING binders
+    names = "".join(f"x{i}, " for i in range(MAX_NESTING - 2)) + "x"
+    text = f"exists {names}. (" + _chain(op, MAX_CONNECTIVES + 1) + ")"
+    s = parse_sentence(text)
+    dom = coordinate_family(1, 0)
+    assert eval_sentence(s, dom, 1)
+    assert eval_flat(flatten(s), dom, 1)
+    assert free_sentence_vars(rename_bound(s)) == frozenset()
+    printed = format_sentence(s)
+    assert format_sentence(parse_sentence(printed)) == printed
 
 
 def test_free_vars_and_closure():
