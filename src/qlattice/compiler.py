@@ -7,6 +7,9 @@ lattice of C^n:
    quantified variable, so each atom mentions only variables and the
    constants 0, 1.  The definitions are the non-variable slots of one
    term ``Program`` over the atom sides, so equal subterms share a name.
+   A quantified ``<->`` is split into two implications first, and a split
+   that would give more than ``MAX_IFF_QUANTIFIERS`` quantifiers is
+   refused.
 2. ``encode_kernels``: read each lattice variable as the kernel of an
    n x n complex matrix and expand the flat atoms into quantified
    statements about vectors (membership, orthogonality, and the span
@@ -14,8 +17,9 @@ lattice of C^n:
 3. ``complex_to_real``: split every complex quantity into a real pair,
    leaving a sentence in quantified nonlinear real arithmetic.
 
-Stages two and three build formulas of one node shape, a plain
-``(op, args)`` tuple whose ``args`` is always a tuple::
+Every stage works on the ``(op, args)`` tuples of the ``sentences``
+module docstring.  Stages two and three add expression nodes and let
+``and`` and ``or`` take any number of operands::
 
     ("var", (name,))                      a complex or a real variable
     ("const", (re, im)) / ("const", (x,)) a complex / a real constant
@@ -23,13 +27,12 @@ Stages two and three build formulas of one node shape, a plain
     ("mul", (e, e)), ("add", (e, ...))    product, sum; empty sum is 0
     ("eq", (e, e))                        an equation of two expressions
     ("and", (f, ...)), ("or", (f, ...))   empty: true, false
-    ("implies", (f, f)), ("iff", (f, f)), ("not", (f,))
-    ("forall", (names, f)), ("exists", (names, f))   names: tuple of str
 
 Complex formulas use ``conj`` and two-part constants, real ones ``neg``
-and one-part constants.  Stage three, the emitter and ``stats`` walk
-formulas with explicit stacks, so no formula is too deep for them;
-expressions are at most three levels deep and are walked recursively.
+and one-part constants.  Every formula walk is ``sentences.fold`` or,
+in the emitter, its own explicit stack, so no sentence or formula is too
+deep for them; expressions are at most three levels deep and are walked
+recursively.
 
 ``emit_solver_text`` renders the result as SMT-LIB v2.  Truth of the
 source over L(C^n) is equivalent to validity of the output over the
@@ -38,8 +41,9 @@ never needed to build or test this module.
 
 Stage one is independently checkable without any solver: a flat
 sentence's fresh variables are pinned by their defining atoms, so
-``eval_flat`` runs the definitions through the term evaluator and must
-agree with direct evaluation of the source over any finite domain.
+``eval_flat`` puts each definition, expanded to a term, in place of its
+variable and must agree with direct evaluation of the source over any
+finite domain.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .subspaces import Subspace
-from .terms import BOT, CONSTRUCTORS, TOP, Assignment, Evaluator, Meet, Program, Term, Var
+from .terms import BOT, CONSTRUCTORS, TOP, Meet, Program, Term, Var
 from . import sentences as S
 
 
@@ -73,7 +77,7 @@ class Definition:
 
     def as_sentence(self) -> S.Sentence:
         rhs = CONSTRUCTORS[self.kind](*(Var(o) for o in self.operands))
-        return S.Eq(Var(self.name), rhs)
+        return ("eq", (Var(self.name), rhs))
 
 
 @dataclass(frozen=True)
@@ -90,51 +94,52 @@ class FlatSentence:
         body = self.conclusion
         if self.definitions:
             hyp = S.conjoin([d.as_sentence() for d in self.definitions])
-            body = S.Implies(hyp, body)
+            body = ("implies", (hyp, body))
         for kind, name in reversed(self.prefix):
-            body = S.Forall(name, body) if kind == "forall" else S.Exists(name, body)
+            body = (kind, ((name,), body))
         return body
 
 
 def _desugar_leq(s: S.Sentence) -> S.Sentence:
-    if isinstance(s, S.Leq):
-        return S.Eq(s.lhs, Meet(s.lhs, s.rhs))
-    if isinstance(s, S.Eq):
-        return s
-    if isinstance(s, S.Neg):
-        return S.Neg(_desugar_leq(s.body))
-    if isinstance(s, (S.And, S.Or, S.Implies, S.Iff)):
-        return type(s)(_desugar_leq(s.lhs), _desugar_leq(s.rhs))
-    if isinstance(s, (S.Forall, S.Exists)):
-        return type(s)(s.var, _desugar_leq(s.body))
-    raise CompileError(f"not a sentence node: {s!r}")
+    def visit(node: S.Sentence, kids: list) -> S.Sentence:
+        op, args = node
+        if op == "leq":
+            return ("eq", (args[0], Meet(*args)))
+        return S.rebuild(node, kids)
+
+    return S.fold(s, visit)
 
 
-def _has_quantifier(s: S.Sentence) -> bool:
-    if isinstance(s, (S.Forall, S.Exists)):
-        return True
-    if isinstance(s, (S.Eq, S.Leq)):
-        return False
-    if isinstance(s, S.Neg):
-        return _has_quantifier(s.body)
-    return _has_quantifier(s.lhs) or _has_quantifier(s.rhs)
+# Most quantifiers that expanding one '<->' may yield.  Each quantified
+# '<->' doubles its operands, so a chain of them grows exponentially: at
+# this bound `compile` of `forall y. ((forall x. x = 0) <-> y = y <-> ...)`
+# with 8 atoms writes 4.1 MB at n = 1 and 15 MB at n = 4, and 9 atoms
+# are refused.
+MAX_IFF_QUANTIFIERS = 256
 
 
 def _expand_iff(s: S.Sentence) -> S.Sentence:
     """Split ``<->`` into two implications wherever a quantifier occurs
     beneath it; needed because a biconditional has no prenex form of its
     own.  Quantifier-free biconditionals stay intact."""
-    if isinstance(s, (S.Eq, S.Leq)):
-        return s
-    if isinstance(s, S.Neg):
-        return S.Neg(_expand_iff(s.body))
-    if isinstance(s, (S.Forall, S.Exists)):
-        return type(s)(s.var, _expand_iff(s.body))
-    lhs = _expand_iff(s.lhs)
-    rhs = _expand_iff(s.rhs)
-    if isinstance(s, S.Iff) and (_has_quantifier(lhs) or _has_quantifier(rhs)):
-        return S.And(S.Implies(lhs, rhs), S.Implies(rhs, lhs))
-    return type(s)(lhs, rhs)
+
+    def visit(node: S.Sentence, kids: list) -> tuple[S.Sentence, int]:
+        # (expanded node, number of quantifiers in it)
+        op, args = node
+        count = sum(k[1] for k in kids)
+        if op in S.QUANTIFIERS:
+            count += len(args[0])
+        subs = [k[0] for k in kids]
+        if op != "iff" or not count:
+            return S.rebuild(node, subs), count
+        if 2 * count > MAX_IFF_QUANTIFIERS:
+            raise CompileError(
+                f"expanding '<->' would give more than {MAX_IFF_QUANTIFIERS} quantifiers"
+            )
+        lhs, rhs = subs
+        return ("and", (("implies", (lhs, rhs)), ("implies", (rhs, lhs)))), 2 * count
+
+    return S.fold(s, visit)[0]
 
 
 def _flip(prefix: list[tuple[str, str]]) -> list[tuple[str, str]]:
@@ -146,27 +151,25 @@ def _flip(prefix: list[tuple[str, str]]) -> list[tuple[str, str]]:
 def _prenex(s: S.Sentence) -> tuple[list[tuple[str, str]], S.Sentence]:
     """Pull quantifiers out front.  Sound here because rename_bound has
     made binders unique, so no pulled quantifier can capture."""
-    if isinstance(s, (S.Eq, S.Leq)):
-        return [], s
-    if isinstance(s, S.Neg):
-        pre, m = _prenex(s.body)
-        return _flip(pre), S.Neg(m)
-    if isinstance(s, (S.Forall, S.Exists)):
-        kind = "forall" if isinstance(s, S.Forall) else "exists"
-        pre, m = _prenex(s.body)
-        return [(kind, s.var)] + pre, m
-    if isinstance(s, S.Implies):
-        pre_l, m_l = _prenex(s.lhs)
-        pre_r, m_r = _prenex(s.rhs)
-        return _flip(pre_l) + pre_r, S.Implies(m_l, m_r)
-    if isinstance(s, (S.And, S.Or)):
-        pre_l, m_l = _prenex(s.lhs)
-        pre_r, m_r = _prenex(s.rhs)
-        return pre_l + pre_r, type(s)(m_l, m_r)
-    if isinstance(s, S.Iff):
-        # _expand_iff has already removed quantified biconditionals
-        return [], s
-    raise CompileError(f"not a sentence node: {s!r}")
+
+    def visit(node: S.Sentence, kids: list) -> tuple[list, S.Sentence]:
+        op, args = node
+        if op in S.ATOMS:
+            return [], node
+        if op in S.QUANTIFIERS:
+            prefix, matrix = kids[0]
+            return [(op, name) for name in args[0]] + prefix, matrix
+        if op == "not":
+            prefix, matrix = kids[0]
+            return _flip(prefix), ("not", (matrix,))
+        # _expand_iff has left only quantifier-free biconditionals
+        (pre_l, m_l), (pre_r, m_r) = kids
+        if op == "implies":
+            pre_l = _flip(pre_l)
+        pre_l += pre_r  # each prefix list has one owner, so extend in place
+        return pre_l, (op, (m_l, m_r))
+
+    return S.fold(s, visit)
 
 
 class _FreshNames:
@@ -206,16 +209,15 @@ def _name_subterms(
                 definitions.append(Definition(leaf[-1], op, operands))
         return Var(leaf[root])
 
-    def walk(s: S.Sentence) -> S.Sentence:
-        if isinstance(s, S.Eq):
-            return S.Eq(side(s.lhs), side(s.rhs))
-        if isinstance(s, S.Neg):
-            return S.Neg(walk(s.body))
-        if isinstance(s, (S.And, S.Or, S.Implies, S.Iff)):
-            return type(s)(walk(s.lhs), walk(s.rhs))
-        raise CompileError(f"quantifier survived prenexing: {s!r}")
+    def visit(node: S.Sentence, kids: list) -> S.Sentence:
+        op, args = node
+        if op == "eq":
+            return ("eq", (side(args[0]), side(args[1])))
+        if op in S.QUANTIFIERS or op == "leq":
+            raise CompileError(f"{op!r} survived prenexing")
+        return (op, tuple(kids))
 
-    return walk(matrix), tuple(definitions)
+    return S.fold(matrix, visit), tuple(definitions)
 
 
 def flatten(s: S.Sentence) -> FlatSentence:
@@ -240,30 +242,26 @@ def eval_flat(flat: FlatSentence, domain: Iterable[Subspace], ambient: int) -> b
 
     The fresh variables are not restricted to the domain: their defining
     atoms pin them to a unique subspace, so universal quantification
-    over all of L(C^n) reduces to computing that subspace.
+    over all of L(C^n) reduces to computing that subspace.  Each is
+    replaced by its definition, expanded to a term over the source
+    variables, and the source prefix and the conclusion are evaluated by
+    ``eval_sentence``.
     """
-    pool = list(domain)
-    for d in pool:
-        if d.ambient != ambient:
-            raise ValueError("domain member has the wrong ambient dimension")
-    split = len(flat.prefix) - len(flat.fresh)
-    # each fresh variable as a term over the source variables
     defined: dict[str, Term] = {}
     for d in flat.definitions:
         operands = (defined.get(o, Var(o)) for o in d.operands)
         defined[d.name] = CONSTRUCTORS[d.kind](*operands)
-    program = Program(defined.values())
 
-    def go(i: int, env: dict[str, Subspace]) -> bool:
-        if i == split:
-            ev = Evaluator(Assignment(ambient, env), program=program)
-            full = {**env, **{name: ev.eval(t) for name, t in defined.items()}}
-            return S.eval_sentence(flat.conclusion, (), ambient, full)
-        kind, name = flat.prefix[i]
-        results = (go(i + 1, {**env, name: s}) for s in pool)
-        return all(results) if kind == "forall" else any(results)
+    def expand(node: S.Sentence, kids: list) -> S.Sentence:
+        if node[0] != "eq":
+            return S.rebuild(node, kids)
+        sides = (defined.get(t.name, t) if type(t) is Var else t for t in node[1])
+        return ("eq", tuple(sides))
 
-    return go(0, {})
+    body = S.fold(flat.conclusion, expand)
+    for kind, name in reversed(flat.prefix[:len(flat.prefix) - len(flat.fresh)]):
+        body = (kind, ((name,), body))
+    return S.eval_sentence(body, domain, ambient)
 
 
 # --- stage 2: kernel encoding -----------------------------------------------
@@ -277,10 +275,8 @@ def eval_flat(flat: FlatSentence, domain: Iterable[Subspace], ambient: int) -> b
 
 
 _ZERO = ("const", (Fraction(0), Fraction(0)))
-_QUANTIFIERS = frozenset(("forall", "exists"))
 # connective op -> its SMT-LIB operator
 _CONNECTIVES = {"and": "and", "or": "or", "implies": "=>", "iff": "=", "not": "not"}
-_MATRIX_OPS = {S.And: "and", S.Or: "or", S.Implies: "implies", S.Iff: "iff"}
 
 
 def _var(name: str) -> Node:
@@ -392,9 +388,9 @@ def _encode_definition(d: Definition, n: int, namer: _Namer) -> Node:
     return ("forall", (_components(v, n), ("iff", (member, rhs))))
 
 
-def _encode_atom(atom: S.Eq, n: int, namer: _Namer) -> Node:
+def _encode_atom(atom: S.Sentence, n: int, namer: _Namer) -> Node:
     v = namer.vector()
-    lhs, rhs = atom.lhs, atom.rhs
+    lhs, rhs = atom[1]
     # normalize so a constant side, if any, comes second
     if type(lhs) is not Var and type(rhs) is Var:
         lhs, rhs = rhs, lhs
@@ -408,14 +404,18 @@ def _encode_atom(atom: S.Eq, n: int, namer: _Namer) -> Node:
 
 
 def _encode_matrix(s: S.Sentence, n: int, namer: _Namer) -> Node:
-    if isinstance(s, S.Eq):
-        return _encode_atom(s, n, namer)
-    if isinstance(s, S.Neg):
-        return ("not", (_encode_matrix(s.body, n, namer),))
-    op = _MATRIX_OPS.get(type(s))
-    if op is None:
-        raise CompileError(f"unexpected node in a flat matrix: {s!r}")
-    return (op, (_encode_matrix(s.lhs, n, namer), _encode_matrix(s.rhs, n, namer)))
+    """Each atom of a flat matrix as its vector statement; the
+    connectives keep their ops."""
+
+    def visit(node: S.Sentence, kids: list) -> Node:
+        op = node[0]
+        if op == "eq":
+            return _encode_atom(node, n, namer)
+        if op not in _CONNECTIVES:
+            raise CompileError(f"unexpected {op!r} in a flat matrix")
+        return (op, tuple(kids))
+
+    return S.fold(s, visit)
 
 
 def encode_kernels(flat: FlatSentence, n: int) -> Node:
@@ -468,30 +468,20 @@ def _split_expr(e: Node) -> tuple[Node, Node]:
 def complex_to_real(c: Node) -> Node:
     """Stage three: every complex variable becomes a (re, im) pair and
     every complex equation two real equations."""
-    done: list[Node] = []  # rewritten subformulas, children before parents
-    todo: list[tuple[Node, bool]] = [(c, False)]  # (node, children done?)
-    while todo:
-        node, ready = todo.pop()
+
+    def visit(node: Node, kids: list) -> Node:
         op, args = node
         if op == "eq":
             l_re, l_im = _split_expr(args[0])
             r_re, r_im = _split_expr(args[1])
-            done.append(("and", (("eq", (l_re, r_re)), ("eq", (l_im, r_im)))))
-        elif op in _QUANTIFIERS:
-            if ready:
-                done.append((op, (_split_vars(args[0]), done.pop())))
-            else:
-                todo += ((node, True), (args[1], False))
-        elif op in _CONNECTIVES:
-            if ready:
-                cut = len(done) - len(args)
-                done[cut:] = [(op, tuple(done[cut:]))]
-            else:
-                todo.append((node, True))
-                todo += ((a, False) for a in reversed(args))
-        else:
-            raise CompileError(f"not a complex formula: {node!r}")
-    return done[0]
+            return ("and", (("eq", (l_re, r_re)), ("eq", (l_im, r_im))))
+        if op in S.QUANTIFIERS:
+            return (op, (_split_vars(args[0]), kids[0]))
+        if op not in _CONNECTIVES:
+            raise CompileError(f"not a complex formula: {op!r}")
+        return (op, tuple(kids))
+
+    return S.fold(c, visit)
 
 
 def compile_sentence(s: S.Sentence, n: int) -> Node:
@@ -554,7 +544,7 @@ def _fmt_formula(f: Node, indent: int) -> str:
         pad = " " * indent
         if op == "eq":
             out.append(f"{pad}(= {_fmt_expr(args[0])} {_fmt_expr(args[1])})")
-        elif op in _QUANTIFIERS:
+        elif op in S.QUANTIFIERS:
             binders = " ".join(f"({name} Real)" for name in args[0])
             out.append(f"{pad}({op} ({binders})\n")
             todo += (")", (args[1], indent + 2))
@@ -661,7 +651,7 @@ def run_external_solver(
 def stats(r: Node) -> CompileStats:
     top = 0
     node = r
-    if r[0] in _QUANTIFIERS:
+    if r[0] in S.QUANTIFIERS:
         while node[0] == r[0]:
             names, node = node[1]
             top += len(names)
@@ -670,7 +660,7 @@ def stats(r: Node) -> CompileStats:
     todo = [r]
     while todo:
         op, args = todo.pop()
-        if op in _QUANTIFIERS:
+        if op in S.QUANTIFIERS:
             blocks += 1
             todo.append(args[1])
         elif op in _CONNECTIVES:

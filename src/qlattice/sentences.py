@@ -16,9 +16,24 @@ quantifies over the whole conjunction.  An opening parenthesis is
 ambiguous between a grouped sentence and a parenthesised term inside an
 atom; the parser tries the atom reading first and backtracks.
 Parentheses, ``!`` and quantified names together nest at most
-``terms.MAX_NESTING`` levels, and a sentence has at most
-``MAX_CONNECTIVES`` binary connectives; other input is a
-:class:`ParseError`.
+``terms.MAX_NESTING`` levels, and other input is a :class:`ParseError`;
+connective chains may be any length.
+
+A sentence is a plain ``(op, args)`` tuple whose ``args`` is always a
+tuple::
+
+    ("eq", (t, u)), ("leq", (t, u))         atoms; t, u are terms.Term
+    ("not", (f,))
+    ("and", (f, g)), ("or", (f, g)), ("implies", (f, g)), ("iff", (f, g))
+    ("forall", (names, f)), ("exists", (names, f))   names: tuple of str
+
+Connectives are binary and nest as the parser builds them: to the left
+for ``&``, ``|`` and ``<->``, to the right for ``->``.  The parser and
+:func:`universal_closure` put one name on each quantifier node.  The
+compiler's later stages use the same shape with more ops.  :func:`fold`
+walks a sentence bottom-up, and :func:`rename_bound` and
+:func:`eval_sentence` walk it top-down, all with explicit stacks, so no
+sentence is too long for them.
 
 Evaluation is over a caller-supplied finite domain of subspaces, which
 makes quantifiers decidable by brute force; that is only the truth of
@@ -27,8 +42,7 @@ the sentence relative to the domain, not relative to all of L(C^n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .subspaces import Subspace, leq
 from .terms import (
@@ -45,62 +59,40 @@ from .terms import (
     tokenize,
 )
 
+Sentence = tuple  # (op, args); see the module docstring
 
-class Sentence:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Eq(Sentence):
-    lhs: Term
-    rhs: Term
+ATOMS = frozenset(("eq", "leq"))
+QUANTIFIERS = frozenset(("forall", "exists"))
 
 
-@dataclass(frozen=True)
-class Leq(Sentence):
-    lhs: Term
-    rhs: Term
+def fold(s: Sentence, visit: Callable[[Sentence, list], object]) -> object:
+    """Bottom-up fold: ``visit(node, results)`` on every node, children
+    first, where `results` holds the children's values (the body alone
+    for a quantifier, none for an atom); returns the root's value."""
+    done: list = []
+    todo: list = [(s, None)]  # (node, children once they are queued)
+    while todo:
+        node, kids = todo.pop()
+        if kids is None:
+            op, args = node
+            kids = () if op in ATOMS else args[1:] if op in QUANTIFIERS else args
+            if kids:
+                todo.append((node, kids))
+                todo += ((k, None) for k in reversed(kids))
+                continue
+        cut = len(done) - len(kids)
+        done[cut:] = [visit(node, done[cut:])]
+    return done[0]
 
 
-@dataclass(frozen=True)
-class Neg(Sentence):
-    body: Sentence
-
-
-@dataclass(frozen=True)
-class And(Sentence):
-    lhs: Sentence
-    rhs: Sentence
-
-
-@dataclass(frozen=True)
-class Or(Sentence):
-    lhs: Sentence
-    rhs: Sentence
-
-
-@dataclass(frozen=True)
-class Implies(Sentence):
-    lhs: Sentence
-    rhs: Sentence
-
-
-@dataclass(frozen=True)
-class Iff(Sentence):
-    lhs: Sentence
-    rhs: Sentence
-
-
-@dataclass(frozen=True)
-class Forall(Sentence):
-    var: str
-    body: Sentence
-
-
-@dataclass(frozen=True)
-class Exists(Sentence):
-    var: str
-    body: Sentence
+def rebuild(node: Sentence, kids: Sequence[Sentence]) -> Sentence:
+    """`node` with its children replaced by `kids`, as :func:`fold` orders them."""
+    op, args = node
+    if not kids:
+        return node
+    if op in QUANTIFIERS:
+        return (op, (args[0], kids[0]))
+    return (op, tuple(kids))
 
 
 def conjoin(parts: Sequence[Sentence]) -> Sentence:
@@ -109,31 +101,15 @@ def conjoin(parts: Sequence[Sentence]) -> Sentence:
         raise ValueError("empty conjunction")
     out = parts[0]
     for s in parts[1:]:
-        out = And(out, s)
+        out = ("and", (out, s))
     return out
 
 
 # --- parsing ----------------------------------------------------------------
 
 
-# Most binary connectives ('&', '|', '->', '<->') in one sentence.  The
-# sentence walkers here and in the compiler recurse once per connective.
-# Under MAX_NESTING binders and the default recursion limit of 1000, the
-# deepest of them (eval_flat, called 60 frames deep) first fails at 630.
-MAX_CONNECTIVES = 500
-
-_CONNECTIVE_TOKENS = frozenset(("AND", "OR", "ARROW", "IFF"))
-
-
 def parse_sentence(text: str) -> Sentence:
-    tokens = tokenize(text)
-    connectives = [tok for tok in tokens if tok.kind in _CONNECTIVE_TOKENS]
-    if len(connectives) > MAX_CONNECTIVES:
-        raise ParseError(
-            f"more than {MAX_CONNECTIVES} binary connectives",
-            connectives[MAX_CONNECTIVES].pos,
-        )
-    ts = TokenStream(tokens)
+    ts = TokenStream(tokenize(text))
     s = _parse_iff(ts)
     ts.expect("EOF", "end of sentence")
     return s
@@ -142,7 +118,7 @@ def parse_sentence(text: str) -> Sentence:
 def _parse_iff(ts: TokenStream) -> Sentence:
     s = _parse_implies(ts)
     while ts.match("IFF"):
-        s = Iff(s, _parse_implies(ts))
+        s = ("iff", (s, _parse_implies(ts)))
     return s
 
 
@@ -152,21 +128,21 @@ def _parse_implies(ts: TokenStream) -> Sentence:
         parts.append(_parse_or(ts))
     s = parts.pop()
     while parts:
-        s = Implies(parts.pop(), s)
+        s = ("implies", (parts.pop(), s))
     return s
 
 
 def _parse_or(ts: TokenStream) -> Sentence:
     s = _parse_and(ts)
     while ts.match("OR"):
-        s = Or(s, _parse_and(ts))
+        s = ("or", (s, _parse_and(ts)))
     return s
 
 
 def _parse_and(ts: TokenStream) -> Sentence:
     s = _parse_sunary(ts)
     while ts.match("AND"):
-        s = And(s, _parse_sunary(ts))
+        s = ("and", (s, _parse_sunary(ts)))
     return s
 
 
@@ -175,7 +151,7 @@ def _parse_sunary(ts: TokenStream) -> Sentence:
     if tok.kind == "BANG":
         ts.advance()
         with ts.nested(tok):
-            return Neg(_parse_sunary(ts))
+            return ("not", (_parse_sunary(ts),))
     if tok.kind in ("FORALL", "EXISTS"):
         ts.advance()
         names = [ts.expect("ID", "a variable name").text]
@@ -184,9 +160,8 @@ def _parse_sunary(ts: TokenStream) -> Sentence:
         ts.expect("DOT", "'.' after the quantified variables")
         with ts.nested(tok, len(names)):  # one binder per name
             body = _parse_iff(ts)
-        cls = Forall if tok.kind == "FORALL" else Exists
         for name in reversed(names):
-            body = cls(name, body)
+            body = (tok.text, ((name,), body))
         return body
     return _parse_atom(ts)
 
@@ -212,123 +187,112 @@ def _parse_atom(ts: TokenStream) -> Sentence:
 
 def _finish_atom(ts: TokenStream, lhs: Term) -> Sentence:
     tok = ts.peek()
-    if tok.kind == "EQ":
+    if tok.kind in ("EQ", "LEQ"):
         ts.advance()
-        return Eq(lhs, parse_term_stream(ts))
-    if tok.kind == "LEQ":
-        ts.advance()
-        return Leq(lhs, parse_term_stream(ts))
+        return (tok.kind.lower(), (lhs, parse_term_stream(ts)))
     shown = tok.text or "end of input"
     raise ParseError(f"expected '=' or '<=' after a term, found {shown!r}", tok.pos)
 
 
 # --- printing ---------------------------------------------------------------
 
-_LEVEL_IFF = 1
-_LEVEL_IMPLIES = 2
-_LEVEL_OR = 3
-_LEVEL_AND = 4
+# Binding level of each connective and of unary sentences (``!``, atoms);
+# an operand printed where a higher level is required gets parentheses,
+# and a quantifier, at level 0, gets them as any operand.
+_LEVEL = {"iff": 1, "implies": 2, "or": 3, "and": 4}
 _LEVEL_UNARY = 5
+_SYMBOL = {"iff": "<->", "implies": "->", "or": "|", "and": "&", "eq": "=", "leq": "<="}
 
 
 def format_sentence(s: Sentence) -> str:
-    return _print(s, 0)
+    return fold(s, _print)[1]
 
 
-def _print(s: Sentence, outer: int) -> str:
-    if isinstance(s, (Forall, Exists)):
-        word = "forall" if isinstance(s, Forall) else "exists"
-        names = [s.var]
-        body = s.body
-        while type(body) is type(s):
-            names.append(body.var)
-            body = body.body
-        text = f"{word} {', '.join(names)}. {_print(body, 0)}"
-        return f"({text})" if outer > 0 else text
-    if isinstance(s, Iff):
-        text = f"{_print(s.lhs, _LEVEL_IFF)} <-> {_print(s.rhs, _LEVEL_IFF + 1)}"
-        return f"({text})" if outer > _LEVEL_IFF else text
-    if isinstance(s, Implies):
-        text = f"{_print(s.lhs, _LEVEL_IMPLIES + 1)} -> {_print(s.rhs, _LEVEL_IMPLIES)}"
-        return f"({text})" if outer > _LEVEL_IMPLIES else text
-    if isinstance(s, Or):
-        text = f"{_print(s.lhs, _LEVEL_OR)} | {_print(s.rhs, _LEVEL_OR + 1)}"
-        return f"({text})" if outer > _LEVEL_OR else text
-    if isinstance(s, And):
-        text = f"{_print(s.lhs, _LEVEL_AND)} & {_print(s.rhs, _LEVEL_AND + 1)}"
-        return f"({text})" if outer > _LEVEL_AND else text
-    if isinstance(s, Neg):
-        return f"!({_print(s.body, 0)})"
-    if isinstance(s, Eq):
-        return f"{format_term(s.lhs)} = {format_term(s.rhs)}"
-    if isinstance(s, Leq):
-        return f"{format_term(s.lhs)} <= {format_term(s.rhs)}"
-    raise TypeError(f"not a sentence node: {s!r}")
+def _print(node: Sentence, kids: list[tuple[int, str]]) -> tuple[int, str]:
+    """(binding level, text) of `node`, given those of its children."""
+    op, args = node
+    if op in ATOMS:
+        lhs, rhs = args
+        return _LEVEL_UNARY, f"{format_term(lhs)} {_SYMBOL[op]} {format_term(rhs)}"
+    if op == "not":
+        return _LEVEL_UNARY, f"!({kids[0][1]})"
+    if op in QUANTIFIERS:
+        names, body = args
+        text = kids[0][1]
+        if body[0] == op:  # a run of one quantifier prints as one list
+            return 0, f"{op} {', '.join(names)}, {text[len(op) + 1:]}"
+        return 0, f"{op} {', '.join(names)}. {text}"
+    level = _LEVEL[op]
+    # '->' associates to the right, the other connectives to the left
+    need = (level + 1, level) if op == "implies" else (level, level + 1)
+    lhs, rhs = (text if kid_level >= at else f"({text})"
+                for (kid_level, text), at in zip(kids, need))
+    return level, f"{lhs} {_SYMBOL[op]} {rhs}"
 
 
 # --- variables and closure --------------------------------------------------
 
 
 def free_sentence_vars(s: Sentence) -> frozenset[str]:
-    return _free(s, frozenset())
+    return fold(s, _free)
 
 
-def _free(s: Sentence, bound: frozenset[str]) -> frozenset[str]:
-    if isinstance(s, (Eq, Leq)):
-        return (free_vars(s.lhs) | free_vars(s.rhs)) - bound
-    if isinstance(s, Neg):
-        return _free(s.body, bound)
-    if isinstance(s, (And, Or, Implies, Iff)):
-        return _free(s.lhs, bound) | _free(s.rhs, bound)
-    if isinstance(s, (Forall, Exists)):
-        return _free(s.body, bound | {s.var})
-    raise TypeError(f"not a sentence node: {s!r}")
-
-
-def is_closed(s: Sentence) -> bool:
-    return not free_sentence_vars(s)
+def _free(node: Sentence, kids: list[frozenset[str]]) -> frozenset[str]:
+    op, args = node
+    if op in ATOMS:
+        return free_vars(args[0]) | free_vars(args[1])
+    if op in QUANTIFIERS:
+        return kids[0].difference(args[0])
+    return frozenset().union(*kids)
 
 
 def rename_bound(s: Sentence) -> Sentence:
     """Make every bound variable name unique across the whole sentence.
 
-    A clashing binder gets the first free name in its x, x2, x3, ...
-    sequence; term variables are renamed through the active scope map.
+    Binders are renamed in the order they are written.  A clashing
+    binder gets the first free name in its x, x2, x3, ... sequence; term
+    variables are renamed through the active scope map.
     """
     used = set(free_sentence_vars(s))
+    last: dict[str, int] = {}  # name -> index of its last fresh name
 
     def fresh(name: str) -> str:
-        if name not in used:
-            used.add(name)
-            return name
-        i = 2
-        while f"{name}{i}" in used:
+        # names only ever join `used`, so every index below the last is taken
+        i = last.get(name, 1)
+        new = name if i == 1 else f"{name}{i}"
+        while new in used:
             i += 1
-        used.add(f"{name}{i}")
-        return f"{name}{i}"
+            new = f"{name}{i}"
+        last[name] = i
+        used.add(new)
+        return new
 
-    def walk(s: Sentence, scope: dict[str, str]) -> Sentence:
-        if isinstance(s, (Eq, Leq)):
-            return type(s)(rename(s.lhs, scope), rename(s.rhs, scope))
-        if isinstance(s, Neg):
-            return Neg(walk(s.body, scope))
-        if isinstance(s, (And, Or, Implies, Iff)):
-            return type(s)(walk(s.lhs, scope), walk(s.rhs, scope))
-        if isinstance(s, (Forall, Exists)):
-            new = fresh(s.var)
-            inner = dict(scope)
-            inner[s.var] = new
-            return type(s)(new, walk(s.body, inner))
-        raise TypeError(f"not a sentence node: {s!r}")
-
-    return walk(s, {})
+    done: list[Sentence] = []  # rewritten subsentences, children before parents
+    todo: list = [(s, {})]  # (node, scope), or (node, None) to rebuild it
+    while todo:
+        node, scope = todo.pop()
+        op, args = node
+        if scope is None:
+            cut = len(done) - (1 if op in QUANTIFIERS else len(args))
+            done[cut:] = [rebuild(node, done[cut:])]
+        elif op in ATOMS:
+            done.append((op, tuple(rename(t, scope) for t in args)))
+        elif op in QUANTIFIERS:
+            names, body = args
+            new = tuple(fresh(name) for name in names)
+            inner = {**scope, **dict(zip(names, new))}
+            todo += (((op, (new, body)), None), (body, inner))
+        else:
+            todo.append((node, None))
+            todo += ((a, scope) for a in reversed(args))
+    return done[0]
 
 
 def universal_closure(eq: Equation) -> Sentence:
     """``forall <free vars>. lhs = rhs`` with variables in sorted order."""
-    s: Sentence = Eq(eq.lhs, eq.rhs)
+    s: Sentence = ("eq", (eq.lhs, eq.rhs))
     for name in reversed(eq.free_vars):
-        s = Forall(name, s)
+        s = ("forall", ((name,), s))
     return s
 
 
@@ -344,36 +308,47 @@ def eval_sentence(
     """Brute-force truth value with quantifiers ranging over ``domain``.
 
     The result is truth relative to the finite domain; a sentence true
-    here may still fail at subspaces outside it.
+    here may still fail at subspaces outside it.  Connectives
+    short-circuit from left to right.
     """
     pool = list(domain)
     for d in pool:
         if d.ambient != ambient:
             raise ValueError("domain member has the wrong ambient dimension")
-    return _eval(s, pool, ambient, env or {})
-
-
-def _eval(s, pool, ambient, env) -> bool:
-    if isinstance(s, (Eq, Leq)):
-        a = Assignment(ambient, env)
-        left = evaluate(s.lhs, a)
-        right = evaluate(s.rhs, a)
-        return left == right if isinstance(s, Eq) else leq(left, right)
-    if isinstance(s, Neg):
-        return not _eval(s.body, pool, ambient, env)
-    if isinstance(s, And):
-        return _eval(s.lhs, pool, ambient, env) and _eval(s.rhs, pool, ambient, env)
-    if isinstance(s, Or):
-        return _eval(s.lhs, pool, ambient, env) or _eval(s.rhs, pool, ambient, env)
-    if isinstance(s, Implies):
-        return (not _eval(s.lhs, pool, ambient, env)) or _eval(
-            s.rhs, pool, ambient, env
-        )
-    if isinstance(s, Iff):
-        return _eval(s.lhs, pool, ambient, env) == _eval(s.rhs, pool, ambient, env)
-    if isinstance(s, (Forall, Exists)):
-        results = (
-            _eval(s.body, pool, ambient, {**env, s.var: d}) for d in pool
-        )
-        return all(results) if isinstance(s, Forall) else any(results)
-    raise TypeError(f"not a sentence node: {s!r}")
+    # (node, env, step): step 0 evaluates the node; a later step resumes it
+    # with `value` holding the result of its last child: 1 after the left
+    # or only operand, 2 (3) after the right operand of an iff whose left
+    # one was false (true), and k + 1 after a body under pool[k - 1].
+    todo: list = [(s, env or {}, 0)]
+    value = True
+    while todo:
+        node, env, step = todo.pop()
+        op, args = node
+        if op in ATOMS:
+            a = Assignment(ambient, env)
+            left, right = evaluate(args[0], a), evaluate(args[1], a)
+            value = left == right if op == "eq" else leq(left, right)
+        elif op in QUANTIFIERS:
+            names, body = args
+            if len(names) > 1:
+                body = (op, (names[1:], body))
+            if step == 0:
+                value, step = op == "forall", 1  # the value over an empty pool
+            # forall stops at the first false body, exists at the first true
+            if value == (op == "forall") and step <= len(pool):
+                inner = {**env, names[0]: pool[step - 1]}
+                todo += ((node, env, step + 1), (body, inner, 0))
+        elif step == 0:
+            todo += ((node, env, 1), (args[0], env, 0))
+        elif op == "not":
+            value = not value
+        elif op == "iff":
+            if step == 1:
+                todo += ((node, env, 2 + value), (args[1], env, 0))
+            else:
+                value = value == (step == 3)
+        elif value == (op != "or"):  # "and", "implies": go on after true
+            todo.append((args[1], env, 0))
+        else:
+            value = op != "and"
+    return value

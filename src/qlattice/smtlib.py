@@ -120,46 +120,53 @@ def _validate_binders(binders, scope: frozenset) -> frozenset:
     return scope | frozenset(names)
 
 
-def _validate_term(t, scope: frozenset) -> None:
-    if isinstance(t, str):
-        if t in ("true", "false"):
-            return
-        if _NUMERAL.match(t) or _DECIMAL.match(t):
-            return
-        if not _SYMBOL.match(t):
-            raise SmtError(f"invalid symbol {t!r}")
-        if t not in scope:
-            raise SmtError(f"unbound symbol {t!r}")
-        return
-    if not isinstance(t, list) or not t:
-        raise SmtError(f"malformed term {t!r}")
-    head = t[0]
-    args = t[1:]
-    if head in ("forall", "exists"):
-        if len(args) != 2:
-            raise SmtError(f"{head} takes a binder list and a body")
-        inner = _validate_binders(args[0], scope)
-        _validate_term(args[1], inner)
-        return
-    if not isinstance(head, str):
-        raise SmtError(f"malformed application head {head!r}")
-    arity_ok = {
-        "not": len(args) == 1,
-        "=>": len(args) >= 2,
-        "and": len(args) >= 2,
-        "or": len(args) >= 2,
-        "=": len(args) >= 2,
-        "+": len(args) >= 2,
-        "*": len(args) >= 2,
-        "-": len(args) in (1, 2),
-        "/": len(args) == 2,
-    }
-    if head not in arity_ok:
-        raise SmtError(f"unsupported operator {head!r}")
-    if not arity_ok[head]:
-        raise SmtError(f"wrong arity for {head!r}: {len(args)}")
-    for a in args:
-        _validate_term(a, scope)
+# operator -> (fewest, most) arguments; None: no upper limit
+_ARITY = {
+    "not": (1, 1),
+    "=>": (2, None),
+    "and": (2, None),
+    "or": (2, None),
+    "=": (2, None),
+    "+": (2, None),
+    "*": (2, None),
+    "-": (1, 2),
+    "/": (2, 2),
+}
+
+
+def _validate_term(term, scope: frozenset) -> None:
+    """Check `term` depth first, left to right, with an explicit stack of
+    (subterm, symbols bound around it), so nesting depth is unlimited."""
+    todo = [(term, scope)]
+    while todo:
+        t, scope = todo.pop()
+        if isinstance(t, str):
+            if t in ("true", "false"):
+                continue
+            if _NUMERAL.match(t) or _DECIMAL.match(t):
+                continue
+            if not _SYMBOL.match(t):
+                raise SmtError(f"invalid symbol {t!r}")
+            if t not in scope:
+                raise SmtError(f"unbound symbol {t!r}")
+            continue
+        if not isinstance(t, list) or not t:
+            raise SmtError(f"malformed term {t!r}")
+        head = t[0]
+        args = t[1:]
+        if head in ("forall", "exists"):
+            if len(args) != 2:
+                raise SmtError(f"{head} takes a binder list and a body")
+            todo.append((args[1], _validate_binders(args[0], scope)))
+            continue
+        if not isinstance(head, str):
+            raise SmtError(f"malformed application head {head!r}")
+        if head not in _ARITY:
+            raise SmtError(f"unsupported operator {head!r}")
+        fewest, most = _ARITY[head]
+        if len(args) < fewest or (most is not None and len(args) > most):
+            raise SmtError(f"wrong arity for {head!r}: {len(args)}")
+        todo += ((a, scope) for a in reversed(args))
 
 
 def check_solver_text(text: str) -> None:

@@ -11,8 +11,8 @@ chains and runs of ``~`` are parsed by loops and may be any length.
 Terms are immutable trees with cached structural hashes.  A
 :class:`Program` lists the distinct subterms of some root terms in
 post-order, one ``(op, a, b)`` instruction per slot.  Evaluation,
-equality, printing, free variables, substitution and the compiler's
-flattening loop over programs, in time linear in the number of distinct
+equality, printing, free variables, substitution, normal forms and the
+compiler's flattening loop over programs, in time linear in the number of distinct
 subterms and without recursion, so no term is too deep for them.
 """
 
@@ -489,48 +489,8 @@ def to_nnf(t: Term) -> Term:
 
     Double negations cancel, De Morgan pushes ``~`` through ``^`` and ``v``,
     and negated constants collapse (``~1`` to ``0``, ``~0`` to ``1``).
-    Subterms already in normal form are reused, not rebuilt.
     """
-    pos_memo: dict[Term, Term] = {}
-    neg_memo: dict[Term, Term] = {}
-
-    def pos(t: Term) -> Term:
-        r = pos_memo.get(t)
-        if r is None:
-            tt = type(t)
-            if tt is Not:
-                r = t if type(t.child) is Var else neg(t.child)
-            elif tt is Meet:
-                l, rr = pos(t.left), pos(t.right)
-                r = t if l is t.left and rr is t.right else Meet(l, rr)
-            elif tt is Join:
-                l, rr = pos(t.left), pos(t.right)
-                r = t if l is t.left and rr is t.right else Join(l, rr)
-            else:
-                r = t
-            pos_memo[t] = r
-        return r
-
-    def neg(t: Term) -> Term:
-        r = neg_memo.get(t)
-        if r is None:
-            tt = type(t)
-            if tt is Var:
-                r = Not(t)
-            elif tt is Not:
-                r = pos(t.child)
-            elif tt is Meet:
-                r = Join(neg(t.left), neg(t.right))
-            elif tt is Join:
-                r = Meet(neg(t.left), neg(t.right))
-            elif tt is _TopTerm:
-                r = BOT
-            else:
-                r = TOP
-            neg_memo[t] = r
-        return r
-
-    return pos(t)
+    return _nnf(t, lambda literal: literal)
 
 
 def restrict(t: Term, bound: Term) -> Term:
@@ -540,24 +500,30 @@ def restrict(t: Term, bound: Term) -> Term:
     leaf ``p`` or ``~p`` becomes its meet with `bound`.  Constant leaves are
     left alone.  The `bound` term itself is shared across all leaves.
     """
-    memo: dict[Term, Term] = {}
+    return _nnf(t, lambda literal: Meet(literal, bound))
 
-    def go(t: Term) -> Term:
-        r = memo.get(t)
-        if r is None:
-            tt = type(t)
-            if tt is Var or tt is Not:
-                r = Meet(t, bound)
-            elif tt is Meet:
-                r = Meet(go(t.left), go(t.right))
-            elif tt is Join:
-                r = Join(go(t.left), go(t.right))
-            else:
-                r = t
-            memo[t] = r
-        return r
 
-    return go(to_nnf(t))
+def _nnf(t: Term, leaf) -> Term:
+    """Negation normal form of `t` with each literal ``p`` or ``~p`` passed
+    through `leaf`; a fold over ``Program((t,))`` that builds the normal
+    form of each slot and of its negation."""
+    pos: list[Term] = []
+    neg: list[Term] = []
+    for op, a, b in Program((t,)).code:
+        if op == "var":
+            v = Var(a)
+            p, n = leaf(v), leaf(Not(v))
+        elif op == "not":
+            p, n = neg[a], pos[a]
+        elif op == "meet":
+            p, n = Meet(pos[a], pos[b]), Join(neg[a], neg[b])
+        elif op == "join":
+            p, n = Join(pos[a], pos[b]), Meet(neg[a], neg[b])
+        else:
+            p, n = (TOP, BOT) if op == "top" else (BOT, TOP)
+        pos.append(p)
+        neg.append(n)
+    return pos[-1]
 
 
 def substitute(t: Term, replacements: Mapping[str, Term]) -> Term:

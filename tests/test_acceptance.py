@@ -43,7 +43,7 @@ from qlattice.formulas import (
     orthomodular_law,
     separation_witness,
 )
-from qlattice.sentences import Eq, eval_sentence, parse_sentence, universal_closure
+from qlattice.sentences import eval_sentence, parse_sentence, universal_closure
 from qlattice.smtlib import check_solver_text
 from qlattice.subspaces import Subspace
 from qlattice.terms import Assignment, Evaluator, Var, evaluate
@@ -171,7 +171,7 @@ def test_criterion_09_compiler_structural(capsys):
     shape_ok = (
         len(flat.fresh) == 6
         and len(flat.definitions) == 6
-        and flat.conclusion == Eq(Var("t3"), Var("t6"))
+        and flat.conclusion == ("eq", (Var("t3"), Var("t6")))
         and flat.definitions[0] == Definition("t1", "meet", ("x", "y"))
     )
 

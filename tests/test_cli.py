@@ -4,19 +4,20 @@ import json
 import shutil
 import stat
 import subprocess
+import time
 from pathlib import Path
 
 import pytest
 
 from qlattice import cli
 from qlattice.cli import main
+from qlattice.compiler import MAX_IFF_QUANTIFIERS
 from qlattice.fixtures import (
     format_assignment_fixture,
     parse_assignment_fixture,
     parse_subspace_fixture,
 )
 from qlattice.formulas import alpha, alpha_iter, beta_witness, gamma_distinct_lines
-from qlattice.sentences import MAX_CONNECTIVES
 from qlattice.smtlib import check_solver_text
 from qlattice.terms import MAX_NESTING, format_term
 
@@ -327,19 +328,40 @@ def test_compile_long_sentence(capsys, tmp_path, op):
 
 
 @pytest.mark.parametrize("op", ["&", "|", "->", "<->"])
-def test_sentences_over_the_connective_cap_are_refused(capsys, tmp_path, op):
+def test_long_connective_chains_compile(capsys, tmp_path, op):
     src = tmp_path / "chain.sent"
     src.write_text("forall x. " + _chain(op, 2000))
-    code, out, err = run(capsys, "compile", str(src), "--n", "1")
-    assert code == 3 and out == ""
-    assert f"more than {MAX_CONNECTIVES} binary connectives" in err
-    # the deepest sentence allowed: the cap inside MAX_NESTING levels of
+    out_path = tmp_path / "chain.smt2"
+    code, out, err = run(capsys, "compile", str(src), "--n", "1", "--out", str(out_path))
+    assert code == 0, err
+    assert "2001 quantifier blocks" in out  # one per atom, one for x
+    # the deepest sentence allowed: a chain inside MAX_NESTING levels of
     # binder, '!' and parentheses
     bangs = "!" * (MAX_NESTING - 2)
-    src.write_text(f"forall x. {bangs}(" + _chain(op, MAX_CONNECTIVES + 1) + ")")
+    src.write_text(f"forall x. {bangs}(" + _chain(op, 501) + ")")
     code, out, err = run(capsys, "compile", str(src), "--n", "1")
     assert code == 0, err
     check_solver_text(out)
+
+
+def _iff_chain(atoms: int) -> str:
+    # each '<->' above the quantifier doubles the quantifiers it expands to
+    return "forall y. ((forall x. x = 0) <-> " + " <-> ".join(["y = y"] * atoms) + ")"
+
+
+def test_quantified_iff_expansion_is_bounded(capsys, tmp_path):
+    src = tmp_path / "iff.sent"
+    src.write_text(_iff_chain(8))  # expands to MAX_IFF_QUANTIFIERS quantifiers
+    out_path = tmp_path / "iff.smt2"
+    code, out, err = run(capsys, "compile", str(src), "--n", "1", "--out", str(out_path))
+    assert code == 0, err
+    for atoms in (9, 12):
+        src.write_text(_iff_chain(atoms))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "compile", str(src), "--n", "1")
+        assert time.perf_counter() - start < 1
+        assert code == 4 and out == ""
+        assert f"more than {MAX_IFF_QUANTIFIERS} quantifiers" in err
 
 
 def test_oversized_ambient_is_refused(capsys, tmp_path):

@@ -34,9 +34,6 @@ from qlattice.formulas import (
 )
 from qlattice.linalg import Matrix, rref
 from qlattice.sentences import (
-    Eq,
-    Exists,
-    Forall,
     eval_sentence,
     format_sentence,
     parse_sentence,
@@ -62,7 +59,7 @@ def test_flatten_worked_example_shape():
         Definition("t5", "join", ("t4", "x")),
         Definition("t6", "meet", ("y", "t5")),
     )
-    assert flat.conclusion == Eq(Var("t3"), Var("t6"))
+    assert flat.conclusion == ("eq", (Var("t3"), Var("t6")))
     assert flat.prefix[:3] == (("forall", "x"), ("forall", "y"), ("forall", "z"))
     assert all(kind == "forall" for kind, _ in flat.prefix)
 
@@ -92,13 +89,13 @@ def test_flatten_shares_repeated_subterms():
         Definition("t1", "meet", ("x", "y")),
         Definition("t2", "join", ("t1", "t1")),
     )
-    assert flat.conclusion == Eq(Var("t2"), Var("t1"))
+    assert flat.conclusion == ("eq", (Var("t2"), Var("t1")))
 
 
 def test_flatten_desugars_leq():
     flat = flatten(parse_sentence("forall x, y. x <= y"))
     assert flat.definitions == (Definition("t1", "meet", ("x", "y")),)
-    assert flat.conclusion == Eq(Var("x"), Var("t1"))
+    assert flat.conclusion == ("eq", (Var("x"), Var("t1")))
 
 
 def test_flatten_names_nested_constants():

@@ -93,6 +93,17 @@ def test_shadowing_in_inner_binder_is_fine():
     _assert_term("(forall ((a Real)) (exists ((a Real)) (= a 0)))")
 
 
+def test_deep_nesting_validates():
+    depth = 5000
+    body = "(not " * depth + "(= x x)" + ")" * depth
+    check_solver_text(f"(set-logic NRA)(assert (forall ((x Real)) {body}))(check-sat)")
+    with pytest.raises(SmtError, match="unbound symbol 'y'"):
+        check_solver_text(
+            f"(set-logic NRA)(assert (forall ((x Real)) {body.replace('x x', 'x y')}))"
+            "(check-sat)"
+        )
+
+
 def test_minus_and_divide_arities():
     _assert_term("(forall ((a Real)) (= (- a) (- 0 a) (/ 1 2)))")
 

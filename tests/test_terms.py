@@ -310,6 +310,21 @@ class TestDeepTerms:
         a = Assignment(2, {"p": Subspace.line(2, [1, 0])})
         assert evaluate(t, a) == Subspace.line(2, [0, 1])
 
+    def test_deep_nnf_and_restrict(self):
+        # ~(p ^ ~(q ^ ~(p ^ ...))), 3,000 negations deep; too deep for the
+        # parser, so built directly
+        t = p
+        for i in range(3000):
+            t = Not(Meet(q if i % 2 else p, t))
+        n = to_nnf(t)
+        code = Program([n]).code
+        assert all(code[a][0] == "var" for op, a, _ in code if op == "not")
+        a = Assignment(2, {"p": Subspace.line(2, [1, 0]), "q": Subspace.line(2, [1, 1])})
+        assert evaluate(n, a) == evaluate(t, a)
+        r = restrict(t, Var("b"))
+        assert free_vars(r) == {"p", "q", "b"}
+        assert format_term(r) == format_term(restrict(n, Var("b")))
+
     def test_nesting_cap(self):
         ok = "(" * MAX_NESTING + "p" + ")" * MAX_NESTING
         assert parse_term(ok) == p
