@@ -17,7 +17,12 @@ The ``run_*_suite`` functions package the recurring experiments (the
 dimension bound on alpha, the line classification, the hierarchy
 separation, the always-true laws, route agreement, counterexample
 transport, and the distinct-line family) into pass/fail records with
-inline certificates.
+inline certificates; :data:`SUITES` names them for the CLI and
+:func:`run_all`.  A suite sweeps assignments through a probe that returns
+None or the detail of a failure.  The first failure ends the sweep: its
+record's ``samples`` counts the assignments evaluated up to and including
+the failing one, whose fixture is the certificate.  A clean sweep gives a
+pass record over every assignment, worded from what the probe tallied.
 """
 
 from __future__ import annotations
@@ -133,6 +138,12 @@ def coordinate_family(ambient: int, extra_lines: int = 0) -> list[Subspace]:
     return family
 
 
+def _tuples(names: Sequence[str], family: Sequence[Subspace], ambient: int) -> Iterator[Assignment]:
+    """Every assignment of `names` to members of `family`, in product order."""
+    for combo in itertools.product(family, repeat=len(names)):
+        yield Assignment(ambient, dict(zip(names, combo)))
+
+
 class StoredWitnesses:
     """Stored counterexample assignments whose equation matches exactly."""
 
@@ -171,8 +182,7 @@ class CoordinateFamilyStrategy:
             return
         total = len(family) ** len(names)
         if total <= self.cap:
-            for combo in itertools.product(family, repeat=len(names)):
-                yield Assignment(ambient, dict(zip(names, combo)))
+            yield from _tuples(names, family, ambient)
         else:
             rng = Random(f"coordinate-family:{self.seed}:{ambient}")
             for _ in range(self.cap):
@@ -357,9 +367,22 @@ class SuiteReport:
 
 
 def _fail(suite: str, ambient: int | None, samples: int, detail: str,
-          a: Assignment | None = None) -> SuiteRecord:
-    cert = format_assignment_fixture(a) if a is not None else None
-    return SuiteRecord(suite, ambient, samples, "fail", detail, cert)
+          a: Assignment) -> SuiteRecord:
+    return SuiteRecord(suite, ambient, samples, "fail", detail,
+                       format_assignment_fixture(a))
+
+
+def _sweep(
+    suite: str, ambient: int, assignments: Iterable[Assignment], probe, done: int = 0
+) -> tuple[int, SuiteRecord | None]:
+    """Run `probe` on each assignment, counting on from `done`; returns the
+    count and the fail record of the first failure, or None."""
+    for a in assignments:
+        done += 1
+        detail = probe(a)
+        if detail is not None:
+            return done, _fail(suite, ambient, done, detail, a)
+    return done, None
 
 
 def run_lemma2_suite(
@@ -375,22 +398,22 @@ def run_lemma2_suite(
     records = []
     for ambient in ambients:
         max_dim = 0
-        for a in _random_assignments(
-            f"lemma2:{seed}:{ambient}", ambient, ("p", "q", "r"), samples, coeff_bound
-        ):
+
+        def probe(a: Assignment) -> str | None:
+            nonlocal max_dim
             d = evaluate(term, a, program=program).dim
             if 2 * d > ambient:
-                records.append(_fail(
-                    "lemma2", ambient, samples,
-                    f"bound violated: dim {d} with ambient {ambient}", a,
-                ))
-                break
+                return f"bound violated: dim {d} with ambient {ambient}"
             max_dim = max(max_dim, d)
-        else:
-            records.append(SuiteRecord(
-                "lemma2", ambient, samples, "pass",
-                f"2*dim(alpha) <= {ambient} held; max dim seen {max_dim}",
-            ))
+            return None
+
+        n, failed = _sweep("lemma2", ambient, _random_assignments(
+            f"lemma2:{seed}:{ambient}", ambient, ("p", "q", "r"), samples, coeff_bound
+        ), probe)
+        records.append(failed or SuiteRecord(
+            "lemma2", ambient, n, "pass",
+            f"2*dim(alpha) <= {ambient} held; max dim seen {max_dim}",
+        ))
     # Tightness: the full-space half split in ambient 4 reaches dim 2.
     w = separation_witness(1)
     tight = Assignment(4, {"p": w["p1"], "q": w["q1"], "r": w["r1"]})
@@ -407,36 +430,35 @@ def run_lemma2_suite(
     return SuiteReport(tuple(records))
 
 
-def run_lemma3_suite(extra_lines: int = 5) -> SuiteReport:
+def run_lemma3_suite() -> SuiteReport:
     """Classification in the plane: alpha is nonzero exactly on triples of
     three distinct lines, where it equals the complement of p."""
     term = alpha()
     program = Program((term,))
-    family = coordinate_family(2, extra_lines)
     nonzero = 0
-    total = 0
-    for p, q, r in itertools.product(family, repeat=3):
-        total += 1
-        a = Assignment(2, {"p": p, "q": q, "r": r})
+
+    def probe(a: Assignment) -> str | None:
+        nonlocal nonzero
+        p, q, r = a["p"], a["q"], a["r"]
         value = evaluate(term, a, program=program)
         distinct_lines = (
             p.dim == 1 and q.dim == 1 and r.dim == 1
             and p != q and q != r and p != r
         )
         if value.is_zero() == distinct_lines:
-            return SuiteReport((_fail(
-                "lemma3", 2, total,
+            return (
                 f"misclassified triple: value dim {value.dim}, "
-                f"distinct-lines={distinct_lines}", a,
-            ),))
+                f"distinct-lines={distinct_lines}"
+            )
         if distinct_lines:
             nonzero += 1
             if value != complement(p):
-                return SuiteReport((_fail(
-                    "lemma3", 2, total,
-                    "nonzero value differs from complement of p", a,
-                ),))
-    return SuiteReport((SuiteRecord(
+                return "nonzero value differs from complement of p"
+        return None
+
+    triples = _tuples(("p", "q", "r"), coordinate_family(2, 5), 2)
+    total, failed = _sweep("lemma3", 2, triples, probe)
+    return SuiteReport((failed or SuiteRecord(
         "lemma3", 2, total, "pass",
         f"{nonzero} of {total} triples nonzero, all equal to ~p; "
         "the rest vanish",
@@ -448,7 +470,6 @@ def run_separation_suite(
     samples: int = 1000,
     seed: int = 0,
     coeff_bound: int = 3,
-    extra_lines: int = 4,
 ) -> SuiteReport:
     """Level i equation holds in every ambient 2^k with k <= i (sampled)
     and is falsified by the constructed witness in ambient 2^(i+1)."""
@@ -458,7 +479,7 @@ def run_separation_suite(
         for k in range(i + 1):
             ambient = 2 ** k
             strategies = [
-                CoordinateFamilyStrategy(extra_lines=extra_lines, seed=seed),
+                CoordinateFamilyStrategy(seed=seed),
                 RandomSampling(count=samples, seed=seed, coeff_bound=coeff_bound),
             ]
             verdict = check(eq, ambient, strategies)
@@ -514,78 +535,73 @@ def run_laws_suite(
     law_program = Program(t for _, eq in laws for t in (eq.lhs, eq.rhs))
     records = []
     for ambient in ambients:
-        failure = None
         distinct_pairs = 0
-        for a in _random_assignments(
-            f"laws:{seed}:{ambient}", ambient, ("p", "q", "r"), samples, coeff_bound
-        ):
+
+        def probe(a: Assignment) -> str | None:
+            nonlocal distinct_pairs
             ev = Evaluator(a, program=law_program)
             for name, eq in laws:
                 if ev.eval(eq.lhs) != ev.eval(eq.rhs):
-                    failure = (name, a)
-                    break
-            if failure:
-                break
+                    return f"{name} violated"
             p, q = a["p"], a["q"]
             # Equality characterizations: both formulas detect p = q.
             same = Assignment(ambient, {"p": p, "q": p})
             if not all(holds(eq, same, program=prog) for eq, prog in chars):
-                failure = ("eq-char-equal", same)
-                break
+                return "eq-char-equal violated"
             if p != q:
                 distinct_pairs += 1
                 if any(holds(eq, a, program=prog) for eq, prog in chars):
-                    failure = ("eq-char-distinct", a)
-                    break
+                    return "eq-char-distinct violated"
             if join(p, q).dim + meet(p, q).dim != p.dim + q.dim:
-                failure = ("dimension-formula", a)
-                break
-        if failure:
-            name, a = failure
-            records.append(_fail(
-                "laws", ambient, samples, f"{name} violated", a,
-            ))
-        else:
-            records.append(SuiteRecord(
-                "laws", ambient, samples, "pass",
-                f"{len(laws)} laws, both equality characterizations "
-                f"({distinct_pairs} distinct pairs), and the dimension "
-                "formula held",
-            ))
+                return "dimension-formula violated"
+            return None
+
+        n, failed = _sweep("laws", ambient, _random_assignments(
+            f"laws:{seed}:{ambient}", ambient, ("p", "q", "r"), samples, coeff_bound
+        ), probe)
+        records.append(failed or SuiteRecord(
+            "laws", ambient, n, "pass",
+            f"{len(laws)} laws, both equality characterizations "
+            f"({distinct_pairs} distinct pairs), and the dimension "
+            "formula held",
+        ))
     return SuiteReport(tuple(records))
 
 
 def run_meet_agreement_suite(
     ambient: int = 3,
     extra_lines: int = 4,
-    cap: int = 256,
     seed: int = 0,
 ) -> SuiteReport:
     """The kernel-based meet and the complement-based meet agree, both on
     raw pairs and through whole-equation evaluation."""
-    family = coordinate_family(ambient, extra_lines)
-    pairs = 0
-    for p, q in itertools.product(family, repeat=2):
-        pairs += 1
+    suite = "meet-agreement"
+
+    def pair_agrees(a: Assignment) -> str | None:
+        p, q = a["p"], a["q"]
         if meet(p, q) != meet_via_demorgan(p, q):
-            return SuiteReport((SuiteRecord(
-                "meet-agreement", ambient, pairs, "fail",
-                f"routes disagree on pair of dims {p.dim}, {q.dim}",
-            ),))
-    strategy = CoordinateFamilyStrategy(extra_lines=extra_lines, cap=cap, seed=seed)
-    evaluated = 0
+            return f"routes disagree on pair of dims {p.dim}, {q.dim}"
+        return None
+
+    pairs = _tuples(("p", "q"), coordinate_family(ambient, extra_lines), ambient)
+    paired, failed = _sweep(suite, ambient, pairs, pair_agrees)
+    done = paired
+    strategy = CoordinateFamilyStrategy(extra_lines=extra_lines, cap=256, seed=seed)
     for name, eq in named_equations().items():
+        if failed:
+            break
         program = Program((eq.lhs, eq.rhs))
-        for a in strategy.assignments(eq, ambient):
-            evaluated += 1
+
+        def equation_agrees(a: Assignment) -> str | None:
             if holds(eq, a, None, program) != holds(eq, a, meet_via_demorgan, program):
-                return SuiteReport((_fail(
-                    "meet-agreement", ambient, pairs + evaluated,
-                    f"routes disagree evaluating {name}", a,
-                ),))
-    return SuiteReport((SuiteRecord(
-        "meet-agreement", ambient, pairs + evaluated, "pass",
-        f"{pairs} pairs and {evaluated} equation evaluations agree "
+                return f"routes disagree evaluating {name}"
+            return None
+
+        assignments = strategy.assignments(eq, ambient)
+        done, failed = _sweep(suite, ambient, assignments, equation_agrees, done)
+    return SuiteReport((failed or SuiteRecord(
+        suite, ambient, done, "pass",
+        f"{paired} pairs and {done - paired} equation evaluations agree "
         "across both meet routes",
     ),))
 
@@ -631,39 +647,32 @@ def run_gamma_suite() -> SuiteReport:
         Subspace.line(2, [1, GaussianRational(0, 1)]),
         Subspace.line(2, [1, 2]),
     ]
-    total = 0
     nonzero = 0
     coincident = 0
-    for combo in itertools.product(lines, repeat=4):
-        total += 1
-        p, q, r, s = combo
-        a = Assignment(2, dict(zip(("p", "q", "r", "s"), combo)))
+
+    def probe(a: Assignment) -> str | None:
+        nonlocal nonzero, coincident
+        p, r, s = a["p"], a["r"], a["s"]
         value = evaluate(term, a, program=program)
-        distinct = len(set(combo)) == 4
-        if not distinct:
+        if len(set(a.bindings.values())) < 4:
             coincident += 1
             if not value.is_zero():
-                return SuiteReport((_fail(
-                    "gamma", 2, total,
-                    f"nonzero value (dim {value.dim}) despite a coincidence",
-                    a,
-                ),))
-            continue
+                return f"nonzero value (dim {value.dim}) despite a coincidence"
+            return None
         pbar = complement(p)
         expect_nonzero = r != pbar and s != pbar
         if value.is_zero() == expect_nonzero:
-            return SuiteReport((_fail(
-                "gamma", 2, total,
-                f"value dim {value.dim}, expected "
-                + ("nonzero" if expect_nonzero else "zero"), a,
-            ),))
+            return f"value dim {value.dim}, expected " + (
+                "nonzero" if expect_nonzero else "zero"
+            )
         if expect_nonzero:
             nonzero += 1
             if value != p:
-                return SuiteReport((_fail(
-                    "gamma", 2, total, "nonzero value differs from p", a,
-                ),))
-    return SuiteReport((SuiteRecord(
+                return "nonzero value differs from p"
+        return None
+
+    total, failed = _sweep("gamma", 2, _tuples(("p", "q", "r", "s"), lines, 2), probe)
+    return SuiteReport((failed or SuiteRecord(
         "gamma", 2, total, "pass",
         f"zero on all {coincident} coincident tuples; nonzero exactly on "
         f"the {nonzero} distinct tuples avoiding r = ~p and s = ~p, "
@@ -671,19 +680,34 @@ def run_gamma_suite() -> SuiteReport:
     ),))
 
 
+def _shared(run, *takes):
+    """`run` as a call on the shared suite parameters, passing on those it
+    takes; a `samples` of None keeps the suite's own default."""
+    def call(samples=None, seed=0, coeff_bound=3, max_i=2) -> SuiteReport:
+        given = {"samples": samples, "seed": seed, "coeff_bound": coeff_bound, "max_i": max_i}
+        return run(**{key: given[key] for key in takes if given[key] is not None})
+    return call
+
+
+# CLI name -> a run of that suite from the shared parameters, in `run_all` order.
+SUITES = {
+    "lemma2": _shared(run_lemma2_suite, "samples", "seed", "coeff_bound"),
+    "lemma3": _shared(run_lemma3_suite),
+    "separation": _shared(run_separation_suite, "max_i", "samples", "seed", "coeff_bound"),
+    "laws": _shared(run_laws_suite, "samples", "seed", "coeff_bound"),
+    "meet-agreement": _shared(run_meet_agreement_suite, "seed"),
+    "transport": _shared(run_transport_suite),
+    "gamma": _shared(run_gamma_suite),
+}
+
+
 def run_all(
-    samples: int = 10_000,
-    separation_samples: int = 1000,
-    seed: int = 0,
-    max_i: int = 2,
+    samples: int | None = None, seed: int = 0, coeff_bound: int = 3, max_i: int = 2
 ) -> SuiteReport:
-    """Every suite, in a fixed order, as one combined report."""
-    return (
-        run_lemma2_suite(samples=samples, seed=seed)
-        + run_lemma3_suite()
-        + run_separation_suite(max_i=max_i, samples=separation_samples, seed=seed)
-        + run_laws_suite(samples=samples, seed=seed)
-        + run_meet_agreement_suite(seed=seed)
-        + run_transport_suite()
-        + run_gamma_suite()
-    )
+    """Every suite of :data:`SUITES`, in order, as one combined report;
+    separation takes at most 1,000 samples."""
+    report = SuiteReport(())
+    for name, run in SUITES.items():
+        n = min(samples, 1000) if name == "separation" and samples is not None else samples
+        report += run(n, seed, coeff_bound, max_i)
+    return report

@@ -73,11 +73,12 @@ EXIT_SEMANTIC = 4
 EXIT_INTERNAL = 5
 
 
-# Largest index `emit` accepts per indexed term family.  Both terms are
-# shared DAGs that print as trees whose text grows exponentially in the
-# index: gamma:5 is 23.5 MB and gamma:6 does not finish printing;
-# alpha-iter:5 is 3.7 MB and each step is about 14x longer.
-MAX_EMIT_INDEX = {"alpha-iter": 5, "gamma": 5}
+# Largest index `emit` accepts per indexed family.  The terms are shared
+# DAGs that print as trees whose text grows exponentially in the index:
+# gamma:5 is 23.5 MB and gamma:6 does not finish printing; alpha-iter:5 is
+# 3.7 MB and each step is about 14x longer; separation:I prints
+# alpha_iter(I+1) = 0, so separation:4 is as long as alpha-iter:5.
+MAX_EMIT_INDEX = {"alpha-iter": 5, "gamma": 5, "separation": 4}
 
 
 class UsageError(ValueError):
@@ -113,19 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help="beta | separation:I")
 
     p = sub.add_parser("suite", help="run a verification suite and print its report")
-    p.add_argument(
-        "name",
-        choices=[
-            "lemma2",
-            "lemma3",
-            "separation",
-            "laws",
-            "meet-agreement",
-            "transport",
-            "gamma",
-            "all",
-        ],
-    )
+    p.add_argument("name", choices=[*checker.SUITES, "all"])
     p.add_argument("--samples", type=int, default=None, help="override the suite default")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-i", type=int, default=2, help="deepest separation level")
@@ -165,8 +154,14 @@ def _bounded_ambient(flag: str, n: int) -> int:
     return n
 
 
+def _at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise UsageError(f"{flag} must be at least {low}, got {value}")
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     _bounded_ambient("--ambient", args.ambient)
+    _at_least("--samples", args.samples, 0)
     eq = parse_equation(args.equation)
     strategies = default_strategies(
         samples=args.samples, seed=args.seed, coeff_bound=args.coeff_bound
@@ -212,8 +207,8 @@ def cmd_emit(args: argparse.Namespace) -> int:
         print(format_term(term))
         return EXIT_OK
 
-    if (i := _indexed(name, "separation")) is not None:
-        eq = separation_equation(i)
+    if family == "separation":
+        eq = separation_equation(index)
     elif name in named_equations():
         eq = named_equations()[name]
     else:
@@ -234,38 +229,11 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
-    samples = args.samples
-    name = args.name
-    if name == "lemma2":
-        report = checker.run_lemma2_suite(
-            samples=samples or 10_000, seed=args.seed, coeff_bound=args.coeff_bound
-        )
-    elif name == "lemma3":
-        report = checker.run_lemma3_suite()
-    elif name == "separation":
-        report = checker.run_separation_suite(
-            max_i=args.max_i,
-            samples=samples or 1000,
-            seed=args.seed,
-            coeff_bound=args.coeff_bound,
-        )
-    elif name == "laws":
-        report = checker.run_laws_suite(
-            samples=samples or 10_000, seed=args.seed, coeff_bound=args.coeff_bound
-        )
-    elif name == "meet-agreement":
-        report = checker.run_meet_agreement_suite(seed=args.seed)
-    elif name == "transport":
-        report = checker.run_transport_suite()
-    elif name == "gamma":
-        report = checker.run_gamma_suite()
-    else:
-        report = checker.run_all(
-            samples=samples or 10_000,
-            separation_samples=min(samples or 1000, 1000),
-            seed=args.seed,
-            max_i=args.max_i,
-        )
+    if args.samples is not None:
+        _at_least("--samples", args.samples, 1)
+    _at_least("--max-i", args.max_i, 0)
+    run = checker.run_all if args.name == "all" else checker.SUITES[args.name]
+    report = run(args.samples, args.seed, args.coeff_bound, args.max_i)
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))
     else:

@@ -2,22 +2,26 @@
 
 import importlib
 import importlib.util
+import inspect
+import sys
 from pathlib import Path
 
 import qlattice
+from qlattice import checker
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_trace_hook_resolves():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     for name, module, attr, kind in tracing.HOOKS:
         target = importlib.import_module(module)
         for part in attr.split("."):
@@ -28,7 +32,7 @@ def test_every_trace_hook_resolves():
 
 
 def test_tracer_patches_every_hook():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     tracer = tracing.Tracer()
     orig = qlattice.terms.Evaluator.eval
     try:
@@ -37,3 +41,34 @@ def test_tracer_patches_every_hook():
     finally:
         tracer.uninstall()
     assert qlattice.terms.Evaluator.eval is orig
+
+
+def test_hooked_suites_accept_the_workload_keywords(monkeypatch):
+    # Run every suite job of the benchmark's workloads against recorders,
+    # then bind what each call passed to the real suite's signature.
+    workloads = _load("workloads")
+    hooked = [attr for _, module, attr, _ in _load("tracing").HOOKS
+              if module == "qlattice.checker" and attr.startswith("run_")]
+    calls = {attr: [] for attr in hooked}
+    for attr in hooked:
+        def record(*args, _attr=attr, **kwargs):
+            assert not args, f"{_attr} called with positional arguments"
+            calls[_attr].append(kwargs)
+            return checker.SuiteReport(())
+        monkeypatch.setattr(checker, attr, record)
+    for name in ("plane-family", "random-narrow", "random-wide"):
+        for job in workloads.BUILDERS[name](1, True).jobs:
+            if job.label.startswith("suite "):
+                job.run()
+    monkeypatch.undo()
+    keywords = {attr: {frozenset(kw) for kw in kw_list} for attr, kw_list in calls.items()}
+    assert keywords == {
+        "run_lemma2_suite": {frozenset({"ambients", "samples", "seed"})},
+        "run_lemma3_suite": {frozenset()},
+        "run_laws_suite": {frozenset({"ambients", "samples", "seed"})},
+        "run_meet_agreement_suite": {frozenset({"seed"})},
+        "run_gamma_suite": {frozenset()},
+    }
+    for attr, kw_list in calls.items():
+        for kwargs in kw_list:
+            inspect.signature(getattr(checker, attr)).bind(**kwargs)

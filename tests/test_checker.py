@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import qlattice.checker as checker
 from qlattice.checker import (
     CheckError,
     CoordinateFamilyStrategy,
@@ -22,6 +23,7 @@ from qlattice.checker import (
     run_separation_suite,
     run_transport_suite,
 )
+from qlattice.cli import main
 from qlattice.fixtures import parse_assignment_fixture
 from qlattice.formulas import (
     beta,
@@ -29,11 +31,12 @@ from qlattice.formulas import (
     distributive_law,
     named_equations,
     orthomodular_law,
+    transport,
 )
 from qlattice.linalg import GaussianRational
 import qlattice.subspaces as sub
 from qlattice.subspaces import Subspace
-from qlattice.terms import BOT, Assignment, Equation, parse_equation
+from qlattice.terms import BOT, Assignment, Equation, Evaluator, parse_equation
 
 
 def test_family_ambient2_no_extras():
@@ -291,3 +294,99 @@ def test_report_fails_when_any_record_fails():
     assert not report.passed
     assert report.lines()[-1].startswith("SUITE FAILURES")
     assert "[FAIL] demo" in report.lines()[1]
+
+
+# --- suites under an injected wrong operation ---------------------------------
+# Each arm makes one operation wrong at its k-th use and returns the
+# assignments it has seen, so that the k-th is the one that fails.
+
+
+def _other(v: Subspace) -> Subspace:
+    full = Subspace.full(v.ambient)
+    return Subspace.zero(v.ambient) if v == full else full
+
+
+def _wrong_eval(flips):
+    """Evaluator.eval goes wrong on the terms `flips` picks, under the k-th
+    assignment in which it evaluates one of them."""
+    def arm(monkeypatch, k):
+        seen = []
+        real = Evaluator.eval
+
+        def eval(self, t):
+            v = real(self, t)
+            if not flips(t):
+                return v
+            if not seen or seen[-1] is not self.assignment:
+                seen.append(self.assignment)
+            return _other(v) if len(seen) == k and seen[-1] is self.assignment else v
+
+        monkeypatch.setattr(Evaluator, "eval", eval)
+        return seen
+    return arm
+
+
+def _wrong_meet(monkeypatch, k):
+    seen = []
+
+    def meet(p, q):
+        seen.append(Assignment(p.ambient, {"p": p, "q": q}))
+        v = sub.meet(p, q)
+        return _other(v) if len(seen) == k else v
+
+    monkeypatch.setattr(checker, "meet", meet)
+    return seen
+
+
+def _lossy_transport(monkeypatch, k):
+    """The k-th transport loses its subspaces, so the equation holds there."""
+    seen = []
+
+    def lossy(a, extra):
+        moved = transport(a, extra)
+        if len(seen) + 1 == k:
+            zero = Subspace.zero(moved.ambient)
+            moved = Assignment(moved.ambient, {name: zero for name in moved.names()})
+        seen.append(moved)
+        return moved
+
+    monkeypatch.setattr(checker, "transport", lossy)
+    return seen
+
+
+_ANY = _wrong_eval(lambda t: True)
+_OML_LHS = named_equations()["oml"].lhs
+
+
+@pytest.mark.parametrize("name, run, arm, k, position", [
+    pytest.param(*case, id=case[0]) for case in (
+        ("lemma2", lambda: run_lemma2_suite(ambients=(3,), samples=10), _ANY, 4, 4),
+        ("lemma3", run_lemma3_suite, _ANY, 100, 100),
+        ("separation", lambda: run_separation_suite(max_i=0, samples=10),
+         _wrong_eval(lambda t: t == BOT), 5, 5),
+        ("laws", lambda: run_laws_suite(ambients=(2,), samples=10),
+         _wrong_eval(lambda t: t == _OML_LHS), 7, 7),
+        ("meet-agreement", run_meet_agreement_suite, _wrong_meet, 20, 20),
+        ("transport", run_transport_suite, _lossy_transport, 3, 1),
+        ("gamma", run_gamma_suite, _ANY, 500, 500),
+    )
+])
+def test_suite_records_its_first_failure(monkeypatch, capsys, name, run, arm, k, position):
+    seen = arm(monkeypatch, k)
+    report = run()
+    failed = [r for r in report.records if r.status == "fail"]
+    assert not report.passed and len(failed) == 1
+    record = failed[0]
+    assert record.suite.startswith(name)
+    assert record.samples == position  # assignments evaluated, the failing one included
+    cert = parse_assignment_fixture(record.certificate)
+    assert cert.ambient == seen[k - 1].ambient
+    assert cert.bindings == seen[k - 1].bindings
+
+    monkeypatch.undo()
+    arm(monkeypatch, k)
+    code = main(["suite", name, "--samples", "10", "--max-i", "0"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert any(line.startswith(f"[FAIL] {name}") for line in lines)
+    assert lines[-1].startswith("SUITE FAILURES")

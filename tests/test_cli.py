@@ -165,6 +165,16 @@ def test_emit_alpha_iter_above_cap_is_refused(capsys, monkeypatch):
     assert "maximum alpha-iter:5" in err
 
 
+def test_emit_separation_above_cap_is_refused(capsys, monkeypatch):
+    def unbuilt(i):
+        raise AssertionError(f"separation:{i} was built")
+
+    monkeypatch.setattr(cli, "separation_equation", unbuilt)
+    code, out, err = run(capsys, "emit", "separation:5")
+    assert code == 2 and out == ""
+    assert "maximum separation:4" in err
+
+
 def test_witness_round_trips(capsys):
     code, out, _ = run(capsys, "witness", "separation:0")
     assert code == 0
@@ -202,6 +212,31 @@ def test_suite_json(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert payload["records"][0]["suite"].startswith("gamma")
+
+
+def test_suite_all_matches_golden(capsys):
+    code, out, _ = run(capsys, "suite", "all", "--samples", "20", "--json")
+    assert code == 0
+    assert out == (GOLDEN / "suite-all-s20.json").read_text()
+
+
+def test_suite_all_passes_coeff_bound(capsys):
+    argv = ("--samples", "20", "--coeff-bound", "1", "--json")
+    every = json.loads(run(capsys, "suite", "all", *argv)[1])["records"]
+    laws = json.loads(run(capsys, "suite", "laws", *argv)[1])["records"]
+    assert [r for r in every if r["suite"] == "laws"] == laws
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["suite", "laws", "--samples", "-5"], id="suite-samples-negative"),
+    pytest.param(["suite", "lemma2", "--samples", "0"], id="suite-samples-zero"),
+    pytest.param(["suite", "separation", "--max-i", "-1"], id="suite-max-i-negative"),
+    pytest.param(["check", "p = p", "--ambient", "2", "--samples", "-1"], id="check-samples-negative"),
+])
+def test_out_of_range_counts_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "must be at least" in err
 
 
 def test_compile_matches_golden(capsys, tmp_path):
