@@ -2,7 +2,8 @@
 
 The layers, bottom to top:
 
-- ``linalg``: Gaussian-rational scalars and exact matrix algebra.
+- ``linalg``: Gaussian-rational scalars, matrices, and the exact
+  elimination core behind the canonical subspace form.
 - ``subspaces``: the lattice of subspaces of C^n (meet, join, complement).
 - ``terms``: lattice terms, equations, parsing, and evaluation.
 - ``formulas``: the stored formula families and their falsifying witnesses.

@@ -15,8 +15,9 @@ Exit codes, fixed for scriptability:
      preconditions, solver malfunction)
   5  internal errors (an unexpected exception: a defect, not a verdict)
 
-Ambients above ``subspaces.MAX_AMBIENT`` are usage errors, or parse errors
-in a fixture.
+Ambients above ``subspaces.MAX_AMBIENT`` are usage errors (parse errors in
+a fixture), and so are separation indices whose witness ambient would
+exceed it and coefficient bounds below 1.
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ EXIT_INTERNAL = 5
 # 3.7 MB and each step is about 14x longer; separation:I prints
 # alpha_iter(I+1) = 0, so separation:4 is as long as alpha-iter:5.
 MAX_EMIT_INDEX = {"alpha-iter": 5, "gamma": 5, "separation": 4}
+
+# `witness separation:I` and `suite --max-i I` run the level-I witness, whose
+# ambient 2**(I + 1) must not exceed MAX_AMBIENT.
+MAX_SEPARATION_INDEX = MAX_AMBIENT.bit_length() - 2
 
 
 class UsageError(ValueError):
@@ -159,9 +164,17 @@ def _at_least(flag: str, value: int, low: int) -> None:
         raise UsageError(f"{flag} must be at least {low}, got {value}")
 
 
+def _separation_index(flag: str, i: int) -> int:
+    _at_least(flag, i, 0)
+    if i > MAX_SEPARATION_INDEX:
+        raise UsageError(f"{flag} must be at most {MAX_SEPARATION_INDEX}, got {i}")
+    return i
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     _bounded_ambient("--ambient", args.ambient)
     _at_least("--samples", args.samples, 0)
+    _at_least("--coeff-bound", args.coeff_bound, 1)
     eq = parse_equation(args.equation)
     strategies = default_strategies(
         samples=args.samples, seed=args.seed, coeff_bound=args.coeff_bound
@@ -221,7 +234,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     if args.name == "beta":
         assignment = beta_witness()
     elif (i := _indexed(args.name, "separation")) is not None:
-        assignment = separation_witness(i)
+        assignment = separation_witness(_separation_index("separation:I", i))
     else:
         raise UsageError(f"unknown witness name {args.name!r}")
     sys.stdout.write(format_assignment_fixture(assignment))
@@ -231,7 +244,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
 def cmd_suite(args: argparse.Namespace) -> int:
     if args.samples is not None:
         _at_least("--samples", args.samples, 1)
-    _at_least("--max-i", args.max_i, 0)
+    _at_least("--coeff-bound", args.coeff_bound, 1)
+    _separation_index("--max-i", args.max_i)
     run = checker.run_all if args.name == "all" else checker.SUITES[args.name]
     report = run(args.samples, args.seed, args.coeff_bound, args.max_i)
     if args.json:

@@ -2,8 +2,7 @@
 
 Scalars are complex numbers a + b*i with rational a, b, held exactly as a
 pair of :class:`fractions.Fraction`.  Matrices are immutable and row-major.
-Row reduction, kernels and products are exact; no floating point is used
-anywhere.
+Row reduction and kernels are exact; no floating point is used anywhere.
 
 Internally, elimination runs on integer rows: each row is scaled by the
 lcm of its denominators and entries become Gaussian integers stored as
@@ -31,7 +30,7 @@ class DimensionMismatch(ValueError):
 
 
 class ScalarFormatError(ValueError):
-    """Malformed scalar or matrix text."""
+    """Malformed scalar text."""
 
 
 class GaussianRational:
@@ -137,19 +136,14 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-GR_ZERO = GaussianRational(0)
-GR_ONE = GaussianRational(1)
-GR_I = GaussianRational(0, 1)
-
-
 # --- scalar and matrix text -------------------------------------------------
 #
 # scalar   := rational | rational sign rat-imag | rat-imag | sign rat-imag
 # rational := ['-'] digits ['/' digits]
 # rat-imag := rational '*' 'i' | 'i' | '-i'
 #
-# This is the single parse point for scalars; fixture and matrix readers
-# delegate here.
+# This is the single parse point for scalars; the fixture reader delegates
+# here.
 
 _RAT = r"-?\d+(?:/\d+)?"
 _PURE_RAT = _regex.compile(rf"^({_RAT})$")
@@ -249,30 +243,6 @@ class Matrix:
             out.append(coerced)
         return cls(tuple(out), cols if width is None else width)
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(
-            tuple(
-                tuple(GR_ONE if i == j else GR_ZERO for j in range(n))
-                for i in range(n)
-            ),
-            n,
-        )
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(tuple(tuple(GR_ZERO for _ in range(cols)) for _ in range(rows)), cols)
-
-    def row(self, i: int) -> tuple[GaussianRational, ...]:
-        return self.entries[i]
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise DimensionMismatch(
-                f"cannot stack {self.cols}-column and {other.cols}-column matrices"
-            )
-        return Matrix(self.entries + other.entries, self.cols)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -295,37 +265,8 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def parse_matrix(text: str, cols: int | None = None) -> Matrix:
-    """Parse matrix text: one row per line, whitespace-separated scalars.
-
-    Blank lines and ``#`` comment lines are skipped.  An input with no rows
-    yields a 0 x `cols` matrix (`cols` is then required).
-    """
-    rows: list[list[GaussianRational]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            row = [parse_scalar(tok) for tok in line.split()]
-        except ScalarFormatError as exc:
-            raise ScalarFormatError(f"line {lineno}: {exc}") from exc
-        if rows and len(row) != len(rows[0]):
-            raise ScalarFormatError(
-                f"line {lineno}: expected {len(rows[0])} entries, got {len(row)}"
-            )
-        rows.append(row)
-    if not rows:
-        if cols is None:
-            raise ScalarFormatError("matrix text has no rows and no column count given")
-        return Matrix((), cols)
-    if cols is not None and len(rows[0]) != cols:
-        raise ScalarFormatError(f"expected {cols} columns, got {len(rows[0])}")
-    return Matrix.from_rows(rows)
-
-
 def format_matrix(m: Matrix) -> str:
-    """Print a matrix in the grammar accepted by :func:`parse_matrix`."""
+    """Print a matrix one row per line, its scalars separated by spaces."""
     return "\n".join(" ".join(format_scalar(e) for e in row) for row in m.entries)
 
 
@@ -498,11 +439,13 @@ def _conj_int_rows(rows: Iterable[Sequence[_Int]]) -> list[list[_Int]]:
 
 
 def _fracs_from_int_rows(
-    rows: Sequence[Sequence[_Int]], pivots: Sequence[int], ncols: int
+    rows: Sequence[Sequence[_Int]], ncols: int
 ) -> tuple[tuple[GaussianRational, ...], ...]:
+    """Divide each canonical row (see :func:`_reduce_int_rows`) by its
+    pivot, which is the row's first nonzero entry and a positive integer."""
     out = []
-    for i, r in enumerate(rows):
-        lead = r[2 * pivots[i]]
+    for r in rows:
+        lead = next(x for x in r if x)
         out.append(
             tuple(
                 GaussianRational(Fraction(r[2 * c], lead), Fraction(r[2 * c + 1], lead))
@@ -510,90 +453,3 @@ def _fracs_from_int_rows(
             )
         )
     return tuple(out)
-
-
-# --- public operations ------------------------------------------------------
-
-
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Reduced row echelon form and rank.
-
-    The result has the same shape as `m`: the canonical basis rows (pivots 1,
-    zeros above and below each pivot) followed by zero rows.  rref is
-    idempotent and invariant under row scaling and row permutation of the
-    input.
-
-    Returns:
-        A pair ``(echelon, rank)``.
-    """
-    red, pivots = _reduce_int_rows(_int_rows_from_matrix(m), m.cols)
-    rank = len(red)
-    rows = list(_fracs_from_int_rows(red, pivots, m.cols))
-    zero_row = tuple(GR_ZERO for _ in range(m.cols))
-    rows.extend(zero_row for _ in range(m.rows - rank))
-    return Matrix(tuple(rows), m.cols), rank
-
-
-def kernel(m: Matrix) -> Matrix:
-    """Canonical basis for the right kernel ``{v : m @ v^T = 0}``.
-
-    Rows of the result are a reduced-echelon basis of the solution space;
-    there are exactly ``cols - rank`` of them (possibly zero).
-    """
-    red, pivots = _kernel_int(_int_rows_from_matrix(m), m.cols)
-    return Matrix(_fracs_from_int_rows(red, pivots, m.cols), m.cols)
-
-
-def transpose(m: Matrix) -> Matrix:
-    """Plain transpose, no conjugation."""
-    return Matrix(
-        tuple(
-            tuple(m.entries[r][c] for r in range(m.rows)) for c in range(m.cols)
-        ),
-        m.rows,
-    )
-
-
-def conj_transpose(m: Matrix) -> Matrix:
-    """Conjugate transpose (Hermitian adjoint)."""
-    return Matrix(
-        tuple(
-            tuple(m.entries[r][c].conjugate() for r in range(m.rows))
-            for c in range(m.cols)
-        ),
-        m.rows,
-    )
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product.
-
-    Raises:
-        DimensionMismatch: unless ``a.cols == b.rows``.
-    """
-    if a.cols != b.rows:
-        raise DimensionMismatch(
-            f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
-        )
-    bt = list(zip(*b.entries)) if b.rows else [() for _ in range(b.cols)]
-    out = []
-    for row in a.entries:
-        out_row = []
-        for col in range(b.cols):
-            acc = GR_ZERO
-            bcol = bt[col] if b.rows else ()
-            for x, y in zip(row, bcol):
-                acc = acc + x * y
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return Matrix(tuple(out), b.cols)
-
-
-def hermitian_dot(u: Sequence[GaussianRational], v: Sequence[GaussianRational]) -> GaussianRational:
-    """Hermitian inner product, conjugate-linear in the first argument."""
-    if len(u) != len(v):
-        raise DimensionMismatch("vectors of different length")
-    acc = GR_ZERO
-    for x, y in zip(u, v):
-        acc = acc + x.conjugate() * y
-    return acc

@@ -115,9 +115,8 @@ class Subspace:
     def basis(self) -> Matrix:
         """Canonical reduced-echelon basis; ``dim`` rows, ``ambient`` columns."""
         if self._basis is None:
-            red, pivots = _reduce_int_rows(self._rows, self.ambient)
             self._basis = Matrix(
-                _fracs_from_int_rows(red, pivots, self.ambient), self.ambient
+                _fracs_from_int_rows(self._rows, self.ambient), self.ambient
             )
         return self._basis
 

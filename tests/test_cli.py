@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qlattice import cli
+from qlattice import checker, cli
 from qlattice.cli import main
 from qlattice.compiler import MAX_IFF_QUANTIFIERS
 from qlattice.fixtures import (
@@ -17,7 +17,13 @@ from qlattice.fixtures import (
     parse_assignment_fixture,
     parse_subspace_fixture,
 )
-from qlattice.formulas import alpha, alpha_iter, beta_witness, gamma_distinct_lines
+from qlattice.formulas import (
+    alpha,
+    alpha_iter,
+    beta_witness,
+    gamma_distinct_lines,
+    separation_witness,
+)
 from qlattice.smtlib import check_solver_text
 from qlattice.terms import MAX_NESTING, format_term
 
@@ -186,6 +192,14 @@ def test_witness_round_trips(capsys):
     assert a.ambient == 4 and set(a.names()) == {"p", "q", "r", "s"}
     assert a["q"] == ~a["p"]
 
+    # the deepest index whose witness ambient, 2**6, is still readable
+    code, out, _ = run(capsys, "witness", "separation:5")
+    assert code == 0
+    a = parse_assignment_fixture(out)
+    w = separation_witness(5)
+    assert a.ambient == 64 and a.names() == w.names()
+    assert all(a[name] == w[name] for name in w.names())
+
 
 def test_witness_unknown_name(capsys):
     assert run(capsys, "witness", "alpha")[0] == 2
@@ -232,11 +246,35 @@ def test_suite_all_passes_coeff_bound(capsys):
     pytest.param(["suite", "lemma2", "--samples", "0"], id="suite-samples-zero"),
     pytest.param(["suite", "separation", "--max-i", "-1"], id="suite-max-i-negative"),
     pytest.param(["check", "p = p", "--ambient", "2", "--samples", "-1"], id="check-samples-negative"),
+    pytest.param(
+        ["check", "p ^ q = q ^ p", "--ambient", "2", "--coeff-bound", "0"],
+        id="check-coeff-bound-zero",
+    ),
+    pytest.param(["suite", "lemma2", "--coeff-bound", "-1"], id="suite-coeff-bound-negative"),
+    pytest.param(["witness", "separation:-1"], id="witness-separation-negative"),
 ])
 def test_out_of_range_counts_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "must be at least" in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["witness", "separation:6"], id="witness"),
+    pytest.param(["suite", "separation", "--max-i", "6", "--samples", "1"], id="suite-separation"),
+    pytest.param(["suite", "all", "--max-i", "6"], id="suite-all"),
+])
+def test_separation_index_beyond_max_ambient_is_usage_error(capsys, monkeypatch, argv):
+    # index 6 needs a witness in ambient 2**7 = 128 > MAX_AMBIENT
+    def unbuilt(*args):
+        raise AssertionError("separation index 6 was run")
+
+    monkeypatch.setattr(cli, "separation_witness", unbuilt)
+    monkeypatch.setattr(checker, "run_all", unbuilt)
+    monkeypatch.setitem(checker.SUITES, "separation", unbuilt)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "must be at most 5" in err
 
 
 def test_compile_matches_golden(capsys, tmp_path):

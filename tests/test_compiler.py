@@ -32,7 +32,7 @@ from qlattice.formulas import (
     orthomodular_law,
     separation_equation,
 )
-from qlattice.linalg import Matrix, rref
+from qlattice.linalg import Matrix
 from qlattice.sentences import (
     eval_sentence,
     format_sentence,
@@ -272,10 +272,9 @@ def test_join_is_span_of_member_vectors(seed):
         v = Subspace.line(2, probe)
         in_join = (v | j) == j
         if stacked:
-            m = Matrix.from_rows(stacked, 2)
-            _, base_rank = rref(m)
+            base_rank = Subspace.from_spanning(Matrix.from_rows(stacked, 2)).dim
             grown = Matrix.from_rows(stacked + [list(v.basis.entries[0])], 2)
-            _, grown_rank = rref(grown)
+            grown_rank = Subspace.from_spanning(grown).dim
             assert in_join == (grown_rank == base_rank)
         else:
             assert not in_join

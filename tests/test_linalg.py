@@ -9,9 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlattice.linalg import (
-    GR_I,
-    GR_ONE,
-    GR_ZERO,
     DimensionMismatch,
     GaussianRational,
     Matrix,
@@ -19,17 +16,15 @@ from qlattice.linalg import (
     _conj_int_rows,
     _kernel_int,
     _reduce_int_rows,
-    conj_transpose,
     format_matrix,
     format_scalar,
-    hermitian_dot,
-    kernel,
-    matmul,
-    parse_matrix,
     parse_scalar,
-    rref,
-    transpose,
 )
+from qlattice.subspaces import Subspace, complement
+
+ZERO = GaussianRational(0)
+ONE = GaussianRational(1)
+I = GaussianRational(0, 1)
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
@@ -57,19 +52,23 @@ def float_rank(m: Matrix) -> int:
     return int(np.linalg.matrix_rank(to_numpy(m))) if m.rows else 0
 
 
+def eye(n: int) -> Matrix:
+    return Matrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+
+
 class TestScalars:
     def test_basic_arithmetic(self):
-        i = GR_I
+        i = I
         assert i * i == GaussianRational(-1)
         assert (1 + i) * (1 - i) == GaussianRational(2)
         assert GaussianRational(Fraction(1, 2), 1) + GaussianRational(
             Fraction(1, 2), -1
-        ) == GR_ONE
-        assert GaussianRational(3, 4) / GaussianRational(3, 4) == GR_ONE
+        ) == ONE
+        assert GaussianRational(3, 4) / GaussianRational(3, 4) == ONE
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            GR_ONE / GR_ZERO
+            ONE / ZERO
 
     def test_lowest_terms(self):
         z = GaussianRational(Fraction(2, 4), Fraction(-3, -6))
@@ -87,8 +86,8 @@ class TestScalars:
     @given(scalars)
     def test_field_inverse(self, a):
         if not a.is_zero():
-            assert a / a == GR_ONE
-            assert a * (GR_ONE / a) == GR_ONE
+            assert a / a == ONE
+            assert a * (ONE / a) == ONE
 
     @given(scalars, scalars)
     def test_conjugate_is_ring_hom(self, a, b):
@@ -106,11 +105,11 @@ class TestScalarText:
     @pytest.mark.parametrize(
         "text,value",
         [
-            ("0", GR_ZERO),
+            ("0", ZERO),
             ("3", GaussianRational(3)),
             ("-1/2", GaussianRational(Fraction(-1, 2))),
-            ("i", GR_I),
-            ("-i", -GR_I),
+            ("i", I),
+            ("-i", -I),
             ("2*i", GaussianRational(0, 2)),
             ("-2/3*i", GaussianRational(0, Fraction(-2, 3))),
             ("1+2*i", GaussianRational(1, 2)),
@@ -132,66 +131,67 @@ class TestScalarText:
 
     def test_matrix_round_trip_text(self):
         text = "1 0 1/2-3/4*i\n0 2*i 1"
-        m = parse_matrix(text)
-        assert parse_matrix(format_matrix(m)) == m
+        m = Matrix.from_rows(
+            [[parse_scalar(tok) for tok in line.split()] for line in text.splitlines()]
+        )
+        assert format_matrix(m) == text
 
     def test_matrix_bad_row_width(self):
-        with pytest.raises(ScalarFormatError, match="line 2"):
-            parse_matrix("1 2\n3")
+        with pytest.raises(DimensionMismatch, match="ragged"):
+            Matrix.from_rows([[1, 2], [3]])
 
     def test_empty_matrix_needs_cols(self):
-        assert parse_matrix("", cols=3).rows == 0
-        with pytest.raises(ScalarFormatError):
-            parse_matrix("# only a comment\n")
+        assert Matrix.from_rows([], cols=3).rows == 0
+        with pytest.raises(DimensionMismatch):
+            Matrix.from_rows([])
 
 
 class TestRref:
+    """The canonical reduced echelon form, read off ``Subspace.basis``."""
+
     def test_frozen_example_complex(self):
         # by hand: r2 <- r2 - 2 r1 kills the second row
-        m = Matrix.from_rows([[0, 1, GR_I], [0, 2, GaussianRational(0, 2)]])
-        e, rank = rref(m)
-        assert rank == 1
-        assert e == Matrix.from_rows([[0, 1, GR_I], [0, 0, 0]])
+        m = Matrix.from_rows([[0, 1, I], [0, 2, GaussianRational(0, 2)]])
+        s = Subspace.from_spanning(m)
+        assert s.dim == 1
+        assert s.basis == Matrix.from_rows([[0, 1, I]])
 
     def test_frozen_example_dependent_rows(self):
-        e, rank = rref(Matrix.from_rows([[1, 1], [1, 1]]))
-        assert rank == 1
-        assert e == Matrix.from_rows([[1, 1], [0, 0]])
+        s = Subspace.from_spanning(Matrix.from_rows([[1, 1], [1, 1]]))
+        assert s.dim == 1
+        assert s.basis == Matrix.from_rows([[1, 1]])
 
     def test_identity_fixed(self):
-        m = Matrix.identity(4)
-        e, rank = rref(m)
-        assert rank == 4 and e == m
+        s = Subspace.from_spanning(eye(4))
+        assert s.dim == 4 and s.basis == eye(4)
 
     def test_zero_matrix(self):
-        m = Matrix.zero(2, 3)
-        e, rank = rref(m)
-        assert rank == 0 and e == m
+        s = Subspace.from_spanning(Matrix.from_rows([[0, 0, 0], [0, 0, 0]]))
+        assert s.dim == 0 and s.basis == Matrix((), 3)
 
     def test_pivot_normalisation(self):
         # complex pivot must become 1 exactly
-        m = Matrix.from_rows([[GaussianRational(1, 1), 2]])
-        e, rank = rref(m)
-        assert rank == 1
-        assert e == Matrix.from_rows([[1, GaussianRational(1, -1)]])
+        s = Subspace.from_spanning(Matrix.from_rows([[GaussianRational(1, 1), 2]]))
+        assert s.dim == 1
+        assert s.basis == Matrix.from_rows([[1, GaussianRational(1, -1)]])
 
     @given(matrices())
     @settings(max_examples=150)
     def test_rank_matches_float_oracle(self, m):
-        _, rank = rref(m)
-        assert rank == float_rank(m)
+        assert Subspace.from_spanning(m).dim == float_rank(m)
 
     @given(matrices())
     def test_idempotent(self, m):
-        e, rank = rref(m)
-        e2, rank2 = rref(e)
-        assert e2 == e and rank2 == rank
+        s = Subspace.from_spanning(m)
+        s2 = Subspace.from_spanning(s.basis)
+        assert s2.basis == s.basis and s2.dim == s.dim
 
     @given(matrices(), st.randoms(use_true_random=False))
     def test_row_permutation_invariant(self, m, rnd):
         rows = list(m.entries)
         rnd.shuffle(rows)
-        assert rref(Matrix(tuple(rows), m.cols))[0] == rref(m)[0]
+        permuted = Subspace.from_spanning(Matrix(tuple(rows), m.cols))
+        assert permuted.basis == Subspace.from_spanning(m).basis
 
     @given(matrices(), scalars)
     def test_row_scaling_invariant(self, m, z):
@@ -200,54 +200,57 @@ class TestRref:
         scaled = Matrix(
             (tuple(z * e for e in m.entries[0]),) + m.entries[1:], m.cols
         )
-        assert rref(scaled)[0] == rref(m)[0]
+        assert Subspace.from_spanning(scaled).basis == Subspace.from_spanning(m).basis
 
     @given(matrices())
     def test_echelon_shape(self, m):
-        e, rank = rref(m)
+        s = Subspace.from_spanning(m)
+        e = s.basis
+        assert e.rows == s.dim
         pivots = []
-        for i in range(rank):
-            row = e.entries[i]
+        for i, row in enumerate(e.entries):
             lead = next(c for c in range(e.cols) if not row[c].is_zero())
-            assert row[lead] == GR_ONE
+            assert row[lead] == ONE
             assert all(e.entries[j][lead].is_zero() for j in range(e.rows) if j != i)
             pivots.append(lead)
         assert pivots == sorted(pivots)
-        for i in range(rank, e.rows):
-            assert all(x.is_zero() for x in e.entries[i])
 
 
 class TestKernel:
+    """Kernels, read off the orthogonal complement: the complement of the
+    span of the rows of m is the kernel of their conjugates."""
+
     def test_frozen_example(self):
-        k = kernel(Matrix.from_rows([[1, 0, 1]]))
+        k = complement(Subspace.from_spanning(Matrix.from_rows([[1, 0, 1]]))).basis
         assert k == Matrix.from_rows([[1, 0, -1], [0, 1, 0]])
 
     def test_full_rank_kernel_empty(self):
-        k = kernel(Matrix.identity(3))
+        k = complement(Subspace.from_spanning(eye(3))).basis
         assert k.rows == 0 and k.cols == 3
 
     def test_zero_matrix_kernel_full(self):
-        assert kernel(Matrix.zero(2, 3)) == Matrix.identity(3)
+        zero = Matrix.from_rows([[0, 0, 0], [0, 0, 0]])
+        assert complement(Subspace.from_spanning(zero)).basis == eye(3)
 
     @given(matrices())
     @settings(max_examples=150)
     def test_substitute_back(self, m):
-        k = kernel(m)
-        if k.rows:
-            prod = matmul(m, transpose(k))
-            assert all(e.is_zero() for row in prod.entries for e in row)
+        k = complement(Subspace.from_spanning(m)).basis
+        for u in m.entries:
+            for v in k.entries:
+                # <u, v> = sum conj(u_j) v_j
+                assert sum((x.conjugate() * y for x, y in zip(u, v)), ZERO) == ZERO
 
     @given(matrices())
     def test_rank_nullity(self, m):
-        _, rank = rref(m)
-        assert kernel(m).rows == m.cols - rank
+        s = Subspace.from_spanning(m)
+        assert complement(s).dim == m.cols - s.dim
 
     @given(matrices())
     def test_kernel_is_canonical(self, m):
-        k = kernel(m)
-        if k.rows:
-            e, rank = rref(k)
-            assert rank == k.rows and e == k
+        k = complement(Subspace.from_spanning(m)).basis
+        s = Subspace.from_spanning(k)
+        assert s.dim == k.rows and s.basis == k
 
 
 # --- Fraction-level reference for the Z[i] elimination core ----------------
@@ -376,43 +379,10 @@ class TestIntCore:
 
 
 class TestConjTranspose:
-    def test_example(self):
-        m = Matrix.from_rows([[GaussianRational(1, 2), 3]])
-        assert conj_transpose(m) == Matrix.from_rows(
-            [[GaussianRational(1, -2)], [3]]
-        )
-
-    @given(matrices())
-    def test_involution(self, m):
-        assert conj_transpose(conj_transpose(m)) == m
-
     @given(matrices())
     def test_rank_preserved(self, m):
-        assert rref(m)[1] == rref(conj_transpose(m))[1]
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = Matrix.from_rows([[1, GR_I], [2, 3]])
-        assert matmul(m, Matrix.identity(2)) == m
-        assert matmul(Matrix.identity(2), m) == m
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            matmul(Matrix.identity(2), Matrix.identity(3))
-
-    @given(matrices(max_rows=3, max_cols=3))
-    @settings(max_examples=60)
-    def test_associative(self, a):
-        b = Matrix.identity(a.cols)
-        c = Matrix.from_rows(
-            [[1 if (i + j) % 2 else 0 for j in range(2)] for i in range(a.cols)]
+        # row rank equals column rank
+        adjoint = Matrix.from_rows(
+            [[e.conjugate() for e in col] for col in zip(*m.entries)]
         )
-        assert matmul(matmul(a, b), c) == matmul(a, matmul(b, c))
-
-    def test_hermitian_dot_conjugates_first_argument(self):
-        u = (GR_I, GR_ZERO)
-        v = (GR_ONE, GR_ONE)
-        # <i*e1, e1+e2> = conj(i) * 1 = -i
-        assert hermitian_dot(u, v) == -GR_I
-        assert hermitian_dot(v, u) == GR_I
+        assert Subspace.from_spanning(adjoint).dim == Subspace.from_spanning(m).dim

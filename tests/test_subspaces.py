@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlattice.subspaces as sub
-from qlattice.linalg import GR_I, Matrix, hermitian_dot, matmul, rref
+from qlattice.linalg import GaussianRational, Matrix, _reduce_int_rows
 from qlattice.subspaces import (
     AmbientMismatch,
     Subspace,
@@ -19,8 +19,16 @@ from qlattice.subspaces import (
 )
 
 
+I = GaussianRational(0, 1)
+
+
 def span(ambient, *rows):
     return Subspace.from_spanning(Matrix.from_rows(list(rows)), ambient)
+
+
+def _inner(u, v):
+    """<u, v>, conjugate-linear in u."""
+    return sum((x.conjugate() * y for x, y in zip(u, v)), GaussianRational(0))
 
 
 @st.composite
@@ -43,6 +51,28 @@ def subspace_triples(draw, max_ambient=4):
     return tuple(draw(subspaces(ambient=n)) for _ in range(3))
 
 
+@st.composite
+def built_subspaces(draw, max_ambient=4):
+    """One subspace from each constructor that stores rows."""
+    n = draw(st.integers(1, max_ambient))
+    p, q = draw(subspaces(ambient=n)), draw(subspaces(ambient=n))
+    pad = draw(subspaces(max_ambient=3))
+    rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    entry = st.builds(GaussianRational, rationals, rationals)
+    row = st.lists(entry, min_size=n, max_size=n)
+    spanning = Matrix.from_rows(draw(st.lists(row, min_size=1, max_size=n + 1)))
+    return (
+        Subspace.from_spanning(spanning),
+        join(p, q),
+        meet(p, q),
+        complement(p),
+        embed(p, n + pad.ambient, pad),
+        Subspace.full(n),
+        Subspace.zero(n),
+        p,  # random_subspace
+    )
+
+
 class TestConstruction:
     def test_spanning_canonicalises(self):
         s = span(2, [1, 1], [2, 2])
@@ -58,7 +88,7 @@ class TestConstruction:
         assert z.dim == 0 and z.is_zero() and z.basis.rows == 0
         f = Subspace.full(3)
         assert f.dim == 3 and f.is_full()
-        assert f.basis == Matrix.identity(3)
+        assert f.basis == Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatch):
@@ -68,10 +98,19 @@ class TestConstruction:
 
     @given(subspaces())
     def test_basis_is_canonical_rref(self, s):
-        e, rank = rref(s.basis) if s.dim else (s.basis, 0)
-        assert rank == s.dim
-        if s.dim:
-            assert e == s.basis
+        again = Subspace.from_spanning(s.basis)
+        assert again.dim == s.dim and again.basis == s.basis
+
+
+class TestCanonicalRows:
+    @given(built_subspaces())
+    @settings(max_examples=150, deadline=None)
+    def test_stored_rows_are_already_reduced(self, built):
+        # Subspace.basis reads each pivot off the stored rows, so reducing
+        # them again must change nothing.
+        for s in built:
+            red, _ = _reduce_int_rows(s._rows, s.ambient)
+            assert tuple(map(tuple, red)) == s._rows
 
 
 class TestJoinMeet:
@@ -133,7 +172,7 @@ class TestComplement:
 
     def test_complex_line(self):
         # <(1, i), (1, -i)> = 1 + conj(i)(-i) = 0, checked by hand
-        assert complement(span(2, [1, GR_I])) == span(2, [1, -GR_I])
+        assert complement(span(2, [1, I])) == span(2, [1, -I])
 
     @given(subspaces())
     def test_involution_returns_same_object(self, s):
@@ -146,7 +185,7 @@ class TestComplement:
         assert s.dim + c.dim == s.ambient
         for u in s.basis.entries:
             for v in c.basis.entries:
-                assert hermitian_dot(u, v).is_zero()
+                assert _inner(u, v).is_zero()
 
     @given(subspaces())
     def test_meet_with_complement_is_zero(self, s):
@@ -226,10 +265,10 @@ class TestEmbed:
         assert big == span(3, [1, 1, 0], [0, 0, 1])
 
     def test_zero_pad(self):
-        p = span(2, [1, GR_I])
+        p = span(2, [1, I])
         big = embed(p, 4, Subspace.zero(2))
         assert big.dim == 1
-        assert big == span(4, [1, GR_I, 0, 0])
+        assert big == span(4, [1, I, 0, 0])
 
     def test_blocks_must_tile(self):
         with pytest.raises(AmbientMismatch):
