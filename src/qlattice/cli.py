@@ -57,7 +57,6 @@ from .linalg import DimensionMismatch, ScalarFormatError
 from .sentences import parse_sentence
 from .subspaces import MAX_AMBIENT, AmbientMismatch
 from .terms import (
-    Equation,
     Evaluator,
     ParseError,
     UnboundVariableError,
@@ -74,12 +73,13 @@ EXIT_SEMANTIC = 4
 EXIT_INTERNAL = 5
 
 
-# Largest index `emit` accepts per indexed family.  The terms are shared
-# DAGs that print as trees whose text grows exponentially in the index:
-# gamma:5 is 23.5 MB and gamma:6 does not finish printing; alpha-iter:5 is
-# 3.7 MB and each step is about 14x longer; separation:I prints
-# alpha_iter(I+1) = 0, so separation:4 is as long as alpha-iter:5.
-MAX_EMIT_INDEX = {"alpha-iter": 5, "gamma": 5, "separation": 4}
+# Least and largest index `emit` accepts per indexed family.  The least is
+# where the family starts.  The terms are shared DAGs that print as trees
+# whose text grows exponentially in the index: gamma:5 is 23.5 MB and
+# gamma:6 does not finish printing; alpha-iter:5 is 3.7 MB and each step
+# is about 14x longer; separation:I prints alpha_iter(I+1) = 0, so
+# separation:4 is as long as alpha-iter:5.
+EMIT_INDEX_RANGE = {"alpha-iter": (1, 5), "gamma": (3, 5), "separation": (0, 4)}
 
 # `witness separation:I` and `suite --max-i I` run the level-I witness, whose
 # ambient 2**(I + 1) must not exceed MAX_AMBIENT.
@@ -200,12 +200,13 @@ def _indexed(name: str, expected_key: str) -> int | None:
 def cmd_emit(args: argparse.Namespace) -> int:
     name = args.name
     family = name.partition(":")[0]
-    if family in MAX_EMIT_INDEX:
+    if family in EMIT_INDEX_RANGE:
         index = _indexed(name, family)
-        if index > MAX_EMIT_INDEX[family]:
+        low, high = EMIT_INDEX_RANGE[family]
+        _at_least(f"the {family} index", index, low)
+        if index > high:
             raise UsageError(
-                f"{family}:{index} exceeds the maximum "
-                f"{family}:{MAX_EMIT_INDEX[family]} for emit"
+                f"{family}:{index} exceeds the maximum {family}:{high} for emit"
             )
     term = None
     if name == "alpha":

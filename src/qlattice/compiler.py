@@ -53,7 +53,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .subspaces import Subspace
-from .terms import BOT, CONSTRUCTORS, TOP, Meet, Program, Term, Var
+from .terms import Meet, Program, Term, Var, node
 from . import sentences as S
 
 
@@ -76,7 +76,7 @@ class Definition:
     operands: tuple[str, ...]
 
     def as_sentence(self) -> S.Sentence:
-        rhs = CONSTRUCTORS[self.kind](*(Var(o) for o in self.operands))
+        rhs = node(self.kind, *(Var(o) for o in self.operands))
         return ("eq", (Var(self.name), rhs))
 
 
@@ -197,7 +197,7 @@ def _name_subterms(
 
     def side(t: Term) -> Term:
         # bare constants are legal atom sides; only nested ones get names
-        if type(t) is Var or t is TOP or t is BOT:
+        if t.op in ("var", "top", "bot"):
             return t
         root = program.slot(t)
         for op, a, b in program.code[len(leaf):]:
@@ -250,12 +250,12 @@ def eval_flat(flat: FlatSentence, domain: Iterable[Subspace], ambient: int) -> b
     defined: dict[str, Term] = {}
     for d in flat.definitions:
         operands = (defined.get(o, Var(o)) for o in d.operands)
-        defined[d.name] = CONSTRUCTORS[d.kind](*operands)
+        defined[d.name] = node(d.kind, *operands)
 
-    def expand(node: S.Sentence, kids: list) -> S.Sentence:
-        if node[0] != "eq":
-            return S.rebuild(node, kids)
-        sides = (defined.get(t.name, t) if type(t) is Var else t for t in node[1])
+    def expand(s: S.Sentence, kids: list) -> S.Sentence:
+        if s[0] != "eq":
+            return S.rebuild(s, kids)
+        sides = (defined.get(t.a, t) if t.op == "var" else t for t in s[1])
         return ("eq", tuple(sides))
 
     body = S.fold(flat.conclusion, expand)
@@ -333,11 +333,11 @@ def _vec_is_zero(vec: str, n: int) -> Node:
 
 def _membership(leaf: Term, vec: str, n: int) -> Node:
     """Formula: vec lies in the subspace denoted by a leaf term."""
-    if type(leaf) is Var:
-        return _kernel(leaf.name, vec, n)
-    if leaf is TOP:
+    if leaf.op == "var":
+        return _kernel(leaf.a, vec, n)
+    if leaf.op == "top":
         return ("and", ())
-    if leaf is BOT:
+    if leaf.op == "bot":
         return _vec_is_zero(vec, n)
     raise CompileError(f"atom side is not a leaf: {leaf!r}")
 
@@ -392,11 +392,11 @@ def _encode_atom(atom: S.Sentence, n: int, namer: _Namer) -> Node:
     v = namer.vector()
     lhs, rhs = atom[1]
     # normalize so a constant side, if any, comes second
-    if type(lhs) is not Var and type(rhs) is Var:
+    if lhs.op != "var" and rhs.op == "var":
         lhs, rhs = rhs, lhs
-    if rhs is TOP:
+    if rhs.op == "top":
         body = _membership(lhs, v, n)
-    elif rhs is BOT:
+    elif rhs.op == "bot":
         body = ("implies", (_membership(lhs, v, n), _vec_is_zero(v, n)))
     else:
         body = ("iff", (_membership(lhs, v, n), _membership(rhs, v, n)))

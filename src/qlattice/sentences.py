@@ -48,10 +48,11 @@ from .subspaces import Subspace, leq
 from .terms import (
     Equation,
     Assignment,
+    Evaluator,
     ParseError,
+    Program,
     Term,
     TokenStream,
-    evaluate,
     format_term,
     free_vars,
     parse_term_stream,
@@ -309,7 +310,8 @@ def eval_sentence(
 
     The result is truth relative to the finite domain; a sentence true
     here may still fail at subspaces outside it.  Connectives
-    short-circuit from left to right.
+    short-circuit from left to right.  Each atom's sides get one
+    ``Program`` for the whole call, run afresh under each environment.
     """
     pool = list(domain)
     for d in pool:
@@ -321,12 +323,16 @@ def eval_sentence(
     # one was false (true), and k + 1 after a body under pool[k - 1].
     todo: list = [(s, env or {}, 0)]
     value = True
+    programs: dict[int, Program] = {}  # id of an atom of `s` -> its program
     while todo:
         node, env, step = todo.pop()
         op, args = node
         if op in ATOMS:
-            a = Assignment(ambient, env)
-            left, right = evaluate(args[0], a), evaluate(args[1], a)
+            program = programs.get(id(node))
+            if program is None:
+                program = programs[id(node)] = Program(args)
+            ev = Evaluator(Assignment(ambient, env), program=program)
+            left, right = ev.eval(args[0]), ev.eval(args[1])
             value = left == right if op == "eq" else leq(left, right)
         elif op in QUANTIFIERS:
             names, body = args

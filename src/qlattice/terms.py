@@ -8,17 +8,19 @@ variable.  The same tokenizer also covers the first-order sentence layer
 can share the term sub-parser.  Nesting is capped at ``MAX_NESTING``;
 chains and runs of ``~`` are parsed by loops and may be any length.
 
-Terms are immutable trees with cached structural hashes.  A
-:class:`Program` lists the distinct subterms of some root terms in
-post-order, one ``(op, a, b)`` instruction per slot.  Evaluation,
-equality, printing, free variables, substitution, normal forms and the
-compiler's flattening loop over programs, in time linear in the number of distinct
-subterms and without recursion, so no term is too deep for them.
+A term node is one immutable ``(op, a, b)`` :class:`Term` with a cached
+structural hash.  A :class:`Program` lists the distinct subterms of some
+roots in post-order, one slot each, in the same shape with children
+replaced by slots.  Evaluation, equality, printing, free variables,
+substitution, normal forms and the compiler's flattening loop over
+programs, linear in distinct subterms and without recursion, so no term
+is too deep for them.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import partial
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import subspaces as _sub
@@ -45,7 +47,22 @@ class UnboundVariableError(LookupError):
 
 
 class Term:
-    __slots__ = ("_hash",)
+    """A term node shaped as a :class:`Program` slot, with child terms for
+    child slots; build one with :func:`node`, ``Var``, ``Not``, ``Meet`` or
+    ``Join``, never ``Term("top")`` or ``Term("bot")``."""
+
+    __slots__ = ("op", "a", "b", "_hash")
+
+    def __init__(self, op: str, a=None, b=None) -> None:
+        self.op, self.a, self.b = op, a, b
+        if op == "var":
+            self._hash = hash(("var", a))
+        elif op == "not":
+            self._hash = hash(("not", a._hash))
+        elif b is not None:
+            self._hash = hash((op, a._hash, b._hash))
+        else:
+            self._hash = hash(op)
 
     def __hash__(self) -> int:
         return self._hash
@@ -65,64 +82,23 @@ class Term:
         return f"<term {format_term(self)}>"
 
 
-class Var(Term):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._hash = hash(("var", name))
+TOP = Term("top")
+BOT = Term("bot")
 
 
-class _TopTerm(Term):
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        self._hash = hash("top")
-
-
-class _BotTerm(Term):
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        self._hash = hash("bot")
+def node(op: str, a=None, b=None) -> Term:
+    """The term with fields ``(op, a, b)``; ``TOP`` or ``BOT`` for a constant."""
+    if op == "top":
+        return TOP
+    if op == "bot":
+        return BOT
+    return Term(op, a, b)
 
 
-TOP = _TopTerm()
-BOT = _BotTerm()
-
-
-class Not(Term):
-    __slots__ = ("child",)
-
-    def __init__(self, child: Term) -> None:
-        self.child = child
-        self._hash = hash(("not", child._hash))
-
-
-class Meet(Term):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Term, right: Term) -> None:
-        self.left = left
-        self.right = right
-        self._hash = hash(("meet", left._hash, right._hash))
-
-
-class Join(Term):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Term, right: Term) -> None:
-        self.left = left
-        self.right = right
-        self._hash = hash(("join", left._hash, right._hash))
-
-
-# Term constructor for each op of a program instruction other than "var";
-# the op names are also the compiler's definition kinds.
-CONSTRUCTORS = {
-    "top": lambda: TOP, "bot": lambda: BOT, "not": Not, "meet": Meet, "join": Join,
-}
-_OP_OF = {_TopTerm: "top", _BotTerm: "bot", Meet: "meet", Join: "join"}
+Var = partial(Term, "var")  # Var(name)
+Not = partial(Term, "not")  # Not(child)
+Meet = partial(Term, "meet")  # Meet(left, right)
+Join = partial(Term, "join")  # Join(left, right)
 
 
 class Equation:
@@ -413,36 +389,28 @@ class Program:
         done: dict[int, int] = {}  # id of a node met in this walk -> slot
         stack = [root]
         while stack:
-            node = stack.pop()
-            if id(node) in done:
+            t = stack.pop()
+            if id(t) in done:
                 continue
-            tt = type(node)
-            if tt is Var:
-                instr = ("var", node.name, None)
-            elif tt is Not:
-                a = done.get(id(node.child))
-                if a is None:
-                    stack += (node, node.child)
+            op, a, b = t.op, t.a, t.b
+            if op != "var" and a is not None:  # children: read their slots
+                sa = done.get(id(a))
+                sb = None if b is None else done.get(id(b))
+                if sa is None or (sb is None and b is not None):
+                    # revisit after the missing children, left first
+                    stack.append(t)
+                    if sb is None and b is not None:
+                        stack.append(b)
+                    if sa is None:
+                        stack.append(a)
                     continue
-                instr = ("not", a, None)
-            elif tt is Meet or tt is Join:
-                a, b = done.get(id(node.left)), done.get(id(node.right))
-                if a is None or b is None:
-                    # revisit after the missing operands, left first
-                    stack.append(node)
-                    if b is None:
-                        stack.append(node.right)
-                    if a is None:
-                        stack.append(node.left)
-                    continue
-                instr = (_OP_OF[tt], a, b)
-            else:
-                instr = (_OP_OF[tt], None, None)
+                a, b = sa, sb
+            instr = (op, a, b)
             s = index.get(instr)
             if s is None:
                 s = index[instr] = len(code)
                 code.append(instr)
-            done[id(node)] = s
+            done[id(t)] = s
         return done[id(root)]
 
 
@@ -537,7 +505,7 @@ def substitute(t: Term, replacements: Mapping[str, Term]) -> Term:
         if op == "var":
             out.append(replacements.get(a) or Var(a))
         else:
-            out.append(CONSTRUCTORS[op](*(out[k] for k in (a, b) if k is not None)))
+            out.append(node(op, *(out[k] for k in (a, b) if k is not None)))
     return out[-1]
 
 

@@ -129,6 +129,15 @@ def test_emit_terms(capsys, name, builder):
     assert out == format_term(builder()) + "\n"
 
 
+@pytest.mark.parametrize(
+    "name", ["alpha", "beta", "alpha-iter:2", "separation:1", "gamma:4"]
+)
+def test_emit_matches_golden(capsys, name):
+    code, out, _ = run(capsys, "emit", name)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"emit-{name.replace(':', '-')}.txt").read_bytes()
+
+
 def test_emit_equation(capsys):
     code, out, _ = run(capsys, "emit", "separation:0")
     assert code == 0
@@ -147,8 +156,14 @@ def test_emit_bad_index_syntax(capsys):
     assert run(capsys, "emit", "alpha-iter:x")[0] == 2
 
 
-def test_emit_gamma_below_three_is_semantic(capsys):
-    assert run(capsys, "emit", "gamma:2")[0] == 4
+def test_emit_gamma_below_three_is_usage_error(capsys, monkeypatch):
+    def unbuilt(k):
+        raise AssertionError(f"gamma:{k} was built")
+
+    monkeypatch.setattr(cli, "gamma_distinct_lines", unbuilt)
+    code, out, err = run(capsys, "emit", "gamma:2")
+    assert code == 2 and out == ""
+    assert "gamma index must be at least 3" in err
 
 
 def test_emit_gamma_above_cap_is_refused(capsys, monkeypatch):
@@ -252,6 +267,9 @@ def test_suite_all_passes_coeff_bound(capsys):
     ),
     pytest.param(["suite", "lemma2", "--coeff-bound", "-1"], id="suite-coeff-bound-negative"),
     pytest.param(["witness", "separation:-1"], id="witness-separation-negative"),
+    pytest.param(["emit", "separation:-1"], id="emit-separation-negative"),
+    pytest.param(["emit", "alpha-iter:0"], id="emit-alpha-iter-zero"),
+    pytest.param(["emit", "gamma:-1"], id="emit-gamma-negative"),
 ])
 def test_out_of_range_counts_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

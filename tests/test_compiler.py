@@ -41,7 +41,7 @@ from qlattice.sentences import (
 )
 from qlattice.smtlib import check_solver_text
 from qlattice.subspaces import Subspace, join, random_subspace
-from qlattice.terms import Var
+from qlattice.terms import BOT, Var
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -104,6 +104,8 @@ def test_flatten_names_nested_constants():
         Definition("t1", "bot", ()),
         Definition("t2", "join", ("x", "t1")),
     )
+    op, (lhs, rhs) = flat.definitions[0].as_sentence()
+    assert (op, lhs) == ("eq", Var("t1")) and rhs is BOT
 
 
 def test_flatten_requires_closed():

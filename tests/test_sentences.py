@@ -17,7 +17,13 @@ from qlattice.sentences import (
     rename_bound,
     universal_closure,
 )
-from qlattice.terms import MAX_NESTING, ParseError, parse_term
+from qlattice.terms import (
+    MAX_NESTING,
+    ParseError,
+    Program,
+    UnboundVariableError,
+    parse_term,
+)
 
 
 def test_parse_worked_example_shape():
@@ -209,6 +215,32 @@ def test_eval_quantifiers_and_connectives():
 def test_eval_respects_environment_shadowing():
     s = parse_sentence("forall x. (exists x. x = 0) & x = x")
     assert eval_sentence(s, coordinate_family(2, 0), 2)
+
+
+def test_eval_builds_each_atom_program_once(monkeypatch):
+    # 300 atoms under 25 environments; each atom's two sides are appended
+    # to its program once for the whole call, not once per environment
+    roots = []
+    append = Program._append
+
+    def counting_append(self, root):
+        roots.append(root)
+        return append(self, root)
+
+    monkeypatch.setattr(Program, "_append", counting_append)
+    s = parse_sentence("forall x, y. " + " & ".join(["x ^ y = y ^ x"] * 300))
+    assert eval_sentence(s, coordinate_family(2, 1), 2)
+    assert 0 < len(roots) <= 2 * 300
+
+
+def test_eval_short_circuits_before_free_variables():
+    dom = coordinate_family(2, 0)
+    assert not eval_sentence(parse_sentence("0 = 1 & x = x"), dom, 2)
+    assert eval_sentence(parse_sentence("0 = 0 | x = x"), dom, 2)
+    with pytest.raises(UnboundVariableError, match="'x'"):
+        eval_sentence(parse_sentence("0 = 0 & x = x"), dom, 2)
+    with pytest.raises(UnboundVariableError, match="'y'"):
+        eval_sentence(parse_sentence("forall x. x = y"), dom, 2)
 
 
 def test_eval_rejects_wrong_ambient():

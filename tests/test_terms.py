@@ -191,6 +191,10 @@ class TestStructure:
         t = parse_term("p ^ q")
         assert substitute(t, {"z": TOP}) is t
 
+    def test_substitute_keeps_the_constant_objects(self):
+        assert substitute(parse_term("p v 1"), {"p": Var("q")}).b is TOP
+        assert substitute(parse_term("p v 0"), {"p": Var("q")}).b is BOT
+
 
 class TestEvaluation:
     def setup_method(self):
@@ -245,17 +249,26 @@ class TestEvaluation:
 
 def reference_eval(t, a, meet_op):
     """Direct recursive evaluation, kept independent of Program."""
-    if type(t) is Var:
-        return a[t.name]
-    if t is TOP:
+    if t.op == "var":
+        return a[t.a]
+    if t.op == "top":
         return Subspace.full(a.ambient)
-    if t is BOT:
+    if t.op == "bot":
         return Subspace.zero(a.ambient)
-    if type(t) is Not:
-        return complement(reference_eval(t.child, a, meet_op))
-    left = reference_eval(t.left, a, meet_op)
-    right = reference_eval(t.right, a, meet_op)
-    return meet_op(left, right) if type(t) is Meet else join(left, right)
+    if t.op == "not":
+        return complement(reference_eval(t.a, a, meet_op))
+    left = reference_eval(t.a, a, meet_op)
+    right = reference_eval(t.b, a, meet_op)
+    return meet_op(left, right) if t.op == "meet" else join(left, right)
+
+
+def subterms(t):
+    """Every node of `t`, by a direct recursive walk."""
+    yield t
+    if t.op != "var":
+        for child in (t.a, t.b):
+            if child is not None:
+                yield from subterms(child)
 
 
 class TestProgram:
@@ -268,6 +281,22 @@ class TestProgram:
         # a program shared by two roots evaluates each to its own value
         shared = Program([to_nnf(t), t])
         assert Evaluator(a, meet_op, shared).eval(t) == expected
+
+    @given(terms)
+    @settings(max_examples=80)
+    def test_term_fields_are_program_slots(self, t):
+        # each node's (op, a, b) is its slot with child terms for child slots
+        program = Program([t])
+        size = len(program.code)
+        for n in subterms(t):
+            op, a, b = program.code[program.slot(n)]
+            assert op == n.op
+            if n.op == "var":
+                assert (a, b) == (n.a, None)
+            else:
+                assert a == (None if n.a is None else program.slot(n.a))
+                assert b == (None if n.b is None else program.slot(n.b))
+        assert len(program.code) == size  # every subterm already had its slot
 
     def test_roots_share_slots(self):
         lhs, rhs = parse_term("(p ^ q) v r"), parse_term("r v (p ^ q)")
