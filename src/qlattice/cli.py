@@ -15,15 +15,17 @@ Exit codes, fixed for scriptability:
      preconditions, solver malfunction)
   5  internal errors (an unexpected exception: a defect, not a verdict)
 
-Ambients above ``subspaces.MAX_AMBIENT`` are usage errors (parse errors in
-a fixture), and so are separation indices whose witness ambient would
-exceed it and coefficient bounds below 1.
+Ambients outside 1 to ``subspaces.MAX_AMBIENT`` are usage errors (parse
+errors in a fixture), and so are separation indices whose witness ambient
+would exceed it, coefficient bounds below 1 and solver timeouts that are
+not a positive number of seconds.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import shlex
 import sys
 from pathlib import Path
@@ -154,6 +156,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _bounded_ambient(flag: str, n: int) -> int:
+    _at_least(flag, n, 1)
     if n > MAX_AMBIENT:
         raise UsageError(f"{flag} {n} exceeds the maximum ambient {MAX_AMBIENT}")
     return n
@@ -258,6 +261,10 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     _bounded_ambient("--n", args.n)
+    if not 0 < args.timeout < math.inf:
+        raise UsageError(
+            f"--timeout must be a positive number of seconds, got {args.timeout:g}"
+        )
     sentence = parse_sentence(_read(args.path))
     real = compile_sentence(sentence, args.n)
     text = emit_solver_text(real, args.form)

@@ -5,11 +5,11 @@ lattice of C^n:
 
 1. ``flatten``: name every compound subterm with a fresh universally
    quantified variable, so each atom mentions only variables and the
-   constants 0, 1.  The definitions are the non-variable slots of one
-   term ``Program`` over the atom sides, so equal subterms share a name.
-   A quantified ``<->`` is split into two implications first, and a split
-   that would give more than ``MAX_IFF_QUANTIFIERS`` quantifiers is
-   refused.
+   constants 0, 1.  Quantifiers stay where they are written, and each
+   maximal quantifier-free scope is flattened in place.  A scope's
+   definitions are the non-variable slots of one term ``Program`` over
+   its atom sides, so equal subterms share a name; ``fresh`` lists the
+   names of every scope, at any depth.
 2. ``encode_kernels``: read each lattice variable as the kernel of an
    n x n complex matrix and expand the flat atoms into quantified
    statements about vectors (membership, orthogonality, and the span
@@ -82,13 +82,15 @@ class Definition:
 
 @dataclass(frozen=True)
 class FlatSentence:
-    """Prenex prefix, definitions for the fresh suffix, and a
-    quantifier-free conclusion whose atoms compare plain leaves."""
+    """The source's leading quantifiers, then the fresh names and
+    definitions of the rest if it is quantifier-free, and a conclusion
+    whose atoms compare plain leaves.  Below the leading run, quantifiers
+    stay in place and each quantifier-free scope is flattened there."""
 
     prefix: tuple[tuple[str, str], ...]  # ("forall" | "exists", name)
     definitions: tuple[Definition, ...]  # dependency order
     conclusion: S.Sentence
-    fresh: tuple[str, ...]  # suffix of prefix names defined above
+    fresh: tuple[str, ...]  # every fresh name, at any depth
 
     def to_sentence(self) -> S.Sentence:
         body = self.conclusion
@@ -110,87 +112,33 @@ def _desugar_leq(s: S.Sentence) -> S.Sentence:
     return S.fold(s, visit)
 
 
-# Most quantifiers that expanding one '<->' may yield.  Each quantified
-# '<->' doubles its operands, so a chain of them grows exponentially: at
-# this bound `compile` of `forall y. ((forall x. x = 0) <-> y = y <-> ...)`
-# with 8 atoms writes 4.1 MB at n = 1 and 15 MB at n = 4, and 9 atoms
-# are refused.
-MAX_IFF_QUANTIFIERS = 256
-
-
-def _expand_iff(s: S.Sentence) -> S.Sentence:
-    """Split ``<->`` into two implications wherever a quantifier occurs
-    beneath it; needed because a biconditional has no prenex form of its
-    own.  Quantifier-free biconditionals stay intact."""
-
-    def visit(node: S.Sentence, kids: list) -> tuple[S.Sentence, int]:
-        # (expanded node, number of quantifiers in it)
-        op, args = node
-        count = sum(k[1] for k in kids)
-        if op in S.QUANTIFIERS:
-            count += len(args[0])
-        subs = [k[0] for k in kids]
-        if op != "iff" or not count:
-            return S.rebuild(node, subs), count
-        if 2 * count > MAX_IFF_QUANTIFIERS:
-            raise CompileError(
-                f"expanding '<->' would give more than {MAX_IFF_QUANTIFIERS} quantifiers"
-            )
-        lhs, rhs = subs
-        return ("and", (("implies", (lhs, rhs)), ("implies", (rhs, lhs)))), 2 * count
-
-    return S.fold(s, visit)[0]
-
-
-def _flip(prefix: list[tuple[str, str]]) -> list[tuple[str, str]]:
-    return [
-        ("exists" if kind == "forall" else "forall", name) for kind, name in prefix
-    ]
-
-
-def _prenex(s: S.Sentence) -> tuple[list[tuple[str, str]], S.Sentence]:
-    """Pull quantifiers out front.  Sound here because rename_bound has
-    made binders unique, so no pulled quantifier can capture."""
-
-    def visit(node: S.Sentence, kids: list) -> tuple[list, S.Sentence]:
-        op, args = node
-        if op in S.ATOMS:
-            return [], node
-        if op in S.QUANTIFIERS:
-            prefix, matrix = kids[0]
-            return [(op, name) for name in args[0]] + prefix, matrix
-        if op == "not":
-            prefix, matrix = kids[0]
-            return _flip(prefix), ("not", (matrix,))
-        # _expand_iff has left only quantifier-free biconditionals
-        (pre_l, m_l), (pre_r, m_r) = kids
-        if op == "implies":
-            pre_l = _flip(pre_l)
-        pre_l += pre_r  # each prefix list has one owner, so extend in place
-        return pre_l, (op, (m_l, m_r))
-
-    return S.fold(s, visit)
-
-
 class _FreshNames:
-    def __init__(self, used: set[str]) -> None:
-        self.used = set(used)
+    """t1, t2, ... in order, skipping every name bound in a sentence."""
+
+    def __init__(self, s: S.Sentence) -> None:
+        self.used: set[str] = set()
+        self.taken: list[str] = []
         self.counter = 0
+
+        def binders(node: S.Sentence, kids: list) -> None:
+            if node[0] in S.QUANTIFIERS:
+                self.used.update(node[1][0])
+
+        S.fold(s, binders)
 
     def take(self) -> str:
         while True:
             self.counter += 1
             name = f"t{self.counter}"
             if name not in self.used:
-                self.used.add(name)
+                self.taken.append(name)
                 return name
 
 
-def _name_subterms(
-    matrix: S.Sentence, names: _FreshNames
-) -> tuple[S.Sentence, tuple[Definition, ...]]:
-    """Give every compound subterm a fresh variable, shared on structural
-    equality, and rewrite the matrix atoms over the resulting leaves."""
+def _name_subterms(matrix: S.Sentence, names: _FreshNames) -> FlatSentence:
+    """Give every compound subterm of a quantifier-free matrix a fresh
+    universally quantified variable, shared on structural equality, and
+    rewrite the matrix atoms over the resulting leaves."""
     program = Program()
     leaf: list[str] = []  # per slot: the variable naming it
     definitions: list[Definition] = []
@@ -213,27 +161,46 @@ def _name_subterms(
         op, args = node
         if op == "eq":
             return ("eq", (side(args[0]), side(args[1])))
-        if op in S.QUANTIFIERS or op == "leq":
-            raise CompileError(f"{op!r} survived prenexing")
         return (op, tuple(kids))
 
-    return S.fold(matrix, visit), tuple(definitions)
+    conclusion = S.fold(matrix, visit)
+    fresh = tuple(d.name for d in definitions)
+    return FlatSentence(
+        tuple(("forall", name) for name in fresh), tuple(definitions), conclusion, fresh
+    )
 
 
 def flatten(s: S.Sentence) -> FlatSentence:
-    """Stage one; requires a closed sentence."""
+    """Stage one; requires a closed sentence.
+
+    Quantifiers stay where they are written.  Each maximal
+    quantifier-free subformula becomes ``forall fresh. (defs -> matrix)``
+    in place, which is sound in any context because the definitions pin
+    each fresh variable to one value."""
     free = S.free_sentence_vars(s)
     if free:
         raise CompileError(
             "sentence must be closed; free: " + ", ".join(sorted(free))
         )
-    s = S.rename_bound(_expand_iff(_desugar_leq(s)))
-    prefix, matrix = _prenex(s)
-    names = _FreshNames({name for _, name in prefix})
-    conclusion, definitions = _name_subterms(matrix, names)
-    fresh = tuple(d.name for d in definitions)
-    full_prefix = tuple(prefix) + tuple(("forall", name) for name in fresh)
-    return FlatSentence(full_prefix, definitions, conclusion, fresh)
+    s = S.rename_bound(_desugar_leq(s))
+    names = _FreshNames(s)
+    prefix = []
+    while s[0] in S.QUANTIFIERS:
+        prefix += ((s[0], name) for name in s[1][0])
+        s = s[1][1]
+
+    def visit(node: S.Sentence, kids: list) -> tuple[S.Sentence, bool]:
+        # (flattened node, whether it is quantifier-free and left as is)
+        if node[0] not in S.QUANTIFIERS and all(qf for _, qf in kids):
+            return node, True
+        subs = [_name_subterms(k, names).to_sentence() if qf else k for k, qf in kids]
+        return S.rebuild(node, subs), False
+
+    body, qf = S.fold(s, visit)
+    top = _name_subterms(body, names) if qf else FlatSentence((), (), body, ())
+    return FlatSentence(
+        tuple(prefix) + top.prefix, top.definitions, top.conclusion, tuple(names.taken)
+    )
 
 
 def eval_flat(flat: FlatSentence, domain: Iterable[Subspace], ambient: int) -> bool:
@@ -242,26 +209,34 @@ def eval_flat(flat: FlatSentence, domain: Iterable[Subspace], ambient: int) -> b
 
     The fresh variables are not restricted to the domain: their defining
     atoms pin them to a unique subspace, so universal quantification
-    over all of L(C^n) reduces to computing that subspace.  Each is
-    replaced by its definition, expanded to a term over the source
-    variables, and the source prefix and the conclusion are evaluated by
-    ``eval_sentence``.
+    over all of L(C^n) reduces to computing that subspace.  Each fresh
+    binder is dropped, each definition is read as a term over the source
+    variables and put in place of its variable, and what is left is
+    evaluated by ``eval_sentence``.
     """
+    fresh = set(flat.fresh)
     defined: dict[str, Term] = {}
-    for d in flat.definitions:
-        operands = (defined.get(o, Var(o)) for o in d.operands)
-        defined[d.name] = node(d.kind, *operands)
 
-    def expand(s: S.Sentence, kids: list) -> S.Sentence:
-        if s[0] != "eq":
-            return S.rebuild(s, kids)
-        sides = (defined.get(t.a, t) if t.op == "var" else t for t in s[1])
-        return ("eq", tuple(sides))
+    def expand(t: Term) -> Term:
+        return defined.get(t.a, t) if t.op == "var" else t
 
-    body = S.fold(flat.conclusion, expand)
-    for kind, name in reversed(flat.prefix[:len(flat.prefix) - len(flat.fresh)]):
-        body = (kind, ((name,), body))
-    return S.eval_sentence(body, domain, ambient)
+    def visit(s: S.Sentence, kids: list) -> S.Sentence | None:
+        # None stands for the definitions of a scope, all of them true
+        op, args = s
+        if op == "eq":
+            lhs, rhs = args
+            if lhs.op == "var" and lhs.a in fresh and lhs.a not in defined:
+                operands = (t for t in (rhs.a, rhs.b) if t is not None)
+                defined[lhs.a] = node(rhs.op, *map(expand, operands))
+                return None
+            return ("eq", (expand(lhs), expand(rhs)))
+        if op in S.QUANTIFIERS and args[0][0] in fresh:
+            return kids[0]
+        if kids[0] is None:  # a scope's definitions or their implication
+            return kids[-1]
+        return S.rebuild(s, kids)
+
+    return S.eval_sentence(S.fold(flat.to_sentence(), visit), domain, ambient)
 
 
 # --- stage 2: kernel encoding -----------------------------------------------
@@ -342,27 +317,24 @@ def _membership(leaf: Term, vec: str, n: int) -> Node:
     raise CompileError(f"atom side is not a leaf: {leaf!r}")
 
 
-def _encode_definition(d: Definition, n: int, namer: _Namer) -> Node:
+def _encode_definition(name: str, term: Term, n: int, namer: _Namer) -> Node:
+    """``name = term`` for a meet, join or complement of variables."""
     v = namer.vector()
-    member = _kernel(d.name, v, n)
-    if d.kind == "meet":
-        y, z = d.operands
-        rhs = ("and", (_kernel(y, v, n), _kernel(z, v, n)))
-    elif d.kind == "not":
-        (y,) = d.operands
+    member = _kernel(name, v, n)
+    if term.op == "meet":
+        rhs = ("and", (_kernel(term.a.a, v, n), _kernel(term.b.a, v, n)))
+    elif term.op == "not":
         w = namer.vector()
         rhs = ("forall", (
             _components(w, n),
-            ("implies", (_kernel(y, w, n), _hermitian_dot_zero(v, w, n))),
+            ("implies", (_kernel(term.a.a, w, n), _hermitian_dot_zero(v, w, n))),
         ))
-    elif d.kind == "join":
-        y, z = d.operands
+    else:  # join
+        y, z = term.a.a, term.b.a
         g = namer.group()
         vecs = [f"w!{g}.{i}" for i in range(1, n + 1)]
         scalars = [f"r!{g}.{i}" for i in range(1, n + 1)]
-        bound = tuple(
-            c for vec in vecs for c in _components(vec, n)
-        ) + tuple(scalars)
+        bound = tuple(c for vec in vecs for c in _components(vec, n)) + tuple(scalars)
         in_either = tuple(
             ("or", (_kernel(y, vec, n), _kernel(z, vec, n))) for vec in vecs
         )
@@ -377,14 +349,6 @@ def _encode_definition(d: Definition, n: int, namer: _Namer) -> Node:
             for j in range(1, n + 1)
         )
         rhs = ("exists", (bound, ("and", in_either + combination)))
-    elif d.kind == "top":
-        return ("forall", (_components(v, n), member))
-    elif d.kind == "bot":
-        return ("forall", (
-            _components(v, n), ("implies", (member, _vec_is_zero(v, n)))
-        ))
-    else:
-        raise CompileError(f"unknown definition kind {d.kind!r}")
     return ("forall", (_components(v, n), ("iff", (member, rhs))))
 
 
@@ -403,35 +367,31 @@ def _encode_atom(atom: S.Sentence, n: int, namer: _Namer) -> Node:
     return ("forall", (_components(v, n), body))
 
 
-def _encode_matrix(s: S.Sentence, n: int, namer: _Namer) -> Node:
-    """Each atom of a flat matrix as its vector statement; the
-    connectives keep their ops."""
-
-    def visit(node: S.Sentence, kids: list) -> Node:
-        op = node[0]
-        if op == "eq":
-            return _encode_atom(node, n, namer)
-        if op not in _CONNECTIVES:
-            raise CompileError(f"unexpected {op!r} in a flat matrix")
-        return (op, tuple(kids))
-
-    return S.fold(s, visit)
-
-
 def encode_kernels(flat: FlatSentence, n: int) -> Node:
     """Stage two: one n x n matrix of complex variables per lattice
-    variable, definitions and atoms expanded per their schemas."""
+    variable, one block per name; definitions and atoms expanded per
+    their schemas, and a chain of conjunctions as one ``and``."""
     if n < 1:
         raise CompileError("matrix dimension must be at least 1")
     namer = _Namer()
-    hypotheses = tuple(
-        _encode_definition(d, n, namer) for d in flat.definitions
-    )
-    conclusion = _encode_matrix(flat.conclusion, n, namer)
-    body = ("implies", (("and", hypotheses), conclusion)) if hypotheses else conclusion
-    for kind, name in reversed(flat.prefix):
-        body = (kind, (_matrix_entries(name, n), body))
-    return body
+
+    def visit(node: S.Sentence, kids: list) -> Node:
+        op, args = node
+        if op in S.QUANTIFIERS:
+            body = kids[0]
+            for name in reversed(args[0]):
+                body = (op, (_matrix_entries(name, n), body))
+            return body
+        if op == "eq":
+            lhs, rhs = args
+            if rhs.op in ("meet", "join", "not"):
+                return _encode_definition(lhs.a, rhs, n, namer)
+            return _encode_atom(node, n, namer)
+        if op == "and" and kids[0][0] == "and":
+            return ("and", kids[0][1] + (kids[1],))
+        return (op, tuple(kids))
+
+    return S.fold(flat.to_sentence(), visit)
 
 
 # --- stage 3: realification -------------------------------------------------

@@ -11,7 +11,6 @@ import pytest
 
 from qlattice import checker, cli
 from qlattice.cli import main
-from qlattice.compiler import MAX_IFF_QUANTIFIERS
 from qlattice.fixtures import (
     format_assignment_fixture,
     parse_assignment_fixture,
@@ -261,6 +260,8 @@ def test_suite_all_passes_coeff_bound(capsys):
     pytest.param(["suite", "lemma2", "--samples", "0"], id="suite-samples-zero"),
     pytest.param(["suite", "separation", "--max-i", "-1"], id="suite-max-i-negative"),
     pytest.param(["check", "p = p", "--ambient", "2", "--samples", "-1"], id="check-samples-negative"),
+    pytest.param(["check", "p = p", "--ambient", "0"], id="check-ambient-zero"),
+    pytest.param(["check", "p = p", "--ambient", "-3"], id="check-ambient-negative"),
     pytest.param(
         ["check", "p ^ q = q ^ p", "--ambient", "2", "--coeff-bound", "0"],
         id="check-coeff-bound-zero",
@@ -323,8 +324,23 @@ def test_compile_refutation_form(capsys, tmp_path):
 
 
 def test_compile_rejects_n_zero(capsys):
-    code, _, err = run(capsys, "compile", str(DATA / "worked_example.sent"), "--n", "0")
-    assert code == 4
+    code, out, err = run(capsys, "compile", str(DATA / "worked_example.sent"), "--n", "0")
+    assert code == 2 and out == ""
+    assert "--n must be at least 1, got 0" in err
+
+
+@pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
+def test_compile_rejects_non_positive_timeout(capsys, monkeypatch, timeout):
+    def unrun(*args, **kwargs):
+        raise AssertionError("the solver was run")
+
+    monkeypatch.setattr(cli, "run_external_solver", unrun)
+    code, out, err = run(
+        capsys, "compile", str(DATA / "worked_example.sent"), "--n", "1",
+        "--solve", "--timeout", timeout,
+    )
+    assert code == 2 and out == ""
+    assert f"--timeout must be a positive number of seconds, got {float(timeout):g}" in err
 
 
 def test_compile_bad_sentence_is_parse_error(capsys, tmp_path):
@@ -436,23 +452,22 @@ def test_long_connective_chains_compile(capsys, tmp_path, op):
 
 
 def _iff_chain(atoms: int) -> str:
-    # each '<->' above the quantifier doubles the quantifiers it expands to
     return "forall y. ((forall x. x = 0) <-> " + " <-> ".join(["y = y"] * atoms) + ")"
 
 
-def test_quantified_iff_expansion_is_bounded(capsys, tmp_path):
+@pytest.mark.parametrize("atoms", [9, 12])
+def test_quantified_iff_chain_compiles_in_place(capsys, tmp_path, atoms):
+    # the quantifier stays under '<->', so the text grows linearly in the chain
     src = tmp_path / "iff.sent"
-    src.write_text(_iff_chain(8))  # expands to MAX_IFF_QUANTIFIERS quantifiers
+    src.write_text(_iff_chain(atoms))
     out_path = tmp_path / "iff.smt2"
-    code, out, err = run(capsys, "compile", str(src), "--n", "1", "--out", str(out_path))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compile", str(src), "--n", "4", "--out", str(out_path))
+    assert time.perf_counter() - start < 1
     assert code == 0, err
-    for atoms in (9, 12):
-        src.write_text(_iff_chain(atoms))
-        start = time.perf_counter()
-        code, out, err = run(capsys, "compile", str(src), "--n", "1")
-        assert time.perf_counter() - start < 1
-        assert code == 4 and out == ""
-        assert f"more than {MAX_IFF_QUANTIFIERS} quantifiers" in err
+    text = out_path.read_text()
+    assert len(text.encode()) <= 64_000
+    check_solver_text(text)
 
 
 def test_oversized_ambient_is_refused(capsys, tmp_path):

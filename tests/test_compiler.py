@@ -1,8 +1,11 @@
 """Flattening, kernel encoding, realification, emission, solver plumbing."""
 
-import os
+import json
+import random
 import stat
+from collections import defaultdict
 from fractions import Fraction
+from hashlib import blake2b
 from pathlib import Path
 
 import pytest
@@ -32,7 +35,7 @@ from qlattice.formulas import (
     orthomodular_law,
     separation_equation,
 )
-from qlattice.linalg import Matrix
+from qlattice.linalg import GaussianRational, Matrix
 from qlattice.sentences import (
     eval_sentence,
     format_sentence,
@@ -44,6 +47,7 @@ from qlattice.subspaces import Subspace, join, random_subspace
 from qlattice.terms import BOT, Var
 
 GOLDEN = Path(__file__).parent / "golden"
+DATA = Path(__file__).parent / "data"
 
 WORKED = "forall x, y, z. ~(x ^ y) v z = y ^ (~z v x)"
 
@@ -119,24 +123,44 @@ def test_flatten_avoids_captured_fresh_names():
     assert flat.fresh == ("t2",)
 
 
-def test_prenex_flips_under_negation():
+def test_quantifiers_stay_in_place():
     flat = flatten(parse_sentence("!(exists x. x = 0)"))
-    assert flat.prefix == (("forall", "x"),)
-
-
-def test_prenex_implication_antecedent():
-    flat = flatten(parse_sentence("(forall x. x = 0) -> (exists y. y = 1)"))
-    assert flat.prefix == (("exists", "x"), ("exists", "y"))
+    assert flat.prefix == ()
+    assert flat.to_sentence() == ("not", (("exists", (("x",), ("eq", (Var("x"), BOT)))),))
 
 
 def test_quantified_iff_is_expanded():
+    # the biconditional stays whole, its operands keep their quantifiers
     s = parse_sentence("(forall x. x = 0) <-> (forall y. y = 0)")
     flat = flatten(s)
-    kinds = [kind for kind, _ in flat.prefix]
-    assert kinds == ["exists", "forall", "exists", "forall"]
+    assert flat.to_sentence() == s
     dom = coordinate_family(2, 0)
     assert eval_flat(flat, dom, 2) == eval_sentence(s, dom, 2)
 
+
+def test_inner_scopes_are_flattened_in_place():
+    s = parse_sentence("forall x. exists y. x ^ y = 0 & (forall z. z v x = z)")
+    flat = flatten(s)
+    assert flat.prefix == (("forall", "x"), ("exists", "y"))
+    assert flat.definitions == ()
+    assert flat.fresh == ("t1", "t2")
+    assert format_sentence(flat.conclusion) == (
+        "(forall t2. t2 = x ^ y -> t2 = 0) & (forall z, t1. t1 = z v x -> t1 = z)"
+    )
+
+
+# quantifiers below the leading run, each scope flattened in place
+_MIXED_SCOPES = [parse_sentence(text) for text in (
+    "forall x. exists y. (x ^ y = 0 & forall z. z ^ x <= y v z)",
+    "forall x. (exists y. ~y = x ^ y) -> x v ~x = 1",
+    "exists x. !(forall y. (y ^ x) v ~y = x) | x ^ ~x = 0",
+    "forall x. (x v 0 = x <-> exists y. ~(x ^ y) = ~x v ~y)",
+    "forall x, y. x ^ y = y ^ x & !(exists z. ~z = z v (x ^ y))",
+    # false at ambient 1 and true above it
+    "exists y. (!(y = 0) & !(y = 1) & forall z. z ^ y = 0 | z ^ y = y)",
+    # true at ambient 1 and false above it
+    "forall x. (x = 0 | x = 1) <-> !(exists y. !(y = 0) & y <= x & !(y = x))",
+)]
 
 _CORPUS = [
     parse_sentence(WORKED),
@@ -147,7 +171,14 @@ _CORPUS = [
     universal_closure(separation_equation(0)),
     parse_sentence("exists p. !(p = 0) & p <= 1"),
     parse_sentence("forall p. p = 0 | (exists q. q <= p & !(q = 0))"),
-]
+] + _MIXED_SCOPES
+
+
+@pytest.mark.parametrize("s", _MIXED_SCOPES, ids=range(len(_MIXED_SCOPES)))
+def test_eval_flat_agrees_on_mixed_scopes_in_three_dimensions(s):
+    # ambients 1 and 2 run with the rest of _CORPUS below
+    dom = coordinate_family(3, 1)
+    assert eval_flat(flatten(s), dom, 3) == eval_sentence(s, dom, 3)
 
 
 @pytest.mark.parametrize("s", _CORPUS, ids=range(len(_CORPUS)))
@@ -226,6 +257,76 @@ def test_stats_count_the_printed_equations(n):
         assert stats(r).equations == emit_solver_text(r).count("(= ")
 
 
+def _complex_value(e, env):
+    op, args = e
+    if op == "var":
+        return env[args[0]]
+    if op == "const":
+        return GaussianRational(*args)
+    if op == "conj":
+        return _complex_value(args[0], env).conjugate()
+    if op == "mul":
+        return _complex_value(args[0], env) * _complex_value(args[1], env)
+    assert op == "add", op
+    return sum((_complex_value(a, env) for a in args), GaussianRational(0))
+
+
+def _real_value(e, env):
+    op, args = e
+    if op == "var":
+        name, part = args[0].rsplit(".", 1)
+        return getattr(env[name], part)
+    if op == "const":
+        (value,) = args
+        return value
+    if op == "neg":
+        return -_real_value(args[0], env)
+    if op == "mul":
+        return _real_value(args[0], env) * _real_value(args[1], env)
+    assert op == "add", op
+    return sum((_real_value(a, env) for a in args), Fraction(0))
+
+
+def _check_realification(c, r, rng):
+    """Walk a complex formula and its realification in step; at random
+    Gaussian-rational values, each complex equation side must equal the
+    real and imaginary parts of its real pair."""
+    env = defaultdict(lambda: GaussianRational(
+        Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+        Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+    ))
+    equations = 0
+    todo = [(c, r)]
+    while todo:
+        (op, args), (r_op, r_args) = todo.pop()
+        if op == "eq":
+            assert r_op == "and" and len(r_args) == 2
+            (re_op, re_sides), (im_op, im_sides) = r_args
+            assert re_op == im_op == "eq"
+            for side, re, im in zip(args, re_sides, im_sides):
+                value = _complex_value(side, env)
+                assert value.re == _real_value(re, env)
+                assert value.im == _real_value(im, env)
+            equations += 1
+        elif op in ("forall", "exists"):
+            names, body = args
+            assert r_op == op
+            assert r_args[0] == tuple(f"{v}.{p}" for v in names for p in ("re", "im"))
+            todo.append((body, r_args[1]))
+        else:
+            assert r_op == op and len(r_args) == len(args)
+            todo += zip(args, r_args)
+    return equations
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_realification_preserves_complex_values(n):
+    rng = random.Random(n)
+    for s in _CORPUS:
+        c = encode_kernels(flatten(s), n)
+        assert _check_realification(c, complex_to_real(c), rng) > 0
+
+
 def test_emitted_text_matches_golden_files():
     worked = emit_solver_text(compile_sentence(parse_sentence(WORKED), 2))
     assert worked == (GOLDEN / "worked-example-n2.smt2").read_text()
@@ -233,6 +334,24 @@ def test_emitted_text_matches_golden_files():
         compile_sentence(universal_closure(distributive_law()), 1)
     )
     assert distrib == (GOLDEN / "distributive-n1.smt2").read_text()
+
+
+def _compile_digests() -> dict[str, str]:
+    """blake2b of the solver text of every catalogue closure and of the
+    worked example at n = 1..4.  ``tests/golden/compile-digests.json``
+    holds the output of ``json.dumps(_compile_digests(), indent=2)``."""
+    sources = {name: universal_closure(eq) for name, eq in named_equations().items()}
+    sources["worked-example"] = parse_sentence((DATA / "worked_example.sent").read_text())
+    digests = {}
+    for name, s in sources.items():
+        for n in (1, 2, 3, 4):
+            text = emit_solver_text(compile_sentence(s, n))
+            digests[f"{name} n={n}"] = blake2b(text.encode(), digest_size=32).hexdigest()
+    return digests
+
+
+def test_emitted_text_matches_golden_digests():
+    assert _compile_digests() == json.loads((GOLDEN / "compile-digests.json").read_text())
 
 
 @pytest.mark.parametrize("form", ["validity", "refutation"])
