@@ -12,8 +12,9 @@ lattice of C^n:
    names of every scope, at any depth.
 2. ``encode_kernels``: read each lattice variable as the kernel of an
    n x n complex matrix and expand the flat atoms into quantified
-   statements about vectors (membership, orthogonality, and the span
-   written as n-term linear combinations).
+   statements about vectors: membership, orthogonality, and the join
+   as the sum of two member vectors, since y v z = y + z in finite
+   dimension.  Nested quantifiers of one kind share one binder block.
 3. ``complex_to_real``: split every complex quantity into a real pair,
    leaving a sentence in quantified nonlinear real arithmetic.
 
@@ -34,10 +35,11 @@ in the emitter, its own explicit stack, so no sentence or formula is too
 deep for them; expressions are at most three levels deep and are walked
 recursively.
 
-``emit_solver_text`` renders the result as SMT-LIB v2.  Truth of the
-source over L(C^n) is equivalent to validity of the output over the
-reals; deciding that validity is delegated to an external solver and is
-never needed to build or test this module.
+``emit_solver_text`` renders the result as SMT-LIB v2, one formula node
+per line and without indentation, so the text is linear in the size of
+the formula.  Truth of the source over L(C^n) is equivalent to validity
+of the output over the reals; deciding that validity is delegated to an
+external solver and is never needed to build or test this module.
 
 Stage one is independently checkable without any solver: a flat
 sentence's fresh variables are pinned by their defining atoms, so
@@ -245,8 +247,6 @@ def eval_flat(flat: FlatSentence, domain: Iterable[Subspace], ambient: int) -> b
 # produce in identifiers, so they never collide with source variables:
 #   x.i.j     entry (i, j) of the matrix whose kernel is lattice var x
 #   v!k.j     component j of the k-th quantified vector
-#   w!g.i.j   component j of the i-th combination vector of join group g
-#   r!g.i     the i-th combination scalar of join group g
 
 
 _ZERO = ("const", (Fraction(0), Fraction(0)))
@@ -261,15 +261,10 @@ def _var(name: str) -> Node:
 class _Namer:
     def __init__(self) -> None:
         self.vectors = 0
-        self.groups = 0
 
     def vector(self) -> str:
         self.vectors += 1
         return f"v!{self.vectors}"
-
-    def group(self) -> int:
-        self.groups += 1
-        return self.groups
 
 
 def _components(vec: str, n: int) -> tuple[str, ...]:
@@ -329,26 +324,16 @@ def _encode_definition(name: str, term: Term, n: int, namer: _Namer) -> Node:
             _components(w, n),
             ("implies", (_kernel(term.a.a, w, n), _hermitian_dot_zero(v, w, n))),
         ))
-    else:  # join
-        y, z = term.a.a, term.b.a
-        g = namer.group()
-        vecs = [f"w!{g}.{i}" for i in range(1, n + 1)]
-        scalars = [f"r!{g}.{i}" for i in range(1, n + 1)]
-        bound = tuple(c for vec in vecs for c in _components(vec, n)) + tuple(scalars)
-        in_either = tuple(
-            ("or", (_kernel(y, vec, n), _kernel(z, vec, n))) for vec in vecs
-        )
-        combination = tuple(
-            ("eq", (
-                _var(f"{v}.{j}"),
-                ("add", tuple(
-                    ("mul", (_var(scalars[i]), _var(f"{vecs[i]}.{j}")))
-                    for i in range(n)
-                )),
-            ))
+    else:  # join: y v z = y + z in finite dimension
+        a, b = namer.vector(), namer.vector()
+        total = tuple(
+            ("eq", (_var(f"{v}.{j}"), ("add", (_var(f"{a}.{j}"), _var(f"{b}.{j}")))))
             for j in range(1, n + 1)
         )
-        rhs = ("exists", (bound, ("and", in_either + combination)))
+        rhs = ("exists", (
+            _components(a, n) + _components(b, n),
+            ("and", (_kernel(term.a.a, a, n), _kernel(term.b.a, b, n)) + total),
+        ))
     return ("forall", (_components(v, n), ("iff", (member, rhs))))
 
 
@@ -369,29 +354,39 @@ def _encode_atom(atom: S.Sentence, n: int, namer: _Namer) -> Node:
 
 def encode_kernels(flat: FlatSentence, n: int) -> Node:
     """Stage two: one n x n matrix of complex variables per lattice
-    variable, one block per name; definitions and atoms expanded per
-    their schemas, and a chain of conjunctions as one ``and``."""
+    variable, one binder block per run of quantifiers of one kind;
+    definitions and atoms expanded per their schemas, and a chain of
+    conjunctions as one ``and``."""
     if n < 1:
         raise CompileError("matrix dimension must be at least 1")
     namer = _Namer()
 
+    def close(f: Node) -> Node:
+        # a conjunction chain collects its operands in a list until a
+        # node other than the next ``and`` of the chain takes it
+        return ("and", tuple(f[1])) if f[0] == "and" else f
+
     def visit(node: S.Sentence, kids: list) -> Node:
         op, args = node
+        if op == "and" and kids[0][0] == "and":
+            kids[0][1].append(close(kids[1]))
+            return kids[0]
+        kids = [close(k) for k in kids]
         if op in S.QUANTIFIERS:
+            names = tuple(e for name in args[0] for e in _matrix_entries(name, n))
             body = kids[0]
-            for name in reversed(args[0]):
-                body = (op, (_matrix_entries(name, n), body))
-            return body
+            if body[0] == op:
+                names += body[1][0]
+                body = body[1][1]
+            return (op, (names, body))
         if op == "eq":
             lhs, rhs = args
             if rhs.op in ("meet", "join", "not"):
                 return _encode_definition(lhs.a, rhs, n, namer)
             return _encode_atom(node, n, namer)
-        if op == "and" and kids[0][0] == "and":
-            return ("and", kids[0][1] + (kids[1],))
-        return (op, tuple(kids))
+        return (op, kids if op == "and" else tuple(kids))
 
-    return S.fold(flat.to_sentence(), visit)
+    return close(S.fold(flat.to_sentence(), visit))
 
 
 # --- stage 3: realification -------------------------------------------------
@@ -491,36 +486,34 @@ def _fmt_expr(e: Node) -> str:
     return f"({_EXPR_WORDS[op]} " + " ".join(_fmt_expr(a) for a in args) + ")"
 
 
-def _fmt_formula(f: Node, indent: int) -> str:
+def _fmt_formula(f: Node) -> str:
     out: list[str] = []
-    todo: list = [(f, indent)]  # (node, indent) pairs and literal text
+    todo: list = [f]  # nodes and literal text
     while todo:
-        item = todo.pop()
-        if type(item) is str:
-            out.append(item)
+        node = todo.pop()
+        if type(node) is str:
+            out.append(node)
             continue
-        node, indent = item
         op, args = node
-        pad = " " * indent
         if op == "eq":
-            out.append(f"{pad}(= {_fmt_expr(args[0])} {_fmt_expr(args[1])})")
+            out.append(f"(= {_fmt_expr(args[0])} {_fmt_expr(args[1])})")
         elif op in S.QUANTIFIERS:
             binders = " ".join(f"({name} Real)" for name in args[0])
-            out.append(f"{pad}({op} ({binders})\n")
-            todo += (")", (args[1], indent + 2))
+            out.append(f"({op} ({binders})\n")
+            todo += (")", args[1])
         elif op in _EMPTY_WORDS and len(args) < 2:
             # an empty conjunction or disjunction is a constant, and a
             # single operand prints without the connective
             if args:
-                todo.append((args[0], indent))
+                todo.append(args[0])
             else:
-                out.append(pad + _EMPTY_WORDS[op])
+                out.append(_EMPTY_WORDS[op])
         elif op in _CONNECTIVES:
-            out.append(f"{pad}({_CONNECTIVES[op]}\n")
+            out.append(f"({_CONNECTIVES[op]}\n")
             todo.append(")")
             for a in reversed(args[1:]):
-                todo += ((a, indent + 2), "\n")
-            todo.append((args[0], indent + 2))
+                todo += (a, "\n")
+            todo.append(args[0])
         else:
             raise CompileError(f"not a real formula: {node!r}")
     return "".join(out)
@@ -538,7 +531,7 @@ def emit_solver_text(r: Node, form: str = "validity") -> str:
     lines = [
         "(set-logic NRA)",
         "(assert (not",
-        _fmt_formula(r, 2) + "))",
+        _fmt_formula(r) + "))",
         "(check-sat)",
     ]
     if form == "refutation":
@@ -609,12 +602,8 @@ def run_external_solver(
 
 
 def stats(r: Node) -> CompileStats:
-    top = 0
-    node = r
-    if r[0] in S.QUANTIFIERS:
-        while node[0] == r[0]:
-            names, node = node[1]
-            top += len(names)
+    # encode_kernels merges each run of one quantifier kind into one block
+    top = len(r[1][0]) if r[0] in S.QUANTIFIERS else 0
     blocks = 0
     equations = 0
     todo = [r]

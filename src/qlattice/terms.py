@@ -189,8 +189,6 @@ _SINGLE = {
     ",": "COMMA",
 }
 
-RESERVED_WORDS = frozenset(_KEYWORDS)
-
 
 def tokenize(src: str) -> list[Token]:
     tokens: list[Token] = []
@@ -450,15 +448,6 @@ def format_term(t: Term) -> str:
 def free_vars(t: Term) -> frozenset[str]:
     """Variable names occurring in `t`; linear in the number of distinct subterms."""
     return frozenset(a for op, a, _ in Program((t,)).code if op == "var")
-
-
-def to_nnf(t: Term) -> Term:
-    """Negation normal form: ``~`` applies to variables only.
-
-    Double negations cancel, De Morgan pushes ``~`` through ``^`` and ``v``,
-    and negated constants collapse (``~1`` to ``0``, ``~0`` to ``1``).
-    """
-    return _nnf(t, lambda literal: literal)
 
 
 def restrict(t: Term, bound: Term) -> Term:

@@ -419,6 +419,9 @@ def test_compile_long_chain(capsys, tmp_path):
     assert code == 0, err
     assert "2000 top-level real variables" in out
     assert out_path.read_text().startswith("(set-logic NRA)")
+    # the text is linear in the chain: 681,782 bytes, where indenting
+    # every nested block wrote 36 MB
+    assert out_path.stat().st_size < 1_000_000
 
 
 def _chain(op: str, atoms: int) -> str:
@@ -442,6 +445,7 @@ def test_long_connective_chains_compile(capsys, tmp_path, op):
     code, out, err = run(capsys, "compile", str(src), "--n", "1", "--out", str(out_path))
     assert code == 0, err
     assert "2001 quantifier blocks" in out  # one per atom, one for x
+    assert out_path.stat().st_size < 1_000_000  # about 0.62 MB
     # the deepest sentence allowed: a chain inside MAX_NESTING levels of
     # binder, '!' and parentheses
     bangs = "!" * (MAX_NESTING - 2)

@@ -16,6 +16,8 @@ from qlattice.checker import coordinate_family
 from qlattice.compiler import (
     CompileError,
     Definition,
+    _encode_definition,
+    _Namer,
     SolverResult,
     compile_sentence,
     complex_to_real,
@@ -35,7 +37,7 @@ from qlattice.formulas import (
     orthomodular_law,
     separation_equation,
 )
-from qlattice.linalg import GaussianRational, Matrix
+from qlattice.linalg import GaussianRational, _reduce_int_rows, _row_from_fracs
 from qlattice.sentences import (
     eval_sentence,
     format_sentence,
@@ -43,8 +45,8 @@ from qlattice.sentences import (
     universal_closure,
 )
 from qlattice.smtlib import check_solver_text
-from qlattice.subspaces import Subspace, join, random_subspace
-from qlattice.terms import BOT, Var
+from qlattice.subspaces import Subspace, complement, join, leq, random_subspace
+from qlattice.terms import BOT, Join, Var
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
@@ -215,7 +217,8 @@ def test_realification_doubles_quantifiers():
     c = encode_kernels(flat, 3)
     op, (names, _) = complex_to_real(c)
     assert op == "forall"
-    assert len(names) == 2 * 9
+    # the atom's forall v shares the block of forall x
+    assert len(names) == 2 * (9 + 3)
     assert names[0] == "x.1.1.re"
     assert names[1] == "x.1.1.im"
 
@@ -378,27 +381,94 @@ def test_encode_rejects_bad_dimension():
         encode_kernels(flatten(parse_sentence("forall x. x = x")), 0)
 
 
+def _affine(e, env, bound):
+    """An expression at the values in `env` of its free names, as
+    ({bound name: coefficient}, constant); it must be affine in the
+    bound names."""
+    op, args = e
+    if op == "var":
+        if args[0] in bound:
+            return {args[0]: GaussianRational(1)}, GaussianRational(0)
+        return {}, env[args[0]]
+    if op == "const":
+        return {}, GaussianRational(*args)
+    if op == "conj":
+        coeffs, c = _affine(args[0], env, bound)
+        assert not coeffs, "conjugate of a bound variable"
+        return {}, c.conjugate()
+    if op == "mul":
+        (ca, a), (cb, b) = (_affine(x, env, bound) for x in args)
+        assert not (ca and cb), "product of two bound variables"
+        return {k: c * b for k, c in ca.items()} | {k: c * a for k, c in cb.items()}, a * b
+    assert op == "add", op
+    coeffs = defaultdict(lambda: GaussianRational(0))
+    total = GaussianRational(0)
+    for x in args:
+        cx, c = _affine(x, env, bound)
+        for k, v in cx.items():
+            coeffs[k] = coeffs[k] + v
+        total = total + c
+    return dict(coeffs), total
+
+
+def _exists_holds(block, env) -> bool:
+    """Decide ``exists bound. (conjunction of equations)`` at the values
+    in `env`: the equations are linear in the bound names, so a solution
+    exists iff the right-hand side column is not a pivot column of the
+    augmented system."""
+    op, (bound, body) = block
+    assert op == "exists"
+    rows = []
+    todo = [body]
+    while todo:
+        f_op, f_args = todo.pop()
+        if f_op == "and":
+            todo += f_args
+            continue
+        assert f_op == "eq", f_op
+        (cl, l), (cr, r) = (_affine(side, env, bound) for side in f_args)
+        row = [cl.get(k, GaussianRational(0)) - cr.get(k, GaussianRational(0)) for k in bound]
+        row.append(r - l)
+        rows.append(_row_from_fracs(part for z in row for part in (z.re, z.im)))
+    _, pivots = _reduce_int_rows(rows, len(bound) + 1)
+    return len(bound) not in pivots
+
+
+def _gaussian_vector(int_row):
+    return [GaussianRational(re, im) for re, im in zip(int_row[::2], int_row[1::2])]
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000))
-def test_join_is_span_of_member_vectors(seed):
-    # the join schema encodes: v is in y v z iff v is a combination of
-    # vectors each lying in y or z; exact rank arithmetic says the same
-    y = random_subspace(2, seed % 3, seed)
-    z = random_subspace(2, (seed + 1) % 3, seed + 1)
+@given(st.integers(1, 3), st.integers(0, 10_000))
+def test_join_is_span_of_member_vectors(n, seed):
+    # the join block that the compiler emits, with each matrix set to the
+    # conjugated complement basis of a random subspace (so its kernel is
+    # that subspace), must hold at a probe v exactly when v lies in y v z
+    rng = random.Random(seed)
+    y = random_subspace(n, rng.randint(0, n), seed)
+    z = random_subspace(n, rng.randint(0, n), seed + 1)
+    env = {}
+    for name, sub in (("y", y), ("z", z)):
+        rows = [[e.conjugate() for e in row] for row in complement(sub).basis.entries]
+        rows += [[GaussianRational(0)] * n] * (n - len(rows))
+        for i, row in enumerate(rows, 1):
+            for j, e in enumerate(row, 1):
+                env[f"{name}.{i}.{j}"] = e
+    op, (v, (iff, (_, exists))) = _encode_definition("t", Join(Var("y"), Var("z")), n, _Namer())
+    assert (op, iff) == ("forall", "iff")
+    assert len(exists[1][0]) == 2 * n  # 4n reals once realified
     j = join(y, z)
-    stacked = list(y.basis.entries) + list(z.basis.entries)
-    for probe in (
-        [1, 0], [0, 1], [1, 1], [1, -2],
-    ):
-        v = Subspace.line(2, probe)
-        in_join = (v | j) == j
-        if stacked:
-            base_rank = Subspace.from_spanning(Matrix.from_rows(stacked, 2)).dim
-            grown = Matrix.from_rows(stacked + [list(v.basis.entries[0])], 2)
-            grown_rank = Subspace.from_spanning(grown).dim
-            assert in_join == (grown_rank == base_rank)
-        else:
-            assert not in_join
+    # probes in y, in z, in both spans together, and anywhere
+    for sources in ((y,), (z,), (y, z), (Subspace.full(n),)):
+        probe = [GaussianRational(0)] * n
+        for sub in sources:
+            for row in sub._rows:  # Gaussian-integer spanning rows
+                c = GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+                probe = [p + c * e for p, e in zip(probe, _gaussian_vector(row))]
+        point = dict(env)
+        point.update(zip(v, probe))
+        expected = leq(Subspace.line(n, probe), j)
+        assert _exists_holds(exists, point) == expected
 
 
 def _fake_solver(tmp_path, body: str) -> tuple[str, ...]:

@@ -29,6 +29,7 @@ from qlattice.terms import (
     Program,
     UnboundVariableError,
     Var,
+    _nnf,
     evaluate,
     format_term,
     free_vars,
@@ -37,10 +38,15 @@ from qlattice.terms import (
     parse_term,
     restrict,
     substitute,
-    to_nnf,
 )
 
 p, q, r = Var("p"), Var("q"), Var("r")
+
+
+def to_nnf(t):
+    """Negation normal form: ``_nnf`` with every literal kept as it is."""
+    return _nnf(t, lambda literal: literal)
+
 
 names = st.sampled_from(["p", "q", "r", "s"])
 terms = st.recursive(
