@@ -1,7 +1,13 @@
 """The lattice of linear subspaces of complex n-space.
 
-A :class:`Subspace` holds a canonical reduced-echelon basis, so two
-subspaces are equal as sets exactly when their representations are equal.
+A :class:`Subspace` holds a canonical reduced-echelon basis, and every
+subspace is interned: ``Subspace._make`` returns the one live object for
+each ``(ambient, rows)`` through a module-level weak-value table.  Two
+subspaces are therefore equal as sets exactly when they are the same
+object, so equality and hashing are identity, done in C.  The table keeps
+no subspace alive; copying returns the object itself, and unpickling
+rebuilds through the table.
+
 Lattice operations: ``meet`` is intersection, ``join`` is linear span,
 ``complement`` is the orthogonal complement under the Hermitian inner
 product (conjugate-linear in the first argument).
@@ -11,10 +17,10 @@ The production ``meet`` intersects constraint matrices directly;
 cross-checking, never called by the evaluator.
 
 Because the form is canonical, the result of ``meet`` or ``join`` depends
-only on the operands' canonical rows.  Both therefore consult one
-module-level memo keyed on ``(op, p, q)``, after their shortcuts and
-before any elimination; equal operands built separately hit it too.  The
-memo holds at most ``_MEMO_LIMIT`` entries and is cleared when full.
+only on its operands.  Both therefore look first in one module-level memo
+keyed on ``(op, p, q)``; only a miss tests the ambients, which a hit need
+not do because an entry is only written after that test passed.  The memo
+holds at most ``_MEMO_LIMIT`` entries and is cleared when full.
 ``meet_via_demorgan`` never reads or writes the meet entries, so
 certification stays independent of the memoised ``meet``.
 """
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 from random import Random
 from typing import Sequence
+from weakref import WeakValueDictionary
 
 from .linalg import (
     Matrix,
@@ -42,6 +49,8 @@ _MEMO_LIMIT = 1024
 _MEET = "meet"
 _JOIN = "join"
 _memo: dict[tuple[str, "Subspace", "Subspace"], "Subspace"] = {}
+# The one live Subspace for each (ambient, canonical rows).
+_interned: WeakValueDictionary[tuple[int, tuple], "Subspace"] = WeakValueDictionary()
 
 
 class AmbientMismatch(ValueError):
@@ -52,25 +61,41 @@ class Subspace:
     """A linear subspace of complex `ambient`-space.
 
     Internally the canonical basis is kept as primitive Gaussian-integer
-    rows (interleaved re/im), which makes equality, hashing and further
-    elimination cheap; the Fraction-level basis matrix is materialised on
-    first access.
+    rows (interleaved re/im), which keep further elimination cheap; the
+    Fraction-level basis matrix is materialised on first access.  Each
+    value has one live object, so ``==`` and ``hash`` are identity, and
+    the ``basis`` and complement caches are shared by every use of it.
     """
 
-    __slots__ = ("ambient", "_rows", "_basis", "_complement", "_hash")
+    __slots__ = ("ambient", "_rows", "_basis", "_complement", "__weakref__")
 
     def __init__(self) -> None:
         raise TypeError("use Subspace.zero/full/from_spanning")
 
     @classmethod
     def _make(cls, ambient: int, int_rows: Sequence[Sequence[int]]) -> "Subspace":
-        self = object.__new__(cls)
-        self.ambient = ambient
-        self._rows = tuple(tuple(r) for r in int_rows)
-        self._basis = None
-        self._complement = None
-        self._hash = None
+        """The interned subspace with these canonical rows."""
+        rows = tuple(tuple(r) for r in int_rows)
+        key = (ambient, rows)
+        self = _interned.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.ambient = ambient
+            self._rows = rows
+            self._basis = None
+            self._complement = None
+            _interned[key] = self
         return self
+
+    # Copies and unpickled values must stay the interned object.
+    def __copy__(self) -> "Subspace":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "Subspace":
+        return self
+
+    def __reduce__(self) -> tuple:
+        return (Subspace._make, (self.ambient, self._rows))
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -126,19 +151,6 @@ class Subspace:
     def is_full(self) -> bool:
         return len(self._rows) == self.ambient
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        if self is other:
-            return True
-        return self.ambient == other.ambient and self._rows == other._rows
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.ambient, self._rows))
-        return h
-
     def __repr__(self) -> str:
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
 
@@ -156,11 +168,10 @@ class Subspace:
         return leq(self, other)
 
 
-def _check_ambient(p: Subspace, q: Subspace) -> None:
-    if p.ambient != q.ambient:
-        raise AmbientMismatch(
-            f"subspaces live in different ambients: {p.ambient} and {q.ambient}"
-        )
+def _mismatch(p: Subspace, q: Subspace) -> AmbientMismatch:
+    return AmbientMismatch(
+        f"subspaces live in different ambients: {p.ambient} and {q.ambient}"
+    )
 
 
 def _remember(key: tuple[str, Subspace, Subspace], value: Subspace) -> Subspace:
@@ -172,15 +183,16 @@ def _remember(key: tuple[str, Subspace, Subspace], value: Subspace) -> Subspace:
 
 def join(p: Subspace, q: Subspace) -> Subspace:
     """Smallest subspace containing both: the span of the union."""
-    _check_ambient(p, q)
-    if not p._rows:
-        return q
-    if not q._rows:
-        return p
     key = (_JOIN, p, q)
     hit = _memo.get(key)
     if hit is not None:
         return hit
+    if p.ambient != q.ambient:
+        raise _mismatch(p, q)
+    if not p._rows:
+        return q
+    if not q._rows:
+        return p
     red, _ = _reduce_int_rows(p._rows + q._rows, p.ambient)
     return _remember(key, Subspace._make(p.ambient, red))
 
@@ -204,7 +216,12 @@ def _constraint_rows(p: Subspace) -> list[list[int]]:
 
 def meet(p: Subspace, q: Subspace) -> Subspace:
     """Intersection, computed as the kernel of stacked constraint rows."""
-    _check_ambient(p, q)
+    key = (_MEET, p, q)
+    hit = _memo.get(key)
+    if hit is not None:
+        return hit
+    if p.ambient != q.ambient:
+        raise _mismatch(p, q)
     if p is q:
         return p
     if len(p._rows) == p.ambient:
@@ -213,10 +230,6 @@ def meet(p: Subspace, q: Subspace) -> Subspace:
         return p
     if not p._rows or not q._rows:
         return p if not p._rows else q
-    key = (_MEET, p, q)
-    hit = _memo.get(key)
-    if hit is not None:
-        return hit
     rows, _ = _kernel_int(_constraint_rows(p) + _constraint_rows(q), p.ambient)
     return _remember(key, Subspace._make(p.ambient, rows))
 
@@ -227,13 +240,15 @@ def meet_via_demorgan(p: Subspace, q: Subspace) -> Subspace:
     It never touches the meet entries of the op memo (only ``join`` and
     ``complement`` run), so a wrong memoised meet cannot leak into it.
     """
-    _check_ambient(p, q)
+    if p.ambient != q.ambient:
+        raise _mismatch(p, q)
     return complement(join(complement(p), complement(q)))
 
 
 def leq(p: Subspace, q: Subspace) -> bool:
     """Containment ``p <= q``; equivalent to ``meet(p, q) == p``."""
-    _check_ambient(p, q)
+    if p.ambient != q.ambient:
+        raise _mismatch(p, q)
     if not p._rows or p is q:
         return True
     if len(p._rows) > len(q._rows):

@@ -66,6 +66,25 @@ def test_eval_unbound_variable_is_semantic_error(capsys, beta_fixture):
     assert "missing" in err
 
 
+@pytest.mark.parametrize("term", ["p ^ q", "q v p", "q ^ 0", "1 v q", "p ^ r v q"])
+def test_eval_mixed_ambients_is_semantic_error(capsys, monkeypatch, tmp_path, term):
+    # The fixture format gives every binding the header's ambient, so the
+    # mixed assignment is built past Assignment's own check; the lattice
+    # operation must then refuse it with exit 4, never 5.
+    path = tmp_path / "a.fix"
+    path.write_text("2\np = {\n1 1\n}\nr = {\n1 -1\n}\n")
+
+    def mixed(text):
+        a = parse_assignment_fixture(text)
+        a.bindings["q"] = parse_subspace_fixture("3\n1 0 1\n")
+        return a
+
+    monkeypatch.setattr(cli, "parse_assignment_fixture", mixed)
+    code, out, err = run(capsys, "eval", term, "--fixture", str(path))
+    assert (code, out) == (4, "")
+    assert "different ambients: " in err
+
+
 def test_eval_bad_term_is_parse_error(capsys, beta_fixture):
     code, _, err = run(capsys, "eval", "p ^^ q", "--fixture", beta_fixture)
     assert code == 3

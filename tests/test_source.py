@@ -5,7 +5,12 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "qlattice").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "qlattice").glob("*.py"))
+# Every Python file of the checkout; perfbench/ is only read here.
+ALL_PYTHON = sorted(
+    path for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py")
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -51,3 +56,10 @@ def test_unused_import_check_sees_names_attributes_and_all():
         "x = os.path.join(terms.TOP, j)\n"
     )
     assert unused_imports(source) == ["Any (line 4)"]
+
+
+@pytest.mark.parametrize("path", ALL_PYTHON, ids=lambda p: str(p.relative_to(ROOT)))
+def test_parses_as_python_3_10(path):
+    # pyproject.toml promises Python >= 3.10; only the grammar is checked
+    # here, not the standard library each file uses.
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -1,5 +1,10 @@
 """Lattice of subspaces: canonical form, lattice laws, orthocomplement."""
 
+import copy
+import gc
+import pickle
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,6 +105,69 @@ class TestConstruction:
     def test_basis_is_canonical_rref(self, s):
         again = Subspace.from_spanning(s.basis)
         assert again.dim == s.dim and again.basis == s.basis
+
+
+class TestInterning:
+    @given(subspaces(), st.integers(-3, 3), st.integers(-3, 3))
+    def test_other_spanning_set_gives_same_object(self, s, scale, weight):
+        # scale the basis by a nonzero Gaussian integer, add a multiple of
+        # the first row to the others, and append the sum of all rows
+        c = GaussianRational(scale, 1)
+        rows = [[c * x for x in row] for row in s.basis.entries]
+        if rows:
+            rows[1:] = [[x + weight * y for x, y in zip(r, rows[0])] for r in rows[1:]]
+        rows.append([sum(col, GaussianRational(0)) for col in zip(*rows)] or [0] * s.ambient)
+        assert Subspace.from_spanning(Matrix.from_rows(rows), s.ambient) is s
+
+    def test_copy_deepcopy_and_pickle_keep_identity(self):
+        p = span(3, [1, I, 0], [0, 0, 2])
+        assert copy.copy(p) is p
+        assert copy.deepcopy(p) is p
+        assert copy.deepcopy([p, {"p": p}])[1]["p"] is p
+        assert pickle.loads(pickle.dumps(p)) is p
+
+    def test_table_keeps_no_dropped_subspace_alive(self, empty_memo):
+        p = span(4, [1, 2, 3, 4], [0, 1, I, 7])
+        complement(p)  # the complement cache links p and ~p in a cycle
+        ref = weakref.ref(p)
+        del p
+        gc.collect()
+        assert ref() is None
+
+
+class TestAmbientCheck:
+    """Every lattice operation refuses operands from different ambients."""
+
+    @pytest.mark.parametrize("op", [meet, join])
+    @pytest.mark.parametrize("small", [Subspace.zero(2), Subspace.full(2)], ids=["zero", "full"])
+    def test_shortcut_operands(self, op, small):
+        big = span(3, [1, 1, 0])
+        with pytest.raises(AmbientMismatch):
+            op(small, big)
+        with pytest.raises(AmbientMismatch):
+            op(big, small)
+
+    @pytest.mark.parametrize("op", [meet, join, meet_via_demorgan, leq])
+    def test_plain_miss(self, op, empty_memo):
+        with pytest.raises(AmbientMismatch):
+            op(span(2, [1, 1]), span(3, [1, 0, 1], [0, 1, 0]))
+        assert not empty_memo
+
+    @pytest.mark.parametrize("op", [meet, join])
+    def test_memo_holding_an_entry_for_one_operand(self, op, empty_memo):
+        p, q = span(2, [1, 1]), span(2, [1, -1])
+        op(p, q)
+        assert empty_memo
+        other = span(3, [1, 0, 1])
+        for args in ((p, other), (other, p), (other, q)):
+            with pytest.raises(AmbientMismatch):
+                op(*args)
+
+    def test_leq(self):
+        with pytest.raises(AmbientMismatch):
+            leq(Subspace.zero(2), Subspace.full(3))
+        with pytest.raises(AmbientMismatch):
+            span(2, [1, 0]) <= span(3, [1, 0, 0])
 
 
 class TestCanonicalRows:
@@ -236,7 +304,7 @@ class TestOpMemo:
         p, q = span(3, [1, 1, 0], [0, 0, 1]), span(3, [1, 0, 0], [0, 1, 1])
         m, j = meet(p, q), join(p, q)
         p2, q2 = span(3, [2, 2, 0], [0, 0, 3]), span(3, [1, 1, 1], [0, 1, 1])
-        assert p2 is not p and q2 is not q
+        assert p2 is p and q2 is q
         assert meet(p2, q2) is m and join(p2, q2) is j
         assert len(empty_memo) == 2
 
@@ -288,7 +356,7 @@ class TestRandomSubspace:
     def test_deterministic(self):
         a = random_subspace(4, 2, seed=11)
         b = random_subspace(4, 2, seed=11)
-        assert a == b and a is not b
+        assert a == b and a is b
 
     def test_requested_dimension(self):
         for dim in range(5):
