@@ -9,10 +9,10 @@ Exit codes, fixed for scriptability:
 
   0  success / equation holds / suite passed
   1  counterexample found, suite failure, or external solver said invalid
-  2  usage errors (bad flags, unknown names, unreadable files)
+  2  usage errors (bad flags, unknown names, unreadable or unwritable files)
   3  parse errors in terms, equations, sentences, or fixture files
   4  semantic errors (unbound variables, ambient mismatches, compile
-     preconditions, solver malfunction)
+     preconditions, a solver that fails or cannot start)
   5  internal errors (an unexpected exception: a defect, not a verdict)
 
 Ambients outside 1 to ``subspaces.MAX_AMBIENT`` are usage errors (parse
@@ -142,9 +142,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: not UTF-8 text") from exc
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -270,7 +272,10 @@ def cmd_compile(args: argparse.Namespace) -> int:
     text = emit_solver_text(real, args.form)
     description = stats(real).describe()
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
         print(f"wrote {args.out}")
         print(description)
     else:

@@ -55,7 +55,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .subspaces import Subspace
-from .terms import Meet, Program, Term, Var, node
+from .terms import Meet, Program, Term, Var
 from . import sentences as S
 
 
@@ -78,7 +78,7 @@ class Definition:
     operands: tuple[str, ...]
 
     def as_sentence(self) -> S.Sentence:
-        rhs = node(self.kind, *(Var(o) for o in self.operands))
+        rhs = Term(self.kind, *(Var(o) for o in self.operands))
         return ("eq", (Var(self.name), rhs))
 
 
@@ -229,7 +229,7 @@ def eval_flat(flat: FlatSentence, domain: Iterable[Subspace], ambient: int) -> b
             lhs, rhs = args
             if lhs.op == "var" and lhs.a in fresh and lhs.a not in defined:
                 operands = (t for t in (rhs.a, rhs.b) if t is not None)
-                defined[lhs.a] = node(rhs.op, *map(expand, operands))
+                defined[lhs.a] = Term(rhs.op, *map(expand, operands))
                 return None
             return ("eq", (expand(lhs), expand(rhs)))
         if op in S.QUANTIFIERS and args[0][0] in fresh:
@@ -590,6 +590,8 @@ def run_external_solver(
         )
     except subprocess.TimeoutExpired:
         return SolverResult("timeout", "")
+    except OSError as exc:
+        raise CompileError(f"cannot run solver {cmd[0]!r}: {exc.strerror or exc}") from exc
     out = proc.stdout.strip()
     first = out.splitlines()[0].strip() if out else ""
     if first == "unsat":

@@ -323,14 +323,14 @@ def eval_sentence(
     # one was false (true), and k + 1 after a body under pool[k - 1].
     todo: list = [(s, env or {}, 0)]
     value = True
-    programs: dict[int, Program] = {}  # id of an atom of `s` -> its program
+    programs: dict[tuple, Program] = {}  # an atom's two sides -> their program
     while todo:
         node, env, step = todo.pop()
         op, args = node
         if op in ATOMS:
-            program = programs.get(id(node))
+            program = programs.get(args)
             if program is None:
-                program = programs[id(node)] = Program(args)
+                program = programs[args] = Program(args)
             ev = Evaluator(Assignment(ambient, env), program=program)
             left, right = ev.eval(args[0]), ev.eval(args[1])
             value = left == right if op == "eq" else leq(left, right)

@@ -1,27 +1,32 @@
 """Lattice terms: syntax, normal forms, and evaluation over subspaces.
 
 Grammar (loosest to tightest): ``v`` join, ``^`` meet, ``~`` complement,
-with constants ``0`` and ``1`` and variables as identifiers.  Binary
-operators associate to the left; ``v`` is a reserved word and cannot be a
-variable.  The same tokenizer also covers the first-order sentence layer
+with constants ``0`` and ``1`` and variables as identifiers: ASCII
+letters, digits and ``_``, starting with a letter.  Binary operators
+associate to the left; ``v`` is a reserved word and cannot be a variable.
+The same tokenizer also covers the first-order sentence layer
 (``forall``/``exists``, connectives, ``=`` and ``<=``), so sentence parsing
 can share the term sub-parser.  Nesting is capped at ``MAX_NESTING``;
 chains and runs of ``~`` are parsed by loops and may be any length.
 
-A term node is one immutable ``(op, a, b)`` :class:`Term` with a cached
-structural hash.  A :class:`Program` lists the distinct subterms of some
-roots in post-order, one slot each, in the same shape with children
-replaced by slots.  Evaluation, equality, printing, free variables,
-substitution, normal forms and the compiler's flattening loop over
-programs, linear in distinct subterms and without recursion, so no term
-is too deep for them.
+A term node is one immutable ``(op, a, b)`` :class:`Term`, interned
+through a module-level weak-value table: there is one live node per
+``(op, a, b)``, so structurally equal terms are the same object, and
+equality and hashing are identity, done in C.  The table keeps no term
+alive.  A :class:`Program` lists the distinct subterms of some roots in
+post-order, one slot each, in the same shape with children replaced by
+slots.  Evaluation, printing, free variables, substitution, normal forms
+and the compiler's flattening loop over programs, linear in distinct
+subterms and without recursion, so no term is too deep for them.
 """
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 from functools import partial
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from weakref import WeakValueDictionary
 
 from . import subspaces as _sub
 from .subspaces import AmbientMismatch, Subspace
@@ -48,32 +53,35 @@ class UnboundVariableError(LookupError):
 
 class Term:
     """A term node shaped as a :class:`Program` slot, with child terms for
-    child slots; build one with :func:`node`, ``Var``, ``Not``, ``Meet`` or
-    ``Join``, never ``Term("top")`` or ``Term("bot")``."""
+    child slots; build one with ``Term(op, a, b)``, ``Var``, ``Not``,
+    ``Meet`` or ``Join``.
 
-    __slots__ = ("op", "a", "b", "_hash")
+    Terms are interned: ``Term(op, a, b)`` returns the one live node with
+    those fields, so structurally equal terms are the same object and
+    ``==`` and ``hash`` are identity.  There is no structural hash.
+    """
 
-    def __init__(self, op: str, a=None, b=None) -> None:
-        self.op, self.a, self.b = op, a, b
-        if op == "var":
-            self._hash = hash(("var", a))
-        elif op == "not":
-            self._hash = hash(("not", a._hash))
-        elif b is not None:
-            self._hash = hash((op, a._hash, b._hash))
-        else:
-            self._hash = hash(op)
+    __slots__ = ("op", "a", "b", "__weakref__")
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, op: str, a=None, b=None) -> "Term":
+        # children are interned already, so the key hashes their identities
+        key = (op, a, b)
+        self = _interned.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.op, self.a, self.b = key
+            _interned[key] = self
+        return self
 
-    def __eq__(self, other: object) -> bool:
-        """Structural equality: a term's one-root program determines it."""
-        return self is other or (
-            isinstance(other, Term)
-            and self._hash == other._hash
-            and Program((self,)).code == Program((other,)).code
-        )
+    # Copies and unpickled terms must stay the interned node.
+    def __copy__(self) -> "Term":
+        return self
+
+    def __deepcopy__(self, memo: dict) -> "Term":
+        return self
+
+    def __reduce__(self) -> tuple:
+        return (Term, (self.op, self.a, self.b))
 
     def __str__(self) -> str:
         return format_term(self)
@@ -82,18 +90,11 @@ class Term:
         return f"<term {format_term(self)}>"
 
 
+# The one live Term for each (op, a, b).
+_interned: WeakValueDictionary[tuple, Term] = WeakValueDictionary()
+
 TOP = Term("top")
 BOT = Term("bot")
-
-
-def node(op: str, a=None, b=None) -> Term:
-    """The term with fields ``(op, a, b)``; ``TOP`` or ``BOT`` for a constant."""
-    if op == "top":
-        return TOP
-    if op == "bot":
-        return BOT
-    return Term(op, a, b)
-
 
 Var = partial(Term, "var")  # Var(name)
 Not = partial(Term, "not")  # Not(child)
@@ -101,30 +102,17 @@ Meet = partial(Term, "meet")  # Meet(left, right)
 Join = partial(Term, "join")  # Join(left, right)
 
 
-class Equation:
-    """A pair of terms asserted equal under every relevant assignment."""
+class Equation(NamedTuple):
+    """A pair of terms asserted equal under every relevant assignment;
+    equal and hashed as the pair of its two interned sides."""
 
-    __slots__ = ("lhs", "rhs", "_hash")
-
-    def __init__(self, lhs: Term, rhs: Term) -> None:
-        self.lhs = lhs
-        self.rhs = rhs
-        self._hash = hash(("eq", lhs._hash, rhs._hash))
+    lhs: Term
+    rhs: Term
 
     @property
     def free_vars(self) -> tuple[str, ...]:
         """Free variables, sorted by name."""
         return tuple(sorted(free_vars(self.lhs) | free_vars(self.rhs)))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Equation)
-            and other.lhs == self.lhs
-            and other.rhs == self.rhs
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return f"{format_term(self.lhs)} = {format_term(self.rhs)}"
@@ -175,6 +163,8 @@ class Token(NamedTuple):
     pos: int
 
 
+# ASCII only, as in fixture block names and SMT-LIB symbols
+_IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _KEYWORDS = {"v": "JOIN", "forall": "FORALL", "exists": "EXISTS"}
 _SINGLE = {
     "^": "MEET",
@@ -223,13 +213,11 @@ def tokenize(src: str) -> list[Token]:
             tokens.append(Token(_SINGLE[ch], ch, i))
             i += 1
             continue
-        if ch.isalpha():
-            j = i + 1
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            word = src[i:j]
+        m = _IDENTIFIER.match(src, i)
+        if m:
+            word = m.group()
             tokens.append(Token(_KEYWORDS.get(word, "ID"), word, i))
-            i = j
+            i = m.end()
             continue
         raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(Token("EOF", "", n))
@@ -359,41 +347,35 @@ class Program:
 
     Slot ``i`` holds ``(op, a, b)``: ``("var", name, None)``, ``("top" or
     "bot", None, None)``, ``("not", c, None)`` or ``("meet" or "join", l, r)``
-    with ``c``, ``l``, ``r`` earlier slots.  Structurally equal subterms share
-    a slot.  :meth:`slot` appends, without recursion, the subterms a new root
-    lacks, root last.
+    with ``c``, ``l``, ``r`` earlier slots.  Terms are interned, so one map
+    from term to slot dedupes subterms.  :meth:`slot` appends, without
+    recursion, the subterms a new root lacks, root last.
     """
 
-    __slots__ = ("code", "_index", "_roots")
+    __slots__ = ("code", "_slots")
 
     def __init__(self, roots: Iterable[Term] = ()) -> None:
         self.code: list[tuple[str, object, object]] = []
-        self._index: dict[tuple[str, object, object], int] = {}
-        # id(root) -> (root, slot): no lookup compares terms, and holding the
-        # root keeps its id from being reused
-        self._roots: dict[int, tuple[Term, int]] = {}
+        self._slots: dict[Term, int] = {}
         for t in roots:
             self.slot(t)
 
     def slot(self, root: Term) -> int:
         """Slot of `root`, appending its missing subterms first."""
-        hit = self._roots.get(id(root))
-        if hit is None:
-            hit = self._roots[id(root)] = (root, self._append(root))
-        return hit[1]
+        s = self._slots.get(root)
+        return self._append(root) if s is None else s
 
     def _append(self, root: Term) -> int:
-        code, index = self.code, self._index
-        done: dict[int, int] = {}  # id of a node met in this walk -> slot
+        code, slots = self.code, self._slots
         stack = [root]
         while stack:
             t = stack.pop()
-            if id(t) in done:
+            if t in slots:
                 continue
             op, a, b = t.op, t.a, t.b
             if op != "var" and a is not None:  # children: read their slots
-                sa = done.get(id(a))
-                sb = None if b is None else done.get(id(b))
+                sa = slots.get(a)
+                sb = None if b is None else slots.get(b)
                 if sa is None or (sb is None and b is not None):
                     # revisit after the missing children, left first
                     stack.append(t)
@@ -403,13 +385,9 @@ class Program:
                         stack.append(a)
                     continue
                 a, b = sa, sb
-            instr = (op, a, b)
-            s = index.get(instr)
-            if s is None:
-                s = index[instr] = len(code)
-                code.append(instr)
-            done[id(t)] = s
-        return done[id(root)]
+            slots[t] = len(code)
+            code.append((op, a, b))
+        return slots[root]
 
 
 # --- printing ---------------------------------------------------------------
@@ -494,7 +472,7 @@ def substitute(t: Term, replacements: Mapping[str, Term]) -> Term:
         if op == "var":
             out.append(replacements.get(a) or Var(a))
         else:
-            out.append(node(op, *(out[k] for k in (a, b) if k is not None)))
+            out.append(Term(op, *(out[k] for k in (a, b) if k is not None)))
     return out[-1]
 
 

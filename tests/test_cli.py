@@ -117,6 +117,36 @@ def test_check_reports_counterexample(capsys):
     assert a.ambient == 2 and set(a.names()) == {"p", "q", "r"}
 
 
+def test_check_counterexample_reads_back_by_eval(capsys, tmp_path):
+    # every name the term grammar accepts is a fixture block name too
+    eq = "x1 v (y_2 ^ Z) = (x1 v y_2) ^ (x1 v Z)"
+    code, out, _ = run(capsys, "check", eq, "--ambient", "2", "--samples", "50")
+    assert code == 1
+    path = tmp_path / "cx.fix"
+    path.write_text(out.split("\n", 1)[1])
+    sides = [run(capsys, "eval", side, "--fixture", str(path)) for side in eq.split(" = ")]
+    assert [side[0] for side in sides] == [0, 0]
+    assert sides[0][1] != sides[1][1]
+
+
+@pytest.mark.parametrize(
+    "argv,pos",
+    [
+        (("check", "α v (β ^ γ) = (α v β) ^ (α v γ)", "--ambient", "2"), 0),
+        (("eval", "x²", "--fixture", "a.fix"), 1),
+        (("eval", "x٣", "--fixture", "a.fix"), 1),
+        (("compile", "s.sent", "--n", "1"), 7),
+    ],
+)
+def test_non_ascii_identifiers_are_parse_errors(capsys, monkeypatch, tmp_path, argv, pos):
+    monkeypatch.chdir(tmp_path)
+    Path("a.fix").write_text("2\n")
+    Path("s.sent").write_text("forall α. α = α\n", encoding="utf-8")
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert f"position {pos}: unexpected character" in err
+
+
 def test_check_holds_is_hedged(capsys):
     code, out, _ = run(
         capsys,
@@ -391,6 +421,38 @@ def test_compile_solve_with_stub(capsys, tmp_path):
     )
     assert code == 1
     assert "solver: invalid" in out
+
+
+@pytest.mark.parametrize("out", ["dir", "missing/s.smt2", "file/s.smt2"])
+def test_compile_unwritable_out_is_usage_error(capsys, tmp_path, out):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    src = tmp_path / "s.sent"
+    src.write_text("forall x. x = x\n")
+    code, _, err = run(capsys, "compile", str(src), "--n", "1", "--out", str(tmp_path / out))
+    assert code == 2
+    assert f"cannot write {tmp_path / out}" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("eval", "p", "--fixture", "bad.txt"), ("compile", "bad.txt", "--n", "1")]
+)
+def test_non_utf8_input_is_usage_error(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.txt").write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "cannot read bad.txt: not UTF-8 text" in err
+
+
+def test_solver_that_cannot_start_is_semantic_error(capsys, tmp_path):
+    src = tmp_path / "s.sent"
+    src.write_text("forall x. x = x\n")
+    code, _, err = run(
+        capsys, "compile", str(src), "--n", "1", "--solve", "--solver", "/nonexistent/solver"
+    )
+    assert code == 4
+    assert "cannot run solver '/nonexistent/solver'" in err
 
 
 def test_usage_errors(capsys):

@@ -1,5 +1,10 @@
 """Term syntax, normal forms, and evaluation semantics."""
 
+import copy
+import gc
+import pickle
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,7 +113,11 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "src,pos",
-        [("p ^", 3), ("(p", 2), ("p q", 2), ("2", 0), ("p ^ ) q", 4), ("", 0)],
+        [
+            ("p ^", 3), ("(p", 2), ("p q", 2), ("2", 0), ("p ^ ) q", 4), ("", 0),
+            # identifiers are ASCII: letters, digits and _, starting with a letter
+            ("α", 0), ("p v β", 4), ("x²", 1), ("x٣", 1), ("_p", 0),
+        ],
     )
     def test_error_positions(self, src, pos):
         with pytest.raises(ParseError) as exc:
@@ -331,7 +340,7 @@ class TestDeepTerms:
     def test_long_chains(self):
         chain = parse_term(" v ".join(["p"] * 3000))
         again = parse_term(" v ".join(["p"] * 3000))
-        assert chain is not again and chain == again
+        assert chain is again
         assert chain != parse_term(" v ".join(["p"] * 2999) + " v q")
         assert format_term(chain) == " v ".join(["p"] * 3000)
         assert free_vars(chain) == {"p"}
@@ -369,3 +378,46 @@ class TestDeepTerms:
         assert exc.value.pos == MAX_NESTING
         with pytest.raises(ParseError, match="nesting deeper"):
             parse_term("(" * 1500 + "p" + ")" * 1500)
+
+
+class TestInterning:
+    """One live Term per (op, a, b): equality is identity, and the table
+    keeps no term alive."""
+
+    @given(terms)
+    def test_rebuilt_terms_are_the_same_object(self, t):
+        assert parse_term(format_term(t)) is t
+        assert substitute(t, {}) is t
+
+    def test_copies_are_the_term(self):
+        t = parse_term("~(p ^ q) v 1")
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+        assert pickle.loads(pickle.dumps(t)) is t
+
+    def test_dropped_term_is_freed(self):
+        t = parse_term("~(p ^ unused_name_1) v unused_name_2")
+        ref = weakref.ref(t)
+        del t
+        gc.collect()
+        assert ref() is None
+
+    def test_long_alternating_chain_drops(self):
+        # ~(... ~(p v q) v q ...), 100,000 nodes; freeing it must not
+        # recurse.  No assertion shows the chain: its text is too long.
+        t = p
+        for i in range(100_000):
+            t = Not(t) if i % 2 else Join(t, q)
+        a = Assignment(2, {"p": Subspace.line(2, [1, 0]), "q": Subspace.line(2, [1, 1])})
+        value = evaluate(t, a)  # the values cycle 1, 0, q, ~q from the first join
+        assert value == complement(a["q"])
+        ref = weakref.ref(t)
+        del t
+        gc.collect()
+        alive = ref() is not None
+        assert not alive
+
+    def test_parsed_equations_are_equal(self):
+        first = parse_equation("p ^ (q v r) = (p ^ q) v (p ^ r)")
+        second = parse_equation("p ^ (q v r) = (p ^ q) v (p ^ r)")
+        assert first == second and hash(first) == hash(second)
