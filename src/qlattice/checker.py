@@ -45,6 +45,7 @@ from .formulas import (
 from .linalg import GaussianRational, Matrix
 from .subspaces import (
     Subspace,
+    _below,
     _random_from,
     complement,
     join,
@@ -185,8 +186,9 @@ class CoordinateFamilyStrategy:
             yield from _tuples(names, family, ambient)
         else:
             rng = Random(f"coordinate-family:{self.seed}:{ambient}")
+            size = len(family)
             for _ in range(self.cap):
-                bindings = {name: rng.choice(family) for name in names}
+                bindings = {name: family[_below(rng, size)] for name in names}
                 yield Assignment(ambient, bindings)
 
 
@@ -197,7 +199,7 @@ def _random_assignments(
     rng = Random(seed)
     for _ in range(count):
         yield Assignment(ambient, {
-            name: _random_from(rng, ambient, rng.randint(0, ambient), coeff_bound)
+            name: _random_from(rng, ambient, _below(rng, ambient + 1), coeff_bound)
             for name in names
         })
 

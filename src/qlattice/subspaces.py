@@ -17,12 +17,12 @@ The production ``meet`` intersects constraint matrices directly;
 cross-checking, never called by the evaluator.
 
 Because the form is canonical, the result of ``meet`` or ``join`` depends
-only on its operands.  Both therefore look first in one module-level memo
-keyed on ``(op, p, q)``; only a miss tests the ambients, which a hit need
-not do because an entry is only written after that test passed.  The memo
-holds at most ``_MEMO_LIMIT`` entries and is cleared when full.
-``meet_via_demorgan`` never reads or writes the meet entries, so
-certification stays independent of the memoised ``meet``.
+only on its operands.  Both first test the ambients, then settle a zero,
+full or identical operand at once, and only then look in one module-level
+memo keyed on ``(op, p, q)`` before eliminating.  Trivial results never
+enter the memo, which holds at most ``_MEMO_LIMIT`` entries and is cleared
+when full.  ``meet_via_demorgan`` never reads or writes the meet entries,
+so certification stays independent of the memoised ``meet``.
 """
 
 from __future__ import annotations
@@ -183,16 +183,16 @@ def _remember(key: tuple[str, Subspace, Subspace], value: Subspace) -> Subspace:
 
 def join(p: Subspace, q: Subspace) -> Subspace:
     """Smallest subspace containing both: the span of the union."""
+    if p.ambient != q.ambient:
+        raise _mismatch(p, q)
+    if p is q or not q._rows or len(p._rows) == p.ambient:
+        return p
+    if not p._rows or len(q._rows) == q.ambient:
+        return q
     key = (_JOIN, p, q)
     hit = _memo.get(key)
     if hit is not None:
         return hit
-    if p.ambient != q.ambient:
-        raise _mismatch(p, q)
-    if not p._rows:
-        return q
-    if not q._rows:
-        return p
     red, _ = _reduce_int_rows(p._rows + q._rows, p.ambient)
     return _remember(key, Subspace._make(p.ambient, red))
 
@@ -216,20 +216,16 @@ def _constraint_rows(p: Subspace) -> list[list[int]]:
 
 def meet(p: Subspace, q: Subspace) -> Subspace:
     """Intersection, computed as the kernel of stacked constraint rows."""
+    if p.ambient != q.ambient:
+        raise _mismatch(p, q)
+    if p is q or not p._rows or len(q._rows) == q.ambient:
+        return p
+    if not q._rows or len(p._rows) == p.ambient:
+        return q
     key = (_MEET, p, q)
     hit = _memo.get(key)
     if hit is not None:
         return hit
-    if p.ambient != q.ambient:
-        raise _mismatch(p, q)
-    if p is q:
-        return p
-    if len(p._rows) == p.ambient:
-        return q
-    if len(q._rows) == q.ambient:
-        return p
-    if not p._rows or not q._rows:
-        return p if not p._rows else q
     rows, _ = _kernel_int(_constraint_rows(p) + _constraint_rows(q), p.ambient)
     return _remember(key, Subspace._make(p.ambient, rows))
 
@@ -277,16 +273,31 @@ def embed(p: Subspace, bigger_ambient: int, pad: Subspace) -> Subspace:
     return Subspace._make(bigger_ambient, rows)
 
 
+def _below(rng: Random, n: int) -> int:
+    """Uniform in ``range(n)``, drawn as ``Random._randbelow`` draws it, so
+    the value and the stream match ``rng.randrange(n)``, ``rng.choice`` of
+    a length-`n` sequence and ``rng.randint(a, a + n - 1) - a``.  `n`
+    must be positive; the loop never ends otherwise."""
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _random_from(rng: Random, ambient: int, dim: int, coeff_bound: int) -> Subspace:
     if dim == 0:
         return Subspace.zero(ambient)
     if not 0 <= dim <= ambient:
         raise AmbientMismatch(f"dimension {dim} not in 0..{ambient}")
-    randint = rng.randint
+    if coeff_bound < 0:
+        raise ValueError(f"coefficient bound {coeff_bound} is negative")
+    width = 2 * coeff_bound + 1
     for _ in range(_MAX_SAMPLE_TRIES):
         rows = []
         for _ in range(dim):
-            row = [randint(-coeff_bound, coeff_bound) for _ in range(2 * ambient)]
+            row = [_below(rng, width) - coeff_bound for _ in range(2 * ambient)]
             _strip_content(row)
             rows.append(row)
         red, _ = _reduce_int_rows(rows, ambient)

@@ -15,9 +15,10 @@ through a module-level weak-value table: there is one live node per
 equality and hashing are identity, done in C.  The table keeps no term
 alive.  A :class:`Program` lists the distinct subterms of some roots in
 post-order, one slot each, in the same shape with children replaced by
-slots.  Evaluation, printing, free variables, substitution, normal forms
-and the compiler's flattening loop over programs, linear in distinct
-subterms and without recursion, so no term is too deep for them.
+slots.  Evaluation, free variables, substitution, normal forms and the
+compiler's flattening loop over programs, linear in distinct subterms and
+without recursion, so no term is too deep for them.  Printing walks the
+slots with an explicit stack, linear in the printed text.
 """
 
 from __future__ import annotations
@@ -394,30 +395,65 @@ class Program:
 
 _PREC_JOIN, _PREC_MEET, _PREC_UNARY = 1, 2, 3
 _PREC = {"join": _PREC_JOIN, "meet": _PREC_MEET}
+_COMPOUND = ("not", "meet", "join")
 
 
 def format_term(t: Term) -> str:
-    """Print with minimal parentheses; ``parse_term`` inverts this exactly."""
-    prog = Program((t,))
-    texts: list[str] = []
+    """Print with minimal parentheses; ``parse_term`` inverts this exactly.
 
-    def operand(slot: int, prec: int) -> str:
-        text = texts[slot]
-        return f"({text})" if _PREC.get(prog.code[slot][0], _PREC_UNARY) < prec else text
-
-    for op, a, b in prog.code:
+    One explicit-stack walk over the slots of ``Program((t,))`` appends
+    fragments to one list, joined once at the end.  A stack entry is a
+    fragment, a ``(slot, prec)`` to print, parenthesised if its operator
+    binds looser than `prec`, or a ``(slot, None)`` that closes a slot used
+    more than once: its fragments are joined into the text reused at its
+    later uses.  A kept text is printed at least twice, so memory and time
+    stay linear in the output, also for a shared DAG.
+    """
+    code = Program((t,)).code
+    uses = [0] * len(code)
+    for op, a, b in code:
+        if op in _COMPOUND:
+            uses[a] += 1
+            if b is not None:
+                uses[b] += 1
+    texts: dict[int, str] = {}
+    starts: dict[int, int] = {}
+    out: list[str] = []
+    stack: list = [(len(code) - 1, _PREC_JOIN)]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        slot, prec = item
+        if prec is None:
+            start = starts[slot]
+            texts[slot] = out[start] = "".join(out[start:])
+            del out[start + 1:]
+            continue
+        op, a, b = code[slot]
+        if _PREC.get(op, _PREC_UNARY) < prec:
+            out.append("(")
+            stack.append(")")
+        text = texts.get(slot)
+        if text is not None:
+            out.append(text)
+            continue
+        if uses[slot] > 1 and op in _COMPOUND:
+            starts[slot] = len(out)
+            stack.append((slot, None))
         if op == "var":
-            text = a
+            out.append(a)
         elif op == "not":
-            text = "~" + operand(a, _PREC_UNARY)
+            out.append("~")
+            stack.append((a, _PREC_UNARY))
         elif op == "meet":
-            text = f"{operand(a, _PREC_MEET)} ^ {operand(b, _PREC_UNARY)}"
+            stack += ((b, _PREC_UNARY), " ^ ", (a, _PREC_MEET))
         elif op == "join":
-            text = f"{operand(a, _PREC_JOIN)} v {operand(b, _PREC_MEET)}"
+            stack += ((b, _PREC_MEET), " v ", (a, _PREC_JOIN))
         else:
-            text = "1" if op == "top" else "0"
-        texts.append(text)
-    return texts[-1]
+            out.append("1" if op == "top" else "0")
+    return "".join(out)
 
 
 # --- structural operations --------------------------------------------------

@@ -72,3 +72,20 @@ def test_hooked_suites_accept_the_workload_keywords(monkeypatch):
     for attr, kw_list in calls.items():
         for kwargs in kw_list:
             inspect.signature(getattr(checker, attr)).bind(**kwargs)
+
+
+def test_every_meet_and_join_slot_calls_the_hooked_function(monkeypatch):
+    # Zero and full operands are settled inside subspaces.meet and join,
+    # not in Evaluator.eval, so the tracer still sees one call per slot.
+    calls = {"meet": 0, "join": 0}
+    for name in calls:
+        def counted(p, q, _name=name, _orig=getattr(qlattice.subspaces, name)):
+            calls[_name] += 1
+            return _orig(p, q)
+        monkeypatch.setattr(qlattice.subspaces, name, counted)
+    t = qlattice.terms.parse_term("((0 ^ 1) v (1 ^ 1)) ^ ~((1 v 0) ^ (0 v 0)) v (1 ^ ~1)")
+    code = qlattice.terms.Program((t,)).code
+    value = qlattice.terms.evaluate(t, qlattice.terms.Assignment(3, {}))
+    assert value.is_full()
+    assert calls == {"meet": 5, "join": 4}
+    assert calls == {op: sum(o == op for o, _, _ in code) for op in calls}

@@ -1,6 +1,7 @@
 """Strategies, verdicts, and the property suites at reduced sample counts."""
 
 import json
+from random import Random
 
 import pytest
 
@@ -98,6 +99,34 @@ def test_coordinate_strategy_caps_large_products():
     assert len(got) == 50
     again = list(strat.assignments(eq, 4))
     assert [a.bindings for a in got] == [a.bindings for a in again]
+
+
+@pytest.mark.parametrize("ambient", [2, 3])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_coordinate_strategy_keeps_the_choice_stream(ambient, seed):
+    # above the cap, each binding is what rng.choice(family) would draw
+    eq = named_equations()["separation-1"]
+    strat = CoordinateFamilyStrategy(extra_lines=4, cap=300, seed=seed)
+    family = coordinate_family(ambient, 4)
+    assert len(family) ** len(eq.free_vars) > strat.cap
+    rng = Random(f"coordinate-family:{seed}:{ambient}")
+    expected = [{name: rng.choice(family) for name in eq.free_vars} for _ in range(strat.cap)]
+    assert [a.bindings for a in strat.assignments(eq, ambient)] == expected
+
+
+def test_random_strategy_keeps_the_randint_stream():
+    # dimensions as rng.randint(0, ambient) drew them, between the
+    # coefficient draws of _random_from (pinned in test_subspaces)
+    eq = orthomodular_law()
+    for ambient in (1, 3, 5):
+        strat = RandomSampling(count=40, seed=3, coeff_bound=2)
+        rng = Random(f"random:3:{ambient}")
+        expected = [
+            {name: sub._random_from(rng, ambient, rng.randint(0, ambient), 2)
+             for name in eq.free_vars}
+            for _ in range(strat.count)
+        ]
+        assert [a.bindings for a in strat.assignments(eq, ambient)] == expected
 
 
 def test_coordinate_strategy_skips_large_ambients():

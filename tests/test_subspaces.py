@@ -4,13 +4,14 @@ import copy
 import gc
 import pickle
 import weakref
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlattice.subspaces as sub
-from qlattice.linalg import GaussianRational, Matrix, _reduce_int_rows
+from qlattice.linalg import GaussianRational, Matrix, _reduce_int_rows, _strip_content
 from qlattice.subspaces import (
     AmbientMismatch,
     Subspace,
@@ -54,6 +55,17 @@ def subspace_pairs(draw, max_ambient=4):
 def subspace_triples(draw, max_ambient=4):
     n = draw(st.integers(1, max_ambient))
     return tuple(draw(subspaces(ambient=n)) for _ in range(3))
+
+
+@st.composite
+def trivial_operand_pairs(draw, max_ambient=4):
+    """(p, q) in one ambient, each random, 0, 1, or the other operand."""
+    n = draw(st.integers(1, max_ambient))
+    p = draw(subspaces(ambient=n))
+    kinds = {"random": draw(subspaces(ambient=n)), "zero": Subspace.zero(n),
+             "full": Subspace.full(n), "same": p}
+    q = kinds[draw(st.sampled_from(sorted(kinds)))]
+    return draw(st.sampled_from([(p, q), (q, p)]))
 
 
 @st.composite
@@ -162,6 +174,29 @@ class TestAmbientCheck:
         for args in ((p, other), (other, p), (other, q)):
             with pytest.raises(AmbientMismatch):
                 op(*args)
+
+    @pytest.mark.parametrize("op", [meet, join])
+    @pytest.mark.parametrize("other", [Subspace.zero(3), Subspace.full(3)], ids=["zero", "full"])
+    @pytest.mark.parametrize("small", [Subspace.zero(2), Subspace.full(2)], ids=["zero", "full"])
+    def test_trivial_on_both_sides(self, op, other, small):
+        with pytest.raises(AmbientMismatch):
+            op(small, other)
+        with pytest.raises(AmbientMismatch):
+            op(other, small)
+
+    @pytest.mark.parametrize("op", [meet, join])
+    @pytest.mark.parametrize(
+        "other", [Subspace.zero(3), Subspace.full(3), span(3, [1, 0, 1])],
+        ids=["zero", "full", "line"])
+    def test_memo_entry_for_the_mixed_pair(self, op, other, empty_memo):
+        # an entry no real call writes: the test must still come first
+        p = span(2, [1, 1])
+        for key in ((op.__name__, p, other), (op.__name__, other, p)):
+            empty_memo[key] = p
+        with pytest.raises(AmbientMismatch):
+            op(p, other)
+        with pytest.raises(AmbientMismatch):
+            op(other, p)
 
     def test_leq(self):
         with pytest.raises(AmbientMismatch):
@@ -320,6 +355,28 @@ class TestOpMemo:
         assert largest <= sub._MEMO_LIMIT
         assert 0 < len(empty_memo) < 40 * 39
 
+    @given(trivial_operand_pairs())
+    @settings(max_examples=150)
+    def test_trivial_operands_give_the_full_answer(self, pq):
+        p, q = pq
+        sub._memo.clear()
+        assert meet(p, q) is meet_via_demorgan(p, q)
+        red, _ = _reduce_int_rows(p._rows + q._rows, p.ambient)
+        assert join(p, q) is Subspace._make(p.ambient, red)
+
+    def test_trivial_calls_write_no_entry(self, empty_memo):
+        for n in range(1, 5):
+            zero, full = Subspace.zero(n), Subspace.full(n)
+            for d in range(n + 1):
+                p = random_subspace(n, d, seed=d)
+                for q in (zero, full, p):
+                    for args in ((p, q), (q, p)):
+                        meet(*args)
+                        join(*args)
+        assert not empty_memo
+        meet(span(2, [1, 1]), span(2, [1, -1]))
+        assert len(empty_memo) == 1
+
     def test_demorgan_route_adds_no_meet_entry(self, empty_memo):
         p, q = span(3, [1, 1, 0], [0, 0, 1]), span(3, [1, 0, 0], [0, 1, 1])
         meet_via_demorgan(p, q)
@@ -369,3 +426,41 @@ class TestRandomSubspace:
     def test_dim_out_of_range(self):
         with pytest.raises(AmbientMismatch):
             random_subspace(3, 4, seed=1)
+
+    def test_negative_coefficient_bound_is_refused(self):
+        with pytest.raises(ValueError, match="negative"):
+            random_subspace(3, 1, seed=1, coeff_bound=-1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024, "random:0:3"])
+    def test_below_draws_as_randrange(self, seed):
+        ours, twin = Random(seed), Random(seed)
+        for n in range(1, 71):
+            for _ in range(5):
+                assert sub._below(ours, n) == twin.randrange(n)
+        assert ours.getstate() == twin.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 5, "laws:0:4"])
+    def test_random_from_keeps_the_randint_stream(self, seed):
+        ours, twin = Random(seed), Random(seed)
+        for ambient in range(1, 6):
+            for dim in range(ambient + 1):
+                for bound in (1, 3):
+                    got = sub._random_from(ours, ambient, dim, bound)
+                    assert got is _randint_random_from(twin, ambient, dim, bound)
+        assert ours.getstate() == twin.getstate()
+
+
+def _randint_random_from(rng, ambient, dim, coeff_bound):
+    """``_random_from`` as it drew each coefficient through ``rng.randint``."""
+    if dim == 0:
+        return Subspace.zero(ambient)
+    for _ in range(sub._MAX_SAMPLE_TRIES):
+        rows = []
+        for _ in range(dim):
+            row = [rng.randint(-coeff_bound, coeff_bound) for _ in range(2 * ambient)]
+            _strip_content(row)
+            rows.append(row)
+        red, _ = _reduce_int_rows(rows, ambient)
+        if len(red) == dim:
+            return Subspace._make(ambient, red)
+    raise RuntimeError("no sample")

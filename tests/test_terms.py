@@ -3,6 +3,7 @@
 import copy
 import gc
 import pickle
+import tracemalloc
 import weakref
 
 import pytest
@@ -134,6 +135,35 @@ class TestParsing:
     @given(terms)
     def test_print_parse_round_trip(self, t):
         assert parse_term(format_term(t)) == t
+
+    @given(terms)
+    def test_print_matches_recursive_reference(self, t):
+        assert format_term(t) == reference_format(t)
+
+    def test_shared_subterms_print_in_full(self):
+        # each level uses the one below twice, once in parentheses
+        t = p
+        for i in range(10):
+            t = Meet(Join(t, q), Not(t)) if i % 2 else Join(Meet(t, r), t)
+        text = format_term(t)
+        assert text == reference_format(t)
+        assert parse_term(text) is t
+
+
+def reference_format(t, prec=1):
+    """Minimal-parenthesis printing, recursively, as the printer's spec."""
+    level = {"join": 1, "meet": 2}.get(t.op, 3)
+    if t.op == "var":
+        text = t.a
+    elif t.op == "not":
+        text = "~" + reference_format(t.a, 3)
+    elif t.op == "meet":
+        text = f"{reference_format(t.a, 2)} ^ {reference_format(t.b, 3)}"
+    elif t.op == "join":
+        text = f"{reference_format(t.a, 1)} v {reference_format(t.b, 2)}"
+    else:
+        text = "1" if t.op == "top" else "0"
+    return f"({text})" if level < prec else text
 
 
 class TestStructure:
@@ -334,6 +364,14 @@ class TestProgram:
         assert len(calls) == 1
 
 
+def alternating_chain(nodes):
+    """``~(... ~(~(p v q) v q) ...)``, `nodes` joins and complements."""
+    t = p
+    for i in range(nodes):
+        t = Not(t) if i % 2 else Join(t, q)
+    return t
+
+
 class TestDeepTerms:
     """Chains and ~ runs of any length; nesting beyond MAX_NESTING is refused."""
 
@@ -369,6 +407,25 @@ class TestDeepTerms:
         assert free_vars(r) == {"p", "q", "b"}
         assert format_term(r) == format_term(restrict(n, Var("b")))
 
+    def test_printing_memory_is_linear_in_the_text(self):
+        # ~(... ~(p v q) v q ...), 8,000 nodes; keeping the text of every
+        # slot, each containing its child's, peaked at about 110 MB
+        t = alternating_chain(8000)
+        tracemalloc.start()
+        try:
+            text = format_term(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == "~(" * 4000 + "p v q" + ") v q" * 3999 + ")"
+        assert peak < 2_000_000
+
+    def test_repr_of_a_very_long_chain(self):
+        # pytest builds this repr to explain a failed assertion naming the term
+        text = repr(alternating_chain(100_000))
+        assert len(text) == len("<term >") + 3.5 * 100_000 + 1
+        assert text.startswith("<term ~(~(") and text.endswith(") v q)>")
+
     def test_nesting_cap(self):
         ok = "(" * MAX_NESTING + "p" + ")" * MAX_NESTING
         assert parse_term(ok) == p
@@ -403,11 +460,9 @@ class TestInterning:
         assert ref() is None
 
     def test_long_alternating_chain_drops(self):
-        # ~(... ~(p v q) v q ...), 100,000 nodes; freeing it must not
-        # recurse.  No assertion shows the chain: its text is too long.
-        t = p
-        for i in range(100_000):
-            t = Not(t) if i % 2 else Join(t, q)
+        # 100,000 nodes; freeing it must not recurse.  No assertion shows
+        # the chain: its text is too long.
+        t = alternating_chain(100_000)
         a = Assignment(2, {"p": Subspace.line(2, [1, 0]), "q": Subspace.line(2, [1, 1])})
         value = evaluate(t, a)  # the values cycle 1, 0, q, ~q from the first join
         assert value == complement(a["q"])
