@@ -6,13 +6,19 @@ Row reduction and kernels are exact; no floating point is used anywhere.
 
 Internally, elimination runs on integer rows: each row is scaled by the
 lcm of its denominators and entries become Gaussian integers stored as
-interleaved ``(re, im)`` machine-int pairs.  Reduction is fraction-free
+interleaved ``(re, im)`` machine-int pairs.  A stack of at least as many
+nonzero rows as columns is first reduced modulo a prime ``_P = 1 (mod 4)``
+through the ring map ``Z[i] -> F_p`` that sends i to a square root of -1:
+full rank there proves full rank over the Gaussian rationals, and the
+answer is the identity.  Every other input goes through fraction-free
 Gauss-Jordan (Bareiss): each combine ``D_k * r - r[c_k] * p_k`` is divided
 exactly by the previous pivot value, so every stored entry is a minor of
 the input and coefficient size stays bounded by Hadamard's inequality.
-Rows are rescaled lazily, only when a step touches them.  Fractions
-reappear only when a canonical reduced row echelon basis is materialised,
-with each pivot normalised to 1.
+Rows are rescaled lazily, only when a step touches them.  A kernel takes
+one reduction, of its input with the columns reversed, and reads its
+canonical basis straight off the free columns.  Fractions reappear only
+when a canonical reduced row echelon basis is materialised, with each
+pivot normalised to 1.
 """
 
 from __future__ import annotations
@@ -23,6 +29,11 @@ from math import gcd
 from typing import Iterable, Sequence
 
 _Int = int  # Gaussian-integer rows are flat lists [re0, im0, re1, im1, ...]
+
+# The prime of the rank certificate and a square root of -1 modulo it: 3
+# generates the units mod _P, so 3 ** ((_P - 1) / 4) has order 4.
+_P = 998244353
+_I_MOD_P = pow(3, (_P - 1) // 4, _P)
 
 
 class DimensionMismatch(ValueError):
@@ -301,6 +312,35 @@ def _int_rows_from_matrix(m: Matrix) -> list[list[_Int]]:
     return out
 
 
+def _full_rank_mod_p(rows: Sequence[Sequence[_Int]], ncols: int) -> bool:
+    """True when the rows are certified to have rank `ncols`.
+
+    Each entry a + b*i is sent to (a + b*s) mod _P, with s a square root of
+    -1 mod _P.  That is a ring map Z[i] -> F_p, so it maps every minor of
+    the rows to the same minor of the images.  If the images have rank
+    `ncols`, some `ncols`-square minor is nonzero mod _P, hence nonzero in
+    Z[i], and the rows have full column rank.  False proves nothing.
+    """
+    p, s = _P, _I_MOD_P
+    m = [[(r[k] + s * r[k + 1]) % p for k in range(0, 2 * ncols, 2)] for r in rows]
+    # Eliminate one column per step and drop it, so the rows of m keep only
+    # the columns still to be done; a column without a pivot ends it.  A
+    # combine scales a row by the pivot, a unit mod p, instead of inverting.
+    for _ in range(ncols - 1):
+        for i, r in enumerate(m):
+            if r[0]:
+                break
+        else:
+            return False
+        prow = m.pop(i)
+        lead, tail = prow[0], prow[1:]
+        m = [
+            [(x * lead - t * y) % p for x, y in zip(r[1:], tail)] if (t := r[0]) else r[1:]
+            for r in m
+        ]
+    return any(r[0] for r in m)
+
+
 def _reduce_int_rows(
     rows: Iterable[Sequence[_Int]], ncols: int
 ) -> tuple[list[list[_Int]], list[int]]:
@@ -311,9 +351,21 @@ def _reduce_int_rows(
     entry is a positive ordinary integer, which makes the form unique; the
     Fraction-level canonical basis is obtained by dividing each row by its
     pivot entry.
+
+    With at least `ncols` nonzero rows, :func:`_full_rank_mod_p` is tried
+    first; a certificate of full rank settles the answer as the identity
+    rows, which is the canonical form of every full-rank input.  Without
+    one the rows go through the Bareiss elimination below.
     """
     work = [list(r) for r in rows if any(r)]
     width = 2 * ncols
+    if len(work) >= ncols and _full_rank_mod_p(work, ncols):
+        identity = []
+        for c in range(0, width, 2):
+            row = [0] * width
+            row[c] = 1
+            identity.append(row)
+        return identity, list(range(ncols))
     # Fraction-free Gauss-Jordan (Bareiss).  With D the pivot value of the
     # previous step (1 before the first), step k turns every other row r
     # into (D_k * r - r[c_k] * p_k) / D; the division is exact and every
@@ -405,27 +457,49 @@ def _reduce_int_rows(
 def _kernel_int(
     rows: Iterable[Sequence[_Int]], ncols: int
 ) -> tuple[list[list[_Int]], list[int]]:
-    """Canonical integer basis (rows and their pivots) for the right kernel."""
-    red, pivots = _reduce_int_rows(rows, ncols)
+    """Canonical integer basis (rows and their pivots) for the right kernel.
+
+    The input is reduced once, with its column order reversed.  In that
+    order a free column j gets the kernel vector that is 1 at j and
+    ``-red[i][j] / lead_i`` at the pivot of each reduced row i; only rows
+    whose pivot lies left of j are nonzero at j.  Reversed back, the vector
+    of free column c therefore starts at c and is nonzero elsewhere only at
+    pivot columns right of c, where every other vector is zero too.  So the
+    vectors, ordered by their free column, already are the reduced echelon
+    form: each needs only its lead cleared of denominators and its content
+    stripped.
+    """
+    width = 2 * ncols
+    flipped = []
+    for r in rows:
+        f = [0] * width
+        f[0::2] = r[-2::-2]
+        f[1::2] = r[::-2]
+        flipped.append(f)
+    red, pivots = _reduce_int_rows(flipped, ncols)
     pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
+    free = [c for c in range(ncols) if ncols - 1 - c not in pivset]
     if not free:
         return [], []
-    leads = [red[i][2 * pivots[i]] for i in range(len(pivots))]
-    scale = 1
-    for g in leads:
-        scale = scale * g // gcd(scale, g)
     basis: list[list[_Int]] = []
-    for f in free:
-        row = [0] * (2 * ncols)
-        row[2 * f] = scale
-        for i, pc in enumerate(pivots):
-            mult = scale // leads[i]
-            row[2 * pc] = -red[i][2 * f] * mult
-            row[2 * pc + 1] = -red[i][2 * f + 1] * mult
+    for c in free:
+        re_j = width - 2 - 2 * c  # column c in the reversed order
+        im_j = re_j + 1
+        hits = [(r, pc) for r, pc in zip(red, pivots) if r[re_j] or r[im_j]]
+        scale = 1
+        for r, pc in hits:
+            g = r[2 * pc]
+            scale = scale * g // gcd(scale, g)
+        row = [0] * width
+        row[2 * c] = scale
+        for r, pc in hits:
+            mult = scale // r[2 * pc]
+            k = width - 2 - 2 * pc
+            row[k] = -r[re_j] * mult
+            row[k + 1] = -r[im_j] * mult
         _strip_content(row)
         basis.append(row)
-    return _reduce_int_rows(basis, ncols)
+    return basis, free
 
 
 def _conj_int_rows(rows: Iterable[Sequence[_Int]]) -> list[list[_Int]]:

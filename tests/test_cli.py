@@ -1,9 +1,11 @@
 """CLI subcommands, exit codes, and output formats, driven in process."""
 
 import json
+import os
 import shutil
 import stat
 import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from qlattice.formulas import (
 from qlattice.smtlib import check_solver_text
 from qlattice.terms import MAX_NESTING, format_term
 
+ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
 
@@ -573,4 +576,17 @@ def test_console_script_entry_point():
         ["qlattice", "emit", "alpha"], capture_output=True, text=True
     )
     assert proc.returncode == 0
+    assert proc.stdout == format_term(alpha()) + "\n"
+
+
+def test_module_entry_point():
+    # The CLI as a process, without an installed console script.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlattice", "emit", "alpha"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout == format_term(alpha()) + "\n"

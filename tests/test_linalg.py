@@ -2,12 +2,14 @@
 
 from fractions import Fraction
 from math import lcm
+from random import Random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qlattice.linalg as linalg
 from qlattice.linalg import (
     DimensionMismatch,
     GaussianRational,
@@ -376,6 +378,100 @@ class TestIntCore:
                 re = sum(u[k] * v[k] + u[k + 1] * v[k + 1] for k in range(0, len(u), 2))
                 im = sum(u[k] * v[k + 1] - u[k + 1] * v[k] for k in range(0, len(u), 2))
                 assert (re, im) == (0, 0)
+
+
+@st.composite
+def tall_gaussian_int_rows(draw, max_cols=8):
+    """At least `ncols` rows: independent ones mixed with Q(i)-combinations
+    of them under Gaussian multipliers, so the rank may fall short of
+    `ncols` while every row stays nonzero."""
+    ncols = draw(st.integers(1, max_cols))
+    bound = draw(st.sampled_from([1, 3, 20]))
+    entry = st.integers(-bound, bound)
+    rank = draw(st.integers(1, ncols))
+    base = []
+    for _ in range(rank):
+        row = [draw(entry) for _ in range(2 * ncols)]
+        row[2 * draw(st.integers(0, ncols - 1))] = draw(st.integers(1, 5))
+        base.append(row)
+    rows = list(base)
+    for _ in range(draw(st.integers(max(0, ncols - rank), ncols + 2))):
+        row = [0] * (2 * ncols)
+        for b in draw(st.lists(st.sampled_from(base), min_size=1, max_size=3)):
+            za, zb = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            row = [x + y for x, y in zip(row, _times(b, za, zb))]
+        rows.append(row)
+    rows = draw(st.permutations(rows))
+    return rows, ncols
+
+
+class TestRankCertificate:
+    """The full-rank certificate inside ``_reduce_int_rows``: the map
+    a + b*i -> a + b*s mod p is a ring map, so full rank mod p is full rank
+    over Q(i), and anything short of it falls through to Bareiss."""
+
+    def test_prime_and_square_root_of_minus_one(self):
+        p, s = linalg._P, linalg._I_MOD_P
+        assert p % 4 == 1
+        assert all(p % d for d in range(2, int(p**0.5) + 1))
+        assert s * s % p == p - 1
+
+    def test_i_is_not_sent_to_one(self, rank_verdicts):
+        # Row 2 is i times row 1: rank 1, although under i -> 1 the rows
+        # (1, 1) and (1, -1) would have rank 2.
+        rows = [[1, 0, 0, 1], [0, 1, -1, 0]]
+        assert _reduce_int_rows(rows, 2) == _ref_reduce(rows, 2)
+        assert rank_verdicts == [False]
+
+    @pytest.mark.parametrize("entry", [[linalg._P, 0], [linalg._I_MOD_P, -1]])
+    def test_nonzero_entry_that_vanishes_mod_p(self, rank_verdicts, entry):
+        # Nonzero in Z[i] but zero mod p: the certificate declines, and
+        # Bareiss still finds the full C^1.
+        assert _reduce_int_rows([entry], 1) == _ref_reduce([entry], 1) == ([[1, 0]], [0])
+        assert rank_verdicts == [False]
+
+    def test_short_stacks_skip_the_certificate(self, rank_verdicts):
+        rows = [[1, 0, 2, 0, 0, 1], [0, 0, 1, 1, 3, 0]]
+        assert _reduce_int_rows(rows, 3) == _ref_reduce(rows, 3)
+        assert rank_verdicts == []
+
+    @given(tall_gaussian_int_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_tall_stacks_match_fraction_reference(self, case):
+        rows, ncols = case
+        assert _reduce_int_rows(rows, ncols) == _ref_reduce(rows, ncols)
+
+    @pytest.mark.parametrize("ncols", range(1, 9))
+    def test_certificate_fires_on_full_rank_stacks(self, rank_verdicts, ncols):
+        rng = Random(ncols)
+        rows = [
+            [rng.randint(-3, 3) for _ in range(2 * ncols)] for _ in range(ncols + 2)
+        ]
+        assert len(_ref_reduce(rows, ncols)[1]) == ncols
+        assert _reduce_int_rows(rows, ncols) == _ref_reduce(rows, ncols)
+        assert rank_verdicts == [True]
+
+
+class TestOneReductionKernel:
+    def test_kernel_reduces_once(self, monkeypatch):
+        calls = []
+        real = linalg._reduce_int_rows
+
+        def spy(rows, ncols):
+            calls.append(ncols)
+            return real(rows, ncols)
+
+        monkeypatch.setattr(linalg, "_reduce_int_rows", spy)
+        rows = [[1, 0, 2, 1, 0, 0, 3, 0], [0, 0, 1, 0, 1, -1, 0, 2]]
+        assert _kernel_int(rows, 4) == _ref_kernel(rows, 4)
+        assert calls == [4]
+
+    @given(gaussian_int_rows())
+    @settings(max_examples=100, deadline=None)
+    def test_double_complement_is_the_span(self, case):
+        rows, ncols = case
+        perp, _ = _kernel_int(_conj_int_rows(rows), ncols)
+        assert _kernel_int(_conj_int_rows(perp), ncols) == _ref_reduce(rows, ncols)
 
 
 class TestConjTranspose:

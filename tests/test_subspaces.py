@@ -269,6 +269,29 @@ class TestJoinMeet:
         assert lhs != rhs
 
 
+class TestLargeAmbient:
+    """At n = 32, generic half-dimensional operands meet in 0 and join to
+    C^n, and the rank certificate settles both without Bareiss."""
+
+    @pytest.fixture()
+    def verdicts(self, monkeypatch, rank_verdicts):
+        monkeypatch.setattr(sub, "_memo", {})  # no earlier result answers
+        return rank_verdicts
+
+    def test_generic_meet_and_join_are_certified(self, verdicts):
+        p = random_subspace(32, 16, seed=1)
+        q = random_subspace(32, 16, seed=2)
+        complement(p), complement(q)  # half-dimensional: no certificate
+        assert verdicts == []
+        assert meet(p, q).is_zero()
+        assert join(p, q).is_full()
+        assert verdicts == [True, True]
+
+    def test_full_dimensional_sample_is_certified(self, verdicts):
+        assert random_subspace(32, 32, seed=3).is_full()
+        assert verdicts == [True]
+
+
 class TestComplement:
     def test_coordinate_example(self):
         assert complement(span(2, [1, 0])) == span(2, [0, 1])
