@@ -174,9 +174,9 @@ def equality_characterization_dual() -> Equation:
     return parse_equation("(~p ^ ~q) v (p ^ q) = 1")
 
 
-def named_equations() -> dict[str, Equation]:
-    """The equation catalogue by CLI name, in a stable order."""
-    catalogue = {
+@cache
+def _catalogue() -> dict[str, Equation]:
+    return {
         "oml": orthomodular_law(),
         "modular": modular_law(),
         "distributive": distributive_law(),
@@ -192,7 +192,12 @@ def named_equations() -> dict[str, Equation]:
         "separation-1": separation_equation(1),
         "gamma4-zero": Equation(gamma_distinct_lines(4), BOT),
     }
-    return catalogue
+
+
+def named_equations() -> dict[str, Equation]:
+    """The equation catalogue by CLI name, in a stable order: parsed once
+    per process, and a new dict on each call."""
+    return dict(_catalogue())
 
 
 @dataclass(frozen=True)

@@ -6,19 +6,19 @@ Row reduction and kernels are exact; no floating point is used anywhere.
 
 Internally, elimination runs on integer rows: each row is scaled by the
 lcm of its denominators and entries become Gaussian integers stored as
-interleaved ``(re, im)`` machine-int pairs.  A stack of at least as many
-nonzero rows as columns is first reduced modulo a prime ``_P = 1 (mod 4)``
-through the ring map ``Z[i] -> F_p`` that sends i to a square root of -1:
-full rank there proves full rank over the Gaussian rationals, and the
-answer is the identity.  Every other input goes through fraction-free
-Gauss-Jordan (Bareiss): each combine ``D_k * r - r[c_k] * p_k`` is divided
-exactly by the previous pivot value, so every stored entry is a minor of
-the input and coefficient size stays bounded by Hadamard's inequality.
-Rows are rescaled lazily, only when a step touches them.  A kernel takes
-one reduction, of its input with the columns reversed, and reads its
-canonical basis straight off the free columns.  Fractions reappear only
-when a canonical reduced row echelon basis is materialised, with each
-pivot normalised to 1.
+interleaved ``(re, im)`` machine-int pairs.  The one rank certificate
+sends rows to F_p, for a prime ``_P = 1 (mod 4)``, by the ring map that
+sends i to a square root of -1; the rank of the images is a lower bound
+on the rank, and a full one makes the identity the answer.  Every other input
+goes through fraction-free Gauss-Jordan (Bareiss): each combine
+``D_k * r - r[c_k] * p_k`` is divided exactly by the previous pivot
+value, so every stored entry is a minor of the input and coefficient size
+stays bounded by Hadamard's inequality.  Rows are rescaled lazily, only
+when a step touches them.  Null rows, whose kernel is a canonical span,
+are read straight off its free columns, and a kernel reads them off one
+reduction of its input with the columns reversed.  Fractions reappear
+only when a canonical reduced row echelon basis is materialised, with
+each pivot normalised to 1.
 """
 
 from __future__ import annotations
@@ -312,33 +312,36 @@ def _int_rows_from_matrix(m: Matrix) -> list[list[_Int]]:
     return out
 
 
-def _full_rank_mod_p(rows: Sequence[Sequence[_Int]], ncols: int) -> bool:
-    """True when the rows are certified to have rank `ncols`.
+def _rank_mod_p(rows: Sequence[Sequence[_Int]], ncols: int) -> int:
+    """Rank of the images of the rows mod _P: a lower bound on their rank.
 
     Each entry a + b*i is sent to (a + b*s) mod _P, with s a square root of
     -1 mod _P.  That is a ring map Z[i] -> F_p, so it maps every minor of
-    the rows to the same minor of the images.  If the images have rank
-    `ncols`, some `ncols`-square minor is nonzero mod _P, hence nonzero in
-    Z[i], and the rows have full column rank.  False proves nothing.
+    the rows to the same minor of the images.  If the images have rank r,
+    some r-square minor is nonzero mod _P, hence nonzero in Z[i], and the
+    rows have rank at least r over the Gaussian rationals.
     """
     p, s = _P, _I_MOD_P
     m = [[(r[k] + s * r[k + 1]) % p for k in range(0, 2 * ncols, 2)] for r in rows]
     # Eliminate one column per step and drop it, so the rows of m keep only
-    # the columns still to be done; a column without a pivot ends it.  A
-    # combine scales a row by the pivot, a unit mod p, instead of inverting.
-    for _ in range(ncols - 1):
+    # the columns still to be done.  A combine scales a row by the pivot, a
+    # unit mod p, instead of inverting.
+    rank = 0
+    while m and m[0]:
         for i, r in enumerate(m):
             if r[0]:
                 break
         else:
-            return False
+            m = [r[1:] for r in m]
+            continue
         prow = m.pop(i)
         lead, tail = prow[0], prow[1:]
         m = [
             [(x * lead - t * y) % p for x, y in zip(r[1:], tail)] if (t := r[0]) else r[1:]
             for r in m
         ]
-    return any(r[0] for r in m)
+        rank += 1
+    return rank
 
 
 def _reduce_int_rows(
@@ -352,14 +355,13 @@ def _reduce_int_rows(
     Fraction-level canonical basis is obtained by dividing each row by its
     pivot entry.
 
-    With at least `ncols` nonzero rows, :func:`_full_rank_mod_p` is tried
-    first; a certificate of full rank settles the answer as the identity
-    rows, which is the canonical form of every full-rank input.  Without
-    one the rows go through the Bareiss elimination below.
+    With at least `ncols` nonzero rows, rank `ncols` from :func:`_rank_mod_p`
+    settles the answer as the identity rows, which is the canonical form of
+    every full-rank input.  Otherwise the rows go through Bareiss below.
     """
     work = [list(r) for r in rows if any(r)]
     width = 2 * ncols
-    if len(work) >= ncols and _full_rank_mod_p(work, ncols):
+    if len(work) >= ncols and _rank_mod_p(work, ncols) == ncols:
         identity = []
         for c in range(0, width, 2):
             row = [0] * width
@@ -454,52 +456,61 @@ def _reduce_int_rows(
     return work, pivots
 
 
+def _null_rows(
+    rows: Sequence[Sequence[_Int]], ncols: int
+) -> tuple[list[list[_Int]], list[int]]:
+    """Rows whose joint kernel is the span of the canonical rows R.
+
+    Row i of R (see :func:`_reduce_int_rows`) has its lead l_i > 0 at
+    pivot column c_i and is zero at the other pivot columns.  Free column j
+    gets ``w_j = L * e_j - sum_i R_i[j] * (L / l_i) * e_{c_i}``, with L the
+    lcm of the leads of the rows nonzero at j, content stripped, so that
+    ``R w_j = 0`` with no conjugation.  Only rows with c_i < j are nonzero
+    at j, so by descending j, with the columns reversed, the w_j already
+    are a reduced echelon form.  Returns them by ascending j, with the j.
+    """
+    leads = [(r, next(k for k, x in enumerate(r) if x)) for r in rows]
+    pivset = {k // 2 for _, k in leads}
+    free = [j for j in range(ncols) if j not in pivset]
+    out = []
+    for j in free:
+        re_j, im_j = 2 * j, 2 * j + 1
+        hits = [(r, k) for r, k in leads if r[re_j] or r[im_j]]
+        scale = 1
+        for r, k in hits:
+            scale = scale * r[k] // gcd(scale, r[k])
+        w = [0] * (2 * ncols)
+        w[re_j] = scale
+        for r, k in hits:
+            mult = scale // r[k]
+            w[k], w[k + 1] = -r[re_j] * mult, -r[im_j] * mult
+        _strip_content(w)
+        out.append(w)
+    return out, free
+
+
+def _reversed_columns(rows: Iterable[Sequence[_Int]], ncols: int) -> list[list[_Int]]:
+    out = []
+    for r in rows:
+        f = [0] * (2 * ncols)
+        f[0::2], f[1::2] = r[-2::-2], r[::-2]
+        out.append(f)
+    return out
+
+
 def _kernel_int(
     rows: Iterable[Sequence[_Int]], ncols: int
 ) -> tuple[list[list[_Int]], list[int]]:
     """Canonical integer basis (rows and their pivots) for the right kernel.
 
-    The input is reduced once, with its column order reversed.  In that
-    order a free column j gets the kernel vector that is 1 at j and
-    ``-red[i][j] / lead_i`` at the pivot of each reduced row i; only rows
-    whose pivot lies left of j are nonzero at j.  Reversed back, the vector
-    of free column c therefore starts at c and is nonzero elsewhere only at
-    pivot columns right of c, where every other vector is zero too.  So the
-    vectors, ordered by their free column, already are the reduced echelon
-    form: each needs only its lead cleared of denominators and its content
-    stripped.
+    The input is reduced once, with its column order reversed, and
+    :func:`_null_rows` reads the kernel off that form: reversed back, and
+    by ascending free column, its rows already are the canonical basis.
     """
-    width = 2 * ncols
-    flipped = []
-    for r in rows:
-        f = [0] * width
-        f[0::2] = r[-2::-2]
-        f[1::2] = r[::-2]
-        flipped.append(f)
-    red, pivots = _reduce_int_rows(flipped, ncols)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if ncols - 1 - c not in pivset]
-    if not free:
-        return [], []
-    basis: list[list[_Int]] = []
-    for c in free:
-        re_j = width - 2 - 2 * c  # column c in the reversed order
-        im_j = re_j + 1
-        hits = [(r, pc) for r, pc in zip(red, pivots) if r[re_j] or r[im_j]]
-        scale = 1
-        for r, pc in hits:
-            g = r[2 * pc]
-            scale = scale * g // gcd(scale, g)
-        row = [0] * width
-        row[2 * c] = scale
-        for r, pc in hits:
-            mult = scale // r[2 * pc]
-            k = width - 2 - 2 * pc
-            row[k] = -r[re_j] * mult
-            row[k + 1] = -r[im_j] * mult
-        _strip_content(row)
-        basis.append(row)
-    return basis, free
+    red, _ = _reduce_int_rows(_reversed_columns(rows, ncols), ncols)
+    null, free = _null_rows(red, ncols)
+    null.reverse()
+    return _reversed_columns(null, ncols), [ncols - 1 - j for j in reversed(free)]
 
 
 def _conj_int_rows(rows: Iterable[Sequence[_Int]]) -> list[list[_Int]]:

@@ -12,7 +12,8 @@ Lattice operations: ``meet`` is intersection, ``join`` is linear span,
 ``complement`` is the orthogonal complement under the Hermitian inner
 product (conjugate-linear in the first argument).
 
-The production ``meet`` intersects constraint matrices directly;
+The production ``meet`` takes the kernel of both operands' null rows,
+read off their canonical rows, and takes no complement;
 ``meet_via_demorgan`` is an independent route through complements kept for
 cross-checking, never called by the evaluator.
 
@@ -37,6 +38,8 @@ from .linalg import (
     _fracs_from_int_rows,
     _int_rows_from_matrix,
     _kernel_int,
+    _null_rows,
+    _rank_mod_p,
     _reduce_int_rows,
     _strip_content,
 )
@@ -208,14 +211,9 @@ def complement(p: Subspace) -> Subspace:
     return c
 
 
-def _constraint_rows(p: Subspace) -> list[list[int]]:
-    # Rows whose joint kernel is exactly p: the conjugated basis of its
-    # orthogonal complement.
-    return _conj_int_rows(complement(p)._rows)
-
-
 def meet(p: Subspace, q: Subspace) -> Subspace:
-    """Intersection, computed as the kernel of stacked constraint rows."""
+    """Intersection: the kernel of both operands' null rows, or 0 by the
+    dimension formula when their rows certify ``dim(p v q) = dim p + dim q``."""
     if p.ambient != q.ambient:
         raise _mismatch(p, q)
     if p is q or not p._rows or len(q._rows) == q.ambient:
@@ -226,15 +224,22 @@ def meet(p: Subspace, q: Subspace) -> Subspace:
     hit = _memo.get(key)
     if hit is not None:
         return hit
-    rows, _ = _kernel_int(_constraint_rows(p) + _constraint_rows(q), p.ambient)
-    return _remember(key, Subspace._make(p.ambient, rows))
+    n = p.ambient
+    stacked = p._rows + q._rows
+    if len(stacked) <= n and _rank_mod_p(stacked, n) == len(stacked):
+        return _remember(key, Subspace.zero(n))
+    constraints = _null_rows(p._rows, n)[0] + _null_rows(q._rows, n)[0]
+    rows, _ = _kernel_int(constraints, n)
+    return _remember(key, Subspace._make(n, rows))
 
 
 def meet_via_demorgan(p: Subspace, q: Subspace) -> Subspace:
     """Intersection through the De Morgan dual; independent of :func:`meet`.
 
     It never touches the meet entries of the op memo (only ``join`` and
-    ``complement`` run), so a wrong memoised meet cannot leak into it.
+    ``complement`` run), so a wrong memoised meet cannot leak into it, and
+    ``meet`` takes no complement, so the two routes share only the
+    elimination core (``_kernel_int``, ``_reduce_int_rows``).
     """
     if p.ambient != q.ambient:
         raise _mismatch(p, q)

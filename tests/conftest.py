@@ -3,17 +3,20 @@
 import pytest
 
 import qlattice.linalg as linalg
+import qlattice.subspaces as subspaces
 
 
 @pytest.fixture()
 def rank_verdicts(monkeypatch):
-    """Every answer of the mod-p rank certificate, in call order."""
+    """Every rank the mod-p certificate returned, in call order, from the
+    elimination core and from ``meet`` alike."""
     seen = []
-    real = linalg._full_rank_mod_p
+    real = linalg._rank_mod_p
 
     def spy(rows, ncols):
         seen.append(real(rows, ncols))
         return seen[-1]
 
-    monkeypatch.setattr(linalg, "_full_rank_mod_p", spy)
+    monkeypatch.setattr(linalg, "_rank_mod_p", spy)
+    monkeypatch.setattr(subspaces, "_rank_mod_p", spy)
     return seen

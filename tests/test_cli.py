@@ -590,3 +590,45 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == format_term(alpha()) + "\n"
+
+
+def _interpreter_env() -> dict[str, str]:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    pyenv = shutil.which("pyenv")
+    if pyenv:
+        # A pyenv shim runs a versioned command such as python3.10 only from
+        # an active version, so every installed version is made active.
+        listed = subprocess.run(
+            [pyenv, "versions", "--bare"], capture_output=True, text=True
+        ).stdout.split()
+        env["PYENV_VERSION"] = ":".join(listed)
+    return env
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12"])
+def test_cli_output_is_the_same_under_other_interpreters(version):
+    # The package needs only the standard library; the other supported
+    # interpreters must print the same bytes as this one.
+    python, env = f"python{version}", _interpreter_env()
+    if shutil.which(python) is None:
+        pytest.skip(f"{python} is not on PATH")
+    probe = subprocess.run(
+        [python, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+        capture_output=True, text=True, env=env,
+    )
+    if probe.returncode or probe.stdout.strip() != version:
+        pytest.skip(f"{python} on PATH does not run Python {version}")
+    commands = [
+        ["check", "p ^ (q v r) = (p ^ q) v (p ^ r)", "--ambient", "3", "--samples", "50"],
+        ["check", "p ^ (q v (p ^ r)) = (p ^ q) v (p ^ r)", "--ambient", "4", "--samples", "20"],
+        ["suite", "laws", "--samples", "3"],
+    ]
+    for argv in commands:
+        ours, theirs = (
+            subprocess.run(
+                [exe, "-m", "qlattice", *argv], capture_output=True, text=True, env=env
+            )
+            for exe in (sys.executable, python)
+        )
+        assert ours.returncode in (0, 1), ours.stderr
+        assert (theirs.returncode, theirs.stdout) == (ours.returncode, ours.stdout), argv

@@ -25,6 +25,7 @@ from qlattice.formulas import (
 from qlattice.subspaces import Subspace, complement, leq, meet, random_subspace
 from qlattice.terms import (
     Assignment,
+    Equation,
     Evaluator,
     Var,
     evaluate,
@@ -243,6 +244,28 @@ class TestLaws:
         assert names[:3] == ["oml", "modular", "distributive"]
         assert "eq-char" in names and "eq-char-dual" in names
         assert "separation-0" in names
+
+    def test_catalogue_is_a_new_dict_on_each_call(self):
+        first = named_equations()
+        assert list(first) == [
+            "oml", "modular", "distributive", "demorgan-meet", "demorgan-join",
+            "involution", "complement-meet", "eq-char", "eq-char-dual",
+            "alpha-zero", "beta-zero", "separation-0", "separation-1", "gamma4-zero",
+        ]
+        assert first["oml"] == orthomodular_law()
+        assert first["modular"] == modular_law()
+        assert first["eq-char-dual"] == equality_characterization_dual()
+        assert first["separation-1"] == separation_equation(1)
+        assert first["gamma4-zero"].lhs is gamma_distinct_lines(4)
+        assert first["demorgan-meet"] == Equation(
+            parse_term("~(p ^ q)"), parse_term("~p v ~q")
+        )
+        expected = list(first.items())
+        first["oml"] = first.pop("modular")
+        first["extra"] = first["distributive"]
+        second = named_equations()
+        assert second is not first
+        assert list(second.items()) == expected
 
 
 class TestTransport:

@@ -17,12 +17,22 @@ from qlattice.linalg import (
     ScalarFormatError,
     _conj_int_rows,
     _kernel_int,
+    _null_rows,
     _reduce_int_rows,
     format_matrix,
     format_scalar,
     parse_scalar,
 )
-from qlattice.subspaces import Subspace, complement
+import qlattice.subspaces as sub
+from qlattice.subspaces import (
+    Subspace,
+    complement,
+    join,
+    leq,
+    meet,
+    meet_via_demorgan,
+    random_subspace,
+)
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
@@ -406,7 +416,7 @@ def tall_gaussian_int_rows(draw, max_cols=8):
 
 
 class TestRankCertificate:
-    """The full-rank certificate inside ``_reduce_int_rows``: the map
+    """The rank certificate inside ``_reduce_int_rows``: the map
     a + b*i -> a + b*s mod p is a ring map, so full rank mod p is full rank
     over Q(i), and anything short of it falls through to Bareiss."""
 
@@ -421,14 +431,14 @@ class TestRankCertificate:
         # (1, 1) and (1, -1) would have rank 2.
         rows = [[1, 0, 0, 1], [0, 1, -1, 0]]
         assert _reduce_int_rows(rows, 2) == _ref_reduce(rows, 2)
-        assert rank_verdicts == [False]
+        assert rank_verdicts == [1]
 
     @pytest.mark.parametrize("entry", [[linalg._P, 0], [linalg._I_MOD_P, -1]])
     def test_nonzero_entry_that_vanishes_mod_p(self, rank_verdicts, entry):
         # Nonzero in Z[i] but zero mod p: the certificate declines, and
         # Bareiss still finds the full C^1.
         assert _reduce_int_rows([entry], 1) == _ref_reduce([entry], 1) == ([[1, 0]], [0])
-        assert rank_verdicts == [False]
+        assert rank_verdicts == [0]
 
     def test_short_stacks_skip_the_certificate(self, rank_verdicts):
         rows = [[1, 0, 2, 0, 0, 1], [0, 0, 1, 1, 3, 0]]
@@ -449,7 +459,7 @@ class TestRankCertificate:
         ]
         assert len(_ref_reduce(rows, ncols)[1]) == ncols
         assert _reduce_int_rows(rows, ncols) == _ref_reduce(rows, ncols)
-        assert rank_verdicts == [True]
+        assert rank_verdicts == [ncols]
 
 
 class TestOneReductionKernel:
@@ -472,6 +482,139 @@ class TestOneReductionKernel:
         rows, ncols = case
         perp, _ = _kernel_int(_conj_int_rows(rows), ncols)
         assert _kernel_int(_conj_int_rows(perp), ncols) == _ref_reduce(rows, ncols)
+
+
+def _bilinear(u, v):
+    """sum u_j v_j over Z[i], with no conjugation, as (re, im)."""
+    re = sum(u[k] * v[k] - u[k + 1] * v[k + 1] for k in range(0, len(u), 2))
+    im = sum(u[k] * v[k + 1] + u[k + 1] * v[k] for k in range(0, len(u), 2))
+    return re, im
+
+
+def _reverse_columns(rows, ncols):
+    return [[x for c in reversed(range(ncols)) for x in r[2 * c : 2 * c + 2]] for r in rows]
+
+
+class TestNullRows:
+    """``_null_rows`` reads off rows whose joint kernel is a canonical span."""
+
+    @given(gaussian_int_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_read_off(self, case):
+        rows, ncols = case
+        red, pivots = _reduce_int_rows(rows, ncols)
+        null, free = _null_rows(red, ncols)
+        assert len(null) == ncols - len(red)
+        assert free == [c for c in range(ncols) if c not in pivots]
+        for r in red:
+            for w in null:
+                assert _bilinear(r, w) == (0, 0)
+        # By descending free column, with the columns reversed, the rows
+        # already are the canonical reduced form.
+        flipped = _reverse_columns(null[::-1], ncols)
+        assert _reduce_int_rows(flipped, ncols) == (
+            flipped, [ncols - 1 - j for j in reversed(free)]
+        )
+        assert _kernel_int(null, ncols) == (red, pivots)
+
+    def test_example(self):
+        # span(2 e0 + e2 - i e3, e1 + 3 e3) in C^4: free column 2 meets a
+        # row with lead 2, free column 3 rows with leads 2 and 1.
+        red = [[2, 0, 0, 0, 1, 0, 0, -1], [0, 0, 1, 0, 0, 0, 3, 0]]
+        null, free = _null_rows(red, 4)
+        assert free == [2, 3]
+        assert null == [[-1, 0, 0, 0, 2, 0, 0, 0], [0, 1, -6, 0, 0, 0, 2, 0]]
+
+
+def _ref_meet(p, q):
+    """The meet through the fraction-level reference alone: the kernel of
+    both operands' kernel rows."""
+    n = p.ambient
+    constraints = _ref_kernel(p._rows, n)[0] + _ref_kernel(q._rows, n)[0]
+    return _ref_kernel(constraints, n)[0]
+
+
+@st.composite
+def random_pairs(draw, max_ambient=8):
+    n = draw(st.integers(1, max_ambient))
+    return tuple(
+        random_subspace(n, draw(st.integers(0, n)), draw(st.integers(0, 10**6)))
+        for _ in range(2)
+    )
+
+
+@st.composite
+def structured_pairs(draw, max_ambient=8):
+    """(kind, p, q, floor), with `floor` a subspace known to lie in p ^ q:
+    nested operands, operands that share a line, dimensions adding up to
+    n, and dimensions below n around a shared line."""
+    kind = draw(st.sampled_from(["nested", "shared-line", "complementary", "short"]))
+    n = draw(st.integers(3 if kind == "short" else 2, max_ambient))
+    seeds = iter(draw(st.lists(st.integers(0, 10**6), min_size=3, max_size=3)))
+    if kind == "nested":
+        p = random_subspace(n, draw(st.integers(1, n - 1)), next(seeds))
+        q = join(p, random_subspace(n, draw(st.integers(0, n)), next(seeds)))
+        return kind, p, q, p
+    if kind == "complementary":
+        d = draw(st.integers(1, n - 1))
+        p, q = random_subspace(n, d, next(seeds)), random_subspace(n, n - d, next(seeds))
+        return kind, p, q, Subspace.zero(n)
+    line = random_subspace(n, 1, next(seeds))
+    if kind == "short":  # 2 + da + db < n: the dimension formula allows 0
+        da = draw(st.integers(0, (n - 3) // 2))
+        db = draw(st.integers(0, n - 3 - da))
+    else:
+        da, db = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    p = join(line, random_subspace(n, da, next(seeds)))
+    q = join(line, random_subspace(n, db, next(seeds)))
+    return kind, p, q, line
+
+
+class TestNullRowMeet:
+    """``meet`` stacks the operands' null rows, or settles 0 by the
+    dimension formula; it must agree with the De Morgan route and with the
+    fraction-level reference."""
+
+    @given(random_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_random_pairs(self, pq):
+        p, q = pq
+        sub._memo.clear()
+        m = meet(p, q)
+        assert m is meet_via_demorgan(p, q)
+        if p.dim and q.dim:
+            assert [list(r) for r in m._rows] == _ref_meet(p, q)
+
+    @given(structured_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_structured_pairs(self, case):
+        kind, p, q, floor = case
+        sub._memo.clear()
+        m = meet(p, q)
+        assert m is meet(q, p) is meet_via_demorgan(p, q)
+        assert [list(r) for r in m._rows] == _ref_meet(p, q)
+        assert leq(floor, m)
+        if kind == "nested":
+            assert m is p
+        if kind == "short":
+            assert p.dim + q.dim < p.ambient and not m.is_zero()
+
+    def test_certificate_declines_on_lines_equal_mod_p(self, rank_verdicts):
+        # span(1, 0) and span(1, _P) are independent over Q(i) but equal
+        # mod _P: the certificate of the meet, and that of the kernel's
+        # reduction, both see rank 1, and the kernel still finds 0.
+        p, q = Subspace.line(2, [1, 0]), Subspace.line(2, [1, linalg._P])
+        sub._memo.clear()
+        assert meet(p, q).is_zero()
+        assert rank_verdicts == [1, 1]
+
+    def test_generic_zero_meet_takes_no_kernel(self, rank_verdicts, monkeypatch):
+        p, q = random_subspace(8, 3, seed=1), random_subspace(8, 5, seed=2)
+        kernels = []
+        monkeypatch.setattr(sub, "_kernel_int", lambda *args: kernels.append(args))
+        sub._memo.clear()
+        assert meet(p, q).is_zero()
+        assert rank_verdicts == [8] and kernels == []
 
 
 class TestConjTranspose:

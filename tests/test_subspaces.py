@@ -271,25 +271,29 @@ class TestJoinMeet:
 
 class TestLargeAmbient:
     """At n = 32, generic half-dimensional operands meet in 0 and join to
-    C^n, and the rank certificate settles both without Bareiss."""
+    C^n, and the rank certificate settles both without Bareiss: the meet
+    by the dimension formula, without a kernel."""
 
     @pytest.fixture()
     def verdicts(self, monkeypatch, rank_verdicts):
         monkeypatch.setattr(sub, "_memo", {})  # no earlier result answers
         return rank_verdicts
 
-    def test_generic_meet_and_join_are_certified(self, verdicts):
+    def test_generic_meet_and_join_are_certified(self, verdicts, monkeypatch):
         p = random_subspace(32, 16, seed=1)
         q = random_subspace(32, 16, seed=2)
         complement(p), complement(q)  # half-dimensional: no certificate
         assert verdicts == []
+        kernels = []
+        monkeypatch.setattr(sub, "_kernel_int", lambda *args: kernels.append(args))
         assert meet(p, q).is_zero()
+        assert kernels == []
         assert join(p, q).is_full()
-        assert verdicts == [True, True]
+        assert verdicts == [32, 32]
 
     def test_full_dimensional_sample_is_certified(self, verdicts):
         assert random_subspace(32, 32, seed=3).is_full()
-        assert verdicts == [True]
+        assert verdicts == [32]
 
 
 class TestComplement:
