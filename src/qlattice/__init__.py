@@ -2,7 +2,7 @@
 
 The layers, bottom to top:
 
-- ``linalg``: Gaussian-rational scalars, matrices, and the exact
+- ``linalg``: scalar text for ``(re, im)`` pairs and the exact Z[i]
   elimination core behind the canonical subspace form.
 - ``subspaces``: the lattice of subspaces of C^n (meet, join, complement).
 - ``terms``: lattice terms, equations, parsing, and evaluation.
@@ -43,7 +43,7 @@ from .formulas import (
     separation_equation,
     separation_witness,
 )
-from .linalg import DimensionMismatch, GaussianRational, Matrix, ScalarFormatError
+from .linalg import ScalarFormatError
 from .sentences import eval_sentence, format_sentence, parse_sentence
 from .subspaces import (
     AmbientMismatch,
@@ -79,12 +79,9 @@ __all__ = [
     "BOT",
     "CheckError",
     "CompileError",
-    "DimensionMismatch",
     "Equation",
     "Evaluator",
     "FixtureError",
-    "GaussianRational",
-    "Matrix",
     "ParseError",
     "ScalarFormatError",
     "Subspace",

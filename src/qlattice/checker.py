@@ -42,7 +42,6 @@ from .formulas import (
     separation_witness,
     transport,
 )
-from .linalg import GaussianRational, Matrix
 from .subspaces import (
     Subspace,
     _below,
@@ -73,22 +72,8 @@ _MAX_EXHAUSTIVE_AMBIENT = 4
 # order is the public contract: ambient 2 with two extras must yield
 # e1+e2 then e1+i*e2.
 _EXTRA_COEFFS = (
-    GaussianRational(1),
-    GaussianRational(0, 1),
-    GaussianRational(-1),
-    GaussianRational(2),
-    GaussianRational(0, -1),
-    GaussianRational(3),
-    GaussianRational(1, 1),
-    GaussianRational(1, -1),
-    GaussianRational(-2),
-    GaussianRational(2, 1),
-    GaussianRational(0, 2),
-    GaussianRational(-1, 1),
-    GaussianRational(-3),
-    GaussianRational(3, 1),
-    GaussianRational(0, 3),
-    GaussianRational(-1, -1),
+    1, (0, 1), -1, 2, (0, -1), 3, (1, 1), (1, -1),
+    -2, (2, 1), (0, 2), (-1, 1), -3, (3, 1), (0, 3), (-1, -1),
 )
 
 
@@ -116,18 +101,15 @@ def coordinate_family(ambient: int, extra_lines: int = 0) -> list[Subspace]:
             for i in range(ambient)
             if mask >> i & 1
         ]
-        if rows:
-            family.append(Subspace.from_spanning(Matrix.from_rows(rows), ambient))
-        else:
-            family.append(Subspace.zero(ambient))
+        family.append(Subspace.from_spanning(ambient, rows))
     pairs = list(itertools.combinations(range(ambient), 2))
     produced = 0
     for coeff in _EXTRA_COEFFS:
         for i, j in pairs:
             if produced == extra_lines:
                 return family
-            row = [GaussianRational(0)] * ambient
-            row[i] = GaussianRational(1)
+            row = [0] * ambient
+            row[i] = 1
             row[j] = coeff
             family.append(Subspace.line(ambient, row))
             produced += 1
@@ -646,7 +628,7 @@ def run_gamma_suite() -> SuiteReport:
         Subspace.line(2, [0, 1]),
         Subspace.line(2, [1, 1]),
         Subspace.line(2, [1, -1]),
-        Subspace.line(2, [1, GaussianRational(0, 1)]),
+        Subspace.line(2, [1, (0, 1)]),
         Subspace.line(2, [1, 2]),
     ]
     nonzero = 0

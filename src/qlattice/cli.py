@@ -55,7 +55,7 @@ from .formulas import (
     separation_equation,
     separation_witness,
 )
-from .linalg import DimensionMismatch, ScalarFormatError
+from .linalg import ScalarFormatError
 from .sentences import parse_sentence
 from .subspaces import MAX_AMBIENT, AmbientMismatch
 from .terms import (
@@ -197,7 +197,8 @@ def _indexed(name: str, expected_key: str) -> int | None:
     key, sep, idx = name.partition(":")
     if key != expected_key:
         return None
-    if not sep or not idx.lstrip("-").isdigit():
+    digits = idx.removeprefix("-")
+    if not sep or not (digits.isascii() and digits.isdigit()):
         raise UsageError(f"expected {expected_key}:INT, got {name!r}")
     return int(idx)
 
@@ -322,7 +323,6 @@ def main(argv: list[str] | None = None) -> int:
     except (
         UnboundVariableError,
         AmbientMismatch,
-        DimensionMismatch,
         CompileError,
         CheckError,
         ValueError,

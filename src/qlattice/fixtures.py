@@ -1,9 +1,10 @@
 """Plain-text fixtures for subspaces and assignments.
 
 A subspace fixture is the ambient dimension on its own line followed by
-spanning rows in matrix text; rows are canonicalised on load, so a fixture
-need not be in echelon form.  An assignment fixture starts with the
-ambient dimension and then one block per variable::
+spanning rows, one per line, scalars separated by spaces; rows are
+canonicalised on load, so a fixture need not be in echelon form.  Digits
+are ASCII only.  An assignment fixture starts with the ambient dimension
+and then one block per variable::
 
     4
     p = {
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import re
 
-from .linalg import Matrix, ScalarFormatError, format_matrix, parse_scalar
+from .linalg import ScalarFormatError, _int_from_digits, format_scalar, parse_scalar
 from .subspaces import MAX_AMBIENT, Subspace
 from .terms import Assignment
 
@@ -59,9 +60,9 @@ def _parse_ambient(lines: list[tuple[int, str]]) -> int:
     if not lines:
         raise FixtureError("empty fixture", 1)
     lineno, head = lines[0]
-    if not re.fullmatch(r"\d+", head):
+    if not re.fullmatch(r"[0-9]+", head):
         raise FixtureError(f"expected ambient dimension, found {head!r}", lineno)
-    ambient = int(head)
+    ambient = _int_from_digits(head)
     if not 1 <= ambient <= MAX_AMBIENT:
         raise FixtureError(
             f"ambient dimension must be between 1 and {MAX_AMBIENT}", lineno
@@ -74,14 +75,17 @@ def parse_subspace_fixture(text: str) -> Subspace:
     lines = _significant_lines(text)
     ambient = _parse_ambient(lines)
     rows = [_parse_row(line, lineno, ambient) for lineno, line in lines[1:]]
-    if not rows:
-        return Subspace.zero(ambient)
-    return Subspace.from_spanning(Matrix.from_rows(rows), ambient)
+    return Subspace.from_spanning(ambient, rows)
+
+
+def _format_basis(s: Subspace) -> str:
+    """The canonical basis, one row per line, scalars separated by spaces."""
+    return "\n".join(" ".join(map(format_scalar, row)) for row in s.basis)
 
 
 def format_subspace_fixture(s: Subspace) -> str:
     """Write a subspace fixture with its canonical basis rows."""
-    body = format_matrix(s.basis)
+    body = _format_basis(s)
     return f"{s.ambient}\n{body}\n" if body else f"{s.ambient}\n"
 
 
@@ -114,12 +118,7 @@ def parse_assignment_fixture(text: str) -> Assignment:
                 closed = True
             else:
                 rows.append(_parse_row(row_line, rowno, ambient))
-        if rows:
-            bindings[name] = Subspace.from_spanning(
-                Matrix.from_rows(rows), ambient
-            )
-        else:
-            bindings[name] = Subspace.zero(ambient)
+        bindings[name] = Subspace.from_spanning(ambient, rows)
     return Assignment(ambient, bindings)
 
 
@@ -132,6 +131,6 @@ def format_assignment_fixture(a: Assignment) -> str:
             parts.append(f"{name} = {{ }}")
         else:
             parts.append(f"{name} = {{")
-            parts.append(format_matrix(s.basis))
+            parts.append(_format_basis(s))
             parts.append("}")
     return "\n".join(parts) + "\n"

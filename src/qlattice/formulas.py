@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .linalg import Matrix
 from .subspaces import Subspace, complement, embed, meet
 from .terms import (
     BOT,
@@ -95,14 +94,15 @@ def separation_witness(i: int) -> Assignment:
     current = Subspace.full(n)
     bindings: dict[str, Subspace] = {}
     for m in range(1, i + 2):
-        rows = current.basis.entries
+        rows = current.basis
         h = current.dim // 2
-        p = Subspace.from_spanning(Matrix(rows[:h], n))
-        q = Subspace.from_spanning(Matrix(rows[h:], n))
+        p = Subspace.from_spanning(n, rows[:h])
+        q = Subspace.from_spanning(n, rows[h:])
         graph = [
-            tuple(x + y for x, y in zip(rows[j], rows[j + h])) for j in range(h)
+            [(a + c, b + d) for (a, b), (c, d) in zip(rows[j], rows[j + h])]
+            for j in range(h)
         ]
-        r = Subspace.from_spanning(Matrix(tuple(graph), n))
+        r = Subspace.from_spanning(n, graph)
         bindings[f"p{m}"] = p
         bindings[f"q{m}"] = q
         bindings[f"r{m}"] = r
@@ -115,10 +115,10 @@ def beta_witness() -> Assignment:
     return Assignment(
         4,
         {
-            "p": Subspace.from_spanning(Matrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0]])),
-            "q": Subspace.from_spanning(Matrix.from_rows([[0, 0, 1, 0], [0, 0, 0, 1]])),
-            "r": Subspace.from_spanning(Matrix.from_rows([[1, 0, 0, 0], [0, 1, 1, 0]])),
-            "s": Subspace.from_spanning(Matrix.from_rows([[1, 0, 0, 0], [0, 0, 1, 1]])),
+            "p": Subspace.from_spanning(4, [[1, 0, 0, 0], [0, 1, 0, 0]]),
+            "q": Subspace.from_spanning(4, [[0, 0, 1, 0], [0, 0, 0, 1]]),
+            "r": Subspace.from_spanning(4, [[1, 0, 0, 0], [0, 1, 1, 0]]),
+            "s": Subspace.from_spanning(4, [[1, 0, 0, 0], [0, 0, 1, 1]]),
         },
     )
 

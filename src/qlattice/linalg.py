@@ -1,8 +1,11 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Scalars are complex numbers a + b*i with rational a, b, held exactly as a
-pair of :class:`fractions.Fraction`.  Matrices are immutable and row-major.
-Row reduction and kernels are exact; no floating point is used anywhere.
+Scalars are complex numbers a + b*i with rational a, b.  At the edges,
+where text is parsed and printed and where subspaces are built from or
+turned back into coordinates, a scalar is its ``(re, im)`` pair of ints or
+:class:`fractions.Fraction`; numbers of any length convert to and from
+text exactly.  Row reduction and kernels are exact; no floating point is
+used anywhere.
 
 Internally, elimination runs on integer rows: each row is scaled by the
 lcm of its denominators and entries become Gaussian integers stored as
@@ -29,6 +32,10 @@ from math import gcd
 from typing import Iterable, Sequence
 
 _Int = int  # Gaussian-integer rows are flat lists [re0, im0, re1, im1, ...]
+# A scalar at the edges: the (re, im) pair of a Gaussian rational, or a
+# bare int or Fraction when it is real.
+Pair = tuple[int | Fraction, int | Fraction]
+Scalar = Pair | int | Fraction
 
 # The prime of the rank certificate and a square root of -1 modulo it: 3
 # generates the units mod _P, so 3 ** ((_P - 1) / 4) has order 4.
@@ -36,144 +43,69 @@ _P = 998244353
 _I_MOD_P = pow(3, (_P - 1) // 4, _P)
 
 
-class DimensionMismatch(ValueError):
-    """Operand shapes are incompatible for the requested operation."""
-
-
 class ScalarFormatError(ValueError):
     """Malformed scalar text."""
 
 
-class GaussianRational:
-    """Exact complex scalar ``re + im*i`` with rational components.
-
-    Instances are immutable by convention; all arithmetic returns new
-    objects.  Components are always in lowest terms with positive
-    denominator because they are stored as :class:`Fraction`.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0) -> None:
-        self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
-    def norm2(self) -> Fraction:
-        """Squared modulus ``re**2 + im**2`` (a rational)."""
-        return self.re * self.re + self.im * self.im
-
-    @staticmethod
-    def _coerce(value: object) -> "GaussianRational | None":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
-        return None
-
-    def __add__(self, other: object) -> "GaussianRational":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "GaussianRational":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other: object) -> "GaussianRational":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other: object) -> "GaussianRational":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> "GaussianRational":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n2 = o.norm2()
-        if not n2:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n2,
-            (self.im * o.re - self.re * o.im) / n2,
-        )
-
-    def __rtruediv__(self, other: object) -> "GaussianRational":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __eq__(self, other: object) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __str__(self) -> str:
-        return format_scalar(self)
-
-    def __repr__(self) -> str:
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-
-# --- scalar and matrix text -------------------------------------------------
+# --- scalar text -----------------------------------------------------------
 #
 # scalar   := rational | rational sign rat-imag | rat-imag | sign rat-imag
 # rational := ['-'] digits ['/' digits]
 # rat-imag := rational '*' 'i' | 'i' | '-i'
+# digits   := one or more of the ASCII digits 0-9
 #
 # This is the single parse point for scalars; the fixture reader delegates
 # here.
 
-_RAT = r"-?\d+(?:/\d+)?"
+_RAT = r"-?[0-9]+(?:/[0-9]+)?"
 _PURE_RAT = _regex.compile(rf"^({_RAT})$")
 _BARE_I = _regex.compile(r"^(-?)i$")
 _COEF_I = _regex.compile(rf"^({_RAT})\*i$")
-_FULL = _regex.compile(rf"^({_RAT})([+-])(?:(\d+(?:/\d+)?)\*)?i$")
+_FULL = _regex.compile(rf"^({_RAT})([+-])(?:([0-9]+(?:/[0-9]+)?)\*)?i$")
+
+# Python may refuse int <-> str conversions of more than a settable number
+# of digits, never fewer than 640, so longer numbers are converted in pieces
+# split at a power of 10.
+_DIGITS = 600
+_DIGITS_BOUND = 10**_DIGITS
+
+
+def _int_from_digits(digits: str) -> int:
+    """The value of a string of ASCII decimal digits, of any length."""
+    if len(digits) <= _DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _int_from_digits(digits[:-k]) * 10**k + _int_from_digits(digits[-k:])
+
+
+def _digits_of(n: int) -> str:
+    """Decimal text of an int of any size."""
+    if n < 0:
+        return "-" + _digits_of(-n)
+    if n < _DIGITS_BOUND:
+        return str(n)
+    # 10**k <= n since 3/20 < log10(2) / 2, so the high part is nonzero.
+    k = n.bit_length() * 3 // 20
+    high, low = divmod(n, 10**k)
+    return _digits_of(high) + _digits_of(low).zfill(k)
 
 
 def _parse_rational(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        if int(den) == 0:
-            raise ScalarFormatError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    value = _int_from_digits(num.lstrip("-"))
+    if num[0] == "-":
+        value = -value
+    if not den:
+        return Fraction(value)
+    d = _int_from_digits(den)
+    if d == 0:
+        raise ScalarFormatError(f"zero denominator in {text!r}")
+    return Fraction(value, d)
 
 
-def parse_scalar(text: str) -> GaussianRational:
-    """Parse Gaussian-rational text such as ``3``, ``-1/2``, ``2*i``, ``1/2-3/4*i``.
+def parse_scalar(text: str) -> Pair:
+    """Parse Gaussian-rational text such as ``3``, ``-1/2``, ``2*i``,
+    ``1/2-3/4*i`` into its ``(re, im)`` pair.
 
     Accepted forms: a rational, a rational imaginary part (``2*i``, ``i``,
     ``-i``), or both joined by ``+`` or ``-``.
@@ -184,101 +116,40 @@ def parse_scalar(text: str) -> GaussianRational:
     s = text.strip().replace(" ", "")
     if not s:
         raise ScalarFormatError("empty scalar")
+    zero = Fraction(0)
     m = _PURE_RAT.match(s)
     if m:
-        return GaussianRational(_parse_rational(m[1]))
+        return _parse_rational(m[1]), zero
     m = _BARE_I.match(s)
     if m:
-        return GaussianRational(0, -1 if m[1] else 1)
+        return zero, Fraction(-1 if m[1] else 1)
     m = _COEF_I.match(s)
     if m:
-        return GaussianRational(0, _parse_rational(m[1]))
+        return zero, _parse_rational(m[1])
     m = _FULL.match(s)
     if m:
         re_part = _parse_rational(m[1])
         im_part = _parse_rational(m[3]) if m[3] else Fraction(1)
-        return GaussianRational(re_part, -im_part if m[2] == "-" else im_part)
+        return re_part, -im_part if m[2] == "-" else im_part
     raise ScalarFormatError(f"bad scalar {text!r}")
 
 
-def _format_rational(x: Fraction) -> str:
+def _format_rational(x: int | Fraction) -> str:
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _digits_of(x.numerator)
+    return f"{_digits_of(x.numerator)}/{_digits_of(x.denominator)}"
 
 
-def format_scalar(z: GaussianRational) -> str:
-    """Print a scalar in the grammar accepted by :func:`parse_scalar`."""
-    if not z.im:
-        return _format_rational(z.re)
-    if not z.re:
-        return f"{_format_rational(z.im)}*i"
-    sign = "+" if z.im > 0 else "-"
-    return f"{_format_rational(z.re)}{sign}{_format_rational(abs(z.im))}*i"
-
-
-class Matrix:
-    """Immutable row-major matrix of :class:`GaussianRational` entries."""
-
-    __slots__ = ("rows", "cols", "entries", "_hash")
-
-    def __init__(
-        self, entries: tuple[tuple[GaussianRational, ...], ...], cols: int | None = None
-    ) -> None:
-        self.entries = entries
-        self.rows = len(entries)
-        if entries:
-            self.cols = len(entries[0])
-        elif cols is None:
-            raise DimensionMismatch("empty matrix needs an explicit column count")
-        else:
-            self.cols = cols
-        self._hash: int | None = None
-
-    @classmethod
-    def from_rows(
-        cls, rows: Sequence[Sequence[object]], cols: int | None = None
-    ) -> "Matrix":
-        """Build a matrix, coercing int and Fraction entries to scalars."""
-        out = []
-        width = None
-        for row in rows:
-            coerced = tuple(
-                e if isinstance(e, GaussianRational) else GaussianRational(e)
-                for e in row
-            )
-            if width is None:
-                width = len(coerced)
-            elif len(coerced) != width:
-                raise DimensionMismatch("ragged rows")
-            out.append(coerced)
-        return cls(tuple(out), cols if width is None else width)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.cols, self.entries))
-        return h
-
-    def __str__(self) -> str:
-        return format_matrix(self)
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.rows}x{self.cols})"
-
-
-def format_matrix(m: Matrix) -> str:
-    """Print a matrix one row per line, its scalars separated by spaces."""
-    return "\n".join(" ".join(format_scalar(e) for e in row) for row in m.entries)
+def format_scalar(z: Pair) -> str:
+    """Print an ``(re, im)`` pair in the grammar accepted by
+    :func:`parse_scalar`."""
+    re_part, im_part = z
+    if not im_part:
+        return _format_rational(re_part)
+    if not re_part:
+        return f"{_format_rational(im_part)}*i"
+    sign = "+" if im_part > 0 else "-"
+    return f"{_format_rational(re_part)}{sign}{_format_rational(abs(im_part))}*i"
 
 
 # --- integer elimination core ----------------------------------------------
@@ -301,15 +172,13 @@ def _row_from_fracs(fracs: Iterable[Fraction]) -> list[_Int]:
     return row
 
 
-def _int_rows_from_matrix(m: Matrix) -> list[list[_Int]]:
-    out = []
-    for row in m.entries:
-        parts: list[Fraction] = []
-        for e in row:
-            parts.append(e.re)
-            parts.append(e.im)
-        out.append(_row_from_fracs(parts))
-    return out
+def _row_from_scalars(row: Iterable[Scalar]) -> list[_Int]:
+    """The primitive Gaussian-integer row on the line of a row of scalars."""
+    parts: list[int | Fraction] = []
+    for z in row:
+        re_part, im_part = (z, 0) if isinstance(z, (int, Fraction)) else z
+        parts += (re_part, im_part)
+    return _row_from_fracs(parts)
 
 
 def _rank_mod_p(rows: Sequence[Sequence[_Int]], ncols: int) -> int:
@@ -525,15 +394,16 @@ def _conj_int_rows(rows: Iterable[Sequence[_Int]]) -> list[list[_Int]]:
 
 def _fracs_from_int_rows(
     rows: Sequence[Sequence[_Int]], ncols: int
-) -> tuple[tuple[GaussianRational, ...], ...]:
+) -> tuple[tuple[Pair, ...], ...]:
     """Divide each canonical row (see :func:`_reduce_int_rows`) by its
-    pivot, which is the row's first nonzero entry and a positive integer."""
+    pivot, which is the row's first nonzero entry and a positive integer,
+    giving rows of ``(re, im)`` Fraction pairs."""
     out = []
     for r in rows:
         lead = next(x for x in r if x)
         out.append(
             tuple(
-                GaussianRational(Fraction(r[2 * c], lead), Fraction(r[2 * c + 1], lead))
+                (Fraction(r[2 * c], lead), Fraction(r[2 * c + 1], lead))
                 for c in range(ncols)
             )
         )

@@ -29,18 +29,19 @@ so certification stays independent of the memoised ``meet``.
 from __future__ import annotations
 
 from random import Random
-from typing import Sequence
+from typing import Iterable, Sequence
 from weakref import WeakValueDictionary
 
 from .linalg import (
-    Matrix,
+    Pair,
+    Scalar,
     _conj_int_rows,
     _fracs_from_int_rows,
-    _int_rows_from_matrix,
     _kernel_int,
     _null_rows,
     _rank_mod_p,
     _reduce_int_rows,
+    _row_from_scalars,
     _strip_content,
 )
 
@@ -65,7 +66,7 @@ class Subspace:
 
     Internally the canonical basis is kept as primitive Gaussian-integer
     rows (interleaved re/im), which keep further elimination cheap; the
-    Fraction-level basis matrix is materialised on first access.  Each
+    Fraction-level basis is materialised on first access.  Each
     value has one live object, so ``==`` and ``hash`` are identity, and
     the ``basis`` and complement caches are shared by every use of it.
     """
@@ -120,32 +121,41 @@ class Subspace:
         return cls._make(ambient, rows)
 
     @classmethod
-    def from_spanning(cls, vectors: Matrix, ambient: int | None = None) -> "Subspace":
-        """Span of the rows of `vectors`; the rows need not be independent."""
-        n = vectors.cols if ambient is None else ambient
-        if vectors.cols != n:
-            raise AmbientMismatch(
-                f"spanning vectors have {vectors.cols} coordinates, ambient is {n}"
-            )
-        red, _ = _reduce_int_rows(_int_rows_from_matrix(vectors), n)
-        return cls._make(n, red)
+    def from_spanning(
+        cls, ambient: int, rows: Iterable[Sequence[Scalar]]
+    ) -> "Subspace":
+        """Span of `rows`, which need not be independent.
+
+        Each row holds `ambient` scalars: ``(re, im)`` pairs of ints or
+        Fractions, or a bare int or Fraction for a real scalar.
+        """
+        if ambient < 1:
+            raise AmbientMismatch("ambient dimension must be at least 1")
+        int_rows = []
+        for row in rows:
+            if len(row) != ambient:
+                raise AmbientMismatch(
+                    f"spanning row has {len(row)} coordinates, ambient is {ambient}"
+                )
+            int_rows.append(_row_from_scalars(row))
+        red, _ = _reduce_int_rows(int_rows, ambient)
+        return cls._make(ambient, red)
 
     @classmethod
-    def line(cls, ambient: int, coeffs: Sequence[object]) -> "Subspace":
-        """One-dimensional span of a single coordinate row."""
-        return cls.from_spanning(Matrix.from_rows([list(coeffs)]), ambient)
+    def line(cls, ambient: int, coeffs: Sequence[Scalar]) -> "Subspace":
+        """Span of one coordinate row: a line, or 0 for the zero row."""
+        return cls.from_spanning(ambient, [coeffs])
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
     @property
-    def basis(self) -> Matrix:
-        """Canonical reduced-echelon basis; ``dim`` rows, ``ambient`` columns."""
+    def basis(self) -> tuple[tuple[Pair, ...], ...]:
+        """Canonical reduced-echelon basis: ``dim`` rows of ``ambient``
+        ``(re, im)`` Fraction pairs, each row's pivot 1."""
         if self._basis is None:
-            self._basis = Matrix(
-                _fracs_from_int_rows(self._rows, self.ambient), self.ambient
-            )
+            self._basis = _fracs_from_int_rows(self._rows, self.ambient)
         return self._basis
 
     def is_zero(self) -> bool:

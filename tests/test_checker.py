@@ -34,7 +34,6 @@ from qlattice.formulas import (
     orthomodular_law,
     transport,
 )
-from qlattice.linalg import GaussianRational
 import qlattice.subspaces as sub
 from qlattice.subspaces import Subspace
 from qlattice.terms import BOT, Assignment, Equation, Evaluator, parse_equation
@@ -53,7 +52,7 @@ def test_family_ambient2_no_extras():
 def test_family_ambient2_two_extras():
     fam = coordinate_family(2, 2)
     assert fam[4] == Subspace.line(2, [1, 1])
-    assert fam[5] == Subspace.line(2, [1, GaussianRational(0, 1)])
+    assert fam[5] == Subspace.line(2, [1, (0, 1)])
 
 
 def test_family_sizes():

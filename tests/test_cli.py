@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shutil
 import stat
 import subprocess
@@ -99,6 +100,55 @@ def test_eval_bad_fixture_is_parse_error(capsys, tmp_path):
     path.write_text("3\np = {\n1 0 0\n")  # unterminated block
     code, _, err = run(capsys, "eval", "p", "--fixture", str(path))
     assert code == 3
+
+
+def test_eval_non_ascii_digits_are_a_parse_error(capsys, tmp_path):
+    # Arabic-Indic 2 as the ambient and 3 1 as the row: not ambient 2
+    path = tmp_path / "digits.fix"
+    path.write_text("\u0662\np = {\n\u0663 \u0661\n}\n", encoding="utf-8")
+    code, out, err = run(capsys, "eval", "p", "--fixture", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("parse error: line 1: ")
+
+
+def _long_digits(count: int, seed: int) -> str:
+    rng = random.Random(seed)
+    return str(rng.randint(1, 9)) + "".join(str(rng.randint(0, 9)) for _ in range(count - 1))
+
+
+def test_eval_long_scalar_round_trips(capsys, tmp_path):
+    # 5,000 digits, beyond the interpreter's default int/str limit of 4,300
+    big = _long_digits(5000, 1)
+    path = tmp_path / "long.fix"
+    path.write_text(f"2\np = {{\n{big} 1\n}}\n")
+    code, out, err = run(capsys, "eval", "p", "--fixture", str(path))
+    assert (code, err) == (0, "")
+    assert out == f"2\n1 1/{big}\n# dim 1\n"
+    path.write_text(out.replace("2\n", "2\np = {\n", 1).replace("# dim", "}\n# dim"))
+    assert run(capsys, "eval", "p", "--fixture", str(path)) == (0, out, "")
+
+
+def test_eval_prints_long_canonical_entries(capsys, tmp_path):
+    # two rows of 2,500-digit entries load and reduce; the canonical basis
+    # then holds entries of about 5,000 digits, printed exactly
+    a, b = _long_digits(2500, 2), _long_digits(2500, 3)
+    path = tmp_path / "long.fix"
+    path.write_text(f"3\np = {{\n{a} 1 {b}\n2 {b} {a}*i\n}}\n")
+    code, out, err = run(capsys, "eval", "p", "--fixture", str(path))
+    assert (code, err) == (0, "")
+    assert max(len(tok) for tok in out.split()) > 4300
+    p = parse_assignment_fixture(path.read_text())["p"]
+    assert parse_subspace_fixture(out) is p
+    rows = out.splitlines()[1:-1]
+    assert len(rows) == 2 and rows[0].startswith("1 0 ") and rows[1].startswith("0 1 ")
+    path.write_text("3\np = {\n" + "\n".join(rows) + "\n}\n")
+    assert run(capsys, "eval", "p", "--fixture", str(path)) == (0, out, "")
+
+
+def test_witness_index_digits_are_ascii(capsys):
+    code, out, err = run(capsys, "witness", "separation:\u0662")
+    assert code == 2 and out == ""
+    assert "expected separation:INT" in err
 
 
 def test_eval_missing_fixture_is_usage_error(capsys):

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussian import GaussianRational, gaussian_rows
 from qlattice.checker import coordinate_family
 from qlattice.compiler import (
     CompileError,
     Definition,
     _encode_definition,
     _Namer,
-    SolverResult,
     compile_sentence,
     complex_to_real,
     emit_solver_text,
@@ -30,14 +30,13 @@ from qlattice.compiler import (
     stats,
 )
 from qlattice.formulas import (
-    beta,
     distributive_law,
     modular_law,
     named_equations,
     orthomodular_law,
     separation_equation,
 )
-from qlattice.linalg import GaussianRational, _reduce_int_rows, _row_from_fracs
+from qlattice.linalg import _reduce_int_rows, _row_from_fracs
 from qlattice.sentences import (
     eval_sentence,
     format_sentence,
@@ -449,7 +448,7 @@ def test_join_is_span_of_member_vectors(n, seed):
     z = random_subspace(n, rng.randint(0, n), seed + 1)
     env = {}
     for name, sub in (("y", y), ("z", z)):
-        rows = [[e.conjugate() for e in row] for row in complement(sub).basis.entries]
+        rows = [[e.conjugate() for e in row] for row in gaussian_rows(complement(sub).basis)]
         rows += [[GaussianRational(0)] * n] * (n - len(rows))
         for i, row in enumerate(rows, 1):
             for j, e in enumerate(row, 1):

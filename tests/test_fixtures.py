@@ -11,13 +11,12 @@ from qlattice.fixtures import (
     parse_assignment_fixture,
     parse_subspace_fixture,
 )
-from qlattice.linalg import Matrix
 from qlattice.subspaces import Subspace, random_subspace
 from qlattice.terms import Assignment
 
 
 def test_subspace_round_trip():
-    s = Subspace.from_spanning(Matrix.from_rows([[1, 0, 2], [0, 1, -1]]))
+    s = Subspace.from_spanning(3, [[1, 0, 2], [0, 1, -1]])
     assert parse_subspace_fixture(format_subspace_fixture(s)) == s
 
 
@@ -92,6 +91,10 @@ def test_format_sorts_variables():
         ("2\np = {\n1 0\n", 2),           # unterminated block
         ("2\n1 0\n", 2),                  # bare row where a block should open
         ("2\np = {\n1 0\n}\np = {}\n", 5),  # duplicate binding
+        # digits are ASCII only: Arabic-Indic 2 as the ambient, 3 1 as a row
+        pytest.param("\u0662\np = {\n\u0663 \u0661\n}\n", 1, id="unicode-ambient"),
+        pytest.param("2\np = {\n\u0663 \u0661\n}\n", 3, id="unicode-row"),
+        pytest.param("9" * 5000 + "\n", 1, id="long-ambient"),
     ],
 )
 def test_assignment_errors_carry_line_numbers(text, lineno):

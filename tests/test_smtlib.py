@@ -7,7 +7,6 @@ from qlattice.smtlib import (
     check_solver_text,
     parse_script,
     tokenize_sexpr,
-    validate_script,
 )
 
 

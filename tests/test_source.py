@@ -7,6 +7,7 @@ import pytest
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "qlattice").glob("*.py"))
+TEST_SOURCES = sorted((ROOT / "tests").glob("*.py"))
 # Every Python file of the checkout; perfbench/ is only read here.
 ALL_PYTHON = sorted(
     path for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py")
@@ -40,7 +41,12 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def _source_id(path: Path) -> str:
+    """Package modules by bare name, test modules by their path."""
+    return path.name if path in SOURCES else str(path.relative_to(ROOT))
+
+
+@pytest.mark.parametrize("path", SOURCES + TEST_SOURCES, ids=_source_id)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -4,14 +4,16 @@ import copy
 import gc
 import pickle
 import weakref
+from fractions import Fraction
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussian import GaussianRational, gaussian_rows
 import qlattice.subspaces as sub
-from qlattice.linalg import GaussianRational, Matrix, _reduce_int_rows, _strip_content
+from qlattice.linalg import _reduce_int_rows, _strip_content
 from qlattice.subspaces import (
     AmbientMismatch,
     Subspace,
@@ -29,7 +31,7 @@ I = GaussianRational(0, 1)
 
 
 def span(ambient, *rows):
-    return Subspace.from_spanning(Matrix.from_rows(list(rows)), ambient)
+    return Subspace.from_spanning(ambient, rows)
 
 
 def _inner(u, v):
@@ -77,9 +79,9 @@ def built_subspaces(draw, max_ambient=4):
     rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
     entry = st.builds(GaussianRational, rationals, rationals)
     row = st.lists(entry, min_size=n, max_size=n)
-    spanning = Matrix.from_rows(draw(st.lists(row, min_size=1, max_size=n + 1)))
+    spanning = draw(st.lists(row, min_size=1, max_size=n + 1))
     return (
-        Subspace.from_spanning(spanning),
+        Subspace.from_spanning(n, spanning),
         join(p, q),
         meet(p, q),
         complement(p),
@@ -94,7 +96,7 @@ class TestConstruction:
     def test_spanning_canonicalises(self):
         s = span(2, [1, 1], [2, 2])
         assert s.dim == 1
-        assert s.basis == Matrix.from_rows([[1, 1]])
+        assert s.basis == gaussian_rows([[1, 1]])
 
     def test_equality_is_set_equality(self):
         assert span(2, [1, 1], [1, -1]) == Subspace.full(2)
@@ -102,20 +104,57 @@ class TestConstruction:
 
     def test_zero_and_full(self):
         z = Subspace.zero(3)
-        assert z.dim == 0 and z.is_zero() and z.basis.rows == 0
+        assert z.dim == 0 and z.is_zero() and z.basis == ()
         f = Subspace.full(3)
         assert f.dim == 3 and f.is_full()
-        assert f.basis == Matrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert f.basis == gaussian_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatch):
-            Subspace.from_spanning(Matrix.from_rows([[1, 0]]), 3)
+            Subspace.from_spanning(3, [[1, 0]])
         with pytest.raises(AmbientMismatch):
             join(Subspace.zero(2), Subspace.zero(3))
 
+    @pytest.mark.parametrize("rows", [
+        pytest.param([[1, 2], [3]], id="short-row"),
+        pytest.param([[1, 2], [3, 4, 5]], id="long-row"),
+        pytest.param([[]], id="empty-row"),
+        pytest.param([[1, 2, 0]], id="zero-padded-row"),
+    ])
+    def test_row_of_wrong_length(self, rows):
+        with pytest.raises(AmbientMismatch, match="coordinates, ambient is 2"):
+            Subspace.from_spanning(2, rows)
+
+    @pytest.mark.parametrize("ambient", [0, -1])
+    def test_ambient_must_be_positive(self, ambient):
+        with pytest.raises(AmbientMismatch):
+            Subspace.from_spanning(ambient, [])
+
+    def test_empty_spanning_set_is_zero(self):
+        assert Subspace.from_spanning(3, []) is Subspace.zero(3)
+        assert Subspace.from_spanning(3, [[0, (0, 0), Fraction(0)]]) is Subspace.zero(3)
+
+    def test_ints_fractions_and_pairs_give_one_object(self):
+        # Real scalars as ints, as Fractions, as pairs of either, and as the
+        # pairs basis returns: the same vectors give the same object.
+        forms = [
+            [[1, 2, 0], [0, -3, 5]],
+            [[Fraction(1), Fraction(2), Fraction(0)], [Fraction(0), Fraction(-3), Fraction(5)]],
+            [[(1, 0), (2, 0), (0, 0)], [(0, 0), (-3, 0), (5, 0)]],
+            [[(Fraction(1), 0), (2, Fraction(0)), 0], [0, (Fraction(-3), 0), 5]],
+        ]
+        built = [Subspace.from_spanning(3, rows) for rows in forms]
+        assert all(s is built[0] for s in built)
+        assert Subspace.from_spanning(3, built[0].basis) is built[0]
+        # and with an imaginary part, scaled by 1/2 as Fractions
+        p = Subspace.from_spanning(3, [[1, (0, 1), (2, -1)]])
+        half = Fraction(1, 2)
+        assert Subspace.from_spanning(3, [[half, (0, half), (1, -half)]]) is p
+        assert Subspace.line(3, [(0, 1), -1, (1, 2)]) is p
+
     @given(subspaces())
     def test_basis_is_canonical_rref(self, s):
-        again = Subspace.from_spanning(s.basis)
+        again = Subspace.from_spanning(s.ambient, s.basis)
         assert again.dim == s.dim and again.basis == s.basis
 
 
@@ -125,11 +164,11 @@ class TestInterning:
         # scale the basis by a nonzero Gaussian integer, add a multiple of
         # the first row to the others, and append the sum of all rows
         c = GaussianRational(scale, 1)
-        rows = [[c * x for x in row] for row in s.basis.entries]
+        rows = [[c * x for x in row] for row in gaussian_rows(s.basis)]
         if rows:
             rows[1:] = [[x + weight * y for x, y in zip(r, rows[0])] for r in rows[1:]]
         rows.append([sum(col, GaussianRational(0)) for col in zip(*rows)] or [0] * s.ambient)
-        assert Subspace.from_spanning(Matrix.from_rows(rows), s.ambient) is s
+        assert Subspace.from_spanning(s.ambient, rows) is s
 
     def test_copy_deepcopy_and_pickle_keep_identity(self):
         p = span(3, [1, I, 0], [0, 0, 2])
@@ -313,8 +352,8 @@ class TestComplement:
     def test_complement_dimension_and_orthogonality(self, s):
         c = complement(s)
         assert s.dim + c.dim == s.ambient
-        for u in s.basis.entries:
-            for v in c.basis.entries:
+        for u in gaussian_rows(s.basis):
+            for v in c.basis:
                 assert _inner(u, v).is_zero()
 
     @given(subspaces())

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlattice.linalg import Matrix
 from qlattice.subspaces import (
     AmbientMismatch,
     Subspace,
