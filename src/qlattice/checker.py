@@ -18,11 +18,16 @@ dimension bound on alpha, the line classification, the hierarchy
 separation, the always-true laws, route agreement, counterexample
 transport, and the distinct-line family) into pass/fail records with
 inline certificates; :data:`SUITES` names them for the CLI and
-:func:`run_all`.  A suite sweeps assignments through a probe that returns
-None or the detail of a failure.  The first failure ends the sweep: its
-record's ``samples`` counts the assignments evaluated up to and including
-the failing one, whose fixture is the certificate.  A clean sweep gives a
-pass record over every assignment, worded from what the probe tallied.
+:func:`run_all`.
+
+``check`` and every suite run on one sweep, :func:`_sweep`.  It draws
+assignments in chunks of 1, 2, 4, ... up to a cap, evaluates the chunk's
+terms slot by slot as columns (:class:`~qlattice.terms.Evaluator`), then
+runs a probe that returns None or the detail of a failure on each
+assignment in order.  The first failure ends the sweep: a suite record's
+``samples`` counts the assignments evaluated up to and including the
+failing one, whose fixture is the certificate.  A clean sweep gives a pass
+record over every assignment, worded from what the probe tallied.
 """
 
 from __future__ import annotations
@@ -56,9 +61,12 @@ from .terms import (
     Equation,
     Evaluator,
     Program,
+    Term,
     UnboundVariableError,
+    Var,
     evaluate,
     holds,
+    substitute,
 )
 
 
@@ -257,43 +265,96 @@ def _certify(eq: Equation, a: Assignment) -> None:
         )
 
 
+# The live columns of one chunk hold at most this many matrix entries:
+# chunk size x program slots x ambient**2 (see _sweep).
+_CHUNK_ENTRIES = 2 ** 14
+
+
+def _sweep(
+    assignments: Iterable[Assignment],
+    ambient: int,
+    roots: Sequence[Term],
+    probe,
+    routes: Sequence = (None,),
+) -> tuple[int, Assignment | None, object]:
+    """Run `probe` on each assignment in order until it returns a failure.
+
+    Assignments are drawn in chunks of 1, 2, 4, ... assignments.  Each
+    chunk's `roots` are evaluated as columns by one :class:`Evaluator` per
+    meet route in `routes` (None is the default meet), over one shared
+    program; then ``probe(a, *values)`` runs on each assignment of the
+    chunk, with the values of the roots under each route in turn, and
+    returns None or the detail of a failure.
+
+    Returns the number of assignments probed and, at the first failure,
+    the failing assignment and its detail (else None and None).  A failure
+    at position k has drawn at most 2k - 1 assignments, since no chunk is
+    longer than all chunks before it plus one.  A chunk is at most
+    ``_CHUNK_ENTRIES // (program slots * ambient**2)`` long, and at least
+    1, which bounds the matrix entries its columns hold.
+
+    Raises:
+        UnboundVariableError: if an assignment of a chunk lacks a variable
+            of the roots.
+    """
+    program = Program(roots)
+    limit = max(1, _CHUNK_ENTRIES // (max(1, len(program.code)) * ambient * ambient))
+    it = iter(assignments)
+    size = 1
+    done = 0
+    while chunk := list(itertools.islice(it, size)):
+        columns = []
+        for route in routes:
+            ev = Evaluator(chunk, route, program)
+            columns += [ev.eval(t) for t in roots]
+        for a, values in zip(chunk, zip(*columns) if columns else itertools.repeat(())):
+            done += 1
+            detail = probe(a, *values)
+            if detail is not None:
+                return done, a, detail
+        size = min(2 * size, limit)
+    return done, None, None
+
+
+def _differ(a: Assignment, lhs: Subspace, rhs: Subspace) -> tuple[Subspace, Subspace] | None:
+    """The two sides when they differ."""
+    return None if lhs == rhs else (lhs, rhs)
+
+
 def check(eq: Equation, ambient: int, strategies: Sequence | None = None) -> Verdict:
     """Search the strategies in order for a falsifying assignment.
 
-    Stops at the first counterexample (certified before it is returned);
-    otherwise reports how many assignments were survived.
+    Each strategy's assignments go through :func:`_sweep`, so a
+    counterexample at its k-th assignment has drawn at most 2k - 1 of them,
+    and exactly k when one assignment's values alone reach the sweep's
+    memory cap.  Stops at the first counterexample (certified before it is
+    returned); otherwise reports how many assignments were survived.
     """
     if ambient < 1:
         raise ValueError("ambient dimension must be at least 1")
     if strategies is None:
         strategies = default_strategies()
-    program = Program((eq.lhs, eq.rhs))
     samples_tried = 0
     log: list[str] = []
     for strategy in strategies:
-        in_strategy = 0
-        for a in strategy.assignments(eq, ambient):
-            in_strategy += 1
-            samples_tried += 1
-            try:
-                ev = Evaluator(a, program=program)
-                lhs_value = ev.eval(eq.lhs)
-                rhs_value = ev.eval(eq.rhs)
-            except UnboundVariableError as exc:
-                raise CheckError(
-                    f"strategy {strategy.name!r} produced an assignment "
-                    f"missing variable {exc.name!r}"
-                ) from None
-            if lhs_value != rhs_value:
-                _certify(eq, a)
-                log.append(f"{strategy.name}: counterexample at assignment {in_strategy}")
-                return Verdict(
-                    "counterexample",
-                    samples_tried,
-                    tuple(log),
-                    CounterexampleRecord(a, lhs_value, rhs_value),
-                )
-        log.append(f"{strategy.name}: {in_strategy} assignments, no counterexample")
+        try:
+            n, a, sides = _sweep(strategy.assignments(eq, ambient), ambient, eq, _differ)
+        except UnboundVariableError as exc:
+            raise CheckError(
+                f"strategy {strategy.name!r} produced an assignment "
+                f"missing variable {exc.name!r}"
+            ) from None
+        samples_tried += n
+        if a is not None:
+            _certify(eq, a)
+            log.append(f"{strategy.name}: counterexample at assignment {n}")
+            return Verdict(
+                "counterexample",
+                samples_tried,
+                tuple(log),
+                CounterexampleRecord(a, *sides),
+            )
+        log.append(f"{strategy.name}: {n} assignments, no counterexample")
     return Verdict("holds-on-samples", samples_tried, tuple(log), None)
 
 
@@ -356,19 +417,6 @@ def _fail(suite: str, ambient: int | None, samples: int, detail: str,
                        format_assignment_fixture(a))
 
 
-def _sweep(
-    suite: str, ambient: int, assignments: Iterable[Assignment], probe, done: int = 0
-) -> tuple[int, SuiteRecord | None]:
-    """Run `probe` on each assignment, counting on from `done`; returns the
-    count and the fail record of the first failure, or None."""
-    for a in assignments:
-        done += 1
-        detail = probe(a)
-        if detail is not None:
-            return done, _fail(suite, ambient, done, detail, a)
-    return done, None
-
-
 def run_lemma2_suite(
     ambients: Iterable[int] = (2, 3, 4, 5),
     samples: int = 10_000,
@@ -378,23 +426,22 @@ def run_lemma2_suite(
     """Dimension bound 2*dim(alpha) <= ambient on random triples, plus the
     even-ambient triple that meets the bound exactly."""
     term = alpha()
-    program = Program((term,))
     records = []
     for ambient in ambients:
         max_dim = 0
 
-        def probe(a: Assignment) -> str | None:
+        def probe(a: Assignment, value: Subspace) -> str | None:
             nonlocal max_dim
-            d = evaluate(term, a, program=program).dim
+            d = value.dim
             if 2 * d > ambient:
                 return f"bound violated: dim {d} with ambient {ambient}"
             max_dim = max(max_dim, d)
             return None
 
-        n, failed = _sweep("lemma2", ambient, _random_assignments(
+        n, a, detail = _sweep(_random_assignments(
             f"lemma2:{seed}:{ambient}", ambient, ("p", "q", "r"), samples, coeff_bound
-        ), probe)
-        records.append(failed or SuiteRecord(
+        ), ambient, (term,), probe)
+        records.append(_fail("lemma2", ambient, n, detail, a) if a else SuiteRecord(
             "lemma2", ambient, n, "pass",
             f"2*dim(alpha) <= {ambient} held; max dim seen {max_dim}",
         ))
@@ -417,14 +464,11 @@ def run_lemma2_suite(
 def run_lemma3_suite() -> SuiteReport:
     """Classification in the plane: alpha is nonzero exactly on triples of
     three distinct lines, where it equals the complement of p."""
-    term = alpha()
-    program = Program((term,))
     nonzero = 0
 
-    def probe(a: Assignment) -> str | None:
+    def probe(a: Assignment, value: Subspace) -> str | None:
         nonlocal nonzero
         p, q, r = a["p"], a["q"], a["r"]
-        value = evaluate(term, a, program=program)
         distinct_lines = (
             p.dim == 1 and q.dim == 1 and r.dim == 1
             and p != q and q != r and p != r
@@ -441,8 +485,8 @@ def run_lemma3_suite() -> SuiteReport:
         return None
 
     triples = _tuples(("p", "q", "r"), coordinate_family(2, 5), 2)
-    total, failed = _sweep("lemma3", 2, triples, probe)
-    return SuiteReport((failed or SuiteRecord(
+    total, a, detail = _sweep(triples, 2, (alpha(),), probe)
+    return SuiteReport((_fail("lemma3", 2, total, detail, a) if a else SuiteRecord(
         "lemma3", 2, total, "pass",
         f"{nonzero} of {total} triples nonzero, all equal to ~p; "
         "the rest vanish",
@@ -514,36 +558,38 @@ def run_laws_suite(
     characterizations in both directions, and the dimension formula."""
     catalogue = named_equations()
     laws = [(name, catalogue[name]) for name in _LAW_NAMES]
-    eq_char, eq_char_dual = catalogue["eq-char"], catalogue["eq-char-dual"]
-    chars = [(eq, Program((eq.lhs, eq.rhs))) for eq in (eq_char, eq_char_dual)]
-    law_program = Program(t for _, eq in laws for t in (eq.lhs, eq.rhs))
+    chars = (catalogue["eq-char"], catalogue["eq-char-dual"])
+    # Both sides of each law and characterization under (p, q, r), then of
+    # each characterization with q := p: its value where p = q.
+    roots = [t for _, eq in laws for t in eq] + [t for eq in chars for t in eq]
+    roots += [substitute(t, {"q": Var("p")}) for eq in chars for t in eq]
     records = []
     for ambient in ambients:
         distinct_pairs = 0
 
-        def probe(a: Assignment) -> str | None:
+        def probe(a: Assignment, *values: Subspace) -> str | None:
             nonlocal distinct_pairs
-            ev = Evaluator(a, program=law_program)
-            for name, eq in laws:
-                if ev.eval(eq.lhs) != ev.eval(eq.rhs):
+            sides = iter(values)
+            for name, _ in laws:
+                if next(sides) != next(sides):
                     return f"{name} violated"
-            p, q = a["p"], a["q"]
             # Equality characterizations: both formulas detect p = q.
-            same = Assignment(ambient, {"p": p, "q": p})
-            if not all(holds(eq, same, program=prog) for eq, prog in chars):
+            as_given = [next(sides) == next(sides) for _ in chars]
+            if not all(next(sides) == next(sides) for _ in chars):
                 return "eq-char-equal violated"
+            p, q = a["p"], a["q"]
             if p != q:
                 distinct_pairs += 1
-                if any(holds(eq, a, program=prog) for eq, prog in chars):
+                if any(as_given):
                     return "eq-char-distinct violated"
             if join(p, q).dim + meet(p, q).dim != p.dim + q.dim:
                 return "dimension-formula violated"
             return None
 
-        n, failed = _sweep("laws", ambient, _random_assignments(
+        n, a, detail = _sweep(_random_assignments(
             f"laws:{seed}:{ambient}", ambient, ("p", "q", "r"), samples, coeff_bound
-        ), probe)
-        records.append(failed or SuiteRecord(
+        ), ambient, roots, probe)
+        records.append(_fail("laws", ambient, n, detail, a) if a else SuiteRecord(
             "laws", ambient, n, "pass",
             f"{len(laws)} laws, both equality characterizations "
             f"({distinct_pairs} distinct pairs), and the dimension "
@@ -568,22 +614,22 @@ def run_meet_agreement_suite(
         return None
 
     pairs = _tuples(("p", "q"), coordinate_family(ambient, extra_lines), ambient)
-    paired, failed = _sweep(suite, ambient, pairs, pair_agrees)
+    paired, a, detail = _sweep(pairs, ambient, (), pair_agrees)
     done = paired
     strategy = CoordinateFamilyStrategy(extra_lines=extra_lines, cap=256, seed=seed)
     for name, eq in named_equations().items():
-        if failed:
+        if a is not None:
             break
-        program = Program((eq.lhs, eq.rhs))
 
-        def equation_agrees(a: Assignment) -> str | None:
-            if holds(eq, a, None, program) != holds(eq, a, meet_via_demorgan, program):
+        def equation_agrees(_: Assignment, lhs, rhs, lhs_demorgan, rhs_demorgan) -> str | None:
+            if (lhs == rhs) != (lhs_demorgan == rhs_demorgan):
                 return f"routes disagree evaluating {name}"
             return None
 
-        assignments = strategy.assignments(eq, ambient)
-        done, failed = _sweep(suite, ambient, assignments, equation_agrees, done)
-    return SuiteReport((failed or SuiteRecord(
+        n, a, detail = _sweep(strategy.assignments(eq, ambient), ambient, eq,
+                              equation_agrees, (None, meet_via_demorgan))
+        done += n
+    return SuiteReport((_fail(suite, ambient, done, detail, a) if a else SuiteRecord(
         suite, ambient, done, "pass",
         f"{paired} pairs and {done - paired} equation evaluations agree "
         "across both meet routes",
@@ -621,8 +667,6 @@ def run_gamma_suite() -> SuiteReport:
     which is the complement of p, so r = ~p or s = ~p also collapses
     everything.  Away from those degeneracies the value is p itself.
     """
-    term = gamma_distinct_lines(4)
-    program = Program((term,))
     lines = [
         Subspace.line(2, [1, 0]),
         Subspace.line(2, [0, 1]),
@@ -634,10 +678,9 @@ def run_gamma_suite() -> SuiteReport:
     nonzero = 0
     coincident = 0
 
-    def probe(a: Assignment) -> str | None:
+    def probe(a: Assignment, value: Subspace) -> str | None:
         nonlocal nonzero, coincident
         p, r, s = a["p"], a["r"], a["s"]
-        value = evaluate(term, a, program=program)
         if len(set(a.bindings.values())) < 4:
             coincident += 1
             if not value.is_zero():
@@ -655,8 +698,9 @@ def run_gamma_suite() -> SuiteReport:
                 return "nonzero value differs from p"
         return None
 
-    total, failed = _sweep("gamma", 2, _tuples(("p", "q", "r", "s"), lines, 2), probe)
-    return SuiteReport((failed or SuiteRecord(
+    tuples = _tuples(("p", "q", "r", "s"), lines, 2)
+    total, a, detail = _sweep(tuples, 2, (gamma_distinct_lines(4),), probe)
+    return SuiteReport((_fail("gamma", 2, total, detail, a) if a else SuiteRecord(
         "gamma", 2, total, "pass",
         f"zero on all {coincident} coincident tuples; nonzero exactly on "
         f"the {nonzero} distinct tuples avoiding r = ~p and s = ~p, "

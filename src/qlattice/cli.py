@@ -59,9 +59,9 @@ from .linalg import ScalarFormatError
 from .sentences import parse_sentence
 from .subspaces import MAX_AMBIENT, AmbientMismatch
 from .terms import (
-    Evaluator,
     ParseError,
     UnboundVariableError,
+    evaluate,
     format_term,
     parse_equation,
     parse_term,
@@ -151,7 +151,7 @@ def _read(path: str) -> str:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     assignment = parse_assignment_fixture(_read(args.fixture))
-    value = Evaluator(assignment).eval(parse_term(args.term))
+    value = evaluate(parse_term(args.term), assignment)
     sys.stdout.write(format_subspace_fixture(value))
     print(f"# dim {value.dim}")
     return EXIT_OK
@@ -192,15 +192,25 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_FALSIFIED
 
 
+# Significant digits of the longest index `_indexed` converts; every
+# index range of the CLI is far shorter.
+_INDEX_DIGITS = 9
+
+
 def _indexed(name: str, expected_key: str) -> int | None:
-    """Parse 'key:INT' names; None when the key does not match."""
+    """Parse 'key:INT' names; None when the key does not match.  An index
+    of more than _INDEX_DIGITS significant digits is refused unconverted,
+    so no message prints it."""
     key, sep, idx = name.partition(":")
     if key != expected_key:
         return None
     digits = idx.removeprefix("-")
     if not sep or not (digits.isascii() and digits.isdigit()):
         raise UsageError(f"expected {expected_key}:INT, got {name!r}")
-    return int(idx)
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > _INDEX_DIGITS:
+        raise UsageError(f"the {expected_key} index is out of range ({len(digits)} digits)")
+    return -int(digits) if idx.startswith("-") else int(digits)
 
 
 def cmd_emit(args: argparse.Namespace) -> int:

@@ -331,8 +331,8 @@ def eval_sentence(
             program = programs.get(args)
             if program is None:
                 program = programs[args] = Program(args)
-            ev = Evaluator(Assignment(ambient, env), program=program)
-            left, right = ev.eval(args[0]), ev.eval(args[1])
+            ev = Evaluator((Assignment(ambient, env),), program=program)
+            (left,), (right,) = ev.eval(args[0]), ev.eval(args[1])
             value = left == right if op == "eq" else leq(left, right)
         elif op in QUANTIFIERS:
             names, body = args

@@ -17,7 +17,8 @@ alive.  A :class:`Program` lists the distinct subterms of some roots in
 post-order, one slot each, in the same shape with children replaced by
 slots.  Evaluation, free variables, substitution, normal forms and the
 compiler's flattening loop over programs, linear in distinct subterms and
-without recursion, so no term is too deep for them.  Printing walks the
+without recursion, so no term is too deep for them; evaluation runs each
+slot once over a whole batch of assignments.  Printing walks the
 slots with an explicit stack, linear in the printed text.
 """
 
@@ -521,54 +522,67 @@ def rename(t: Term, mapping: Mapping[str, str]) -> Term:
 
 
 class Evaluator:
-    """Evaluates terms under one assignment by running a program's slots.
+    """Evaluates terms under a batch of assignments, one slot at a time.
 
-    ``eval(t)`` runs each slot up to that of `t` once.  Callers evaluating
-    the same terms under many assignments share one `program`.  The meet
-    operation is injectable so an independent implementation can be
-    swapped in for cross-checks.
+    ``eval(t)`` returns the column of `t`: its value under each assignment,
+    in order.  Each slot up to that of `t` is computed once, as one column
+    over the whole batch, so the per-slot dispatch is paid once per batch
+    rather than once per assignment; ``top`` and ``bot`` take each
+    assignment's own ambient.  ``meet``, ``join`` and ``complement`` are
+    read from :mod:`subspaces` at each call, so a replaced function sees
+    one call per slot per assignment.  The meet is injectable so an
+    independent implementation can be swapped in for cross-checks.
+
+    Every column stays alive with the evaluator: a batch of ``k``
+    assignments over a program of ``s`` slots holds ``k * s`` subspaces,
+    each of at most ``ambient ** 2`` entries.  The checker's sweep
+    therefore draws its batches in chunks of 1, 2, 4, ... assignments,
+    with chunk size x slots x ambient**2 at most 2**14 entries, and draws
+    at most 2k - 1 assignments when the k-th fails.  The returned columns
+    are the evaluator's own and must not be modified.
     """
 
-    __slots__ = ("assignment", "program", "_values", "_meet")
+    __slots__ = ("assignments", "program", "_columns", "_meet")
 
-    def __init__(self, assignment: Assignment, meet_op=None, program=None) -> None:
-        self.assignment = assignment
+    def __init__(self, assignments: Sequence[Assignment], meet_op=None, program=None) -> None:
+        self.assignments = assignments
         self.program = program if program is not None else Program()
-        self._values: list[Subspace] = []
-        self._meet = meet_op if meet_op is not None else _sub.meet
+        self._columns: list[list[Subspace]] = []
+        self._meet = meet_op
 
-    def eval(self, t: Term) -> Subspace:
+    def eval(self, t: Term) -> list[Subspace]:
         slot = self.program.slot(t)
-        values = self._values
-        meet, join, complement = self._meet, _sub.join, _sub.complement
-        ambient = self.assignment.ambient
-        for op, a, b in self.program.code[len(values):slot + 1]:
+        columns = self._columns
+        batch = self.assignments
+        meet = self._meet or _sub.meet
+        for op, a, b in self.program.code[len(columns):slot + 1]:
             if op == "meet":
-                v = meet(values[a], values[b])
+                col = list(map(meet, columns[a], columns[b]))
             elif op == "join":
-                v = join(values[a], values[b])
+                col = list(map(_sub.join, columns[a], columns[b]))
             elif op == "not":
-                v = complement(values[a])
+                col = list(map(_sub.complement, columns[a]))
             elif op == "var":
-                v = self.assignment[a]
+                col = [x[a] for x in batch]
             elif op == "top":
-                v = Subspace.full(ambient)
+                col = [Subspace.full(x.ambient) for x in batch]
             else:
-                v = Subspace.zero(ambient)
-            values.append(v)
-        return values[slot]
+                col = [Subspace.zero(x.ambient) for x in batch]
+            columns.append(col)
+        return columns[slot]
 
 
 def evaluate(t: Term, assignment: Assignment, meet_op=None, program=None) -> Subspace:
-    """Value of `t` under `assignment`.
+    """Value of `t` under one assignment.
 
     Raises:
         UnboundVariableError: if a free variable of `t` has no binding.
     """
-    return Evaluator(assignment, meet_op, program).eval(t)
+    return Evaluator((assignment,), meet_op, program).eval(t)[0]
 
 
 def holds(eq: Equation, assignment: Assignment, meet_op=None, program=None) -> bool:
-    """Whether both sides of `eq` evaluate to the same subspace."""
-    ev = Evaluator(assignment, meet_op, program)
+    """Whether both sides of `eq` evaluate to the same subspace under one
+    assignment."""
+    ev = Evaluator((assignment,), meet_op, program)
     return ev.eval(eq.lhs) == ev.eval(eq.rhs)

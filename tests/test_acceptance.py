@@ -46,7 +46,7 @@ from qlattice.formulas import (
 from qlattice.sentences import eval_sentence, parse_sentence, universal_closure
 from qlattice.smtlib import check_solver_text
 from qlattice.subspaces import Subspace
-from qlattice.terms import Assignment, Evaluator, Var, evaluate
+from qlattice.terms import Assignment, Var, evaluate
 
 GOLDEN = Path(__file__).parent / "golden"
 WORKED = "forall x, y, z. ~(x ^ y) v z = y ^ (~z v x)"
@@ -99,7 +99,7 @@ def test_criterion_03_separation_hierarchy(capsys):
     dims = []
     for i in range(3):
         witness = separation_witness(i)
-        dims.append(Evaluator(witness).eval(alpha_iter(i + 1)).dim)
+        dims.append(evaluate(alpha_iter(i + 1), witness).dim)
     elapsed = time.perf_counter() - start
     ok = report.passed and dims == [1, 1, 1] and elapsed < 300.0
     _report(
@@ -246,7 +246,7 @@ def test_criterion_11_gamma_distinct_line_detector(capsys):
         Subspace.line(2, [1, 2]),
     ]
     assignment = Assignment(2, dict(zip("pqrs", lines)))
-    value = Evaluator(assignment).eval(gamma_distinct_lines(4))
+    value = evaluate(gamma_distinct_lines(4), assignment)
     ok = report.passed and not value.is_zero() and value == lines[0]
     _report(
         capsys, 11,

@@ -83,9 +83,12 @@ def test_every_meet_and_join_slot_calls_the_hooked_function(monkeypatch):
             calls[_name] += 1
             return _orig(p, q)
         monkeypatch.setattr(qlattice.subspaces, name, counted)
+    # A batch evaluates slot by slot, so the count is per slot and assignment.
     t = qlattice.terms.parse_term("((0 ^ 1) v (1 ^ 1)) ^ ~((1 v 0) ^ (0 v 0)) v (1 ^ ~1)")
     code = qlattice.terms.Program((t,)).code
-    value = qlattice.terms.evaluate(t, qlattice.terms.Assignment(3, {}))
-    assert value.is_full()
-    assert calls == {"meet": 5, "join": 4}
-    assert calls == {op: sum(o == op for o, _, _ in code) for op in calls}
+    batch = [qlattice.terms.Assignment(n, {}) for n in (3, 1, 2, 3)]
+    values = qlattice.terms.Evaluator(batch).eval(t)
+    assert [v.ambient for v in values] == [3, 1, 2, 3]
+    assert all(v.is_full() for v in values)
+    assert calls == {"meet": 5 * 4, "join": 4 * 4}
+    assert calls == {op: len(batch) * sum(o == op for o, _, _ in code) for op in calls}

@@ -335,19 +335,25 @@ def _other(v: Subspace) -> Subspace:
 
 
 def _wrong_eval(flips):
-    """Evaluator.eval goes wrong on the terms `flips` picks, under the k-th
-    assignment in which it evaluates one of them."""
+    """Evaluator.eval goes wrong on the terms `flips` picks: in the column
+    entry of the k-th assignment under which it evaluates one of them, in
+    sweep order, and again whenever that same assignment object is
+    evaluated, as certification does."""
     def arm(monkeypatch, k):
         seen = []
+        position = {}  # id of each assignment in `seen` -> its index there
         real = Evaluator.eval
 
         def eval(self, t):
-            v = real(self, t)
+            column = real(self, t)
             if not flips(t):
-                return v
-            if not seen or seen[-1] is not self.assignment:
-                seen.append(self.assignment)
-            return _other(v) if len(seen) == k and seen[-1] is self.assignment else v
+                return column
+            for a in self.assignments:
+                if id(a) not in position:
+                    position[id(a)] = len(seen)
+                    seen.append(a)
+            return [_other(v) if position[id(a)] == k - 1 else v
+                    for a, v in zip(self.assignments, column)]
 
         monkeypatch.setattr(Evaluator, "eval", eval)
         return seen

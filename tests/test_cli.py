@@ -151,6 +151,22 @@ def test_witness_index_digits_are_ascii(capsys):
     assert "expected separation:INT" in err
 
 
+@pytest.mark.parametrize("command, family", [("witness", "separation"), ("emit", "gamma")])
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_over_long_index_is_a_usage_error(capsys, command, family, sign):
+    # refused before conversion, so no int/str digit limit is hit
+    code, out, err = run(capsys, command, f"{family}:{sign}{'9' * 5000}")
+    assert code == 2 and out == ""
+    assert f"the {family} index is out of range (5000 digits)" in err
+    assert len(err) < 200
+
+
+def test_index_leading_zeros_do_not_count(capsys):
+    padded = run(capsys, "witness", "separation:" + "0" * 5000 + "1")
+    assert padded == run(capsys, "witness", "separation:1")
+    assert padded[0] == 0
+
+
 def test_eval_missing_fixture_is_usage_error(capsys):
     code, _, _ = run(capsys, "eval", "p", "--fixture", "does-not-exist.fix")
     assert code == 2
@@ -672,6 +688,9 @@ def test_cli_output_is_the_same_under_other_interpreters(version):
         ["check", "p ^ (q v r) = (p ^ q) v (p ^ r)", "--ambient", "3", "--samples", "50"],
         ["check", "p ^ (q v (p ^ r)) = (p ^ q) v (p ^ r)", "--ambient", "4", "--samples", "20"],
         ["suite", "laws", "--samples", "3"],
+        ["suite", "separation", "--max-i", "1", "--samples", "20"],
+        ["suite", "meet-agreement"],
+        ["suite", "gamma"],
     ]
     for argv in commands:
         ours, theirs = (

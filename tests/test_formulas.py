@@ -79,21 +79,20 @@ class TestAlpha:
     @given(triples())
     @settings(max_examples=40)
     def test_first_join_below_second(self, a):
-        ev = Evaluator(a)
-        va = ev.eval(parse_term("p v q ^ r"))
-        vb = ev.eval(parse_term("(p v q) ^ (p v r)"))
+        ev = Evaluator([a])
+        (va,), (vb,) = ev.eval(parse_term("p v q ^ r")), ev.eval(parse_term("(p v q) ^ (p v r)"))
         assert leq(va, vb)
 
 
 class TestBeta:
     def test_witness_chain_frozen(self):
         w = beta_witness()
-        ev = Evaluator(w)
-        inner = ev.eval(alpha())
+        ev = Evaluator([w])
+        (inner,) = ev.eval(alpha())
         assert inner == Subspace.line(4, [0, 0, 1, 0])
-        second = ev.eval(parse_term("~p"))
+        (second,) = ev.eval(parse_term("~p"))
         assert meet(complement(inner), second) == Subspace.line(4, [0, 0, 0, 1])
-        assert ev.eval(beta()) == Subspace.line(4, [0, 0, 0, 1])
+        assert ev.eval(beta()) == [Subspace.line(4, [0, 0, 0, 1])]
 
     def test_zero_on_sampled_plane_assignments(self):
         for seed in range(40):

@@ -83,6 +83,20 @@ def term_with_assignment(draw, max_ambient=3, strategy=terms):
     return t, Assignment(n, bindings)
 
 
+@st.composite
+def term_with_batch(draw, max_ambient=3):
+    """A term and 1..5 assignments of it, each in its own ambient."""
+    t = draw(terms)
+    batch = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, max_ambient))
+        batch.append(Assignment(n, {
+            name: random_subspace(n, draw(st.integers(0, n)), draw(st.integers(0, 10**6)))
+            for name in sorted(free_vars(t))
+        }))
+    return t, batch
+
+
 class TestParsing:
     def test_precedence(self):
         assert parse_term("p ^ q v r") == Join(Meet(p, q), r)
@@ -279,9 +293,8 @@ class TestEvaluation:
 
     def test_shared_evaluator_memo(self):
         a = Assignment(2, {"p": self.e1, "q": self.e2})
-        ev = Evaluator(a)
-        v1 = ev.eval(parse_term("p v q"))
-        v2 = ev.eval(parse_term("(p v q) ^ 1"))
+        ev = Evaluator([a])
+        (v1,), (v2,) = ev.eval(parse_term("p v q")), ev.eval(parse_term("(p v q) ^ 1"))
         assert v1 == v2 and v1.is_full()
 
     @given(term_with_assignment())
@@ -321,10 +334,25 @@ class TestProgram:
     def test_evaluator_matches_recursive_reference(self, ta, meet_op):
         t, a = ta
         expected = reference_eval(t, a, meet_op)
-        assert Evaluator(a, meet_op).eval(t) == expected
+        assert Evaluator([a], meet_op).eval(t) == [expected]
         # a program shared by two roots evaluates each to its own value
         shared = Program([to_nnf(t), t])
-        assert Evaluator(a, meet_op, shared).eval(t) == expected
+        assert Evaluator([a], meet_op, shared).eval(t) == [expected]
+
+    @given(term_with_batch(), st.sampled_from([meet, meet_via_demorgan]))
+    @settings(max_examples=60)
+    def test_batch_evaluates_each_assignment_on_its_own(self, tb, meet_op):
+        # one value per assignment, in order; 0 and 1 in each one's ambient
+        t, batch = tb
+        expected = [reference_eval(t, a, meet_op) for a in batch]
+        assert Evaluator(batch, meet_op).eval(t) == expected
+        assert [evaluate(t, a, meet_op) for a in batch] == expected
+
+    def test_constants_take_each_assignments_ambient(self):
+        batch = [Assignment(n, {}) for n in (3, 1, 2)]
+        ev = Evaluator(batch)
+        assert ev.eval(TOP) == [Subspace.full(n) for n in (3, 1, 2)]
+        assert ev.eval(parse_term("~1 v 0")) == [Subspace.zero(n) for n in (3, 1, 2)]
 
     @given(terms)
     @settings(max_examples=80)
@@ -357,7 +385,7 @@ class TestProgram:
             return meet(x, y)
 
         a = Assignment(2, {"p": Subspace.line(2, [1, 0]), "q": Subspace.line(2, [1, 1])})
-        ev = Evaluator(a, counting_meet)
+        ev = Evaluator([a], counting_meet)
         ev.eval(parse_term("(p ^ q) v (p ^ q)"))
         ev.eval(parse_term("~(p ^ q)"))
         assert len(calls) == 1
