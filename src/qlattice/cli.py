@@ -141,8 +141,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
+    # utf-8-sig drops a leading byte-order mark, which editors may write
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

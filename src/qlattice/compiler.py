@@ -32,8 +32,13 @@ module docstring.  Stages two and three add expression nodes and let
 Complex formulas use ``conj`` and two-part constants, real ones ``neg``
 and one-part constants.  Every formula walk is ``sentences.fold`` or,
 in the emitter, its own explicit stack, so no sentence or formula is too
-deep for them; expressions are at most three levels deep and are walked
-recursively.
+deep for them.  Expressions are at most three levels deep, and stage
+three and the emitter dispatch on their shape.  Stage three splits each
+complex variable once per sentence into one pair of real leaves that
+every occurrence shares, and expands a product from its operands'
+parts in one step; the emitter prints a product of two leaves in one
+step.  Other shapes (``conj``, constants, sums, products of compound
+operands) recurse, and a malformed node raises ``CompileError``.
 
 ``emit_solver_text`` renders the result as SMT-LIB v2, one formula node
 per line and without indentation, so the text is linear in the size of
@@ -279,11 +284,11 @@ def _matrix_entries(name: str, n: int) -> tuple[str, ...]:
 
 def _kernel(name: str, vec: str, n: int) -> Node:
     """The n row equations of <matrix of name> * vec = 0."""
+    components = [_var(c) for c in _components(vec, n)]  # shared by every row
     rows = []
     for i in range(1, n + 1):
         terms = tuple(
-            ("mul", (_var(f"{name}.{i}.{j}"), _var(f"{vec}.{j}")))
-            for j in range(1, n + 1)
+            ("mul", (_var(f"{name}.{i}.{j}"), c)) for j, c in enumerate(components, 1)
         )
         rows.append(("eq", (("add", terms), _ZERO)))
     return ("and", tuple(rows))
@@ -396,39 +401,57 @@ def _split_vars(names: Sequence[str]) -> tuple[str, ...]:
     return tuple(f"{name}.{part}" for name in names for part in ("re", "im"))
 
 
-def _split_expr(e: Node) -> tuple[Node, Node]:
-    """Real and imaginary parts of a complex expression."""
+class _Leaves(dict):
+    """Complex variable name -> its pair of real leaf nodes, made on first
+    use, so every occurrence of a variable shares one pair."""
+
+    def __missing__(self, name: str) -> tuple[Node, Node]:
+        pair = self[name] = (("var", (name + ".re",)), ("var", (name + ".im",)))
+        return pair
+
+
+def _split_expr(e: Node, leaves: _Leaves) -> tuple[Node, Node]:
+    """Real and imaginary parts of a complex expression.
+
+    A variable's parts are its shared leaves; a product takes its
+    operands' parts, read straight from ``leaves`` when an operand is a
+    variable, and expands them in one step."""
     op, args = e
     if op == "var":
-        (name,) = args
-        return ("var", (f"{name}.re",)), ("var", (f"{name}.im",))
-    if op == "const":
+        return leaves[args[0]]
+    if op == "mul":
+        if len(args) != 2:
+            raise CompileError(f"a product takes two operands: {e!r}")
+        a, b = args
+        a_re, a_im = leaves[a[1][0]] if a[0] == "var" else _split_expr(a, leaves)
+        b_re, b_im = leaves[b[1][0]] if b[0] == "var" else _split_expr(b, leaves)
+        return (
+            ("add", (("mul", (a_re, b_re)), ("neg", (("mul", (a_im, b_im)),)))),
+            ("add", (("mul", (a_re, b_im)), ("mul", (a_im, b_re)))),
+        )
+    if op == "add":
+        re, im = zip(*[_split_expr(a, leaves) for a in args]) if args else ((), ())
+        return ("add", re), ("add", im)
+    if op == "conj" and len(args) == 1:
+        re, im = _split_expr(args[0], leaves)
+        return re, ("neg", (im,))
+    if op == "const" and len(args) == 2:
         re, im = args
         return ("const", (re,)), ("const", (im,))
-    if op == "conj":
-        re, im = _split_expr(args[0])
-        return re, ("neg", (im,))
-    if op == "add":
-        parts = [_split_expr(a) for a in args]
-        return ("add", tuple(p[0] for p in parts)), ("add", tuple(p[1] for p in parts))
-    if op == "mul":
-        a_re, a_im = _split_expr(args[0])
-        b_re, b_im = _split_expr(args[1])
-        re = ("add", (("mul", (a_re, b_re)), ("neg", (("mul", (a_im, b_im)),))))
-        im = ("add", (("mul", (a_re, b_im)), ("mul", (a_im, b_re))))
-        return re, im
     raise CompileError(f"not a complex expression: {e!r}")
 
 
 def complex_to_real(c: Node) -> Node:
-    """Stage three: every complex variable becomes a (re, im) pair and
-    every complex equation two real equations."""
+    """Stage three: every complex variable becomes a (re, im) pair of
+    leaves, shared by all its occurrences, and every complex equation
+    two real equations."""
+    leaves = _Leaves()
 
     def visit(node: Node, kids: list) -> Node:
         op, args = node
         if op == "eq":
-            l_re, l_im = _split_expr(args[0])
-            r_re, r_im = _split_expr(args[1])
+            l_re, l_im = _split_expr(args[0], leaves)
+            r_re, r_im = _split_expr(args[1], leaves)
             return ("and", (("eq", (l_re, r_re)), ("eq", (l_im, r_im))))
         if op in S.QUANTIFIERS:
             return (op, (_split_vars(args[0]), kids[0]))
@@ -461,29 +484,33 @@ class CompileStats:
 # --- SMT-LIB emission -------------------------------------------------------
 
 
-_EXPR_WORDS = {"neg": "-", "mul": "*", "add": "+"}
 _EMPTY_WORDS = {"and": "true", "or": "false"}
 
 
 def _fmt_const(value: Fraction) -> str:
-    if value < 0:
-        return f"(- {_fmt_const(-value)})"
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"(/ {value.numerator} {value.denominator})"
+    num, den = value.numerator, value.denominator
+    text = str(abs(num)) if den == 1 else f"(/ {abs(num)} {den})"
+    return f"(- {text})" if num < 0 else text
 
 
 def _fmt_expr(e: Node) -> str:
     op, args = e
+    if op == "mul" and len(args) == 2:
+        a, b = args
+        if a[0] == "var" and b[0] == "var":
+            return f"(* {a[1][0]} {b[1][0]})"
+        return f"(* {_fmt_expr(a)} {_fmt_expr(b)})"
+    if op == "add":
+        if len(args) < 2:
+            return _fmt_expr(args[0]) if args else "0"
+        return "(+ " + " ".join([_fmt_expr(a) for a in args]) + ")"
+    if op == "neg" and len(args) == 1:
+        return f"(- {_fmt_expr(args[0])})"
     if op == "var":
         return args[0]
     if op == "const" and len(args) == 1:
         return _fmt_const(args[0])
-    if op == "add" and len(args) < 2:
-        return _fmt_expr(args[0]) if args else "0"
-    if op not in _EXPR_WORDS:
-        raise CompileError(f"not a real expression: {e!r}")
-    return f"({_EXPR_WORDS[op]} " + " ".join(_fmt_expr(a) for a in args) + ")"
+    raise CompileError(f"not a real expression: {e!r}")
 
 
 def _fmt_formula(f: Node) -> str:
@@ -498,7 +525,7 @@ def _fmt_formula(f: Node) -> str:
         if op == "eq":
             out.append(f"(= {_fmt_expr(args[0])} {_fmt_expr(args[1])})")
         elif op in S.QUANTIFIERS:
-            binders = " ".join(f"({name} Real)" for name in args[0])
+            binders = " ".join([f"({name} Real)" for name in args[0]])
             out.append(f"({op} ({binders})\n")
             todo += (")", args[1])
         elif op in _EMPTY_WORDS and len(args) < 2:

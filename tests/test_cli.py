@@ -514,6 +514,23 @@ def test_non_utf8_input_is_usage_error(capsys, monkeypatch, tmp_path, argv):
     assert "cannot read bad.txt: not UTF-8 text" in err
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("eval", "p", "--fixture", "in.txt"), "3\np = {\n1 0 0\n}\n"),
+        (("compile", "in.txt", "--n", "1"), "forall x. x = x\n"),
+    ],
+    ids=["eval", "compile"],
+)
+def test_byte_order_mark_is_ignored(capsys, monkeypatch, tmp_path, argv, text):
+    monkeypatch.chdir(tmp_path)
+    Path("in.txt").write_text(text, encoding="utf-8")
+    plain = run(capsys, *argv)
+    Path("in.txt").write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert run(capsys, *argv) == plain
+    assert plain[0] == 0
+
+
 def test_solver_that_cannot_start_is_semantic_error(capsys, tmp_path):
     src = tmp_path / "s.sent"
     src.write_text("forall x. x = x\n")
@@ -691,6 +708,8 @@ def test_cli_output_is_the_same_under_other_interpreters(version):
         ["suite", "separation", "--max-i", "1", "--samples", "20"],
         ["suite", "meet-agreement"],
         ["suite", "gamma"],
+        ["compile", str(DATA / "worked_example.sent"), "--n", "2"],
+        ["compile", str(DATA / "worked_example.sent"), "--n", "3", "--form", "refutation"],
     ]
     for argv in commands:
         ours, theirs = (
