@@ -19,32 +19,34 @@ lattice of C^n:
    leaving a sentence in quantified nonlinear real arithmetic.
 
 Every stage works on the ``(op, args)`` tuples of the ``sentences``
-module docstring.  Stages two and three add expression nodes and let
+module docstring.  Stage two adds complex expression nodes and lets
 ``and`` and ``or`` take any number of operands::
 
-    ("var", (name,))                      a complex or a real variable
-    ("const", (re, im)) / ("const", (x,)) a complex / a real constant
-    ("conj", (e,)) / ("neg", (e,))        complex conjugate / real negation
+    ("var", (name,))                      a complex variable
+    ("const", (re, im))                   a complex constant
+    ("conj", (e,))                        complex conjugate
     ("mul", (e, e)), ("add", (e, ...))    product, sum; empty sum is 0
     ("eq", (e, e))                        an equation of two expressions
     ("and", (f, ...)), ("or", (f, ...))   empty: true, false
 
-Complex formulas use ``conj`` and two-part constants, real ones ``neg``
-and one-part constants.  Every formula walk is ``sentences.fold`` or,
-in the emitter, its own explicit stack, so no sentence or formula is too
-deep for them.  Expressions are at most three levels deep, and stage
-three and the emitter dispatch on their shape.  Stage three splits each
-complex variable once per sentence into one pair of real leaves that
-every occurrence shares, and expands a product from its operands'
-parts in one step; the emitter prints a product of two leaves in one
-step.  Other shapes (``conj``, constants, sums, products of compound
-operands) recurse, and a malformed node raises ``CompileError``.
+Stage three keeps the formula nodes and makes each side of a real
+``eq`` its SMT-LIB term text, such as ``"(+ (* x.re y.re) (- (* x.im
+y.im)))"``; there is no real expression node.  Every formula walk is
+``sentences.fold`` or, in the emitter, its own explicit stack, so no
+sentence or formula is too deep for them.  Expressions are at most
+three levels deep, and stage three writes the real and imaginary text
+of each in one recursive pass, naming each variable's ``.re`` and
+``.im`` parts once per call; a malformed expression raises
+``CompileError``.
 
 ``emit_solver_text`` renders the result as SMT-LIB v2, one formula node
-per line and without indentation, so the text is linear in the size of
-the formula.  Truth of the source over L(C^n) is equivalent to validity
-of the output over the reals; deciding that validity is delegated to an
-external solver and is never needed to build or test this module.
+per line and without indentation, pasting each equation's side texts in
+place, so the text is linear in the size of the formula; the script is
+one join of its pieces.  An equation side that is not text raises
+``CompileError``.  Truth of the source over L(C^n) is equivalent to
+validity of the output over the reals; deciding that validity is
+delegated to an external solver and is never needed to build or test
+this module.
 
 Stage one is independently checkable without any solver: a flat
 sentence's fresh variables are pinned by their defining atoms, so
@@ -401,57 +403,56 @@ def _split_vars(names: Sequence[str]) -> tuple[str, ...]:
     return tuple(f"{name}.{part}" for name in names for part in ("re", "im"))
 
 
-class _Leaves(dict):
-    """Complex variable name -> its pair of real leaf nodes, made on first
-    use, so every occurrence of a variable shares one pair."""
-
-    def __missing__(self, name: str) -> tuple[Node, Node]:
-        pair = self[name] = (("var", (name + ".re",)), ("var", (name + ".im",)))
-        return pair
+def _fmt_const(value: Fraction) -> str:
+    num, den = value.numerator, value.denominator
+    text = str(abs(num)) if den == 1 else f"(/ {abs(num)} {den})"
+    return f"(- {text})" if num < 0 else text
 
 
-def _split_expr(e: Node, leaves: _Leaves) -> tuple[Node, Node]:
-    """Real and imaginary parts of a complex expression.
-
-    A variable's parts are its shared leaves; a product takes its
-    operands' parts, read straight from ``leaves`` when an operand is a
-    variable, and expands them in one step."""
+def _split_expr(e: Node, names: dict[str, tuple[str, str]]) -> tuple[str, str]:
+    """SMT-LIB text of the real and imaginary parts of a complex
+    expression.  ``names`` maps a variable to its ``.re``/``.im`` names,
+    made on first use."""
     op, args = e
     if op == "var":
-        return leaves[args[0]]
+        name = args[0]
+        parts = names.get(name)
+        if parts is None:
+            parts = names[name] = (name + ".re", name + ".im")
+        return parts
     if op == "mul":
         if len(args) != 2:
             raise CompileError(f"a product takes two operands: {e!r}")
-        a, b = args
-        a_re, a_im = leaves[a[1][0]] if a[0] == "var" else _split_expr(a, leaves)
-        b_re, b_im = leaves[b[1][0]] if b[0] == "var" else _split_expr(b, leaves)
+        a_re, a_im = _split_expr(args[0], names)
+        b_re, b_im = _split_expr(args[1], names)
         return (
-            ("add", (("mul", (a_re, b_re)), ("neg", (("mul", (a_im, b_im)),)))),
-            ("add", (("mul", (a_re, b_im)), ("mul", (a_im, b_re)))),
+            f"(+ (* {a_re} {b_re}) (- (* {a_im} {b_im})))",
+            f"(+ (* {a_re} {b_im}) (* {a_im} {b_re}))",
         )
     if op == "add":
-        re, im = zip(*[_split_expr(a, leaves) for a in args]) if args else ((), ())
-        return ("add", re), ("add", im)
+        if len(args) < 2:
+            return _split_expr(args[0], names) if args else ("0", "0")
+        re, im = zip(*[_split_expr(a, names) for a in args])
+        return "(+ " + " ".join(re) + ")", "(+ " + " ".join(im) + ")"
     if op == "conj" and len(args) == 1:
-        re, im = _split_expr(args[0], leaves)
-        return re, ("neg", (im,))
+        re, im = _split_expr(args[0], names)
+        return re, f"(- {im})"
     if op == "const" and len(args) == 2:
-        re, im = args
-        return ("const", (re,)), ("const", (im,))
+        return _fmt_const(args[0]), _fmt_const(args[1])
     raise CompileError(f"not a complex expression: {e!r}")
 
 
 def complex_to_real(c: Node) -> Node:
     """Stage three: every complex variable becomes a (re, im) pair of
-    leaves, shared by all its occurrences, and every complex equation
-    two real equations."""
-    leaves = _Leaves()
+    real variables, and every complex equation two real equations whose
+    sides are SMT-LIB term text."""
+    names: dict[str, tuple[str, str]] = {}
 
     def visit(node: Node, kids: list) -> Node:
         op, args = node
         if op == "eq":
-            l_re, l_im = _split_expr(args[0], leaves)
-            r_re, r_im = _split_expr(args[1], leaves)
+            l_re, l_im = _split_expr(args[0], names)
+            r_re, r_im = _split_expr(args[1], names)
             return ("and", (("eq", (l_re, r_re)), ("eq", (l_im, r_im))))
         if op in S.QUANTIFIERS:
             return (op, (_split_vars(args[0]), kids[0]))
@@ -487,34 +488,8 @@ class CompileStats:
 _EMPTY_WORDS = {"and": "true", "or": "false"}
 
 
-def _fmt_const(value: Fraction) -> str:
-    num, den = value.numerator, value.denominator
-    text = str(abs(num)) if den == 1 else f"(/ {abs(num)} {den})"
-    return f"(- {text})" if num < 0 else text
-
-
-def _fmt_expr(e: Node) -> str:
-    op, args = e
-    if op == "mul" and len(args) == 2:
-        a, b = args
-        if a[0] == "var" and b[0] == "var":
-            return f"(* {a[1][0]} {b[1][0]})"
-        return f"(* {_fmt_expr(a)} {_fmt_expr(b)})"
-    if op == "add":
-        if len(args) < 2:
-            return _fmt_expr(args[0]) if args else "0"
-        return "(+ " + " ".join([_fmt_expr(a) for a in args]) + ")"
-    if op == "neg" and len(args) == 1:
-        return f"(- {_fmt_expr(args[0])})"
-    if op == "var":
-        return args[0]
-    if op == "const" and len(args) == 1:
-        return _fmt_const(args[0])
-    raise CompileError(f"not a real expression: {e!r}")
-
-
-def _fmt_formula(f: Node) -> str:
-    out: list[str] = []
+def _fmt_formula(f: Node, out: list[str]) -> None:
+    """Append the text of a real formula to ``out``, in pieces."""
     todo: list = [f]  # nodes and literal text
     while todo:
         node = todo.pop()
@@ -523,7 +498,9 @@ def _fmt_formula(f: Node) -> str:
             continue
         op, args = node
         if op == "eq":
-            out.append(f"(= {_fmt_expr(args[0])} {_fmt_expr(args[1])})")
+            if len(args) != 2 or type(args[0]) is not str or type(args[1]) is not str:
+                raise CompileError(f"equation sides must be term text: {node!r}")
+            out += ("(= ", args[0], " ", args[1], ")")
         elif op in S.QUANTIFIERS:
             binders = " ".join([f"({name} Real)" for name in args[0]])
             out.append(f"({op} ({binders})\n")
@@ -543,7 +520,6 @@ def _fmt_formula(f: Node) -> str:
             todo.append(args[0])
         else:
             raise CompileError(f"not a real formula: {node!r}")
-    return "".join(out)
 
 
 def emit_solver_text(r: Node, form: str = "validity") -> str:
@@ -555,15 +531,12 @@ def emit_solver_text(r: Node, form: str = "validity") -> str:
     """
     if form not in ("validity", "refutation"):
         raise CompileError(f"unknown form {form!r}")
-    lines = [
-        "(set-logic NRA)",
-        "(assert (not",
-        _fmt_formula(r) + "))",
-        "(check-sat)",
-    ]
+    out = ["(set-logic NRA)\n(assert (not\n"]
+    _fmt_formula(r, out)
+    out.append("))\n(check-sat)\n")
     if form == "refutation":
-        lines.append("(get-model)")
-    return "\n".join(lines) + "\n"
+        out.append("(get-model)\n")
+    return "".join(out)
 
 
 # --- optional external solver -----------------------------------------------

@@ -42,7 +42,6 @@ from .linalg import (
     _rank_mod_p,
     _reduce_int_rows,
     _row_from_scalars,
-    _strip_content,
 )
 
 _MAX_SAMPLE_TRIES = 200
@@ -310,11 +309,10 @@ def _random_from(rng: Random, ambient: int, dim: int, coeff_bound: int) -> Subsp
         raise ValueError(f"coefficient bound {coeff_bound} is negative")
     width = 2 * coeff_bound + 1
     for _ in range(_MAX_SAMPLE_TRIES):
-        rows = []
-        for _ in range(dim):
-            row = [_below(rng, width) - coeff_bound for _ in range(2 * ambient)]
-            _strip_content(row)
-            rows.append(row)
+        rows = [
+            [_below(rng, width) - coeff_bound for _ in range(2 * ambient)]
+            for _ in range(dim)
+        ]
         red, _ = _reduce_int_rows(rows, ambient)
         if len(red) == dim:
             return Subspace._make(ambient, red)

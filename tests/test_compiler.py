@@ -3,6 +3,7 @@
 import json
 import random
 import stat
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 from hashlib import blake2b
@@ -43,7 +44,7 @@ from qlattice.sentences import (
     parse_sentence,
     universal_closure,
 )
-from qlattice.smtlib import check_solver_text
+from qlattice.smtlib import check_solver_text, parse_script
 from qlattice.subspaces import Subspace, complement, join, leq, random_subspace
 from qlattice.terms import BOT, Join, Var
 
@@ -222,9 +223,21 @@ def test_realification_doubles_quantifiers():
     assert names[1] == "x.1.1.im"
 
 
-def _expr_is_linear(e) -> bool:
-    op, args = e
-    return op in ("var", "const") or (op == "neg" and _expr_is_linear(args[0]))
+def _read_term(text: str):
+    """One SMT-LIB term, read as the solver reads it: an atom or a list."""
+    (command,) = parse_script(f"({text})")
+    (term,) = command
+    return term
+
+
+def _is_linear(t) -> bool:
+    """A real part of a complex variable, a numeral, a quotient of
+    numerals, or the negation of a linear term."""
+    if isinstance(t, str):
+        return t.endswith((".re", ".im")) or t.isdigit()
+    if t[0] == "/":
+        return len(t) == 3 and t[1].isdigit() and t[2].isdigit()
+    return t[0] == "-" and len(t) == 2 and _is_linear(t[1])
 
 
 def _assert_degree_at_most_two(node) -> None:
@@ -233,15 +246,22 @@ def _assert_degree_at_most_two(node) -> None:
         op, args = stack.pop()
         if op in ("forall", "exists"):
             stack.append(args[1])
-        elif op in ("not", "and", "or", "implies", "iff", "eq", "add", "neg"):
+        elif op in ("not", "and", "or", "implies", "iff"):
             stack.extend(args)
-        elif op == "mul":
-            # a product multiplies two linear atoms, never another product
-            assert _expr_is_linear(args[0]) and _expr_is_linear(args[1])
         else:
-            assert op in ("var", "const"), repr((op, args))
-            # a real constant has one part; a complex one would have two
-            assert op == "var" or len(args) == 1, repr((op, args))
+            assert op == "eq" and len(args) == 2, repr((op, args))
+            terms = [_read_term(side) for side in args]
+            while terms:
+                t = terms.pop()
+                if _is_linear(t):
+                    continue
+                assert isinstance(t, list), repr(t)
+                if t[0] == "*":
+                    # a product multiplies two linear terms, never another product
+                    assert len(t) == 3 and _is_linear(t[1]) and _is_linear(t[2]), repr(t)
+                else:
+                    assert t[0] == "+" or (t[0] == "-" and len(t) == 2), repr(t)
+                    terms += t[1:]
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -273,26 +293,31 @@ def _complex_value(e, env):
     return sum((_complex_value(a, env) for a in args), GaussianRational(0))
 
 
-def _real_value(e, env):
-    op, args = e
-    if op == "var":
-        name, part = args[0].rsplit(".", 1)
+def _real_value(t, env):
+    """A term read by ``_read_term`` at the values in `env`."""
+    if isinstance(t, str):
+        if t.isdigit():
+            return Fraction(int(t))
+        name, part = t.rsplit(".", 1)
         return getattr(env[name], part)
-    if op == "const":
-        (value,) = args
-        return value
-    if op == "neg":
-        return -_real_value(args[0], env)
-    if op == "mul":
-        return _real_value(args[0], env) * _real_value(args[1], env)
-    assert op == "add", op
-    return sum((_real_value(a, env) for a in args), Fraction(0))
+    head, *args = t
+    values = [_real_value(a, env) for a in args]
+    if head == "+":
+        return sum(values, Fraction(0))
+    if head == "-":
+        (value,) = values
+        return -value
+    a, b = values
+    if head == "*":
+        return a * b
+    assert head == "/", head
+    return a / b
 
 
 def _check_realification(c, r, rng):
     """Walk a complex formula and its realification in step; at random
     Gaussian-rational values, each complex equation side must equal the
-    real and imaginary parts of its real pair."""
+    real and imaginary parts of its real pair, read back as SMT-LIB."""
     env = defaultdict(lambda: GaussianRational(
         Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
         Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
@@ -307,8 +332,8 @@ def _check_realification(c, r, rng):
             assert re_op == im_op == "eq"
             for side, re, im in zip(args, re_sides, im_sides):
                 value = _complex_value(side, env)
-                assert value.re == _real_value(re, env)
-                assert value.im == _real_value(im, env)
+                assert value.re == _real_value(_read_term(re), env)
+                assert value.im == _real_value(_read_term(im), env)
             equations += 1
         elif op in ("forall", "exists"):
             names, body = args
@@ -354,6 +379,40 @@ def _compile_digests() -> dict[str, str]:
 
 def test_emitted_text_matches_golden_digests():
     assert _compile_digests() == json.loads((GOLDEN / "compile-digests.json").read_text())
+
+
+# name in compile-digests-large.json -> (source, n, form)
+_LARGE_COMPILES = {
+    "worked-example n=8": ("worked-example", 8, "validity"),
+    "worked-example n=16": ("worked-example", 16, "validity"),
+    "separation-1 n=8 refutation": ("separation-1", 8, "refutation"),
+}
+
+
+def test_large_compiles_match_golden_digests():
+    sources = {
+        "worked-example": parse_sentence((DATA / "worked_example.sent").read_text()),
+        "separation-1": universal_closure(named_equations()["separation-1"]),
+    }
+    digests = {}
+    for name, (source, n, form) in _LARGE_COMPILES.items():
+        text = emit_solver_text(compile_sentence(sources[source], n), form)
+        digests[name] = blake2b(text.encode(), digest_size=32).hexdigest()
+    assert digests == json.loads((GOLDEN / "compile-digests-large.json").read_text())
+
+
+def test_compile_peak_memory_is_a_small_multiple_of_the_text():
+    # the worked example at n = 32 prints 2.5 MB; compiling and emitting
+    # it peaks at about 4.8 times that, where a real expression tree
+    # printed afterwards took about 11 times
+    s = parse_sentence((DATA / "worked_example.sent").read_text())
+    tracemalloc.start()
+    try:
+        text = emit_solver_text(compile_sentence(s, 32))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * len(text)
 
 
 @pytest.mark.parametrize("form", ["validity", "refutation"])

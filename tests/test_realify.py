@@ -1,9 +1,10 @@
-"""Realification and expression printing against the recursive reference.
+"""Realification against the recursive reference.
 
-``_ref_split_expr`` and ``_ref_fmt_expr`` are the plain recursive stage
-three and expression printer that ``compiler._split_expr`` and
-``compiler._fmt_expr`` replaced; the compiler must build the same real
-tree and print the same text for every stage-two expression.
+``_ref_split_expr`` and ``_ref_fmt_expr`` are a plain recursive stage
+three that builds a real expression tree and a printer for that tree;
+``compiler._split_expr`` writes each real part as SMT-LIB text directly,
+and must write the reference's printed text for every stage-two
+expression.
 """
 
 from fractions import Fraction
@@ -14,15 +15,10 @@ from hypothesis import strategies as st
 
 from qlattice.compiler import (
     CompileError,
-    _fmt_expr,
-    _Leaves,
     _split_expr,
     complex_to_real,
     emit_solver_text,
-    encode_kernels,
-    flatten,
 )
-from qlattice.sentences import parse_sentence
 
 
 # --- the reference ----------------------------------------------------------
@@ -98,41 +94,27 @@ def _extend(inner):
 _exprs = st.recursive(st.one_of(_leaves, _consts), _extend, max_leaves=12)
 
 
+def _ref_texts(e):
+    return tuple(_ref_fmt_expr(part) for part in _ref_split_expr(e))
+
+
 @settings(max_examples=400, deadline=None)
 @given(_exprs)
 def test_split_and_print_match_the_reference(e):
-    parts = _split_expr(e, _Leaves())
-    assert parts == _ref_split_expr(e)
-    assert [_fmt_expr(p) for p in parts] == [_ref_fmt_expr(p) for p in _ref_split_expr(e)]
+    assert _split_expr(e, {}) == _ref_texts(e)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_exprs, _exprs)
 def test_equations_realify_as_the_reference(lhs, rhs):
-    (l_re, l_im), (r_re, r_im) = _ref_split_expr(lhs), _ref_split_expr(rhs)
+    (l_re, l_im), (r_re, r_im) = _ref_texts(lhs), _ref_texts(rhs)
     real = complex_to_real(("forall", (("x.1.1",), ("eq", (lhs, rhs)))))
     assert real == ("forall", (("x.1.1.re", "x.1.1.im"), (
         "and", (("eq", (l_re, r_re)), ("eq", (l_im, r_im)))
     )))
     text = emit_solver_text(real)
-    assert f"(= {_ref_fmt_expr(l_re)} {_ref_fmt_expr(r_re)})" in text
-    assert f"(= {_ref_fmt_expr(l_im)} {_ref_fmt_expr(r_im)})" in text
-
-
-def test_every_occurrence_shares_one_leaf_pair():
-    c = encode_kernels(flatten(parse_sentence("forall x, y. x ^ y = ~x")), 2)
-    real = complex_to_real(c)
-    seen = {}
-    todo = [real]
-    while todo:
-        op, args = todo.pop()
-        if op == "var":
-            assert seen.setdefault(args[0], args) is args
-        elif op in ("forall", "exists"):
-            todo.append(args[1])
-        elif op != "const":
-            todo += args
-    assert {"x.1.1.re", "x.1.1.im", "v!1.2.re"} <= seen.keys()
+    assert f"(= {l_re} {r_re})" in text
+    assert f"(= {l_im} {r_im})" in text
 
 
 _A, _B, _C = (("var", (name,)) for name in ("a", "b", "c"))
@@ -156,7 +138,7 @@ _A, _B, _C = (("var", (name,)) for name in ("a", "b", "c"))
 )
 def test_malformed_complex_expressions_are_refused(e):
     with pytest.raises(CompileError):
-        _split_expr(e, _Leaves())
+        _split_expr(e, {})
     with pytest.raises(CompileError):
         complex_to_real(("eq", (e, _A)))
 
@@ -172,12 +154,28 @@ def test_malformed_complex_expressions_are_refused(e):
         ("const", (Fraction(1), Fraction(2))),
         ("const", ()),
         ("add", (_A, ("mul", (_A,)))),
+        # well-formed real trees, and values that are no expression at all
+        _A,
+        ("mul", (_A, _B)),
+        ("const", (Fraction(1),)),
+        Fraction(0),
+        0,
+        None,
+        b"a",
+        ["a"],
     ],
     ids=["mul-3", "mul-1", "unknown-op", "complex-conj", "neg-2", "const-2", "const-0",
-         "nested-mul-1"],
+         "nested-mul-1", "var", "mul-2", "const-1", "fraction", "int", "none", "bytes",
+         "list"],
 )
 def test_malformed_real_expressions_are_refused(e):
+    # an equation side must be SMT-LIB term text; the emitter prints it as is
+    for eq in (("eq", (e, "a")), ("eq", ("a", e))):
+        with pytest.raises(CompileError):
+            emit_solver_text(("forall", (("a",), eq)))
+
+
+@pytest.mark.parametrize("sides", [(), ("a",), ("a", "a", "a")], ids=["0", "1", "3"])
+def test_equations_without_two_sides_are_refused(sides):
     with pytest.raises(CompileError):
-        _fmt_expr(e)
-    with pytest.raises(CompileError):
-        emit_solver_text(("eq", (e, _A)))
+        emit_solver_text(("eq", sides))
