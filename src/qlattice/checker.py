@@ -215,12 +215,11 @@ def default_strategies(
     samples: int = 10_000,
     seed: int = 0,
     coeff_bound: int = 3,
-    extra_lines: int = 4,
 ) -> list:
     """Cheapest certain refutations first, randomness last."""
     return [
         StoredWitnesses(),
-        CoordinateFamilyStrategy(extra_lines=extra_lines, seed=seed),
+        CoordinateFamilyStrategy(seed=seed),
         RandomSampling(count=samples, seed=seed, coeff_bound=coeff_bound),
     ]
 

@@ -24,7 +24,7 @@ import re
 
 from .linalg import ScalarFormatError, _int_from_digits, format_scalar, parse_scalar
 from .subspaces import MAX_AMBIENT, Subspace
-from .terms import Assignment
+from .terms import IDENTIFIER, Assignment
 
 
 class FixtureError(ValueError):
@@ -89,7 +89,7 @@ def format_subspace_fixture(s: Subspace) -> str:
     return f"{s.ambient}\n{body}\n" if body else f"{s.ambient}\n"
 
 
-_BLOCK_OPEN = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)\s*=\s*\{\s*(\}?)\s*$")
+_BLOCK_OPEN = re.compile(rf"^({IDENTIFIER})\s*=\s*\{{\s*(\}}?)\s*$")
 
 
 def parse_assignment_fixture(text: str) -> Assignment:

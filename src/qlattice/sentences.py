@@ -11,10 +11,12 @@ Grammar, loosest binding first::
               | '(' sentence ')'
               | term ('=' | '<=') term
 
-A quantifier scopes maximally to the right, so ``forall x. A & B``
-quantifies over the whole conjunction.  An opening parenthesis is
-ambiguous between a grouped sentence and a parenthesised term inside an
-atom; the parser tries the atom reading first and backtracks.
+The binary levels are one table, :data:`CONNECTIVES`, that the parser
+and the printer both read.  A quantifier scopes maximally to the right,
+so ``forall x. A & B`` quantifies over the whole conjunction.  An opening
+parenthesis is ambiguous between a grouped sentence and a parenthesised
+term inside an atom; the parser tries the atom reading first and
+backtracks.
 Parentheses, ``!`` and quantified names together nest at most
 ``terms.MAX_NESTING`` levels, and other input is a :class:`ParseError`;
 connective chains may be any length.
@@ -51,11 +53,12 @@ from .terms import (
     Evaluator,
     ParseError,
     Program,
-    Term,
     TokenStream,
     format_term,
     free_vars,
+    parse_chains,
     parse_term_stream,
+    print_levels,
     rename,
     tokenize,
 )
@@ -108,59 +111,41 @@ def conjoin(parts: Sequence[Sentence]) -> Sentence:
 
 # --- parsing ----------------------------------------------------------------
 
+# Binary connectives, loosest first: (op, (symbol, right associative)).
+CONNECTIVES = (
+    ("iff", ("<->", False)),
+    ("implies", ("->", True)),
+    ("or", ("|", False)),
+    ("and", ("&", False)),
+)
+_RELATIONS = {"=": "eq", "<=": "leq"}
+
+
+def _connect(op: str, lhs: Sentence, rhs: Sentence) -> Sentence:
+    return (op, (lhs, rhs))
+
 
 def parse_sentence(text: str) -> Sentence:
     ts = TokenStream(tokenize(text))
-    s = _parse_iff(ts)
+    s = parse_chains(ts, CONNECTIVES, _parse_sunary, _connect)
     ts.expect("EOF", "end of sentence")
-    return s
-
-
-def _parse_iff(ts: TokenStream) -> Sentence:
-    s = _parse_implies(ts)
-    while ts.match("IFF"):
-        s = ("iff", (s, _parse_implies(ts)))
-    return s
-
-
-def _parse_implies(ts: TokenStream) -> Sentence:
-    parts = [_parse_or(ts)]
-    while ts.match("ARROW"):
-        parts.append(_parse_or(ts))
-    s = parts.pop()
-    while parts:
-        s = ("implies", (parts.pop(), s))
-    return s
-
-
-def _parse_or(ts: TokenStream) -> Sentence:
-    s = _parse_and(ts)
-    while ts.match("OR"):
-        s = ("or", (s, _parse_and(ts)))
-    return s
-
-
-def _parse_and(ts: TokenStream) -> Sentence:
-    s = _parse_sunary(ts)
-    while ts.match("AND"):
-        s = ("and", (s, _parse_sunary(ts)))
     return s
 
 
 def _parse_sunary(ts: TokenStream) -> Sentence:
     tok = ts.peek()
-    if tok.kind == "BANG":
+    if tok.kind == "!":
         ts.advance()
         with ts.nested(tok):
             return ("not", (_parse_sunary(ts),))
-    if tok.kind in ("FORALL", "EXISTS"):
+    if tok.kind in QUANTIFIERS:
         ts.advance()
         names = [ts.expect("ID", "a variable name").text]
-        while ts.match("COMMA"):
+        while ts.match(","):
             names.append(ts.expect("ID", "a variable name").text)
-        ts.expect("DOT", "'.' after the quantified variables")
+        ts.expect(".", "'.' after the quantified variables")
         with ts.nested(tok, len(names)):  # one binder per name
-            body = _parse_iff(ts)
+            body = parse_chains(ts, CONNECTIVES, _parse_sunary, _connect)
         for name in reversed(names):
             body = (tok.text, ((name,), body))
         return body
@@ -168,41 +153,37 @@ def _parse_sunary(ts: TokenStream) -> Sentence:
 
 
 def _parse_atom(ts: TokenStream) -> Sentence:
-    if ts.peek().kind == "LP":
-        saved = ts.index
-        try:
-            lhs = parse_term_stream(ts)
-        except ParseError:
-            ts.index = saved
-        else:
-            if ts.peek().kind in ("EQ", "LEQ"):
-                return _finish_atom(ts, lhs)
-            ts.index = saved
-        with ts.nested(ts.advance()):
-            s = _parse_iff(ts)
-            ts.expect("RP", "')'")
-        return s
-    lhs = parse_term_stream(ts)
-    return _finish_atom(ts, lhs)
-
-
-def _finish_atom(ts: TokenStream, lhs: Term) -> Sentence:
+    """``term ('=' | '<=') term``, or else, after '(', a grouped sentence."""
+    saved = ts.index
+    grouped = ts.peek().kind == "("
+    try:
+        lhs = parse_term_stream(ts)
+    except ParseError:
+        if not grouped:
+            raise
+        lhs = None
     tok = ts.peek()
-    if tok.kind in ("EQ", "LEQ"):
+    if lhs is not None and tok.kind in _RELATIONS:
         ts.advance()
-        return (tok.kind.lower(), (lhs, parse_term_stream(ts)))
-    shown = tok.text or "end of input"
-    raise ParseError(f"expected '=' or '<=' after a term, found {shown!r}", tok.pos)
+        return (_RELATIONS[tok.kind], (lhs, parse_term_stream(ts)))
+    if not grouped:
+        shown = tok.text or "end of input"
+        raise ParseError(f"expected '=' or '<=' after a term, found {shown!r}", tok.pos)
+    ts.index = saved
+    with ts.nested(ts.advance()):
+        s = parse_chains(ts, CONNECTIVES, _parse_sunary, _connect)
+        ts.expect(")", "')'")
+    return s
 
 
 # --- printing ---------------------------------------------------------------
 
-# Binding level of each connective and of unary sentences (``!``, atoms);
-# an operand printed where a higher level is required gets parentheses,
-# and a quantifier, at level 0, gets them as any operand.
-_LEVEL = {"iff": 1, "implies": 2, "or": 3, "and": 4}
-_LEVEL_UNARY = 5
-_SYMBOL = {"iff": "<->", "implies": "->", "or": "|", "and": "&", "eq": "=", "leq": "<="}
+# Binding levels as terms.print_levels gives them; unary sentences (``!``,
+# atoms) bind tightest, and a quantifier, at level 0, is parenthesised as
+# any operand.
+_BINARY = print_levels(CONNECTIVES)
+_LEVEL_UNARY = len(CONNECTIVES) + 1
+_RELATION_SYMBOL = {op: f" {symbol} " for symbol, op in _RELATIONS.items()}
 
 
 def format_sentence(s: Sentence) -> str:
@@ -214,7 +195,7 @@ def _print(node: Sentence, kids: list[tuple[int, str]]) -> tuple[int, str]:
     op, args = node
     if op in ATOMS:
         lhs, rhs = args
-        return _LEVEL_UNARY, f"{format_term(lhs)} {_SYMBOL[op]} {format_term(rhs)}"
+        return _LEVEL_UNARY, f"{format_term(lhs)}{_RELATION_SYMBOL[op]}{format_term(rhs)}"
     if op == "not":
         return _LEVEL_UNARY, f"!({kids[0][1]})"
     if op in QUANTIFIERS:
@@ -223,12 +204,11 @@ def _print(node: Sentence, kids: list[tuple[int, str]]) -> tuple[int, str]:
         if body[0] == op:  # a run of one quantifier prints as one list
             return 0, f"{op} {', '.join(names)}, {text[len(op) + 1:]}"
         return 0, f"{op} {', '.join(names)}. {text}"
-    level = _LEVEL[op]
-    # '->' associates to the right, the other connectives to the left
-    need = (level + 1, level) if op == "implies" else (level, level + 1)
-    lhs, rhs = (text if kid_level >= at else f"({text})"
-                for (kid_level, text), at in zip(kids, need))
-    return level, f"{lhs} {_SYMBOL[op]} {rhs}"
+    level, symbol, left, right = _BINARY[op]
+    (lhs_level, lhs), (rhs_level, rhs) = kids
+    lhs = lhs if lhs_level >= left else f"({lhs})"
+    rhs = rhs if rhs_level >= right else f"({rhs})"
+    return level, f"{lhs}{symbol}{rhs}"
 
 
 # --- variables and closure --------------------------------------------------

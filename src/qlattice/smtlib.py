@@ -1,7 +1,9 @@
 """Minimal SMT-LIB v2 reader used to validate emitted solver text.
 
-This is a checker, not a solver: it parses s-expressions, verifies the
-script structure (``set-logic`` first, then asserts, ``check-sat``,
+This is a checker, not a solver: it tokenizes with one regular
+expression (``;`` comments run to the end of the line; a token starting
+with ``"``, a string literal, is refused), parses s-expressions, verifies
+the script structure (``set-logic`` first, then asserts, ``check-sat``,
 optionally ``get-model``), and walks every asserted formula checking
 operator arities, binder shapes, and that each symbol is bound by an
 enclosing quantifier.  Anything the emitter could plausibly get wrong
@@ -22,29 +24,16 @@ _NUMERAL = re.compile(r"(0|[1-9][0-9]*)\Z")
 _DECIMAL = re.compile(r"(0|[1-9][0-9]*)\.[0-9]+\Z")
 
 
+# A comment, or a token: a parenthesis, or an atom up to a space, '(', ')' or ';'
+_SEXPR_TOKEN = re.compile(r";[^\n]*|([()]|[^\s();]+)")
+
+
 def tokenize_sexpr(text: str) -> list[str]:
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in "()":
-            tokens.append(ch)
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch.isspace():
-            i += 1
-        elif ch == '"':
-            raise SmtError(f"string literals are not supported (offset {i})")
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "();":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+    if '"' in text:  # only then can a token start with '"'
+        for m in _SEXPR_TOKEN.finditer(text):
+            if m.lastindex and m[1][0] == '"':
+                raise SmtError(f"string literals are not supported (offset {m.start()})")
+    return list(filter(None, _SEXPR_TOKEN.findall(text)))  # a comment finds ''
 
 
 def parse_script(text: str) -> list:

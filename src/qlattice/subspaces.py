@@ -160,24 +160,8 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self._rows
 
-    def is_full(self) -> bool:
-        return len(self._rows) == self.ambient
-
     def __repr__(self) -> str:
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
-
-    # Operator sugar mirroring the module-level lattice operations.
-    def __and__(self, other: "Subspace") -> "Subspace":
-        return meet(self, other)
-
-    def __or__(self, other: "Subspace") -> "Subspace":
-        return join(self, other)
-
-    def __invert__(self) -> "Subspace":
-        return complement(self)
-
-    def __le__(self, other: "Subspace") -> bool:
-        return leq(self, other)
 
 
 def _mismatch(p: Subspace, q: Subspace) -> AmbientMismatch:

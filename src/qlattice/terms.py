@@ -4,10 +4,13 @@ Grammar (loosest to tightest): ``v`` join, ``^`` meet, ``~`` complement,
 with constants ``0`` and ``1`` and variables as identifiers: ASCII
 letters, digits and ``_``, starting with a letter.  Binary operators
 associate to the left; ``v`` is a reserved word and cannot be a variable.
-The same tokenizer also covers the first-order sentence layer
-(``forall``/``exists``, connectives, ``=`` and ``<=``), so sentence parsing
-can share the term sub-parser.  Nesting is capped at ``MAX_NESTING``;
-chains and runs of ``~`` are parsed by loops and may be any length.
+:data:`OPERATORS`, read by the parser and :func:`format_term`, is the one
+table of binary operators; :func:`parse_chains` parses the sentences'
+table as well.  :func:`tokenize` is one regular-expression scan for terms
+and sentences: a fixed token's kind is its own text, any other
+identifier is ``ID``, and the end is ``EOF``.  Nesting is capped at
+``MAX_NESTING``; chains and runs of ``~`` are parsed by loops and may be
+any length.
 
 A term node is one immutable ``(op, a, b)`` :class:`Term`, interned
 through a module-level weak-value table: there is one live node per
@@ -145,12 +148,6 @@ class Assignment:
         except KeyError:
             raise UnboundVariableError(name) from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.bindings
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self.bindings))
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}:dim{v.dim}" for k, v in sorted(self.bindings.items()))
         return f"Assignment(C^{self.ambient}; {inner})"
@@ -160,69 +157,28 @@ class Assignment:
 
 
 class Token(NamedTuple):
-    kind: str
+    kind: str  # a fixed token's own text, "ID" for other identifiers, "EOF" at the end
     text: str
     pos: int
 
 
 # ASCII only, as in fixture block names and SMT-LIB symbols
-_IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_KEYWORDS = {"v": "JOIN", "forall": "FORALL", "exists": "EXISTS"}
-_SINGLE = {
-    "^": "MEET",
-    "~": "NOT",
-    "(": "LP",
-    ")": "RP",
-    "=": "EQ",
-    "&": "AND",
-    "|": "OR",
-    "!": "BANG",
-    ".": "DOT",
-    ",": "COMMA",
-}
+IDENTIFIER = r"[A-Za-z][A-Za-z0-9_]*"
+# A fixed token (a symbol or a reserved word), an identifier, or any other
+# character that is not str.isspace()
+_TOKEN = re.compile(
+    rf"(<->|<=|->|[01^~()=&|!.,]|(?:v|forall|exists)(?![A-Za-z0-9_]))|({IDENTIFIER})|(\S)"
+)
 
 
 def tokenize(src: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if src.startswith("<->", i):
-            tokens.append(Token("IFF", "<->", i))
-            i += 3
-            continue
-        if src.startswith("<=", i):
-            tokens.append(Token("LEQ", "<=", i))
-            i += 2
-            continue
-        if src.startswith("->", i):
-            tokens.append(Token("ARROW", "->", i))
-            i += 2
-            continue
-        if ch == "0":
-            tokens.append(Token("ZERO", "0", i))
-            i += 1
-            continue
-        if ch == "1":
-            tokens.append(Token("ONE", "1", i))
-            i += 1
-            continue
-        if ch in _SINGLE:
-            tokens.append(Token(_SINGLE[ch], ch, i))
-            i += 1
-            continue
-        m = _IDENTIFIER.match(src, i)
-        if m:
-            word = m.group()
-            tokens.append(Token(_KEYWORDS.get(word, "ID"), word, i))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("EOF", "", n))
+    for m in _TOKEN.finditer(src):
+        text = m.group()
+        if m.lastindex == 3:
+            raise ParseError(f"unexpected character {text!r}", m.start())
+        tokens.append(Token("ID" if m.lastindex == 2 else text, text, m.start()))
+    tokens.append(Token("EOF", "", len(src)))
     return tokens
 
 
@@ -274,47 +230,71 @@ class TokenStream:
         return self.advance()
 
 
+# --- operator tables --------------------------------------------------------
+#
+# A grammar's binary operators are one table, loosest first, of
+# ``(op, (symbol, right associative))``; its parser and printer both read it.
+
+OPERATORS = (("join", ("v", False)), ("meet", ("^", False)))
+
+
+def parse_chains(ts: TokenStream, table, operand, node, level: int = 0):
+    """Operator chains of `table` from `level` on, each joined by
+    ``node(op, lhs, rhs)``; ``operand(ts)`` parses below the last level.
+    A chain of any length is a loop; nesting adds a frame per level."""
+    op, (symbol, right) = table[level]
+    below = level + 1
+    last = below == len(table)
+    out = operand(ts) if last else parse_chains(ts, table, operand, node, below)
+    if right:
+        parts = [out]
+        while ts.match(symbol):
+            parts.append(operand(ts) if last else parse_chains(ts, table, operand, node, below))
+        out = parts.pop()
+        while parts:
+            out = node(op, parts.pop(), out)
+        return out
+    while ts.match(symbol):
+        rhs = operand(ts) if last else parse_chains(ts, table, operand, node, below)
+        out = node(op, out, rhs)
+    return out
+
+
+def print_levels(table) -> dict[str, tuple[int, str, int, int]]:
+    """``op -> (level, " symbol ", left level, right level)``: levels count
+    from 1, loosest first, and an operand that binds looser than its side's
+    level is printed in parentheses."""
+    return {op: (level, f" {symbol} ", level + right, level + 1 - right)
+            for level, (op, (symbol, right)) in enumerate(table, 1)}
+
+
 # --- parsing ----------------------------------------------------------------
 #
 # term := meet ('v' meet)*
 # meet := unary ('^' unary)*
 # unary := '~' unary | '(' term ')' | '0' | '1' | identifier
 
+_CONSTANTS = {"0": BOT, "1": TOP}
+
 
 def parse_term_stream(ts: TokenStream) -> Term:
     """Parse a term and stop at the first token that cannot extend it."""
-    return _parse_join(ts)
-
-
-def _parse_join(ts: TokenStream) -> Term:
-    t = _parse_meet(ts)
-    while ts.match("JOIN"):
-        t = Join(t, _parse_meet(ts))
-    return t
-
-
-def _parse_meet(ts: TokenStream) -> Term:
-    t = _parse_unary(ts)
-    while ts.match("MEET"):
-        t = Meet(t, _parse_unary(ts))
-    return t
+    return parse_chains(ts, OPERATORS, _parse_unary, Term)
 
 
 def _parse_unary(ts: TokenStream) -> Term:
     negations = 0
-    while ts.match("NOT"):
+    while ts.match("~"):
         negations += 1
     tok = ts.advance()
-    if tok.kind == "LP":
+    if tok.kind == "(":
         with ts.nested(tok):
-            t = _parse_join(ts)
-            ts.expect("RP", "')'")
-    elif tok.kind == "ZERO":
-        t = BOT
-    elif tok.kind == "ONE":
-        t = TOP
+            t = parse_chains(ts, OPERATORS, _parse_unary, Term)
+            ts.expect(")", "')'")
     elif tok.kind == "ID":
         t = Var(tok.text)
+    elif tok.kind in _CONSTANTS:
+        t = _CONSTANTS[tok.kind]
     else:
         shown = tok.text or "end of input"
         raise ParseError(f"expected a term, found {shown!r}", tok.pos)
@@ -326,7 +306,7 @@ def _parse_unary(ts: TokenStream) -> Term:
 def parse_term(src: str) -> Term:
     """Parse a complete lattice term."""
     ts = TokenStream(tokenize(src))
-    t = _parse_join(ts)
+    t = parse_term_stream(ts)
     ts.expect("EOF", "end of term")
     return t
 
@@ -334,9 +314,9 @@ def parse_term(src: str) -> Term:
 def parse_equation(src: str) -> Equation:
     """Parse ``term = term``."""
     ts = TokenStream(tokenize(src))
-    lhs = _parse_join(ts)
-    ts.expect("EQ", "'='")
-    rhs = _parse_join(ts)
+    lhs = parse_term_stream(ts)
+    ts.expect("=", "'='")
+    rhs = parse_term_stream(ts)
     ts.expect("EOF", "end of equation")
     return Equation(lhs, rhs)
 
@@ -394,8 +374,8 @@ class Program:
 
 # --- printing ---------------------------------------------------------------
 
-_PREC_JOIN, _PREC_MEET, _PREC_UNARY = 1, 2, 3
-_PREC = {"join": _PREC_JOIN, "meet": _PREC_MEET}
+_BINARY = print_levels(OPERATORS)
+_UNARY = len(OPERATORS) + 1  # the level of '~', constants and variables
 _COMPOUND = ("not", "meet", "join")
 
 
@@ -420,7 +400,7 @@ def format_term(t: Term) -> str:
     texts: dict[int, str] = {}
     starts: dict[int, int] = {}
     out: list[str] = []
-    stack: list = [(len(code) - 1, _PREC_JOIN)]
+    stack: list = [(len(code) - 1, 1)]
     while stack:
         item = stack.pop()
         if item.__class__ is str:
@@ -433,7 +413,8 @@ def format_term(t: Term) -> str:
             del out[start + 1:]
             continue
         op, a, b = code[slot]
-        if _PREC.get(op, _PREC_UNARY) < prec:
+        binary = _BINARY.get(op)
+        if (binary[0] if binary else _UNARY) < prec:
             out.append("(")
             stack.append(")")
         text = texts.get(slot)
@@ -443,15 +424,14 @@ def format_term(t: Term) -> str:
         if uses[slot] > 1 and op in _COMPOUND:
             starts[slot] = len(out)
             stack.append((slot, None))
-        if op == "var":
+        if binary:
+            _, symbol, left, right = binary
+            stack += ((b, right), symbol, (a, left))
+        elif op == "var":
             out.append(a)
         elif op == "not":
             out.append("~")
-            stack.append((a, _PREC_UNARY))
-        elif op == "meet":
-            stack += ((b, _PREC_UNARY), " ^ ", (a, _PREC_MEET))
-        elif op == "join":
-            stack += ((b, _PREC_MEET), " v ", (a, _PREC_JOIN))
+            stack.append((a, _UNARY))
         else:
             out.append("1" if op == "top" else "0")
     return "".join(out)
@@ -572,17 +552,17 @@ class Evaluator:
         return columns[slot]
 
 
-def evaluate(t: Term, assignment: Assignment, meet_op=None, program=None) -> Subspace:
+def evaluate(t: Term, assignment: Assignment, meet_op=None) -> Subspace:
     """Value of `t` under one assignment.
 
     Raises:
         UnboundVariableError: if a free variable of `t` has no binding.
     """
-    return Evaluator((assignment,), meet_op, program).eval(t)[0]
+    return Evaluator((assignment,), meet_op).eval(t)[0]
 
 
-def holds(eq: Equation, assignment: Assignment, meet_op=None, program=None) -> bool:
+def holds(eq: Equation, assignment: Assignment, meet_op=None) -> bool:
     """Whether both sides of `eq` evaluate to the same subspace under one
     assignment."""
-    ev = Evaluator((assignment,), meet_op, program)
+    ev = Evaluator((assignment,), meet_op)
     return ev.eval(eq.lhs) == ev.eval(eq.rhs)

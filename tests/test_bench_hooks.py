@@ -89,6 +89,6 @@ def test_every_meet_and_join_slot_calls_the_hooked_function(monkeypatch):
     batch = [qlattice.terms.Assignment(n, {}) for n in (3, 1, 2, 3)]
     values = qlattice.terms.Evaluator(batch).eval(t)
     assert [v.ambient for v in values] == [3, 1, 2, 3]
-    assert all(v.is_full() for v in values)
+    assert all(v.dim == v.ambient for v in values)
     assert calls == {"meet": 5 * 4, "join": 4 * 4}
     assert calls == {op: len(batch) * sum(o == op for o, _, _ in code) for op in calls}

@@ -27,6 +27,7 @@ from qlattice.formulas import (
     separation_witness,
 )
 from qlattice.smtlib import check_solver_text
+from qlattice.subspaces import complement
 from qlattice.terms import MAX_NESTING, format_term
 
 ROOT = Path(__file__).parent.parent
@@ -183,7 +184,7 @@ def test_check_reports_counterexample(capsys):
     # the trailing fixture parses back into a falsifying assignment
     fixture_text = out.split("\n", 1)[1]
     a = parse_assignment_fixture(fixture_text)
-    assert a.ambient == 2 and set(a.names()) == {"p", "q", "r"}
+    assert a.ambient == 2 and set(a.bindings) == {"p", "q", "r"}
 
 
 def test_check_counterexample_reads_back_by_eval(capsys, tmp_path):
@@ -317,20 +318,20 @@ def test_witness_round_trips(capsys):
     code, out, _ = run(capsys, "witness", "separation:0")
     assert code == 0
     a = parse_assignment_fixture(out)
-    assert a.ambient == 2 and set(a.names()) == {"p1", "q1", "r1"}
+    assert a.ambient == 2 and set(a.bindings) == {"p1", "q1", "r1"}
 
     code, out, _ = run(capsys, "witness", "beta")
     a = parse_assignment_fixture(out)
-    assert a.ambient == 4 and set(a.names()) == {"p", "q", "r", "s"}
-    assert a["q"] == ~a["p"]
+    assert a.ambient == 4 and set(a.bindings) == {"p", "q", "r", "s"}
+    assert a["q"] == complement(a["p"])
 
     # the deepest index whose witness ambient, 2**6, is still readable
     code, out, _ = run(capsys, "witness", "separation:5")
     assert code == 0
     a = parse_assignment_fixture(out)
     w = separation_witness(5)
-    assert a.ambient == 64 and a.names() == w.names()
-    assert all(a[name] == w[name] for name in w.names())
+    assert a.ambient == 64 and sorted(a.bindings) == sorted(w.bindings)
+    assert all(a[name] == w[name] for name in w.bindings)
 
 
 def test_witness_unknown_name(capsys):
@@ -688,10 +689,11 @@ def _interpreter_env() -> dict[str, str]:
     return env
 
 
-@pytest.mark.parametrize("version", ["3.10", "3.12"])
-def test_cli_output_is_the_same_under_other_interpreters(version):
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_cli_output_is_the_same_under_other_interpreters(version, tmp_path):
     # The package needs only the standard library; the other supported
-    # interpreters must print the same bytes as this one.
+    # interpreters must print the same bytes as this one, and refuse the
+    # same malformed input with the same exit code and message.
     python, env = f"python{version}", _interpreter_env()
     if shutil.which(python) is None:
         pytest.skip(f"{python} is not on PATH")
@@ -701,6 +703,8 @@ def test_cli_output_is_the_same_under_other_interpreters(version):
     )
     if probe.returncode or probe.stdout.strip() != version:
         pytest.skip(f"{python} on PATH does not run Python {version}")
+    malformed = tmp_path / "malformed.sent"
+    malformed.write_text("forall x. (x = x -> \n", encoding="utf-8")
     commands = [
         ["check", "p ^ (q v r) = (p ^ q) v (p ^ r)", "--ambient", "3", "--samples", "50"],
         ["check", "p ^ (q v (p ^ r)) = (p ^ q) v (p ^ r)", "--ambient", "4", "--samples", "20"],
@@ -711,12 +715,19 @@ def test_cli_output_is_the_same_under_other_interpreters(version):
         ["compile", str(DATA / "worked_example.sent"), "--n", "2"],
         ["compile", str(DATA / "worked_example.sent"), "--n", "3", "--form", "refutation"],
     ]
-    for argv in commands:
+    refused = [
+        ["check", "p\u00e9 = p", "--ambient", "2"],
+        ["check", "p\u3000v\u2003q = q\u00a0v", "--ambient", "2"],
+        ["compile", str(malformed), "--n", "2"],
+    ]
+    for argv in commands + refused:
         ours, theirs = (
             subprocess.run(
                 [exe, "-m", "qlattice", *argv], capture_output=True, text=True, env=env
             )
             for exe in (sys.executable, python)
         )
-        assert ours.returncode in (0, 1), ours.stderr
+        assert ours.returncode in ((3,) if argv in refused else (0, 1)), ours.stderr
         assert (theirs.returncode, theirs.stdout) == (ours.returncode, ours.stdout), argv
+        if argv in refused:
+            assert theirs.stderr == ours.stderr, argv

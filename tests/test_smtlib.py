@@ -23,6 +23,28 @@ def test_tokenize_rejects_string_literals():
         tokenize_sexpr('(echo "hi")')
 
 
+def test_tokenize_quote_inside_an_atom():
+    assert tokenize_sexpr('(a"b)') == ["(", 'a"b', ")"]
+
+
+@pytest.mark.parametrize("text,offset", [('"x"', 0), ('(echo "hi")', 6)])
+def test_tokenize_names_the_offset_of_a_string_literal(text, offset):
+    with pytest.raises(SmtError, match=rf"\(offset {offset}\)"):
+        tokenize_sexpr(text)
+
+
+def test_tokenize_ignores_quotes_in_comments():
+    assert tokenize_sexpr('(a) ; "x"\n(b)') == ["(", "a", ")", "(", "b", ")"]
+
+
+def test_tokenize_drops_a_trailing_comment_without_newline():
+    assert tokenize_sexpr("(a) ; done") == ["(", "a", ")"]
+
+
+def test_tokenize_semicolon_ends_an_atom():
+    assert tokenize_sexpr("a;b\nc") == ["a", "c"]
+
+
 def test_parse_nested_lists():
     assert parse_script("(a (b c) ())") == [["a", ["b", "c"], []]]
 

@@ -3,6 +3,7 @@
 import copy
 import gc
 import pickle
+import sys
 import tracemalloc
 import weakref
 
@@ -138,6 +139,13 @@ class TestParsing:
             parse_term(src)
         assert exc.value.pos == pos
 
+    def test_every_unicode_space_separates_tokens(self):
+        # whitespace is exactly what str.isspace() accepts, ASCII or not
+        spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+        assert len(spaces) > 6
+        for c in spaces:
+            assert parse_term(f"p{c}v{c}q") == Join(p, q), hex(ord(c))
+
     def test_equation(self):
         eq = parse_equation("p ^ q = q ^ p")
         assert eq == Equation(Meet(p, q), Meet(q, p))
@@ -264,11 +272,11 @@ class TestEvaluation:
         a = Assignment(2, {"p": self.e1, "q": self.diag})
         assert evaluate(parse_term("~p"), a) == self.e2
         assert evaluate(parse_term("p ^ q"), a).is_zero()
-        assert evaluate(parse_term("p v q"), a).is_full()
+        assert evaluate(parse_term("p v q"), a).dim == 2
 
     def test_constants(self):
         a = Assignment(2, {})
-        assert evaluate(TOP, a).is_full()
+        assert evaluate(TOP, a).dim == 2
         assert evaluate(BOT, a).is_zero()
 
     def test_unbound_variable_named(self):
@@ -295,7 +303,7 @@ class TestEvaluation:
         a = Assignment(2, {"p": self.e1, "q": self.e2})
         ev = Evaluator([a])
         (v1,), (v2,) = ev.eval(parse_term("p v q")), ev.eval(parse_term("(p v q) ^ 1"))
-        assert v1 == v2 and v1.is_full()
+        assert v1 == v2 and v1.dim == v1.ambient
 
     @given(term_with_assignment())
     @settings(max_examples=60)
