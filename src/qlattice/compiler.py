@@ -266,12 +266,25 @@ def _var(name: str) -> Node:
 
 
 class _Namer:
+    """The fresh vector names of one compile, and each lattice variable's
+    matrix entry nodes, built once and shared by all its kernel blocks."""
+
     def __init__(self) -> None:
         self.vectors = 0
+        self.matrices: dict[str, list[tuple[Node, ...]]] = {}
 
     def vector(self) -> str:
         self.vectors += 1
         return f"v!{self.vectors}"
+
+    def matrix(self, name: str, n: int) -> list[tuple[Node, ...]]:
+        rows = self.matrices.get(name)
+        if rows is None:
+            rows = self.matrices[name] = [
+                tuple(_var(f"{name}.{i}.{j}") for j in range(1, n + 1))
+                for i in range(1, n + 1)
+            ]
+        return rows
 
 
 def _components(vec: str, n: int) -> tuple[str, ...]:
@@ -284,14 +297,12 @@ def _matrix_entries(name: str, n: int) -> tuple[str, ...]:
     )
 
 
-def _kernel(name: str, vec: str, n: int) -> Node:
+def _kernel(name: str, vec: str, n: int, namer: _Namer) -> Node:
     """The n row equations of <matrix of name> * vec = 0."""
     components = [_var(c) for c in _components(vec, n)]  # shared by every row
     rows = []
-    for i in range(1, n + 1):
-        terms = tuple(
-            ("mul", (_var(f"{name}.{i}.{j}"), c)) for j, c in enumerate(components, 1)
-        )
+    for entries in namer.matrix(name, n):
+        terms = tuple(("mul", pair) for pair in zip(entries, components))
         rows.append(("eq", (("add", terms), _ZERO)))
     return ("and", tuple(rows))
 
@@ -308,10 +319,10 @@ def _vec_is_zero(vec: str, n: int) -> Node:
     return ("and", tuple(("eq", (_var(c), _ZERO)) for c in _components(vec, n)))
 
 
-def _membership(leaf: Term, vec: str, n: int) -> Node:
+def _membership(leaf: Term, vec: str, n: int, namer: _Namer) -> Node:
     """Formula: vec lies in the subspace denoted by a leaf term."""
     if leaf.op == "var":
-        return _kernel(leaf.a, vec, n)
+        return _kernel(leaf.a, vec, n, namer)
     if leaf.op == "top":
         return ("and", ())
     if leaf.op == "bot":
@@ -322,14 +333,14 @@ def _membership(leaf: Term, vec: str, n: int) -> Node:
 def _encode_definition(name: str, term: Term, n: int, namer: _Namer) -> Node:
     """``name = term`` for a meet, join or complement of variables."""
     v = namer.vector()
-    member = _kernel(name, v, n)
+    member = _kernel(name, v, n, namer)
     if term.op == "meet":
-        rhs = ("and", (_kernel(term.a.a, v, n), _kernel(term.b.a, v, n)))
+        rhs = ("and", (_kernel(term.a.a, v, n, namer), _kernel(term.b.a, v, n, namer)))
     elif term.op == "not":
         w = namer.vector()
         rhs = ("forall", (
             _components(w, n),
-            ("implies", (_kernel(term.a.a, w, n), _hermitian_dot_zero(v, w, n))),
+            ("implies", (_kernel(term.a.a, w, n, namer), _hermitian_dot_zero(v, w, n))),
         ))
     else:  # join: y v z = y + z in finite dimension
         a, b = namer.vector(), namer.vector()
@@ -339,7 +350,7 @@ def _encode_definition(name: str, term: Term, n: int, namer: _Namer) -> Node:
         )
         rhs = ("exists", (
             _components(a, n) + _components(b, n),
-            ("and", (_kernel(term.a.a, a, n), _kernel(term.b.a, b, n)) + total),
+            ("and", (_kernel(term.a.a, a, n, namer), _kernel(term.b.a, b, n, namer)) + total),
         ))
     return ("forall", (_components(v, n), ("iff", (member, rhs))))
 
@@ -351,11 +362,11 @@ def _encode_atom(atom: S.Sentence, n: int, namer: _Namer) -> Node:
     if lhs.op != "var" and rhs.op == "var":
         lhs, rhs = rhs, lhs
     if rhs.op == "top":
-        body = _membership(lhs, v, n)
+        body = _membership(lhs, v, n, namer)
     elif rhs.op == "bot":
-        body = ("implies", (_membership(lhs, v, n), _vec_is_zero(v, n)))
+        body = ("implies", (_membership(lhs, v, n, namer), _vec_is_zero(v, n)))
     else:
-        body = ("iff", (_membership(lhs, v, n), _membership(rhs, v, n)))
+        body = ("iff", (_membership(lhs, v, n, namer), _membership(rhs, v, n, namer)))
     return ("forall", (_components(v, n), body))
 
 

@@ -19,9 +19,12 @@ value, so every stored entry is a minor of the input and coefficient size
 stays bounded by Hadamard's inequality.  Rows are rescaled lazily, only
 when a step touches them.  Null rows, whose kernel is a canonical span,
 are read straight off its free columns, and a kernel reads them off one
-reduction of its input with the columns reversed.  Fractions reappear
-only when a canonical reduced row echelon basis is materialised, with
-each pivot normalised to 1.
+reduction of its input with the columns reversed.  Two products of rows
+let a caller eliminate on the side with fewer rows: the matrix of the
+bilinear pairing (no conjugation) of two row lists, and the rows that a
+list of coefficient rows combines.  Fractions reappear only when a
+canonical reduced row echelon basis is materialised, with each pivot
+normalised to 1.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import re as _regex
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 _Int = int  # Gaussian-integer rows are flat lists [re0, im0, re1, im1, ...]
@@ -380,6 +384,32 @@ def _kernel_int(
     null, free = _null_rows(red, ncols)
     null.reverse()
     return _reversed_columns(null, ncols), [ncols - 1 - j for j in reversed(free)]
+
+
+def _pair_int(
+    rows: Iterable[Sequence[_Int]], others: Sequence[Sequence[_Int]]
+) -> list[list[_Int]]:
+    """The matrix of ``sum_k r_k o_k`` over Z[i], with no conjugation: one
+    row per r in `rows`, holding one Gaussian integer per o in `others`."""
+    split = [(o[0::2], o[1::2]) for o in others]
+    out = []
+    for r in rows:
+        ra, rb = r[0::2], r[1::2]
+        row = []
+        for oa, ob in split:
+            row.append(sum(map(mul, ra, oa)) - sum(map(mul, rb, ob)))
+            row.append(sum(map(mul, ra, ob)) + sum(map(mul, rb, oa)))
+        out.append(row)
+    return out
+
+
+def _combine_int(
+    coeffs: Iterable[Sequence[_Int]], rows: Sequence[Sequence[_Int]], ncols: int
+) -> list[list[_Int]]:
+    """Each coefficient row c, of one Gaussian integer per row of `rows`,
+    gives the row ``sum_i c_i rows_i`` of `ncols` entries."""
+    columns = [[x for r in rows for x in r[2 * j : 2 * j + 2]] for j in range(ncols)]
+    return _pair_int(coeffs, columns)
 
 
 def _conj_int_rows(rows: Iterable[Sequence[_Int]]) -> list[list[_Int]]:

@@ -12,10 +12,21 @@ Lattice operations: ``meet`` is intersection, ``join`` is linear span,
 ``complement`` is the orthogonal complement under the Hermitian inner
 product (conjugate-linear in the first argument).
 
-The production ``meet`` takes the kernel of both operands' null rows,
-read off their canonical rows, and takes no complement;
-``meet_via_demorgan`` is an independent route through complements kept for
-cross-checking, never called by the evaluator.
+Both elimination routes of ``meet`` and ``complement`` work on whichever
+side has fewer rows; canonical forms are unique, so the route never shows
+in a result.  With d = dim p, ``complement`` reduces the n - d null rows
+of p's conjugate rows forward when 2d > n (the conjugate of a canonical
+form is canonical, so they are read straight off it), and otherwise takes
+the kernel of the d conjugate rows.  A ``meet`` that the rank certificate
+does not settle has s = dim p + dim q, an expected result of dimension
+s - n and 2n - s null-row constraints.  When 2s <= 3n, the result is
+small next to the constraints: it pairs the larger operand's null rows
+with the smaller operand's rows, takes the kernel of that matrix in
+dim-small columns, and reduces the combinations of the smaller operand's
+rows it gives.  Otherwise it takes the kernel of both operands' null rows
+in n columns.  ``meet`` takes no complement; ``meet_via_demorgan`` is an
+independent route through complements kept for cross-checking, never
+called by the evaluator.
 
 Because the form is canonical, the result of ``meet`` or ``join`` depends
 only on its operands.  Both first test the ambients, then settle a zero,
@@ -35,10 +46,12 @@ from weakref import WeakValueDictionary
 from .linalg import (
     Pair,
     Scalar,
+    _combine_int,
     _conj_int_rows,
     _fracs_from_int_rows,
     _kernel_int,
     _null_rows,
+    _pair_int,
     _rank_mod_p,
     _reduce_int_rows,
     _row_from_scalars,
@@ -194,19 +207,38 @@ def join(p: Subspace, q: Subspace) -> Subspace:
 
 
 def complement(p: Subspace) -> Subspace:
-    """Orthogonal complement; cached, and ``~~p`` returns `p` itself."""
+    """Orthogonal complement; cached, and ``~~p`` returns `p` itself.
+
+    It is the kernel of p's conjugate rows.  For dim p > n/2 there are
+    fewer null rows of those rows than rows, so the null rows, read off
+    the conjugate canonical form, are reduced instead.
+    """
     c = p._complement
     if c is None:
-        rows, _ = _kernel_int(_conj_int_rows(p._rows), p.ambient)
-        c = Subspace._make(p.ambient, rows)
+        n = p.ambient
+        conj = _conj_int_rows(p._rows)
+        if 2 * len(conj) > n:
+            rows, _ = _reduce_int_rows(_null_rows(conj, n)[0], n)
+        else:
+            rows, _ = _kernel_int(conj, n)
+        c = Subspace._make(n, rows)
         p._complement = c
         c._complement = p
     return c
 
 
 def meet(p: Subspace, q: Subspace) -> Subspace:
-    """Intersection: the kernel of both operands' null rows, or 0 by the
-    dimension formula when their rows certify ``dim(p v q) = dim p + dim q``."""
+    """Intersection: 0 by the dimension formula when the operands' rows
+    certify ``dim(p v q) = dim p + dim q``, else by elimination on the
+    smaller side.
+
+    With s = dim p + dim q and 2s <= 3n, a vector ``c S`` of the operand
+    with fewer rows S (p on a tie) lies in the other one iff its null
+    rows N give ``N S^T c = 0``: the kernel of the pairing matrix
+    ``N S^T`` takes ``dim S`` columns, and the combinations of S it
+    gives are reduced to the canonical rows.  Otherwise the result is
+    the kernel of both operands' null rows.  No complement is taken.
+    """
     if p.ambient != q.ambient:
         raise _mismatch(p, q)
     if p is q or not p._rows or len(q._rows) == q.ambient:
@@ -221,8 +253,15 @@ def meet(p: Subspace, q: Subspace) -> Subspace:
     stacked = p._rows + q._rows
     if len(stacked) <= n and _rank_mod_p(stacked, n) == len(stacked):
         return _remember(key, Subspace.zero(n))
-    constraints = _null_rows(p._rows, n)[0] + _null_rows(q._rows, n)[0]
-    rows, _ = _kernel_int(constraints, n)
+    if 2 * len(stacked) <= 3 * n:
+        small, big = p._rows, q._rows
+        if len(small) > len(big):
+            small, big = big, small
+        coeffs, _ = _kernel_int(_pair_int(_null_rows(big, n)[0], small), len(small))
+        rows, _ = _reduce_int_rows(_combine_int(coeffs, small, n), n)
+    else:
+        constraints = _null_rows(p._rows, n)[0] + _null_rows(q._rows, n)[0]
+        rows, _ = _kernel_int(constraints, n)
     return _remember(key, Subspace._make(n, rows))
 
 
@@ -232,7 +271,9 @@ def meet_via_demorgan(p: Subspace, q: Subspace) -> Subspace:
     It never touches the meet entries of the op memo (only ``join`` and
     ``complement`` run), so a wrong memoised meet cannot leak into it, and
     ``meet`` takes no complement, so the two routes share only the
-    elimination core (``_kernel_int``, ``_reduce_int_rows``).
+    elimination core (``_kernel_int``, ``_reduce_int_rows``, ``_null_rows``).
+    Its complements pick their route by dimension as ``complement`` does,
+    and it never pairs rows as ``meet`` does.
     """
     if p.ambient != q.ambient:
         raise _mismatch(p, q)

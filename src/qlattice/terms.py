@@ -518,8 +518,11 @@ class Evaluator:
     each of at most ``ambient ** 2`` entries.  The checker's sweep
     therefore draws its batches in chunks of 1, 2, 4, ... assignments,
     with chunk size x slots x ambient**2 at most 2**14 entries, and draws
-    at most 2k - 1 assignments when the k-th fails.  The returned columns
-    are the evaluator's own and must not be modified.
+    at most 2k - 1 assignments when the k-th fails.  For a program of
+    thousands of slots that bound is one assignment per chunk, so a batch
+    of one keeps each slot's bare value instead of a one-element column,
+    and runs the slots as a plain loop.  The returned columns are the
+    evaluator's own and must not be modified.
     """
 
     __slots__ = ("assignments", "program", "_columns", "_meet")
@@ -527,7 +530,8 @@ class Evaluator:
     def __init__(self, assignments: Sequence[Assignment], meet_op=None, program=None) -> None:
         self.assignments = assignments
         self.program = program if program is not None else Program()
-        self._columns: list[list[Subspace]] = []
+        # a column per slot, or its bare value in a batch of one
+        self._columns: list = []
         self._meet = meet_op
 
     def eval(self, t: Term) -> list[Subspace]:
@@ -535,7 +539,11 @@ class Evaluator:
         columns = self._columns
         batch = self.assignments
         meet = self._meet or _sub.meet
-        for op, a, b in self.program.code[len(columns):slot + 1]:
+        code = self.program.code[len(columns):slot + 1]
+        if len(batch) == 1:
+            self._eval_one(code, meet)
+            return [columns[slot]]
+        for op, a, b in code:
             if op == "meet":
                 col = list(map(meet, columns[a], columns[b]))
             elif op == "join":
@@ -550,6 +558,31 @@ class Evaluator:
                 col = [Subspace.zero(x.ambient) for x in batch]
             columns.append(col)
         return columns[slot]
+
+    def _eval_one(self, code, meet) -> None:
+        """Run `code` for a batch of one assignment, keeping bare values:
+        a one-element list per slot would cost more than the operation on
+        a small ambient."""
+        values = self._columns
+        join, complement = _sub.join, _sub.complement
+        (x,) = self.assignments
+        bound = x.bindings.get
+        for op, a, b in code:
+            if op == "meet":
+                v = meet(values[a], values[b])
+            elif op == "join":
+                v = join(values[a], values[b])
+            elif op == "not":
+                v = complement(values[a])
+            elif op == "var":
+                v = bound(a)
+                if v is None:
+                    raise UnboundVariableError(a)
+            elif op == "top":
+                v = Subspace.full(x.ambient)
+            else:
+                v = Subspace.zero(x.ambient)
+            values.append(v)
 
 
 def evaluate(t: Term, assignment: Assignment, meet_op=None) -> Subspace:

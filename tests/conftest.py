@@ -20,3 +20,19 @@ def rank_verdicts(monkeypatch):
     monkeypatch.setattr(linalg, "_rank_mod_p", spy)
     monkeypatch.setattr(subspaces, "_rank_mod_p", spy)
     return seen
+
+
+@pytest.fixture()
+def kernel_columns(monkeypatch):
+    """The column count of each kernel ``subspaces`` takes, in call order,
+    with the op memo emptied, so no earlier result answers."""
+    seen = []
+    real = subspaces._kernel_int
+
+    def spy(rows, ncols):
+        seen.append(ncols)
+        return real(rows, ncols)
+
+    monkeypatch.setattr(subspaces, "_kernel_int", spy)
+    monkeypatch.setattr(subspaces, "_memo", {})
+    return seen

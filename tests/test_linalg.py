@@ -7,7 +7,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gaussian import GaussianRational, gaussian_rows
@@ -15,9 +15,11 @@ import qlattice.linalg as linalg
 from qlattice.fixtures import _format_basis
 from qlattice.linalg import (
     ScalarFormatError,
+    _combine_int,
     _conj_int_rows,
     _kernel_int,
     _null_rows,
+    _pair_int,
     _reduce_int_rows,
     format_scalar,
     parse_scalar,
@@ -606,12 +608,14 @@ class TestNullRowMeet:
 
     def test_certificate_declines_on_lines_equal_mod_p(self, rank_verdicts):
         # span(1, 0) and span(1, _P) are independent over Q(i) but equal
-        # mod _P: the certificate of the meet, and that of the kernel's
-        # reduction, both see rank 1, and the kernel still finds 0.
+        # mod _P: the certificate of the meet sees rank 1.  The meet then
+        # pairs q's null row (-_P, 1) with p's row, and the certificate of
+        # the kernel's reduction sees that 1x1 matrix (-_P) as 0; Bareiss
+        # still finds it nonzero, so the meet is 0.
         p, q = Subspace.line(2, [1, 0]), Subspace.line(2, [1, linalg._P])
         sub._memo.clear()
         assert meet(p, q).is_zero()
-        assert rank_verdicts == [1, 1]
+        assert rank_verdicts == [1, 0]
 
     def test_generic_zero_meet_takes_no_kernel(self, rank_verdicts, monkeypatch):
         p, q = random_subspace(8, 3, seed=1), random_subspace(8, 5, seed=2)
@@ -620,6 +624,135 @@ class TestNullRowMeet:
         sub._memo.clear()
         assert meet(p, q).is_zero()
         assert rank_verdicts == [8] and kernels == []
+
+
+class TestPairAndCombine:
+    @given(gaussian_int_rows())
+    @settings(max_examples=100, deadline=None)
+    def test_pairing_is_the_bilinear_form(self, case):
+        rows, _ = case
+        others = rows[::-1] + [_times(r, 2, -1) for r in rows[:2]]
+        pairs = _pair_int(rows, others)
+        assert [[tuple(m[k : k + 2]) for k in range(0, len(m), 2)] for m in pairs] == [
+            [_bilinear(r, o) for o in others] for r in rows
+        ]
+
+    @given(gaussian_int_rows(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_combination_sums_scaled_rows(self, case, data):
+        rows, ncols = case
+        coeffs = [
+            [data.draw(st.integers(-5, 5)) for _ in range(2 * len(rows))]
+            for _ in range(data.draw(st.integers(0, 3)))
+        ]
+        expected = []
+        for c in coeffs:
+            total = [0] * (2 * ncols)
+            for k, r in enumerate(rows):
+                total = [x + y for x, y in zip(total, _times(r, c[2 * k], c[2 * k + 1]))]
+            expected.append(total)
+        assert _combine_int(coeffs, rows, ncols) == expected
+
+
+def _meet_kernels(p, q):
+    """The kernel column counts `meet` must use on a nontrivial pair: none
+    when the rank certificate settles 0; else the smaller operand's rows
+    when 2 (dim p + dim q) <= 3n, and n for the kernel of both null-row
+    stacks otherwise."""
+    n, s = p.ambient, p.dim + q.dim
+    if s <= n and linalg._rank_mod_p(p._rows + q._rows, n) == s:
+        return []
+    return [min(p.dim, q.dim)] if 2 * s <= 3 * n else [n]
+
+
+def _fresh_complement(p):
+    p._complement = None  # recompute rather than read the cache
+    return complement(p)
+
+
+@st.composite
+def route_pairs(draw, max_ambient=6):
+    """Nontrivial operand pairs at n <= 6: generic ones, and ones around a
+    shared line, which no certificate can settle whatever their dims."""
+    n = draw(st.integers(2, max_ambient))
+    dp, dq = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+    seeds = iter(draw(st.lists(st.integers(0, 10**6), min_size=3, max_size=3)))
+    if draw(st.booleans()):
+        return random_subspace(n, dp, next(seeds)), random_subspace(n, dq, next(seeds))
+    line = random_subspace(n, 1, next(seeds))
+    p = join(line, random_subspace(n, dp - 1, next(seeds)))
+    q = join(line, random_subspace(n, dq - 1, next(seeds)))
+    return p, q
+
+
+class TestSmallerSide:
+    """``complement`` and ``meet`` eliminate on whichever side has fewer
+    rows.  Every route must give the fraction-level reference rows."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_complement_routes_at_every_dimension(self, kernel_columns, n):
+        for d in range(n + 1):
+            for seed in range(3):
+                p = random_subspace(n, d, seed)
+                kernel_columns.clear()
+                c = _fresh_complement(p)
+                assert [list(r) for r in c._rows] == _ref_kernel(_conj_int_rows(p._rows), n)[0]
+                # 2d > n: a forward reduction of the n - d null rows
+                assert kernel_columns == ([] if 2 * d > n else [n])
+
+    @given(st.integers(1, 6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_complement_routes_agree(self, n, data):
+        p = random_subspace(n, data.draw(st.integers(0, n)), data.draw(st.integers(0, 10**6)))
+        c = _fresh_complement(p)
+        assert [list(r) for r in c._rows] == _ref_kernel(_conj_int_rows(p._rows), n)[0]
+        # the other route back: dim c and dim p lie on opposite sides of n/2
+        # unless both equal it
+        assert _fresh_complement(c) is p
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_meet_routes_at_every_dimension_pair(self, kernel_columns, n):
+        # Generic pairs, and pairs around a shared line, whose meet no
+        # certificate settles, so that s <= n takes a kernel too.
+        line = random_subspace(n, 1, seed=n)
+        for dp in range(1, n):
+            for dq in range(1, n):
+                generic = random_subspace(n, dp, seed=dp), random_subspace(n, dq, seed=n + dq)
+                shared = (join(line, random_subspace(n, dp - 1, seed=dp)),
+                          join(line, random_subspace(n, dq - 1, seed=n + dq)))
+                for kind, (p, q) in (("generic", generic), ("shared", shared)):
+                    if p is q:
+                        continue
+                    sub._memo.clear()
+                    kernel_columns.clear()
+                    m = meet(p, q)
+                    assert kernel_columns == _meet_kernels(p, q)
+                    assert kernel_columns or kind == "generic"
+                    assert [list(r) for r in m._rows] == _ref_meet(p, q)
+
+    @given(route_pairs())
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_meet_routes_agree(self, kernel_columns, pq):
+        p, q = pq
+        sub._memo.clear()
+        kernel_columns.clear()
+        m = meet(p, q)
+        assert kernel_columns == (_meet_kernels(p, q) if p is not q else [])
+        assert [list(r) for r in m._rows] == _ref_meet(p, q)
+        assert m is meet(q, p) is meet_via_demorgan(p, q)
+
+    def test_certificate_declines_below_n(self, kernel_columns):
+        # dims 2 and 2 in C^5 around a shared line: s = 4 <= n, the stack
+        # has rank 3, and the kernel runs in the smaller operand's 2 rows
+        line = Subspace.line(5, [1, 2, 0, (0, 1), 3])
+        p = join(line, Subspace.line(5, [0, 1, 1, 0, 0]))
+        q = join(line, Subspace.line(5, [1, 0, 0, 0, (2, -1)]))
+        m = meet(p, q)
+        assert m is line and kernel_columns == [2]
+        assert [list(r) for r in m._rows] == _ref_meet(p, q)
 
 
 class TestConjTranspose:

@@ -333,6 +333,46 @@ class TestLargeAmbient:
         assert verdicts == [32]
 
 
+class TestSmallerSideAtLargeAmbient:
+    """At n = 32, meet and complement eliminate on the side with fewer
+    rows."""
+
+    def test_meet_eliminates_in_the_smaller_operand(self, kernel_columns):
+        # dims 16 and 18 meet in a plane: the 14 null rows of q pair with
+        # the 16 rows of p, and the one kernel has 16 columns, not 32
+        p = random_subspace(32, 16, seed=1)
+        q = random_subspace(32, 18, seed=2)
+        m = meet(p, q)
+        assert kernel_columns == [16]
+        assert m.dim == 2 and leq(m, p) and leq(m, q) and join(p, q).dim == 32
+
+    def test_complement_reduces_the_fewer_null_rows(self, kernel_columns):
+        # dim 24: the 8 null rows of the conjugate rows are reduced forward
+        # with no kernel; back from dim 8, the kernel route must agree
+        p = random_subspace(32, 24, seed=3)
+        p._complement = None
+        c = complement(p)
+        assert c.dim == 8 and kernel_columns == []
+        c._complement = None
+        assert complement(c) is p and kernel_columns == [32]
+
+
+class TestMeetTakesNoComplement:
+    @given(subspace_pairs(max_ambient=6))
+    @settings(max_examples=100, deadline=None)
+    def test_meet_never_calls_complement(self, pq):
+        p, q = pq
+
+        def refuse(s):
+            raise AssertionError("meet took a complement")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sub, "complement", refuse)
+            mp.setattr(sub, "_memo", {})
+            m = meet(p, q)
+        assert m is meet_via_demorgan(p, q)
+
+
 class TestComplement:
     def test_coordinate_example(self):
         assert complement(span(2, [1, 0])) == span(2, [0, 1])
