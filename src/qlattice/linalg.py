@@ -12,7 +12,10 @@ lcm of its denominators and entries become Gaussian integers stored as
 interleaved ``(re, im)`` machine-int pairs.  The one rank certificate
 sends rows to F_p, for a prime ``_P = 1 (mod 4)``, by the ring map that
 sends i to a square root of -1; the rank of the images is a lower bound
-on the rank, and a full one makes the identity the answer.  Every other input
+on the rank, and a full one makes the identity the answer.  It is an
+echelon step over F_p: it reduces the images row by row against the
+pivot rows found so far, without inverses, and stops as soon as the rank
+reaches the column count.  Every other input
 goes through fraction-free Gauss-Jordan (Bareiss): each combine
 ``D_k * r - r[c_k] * p_k`` is divided exactly by the previous pivot
 value, so every stored entry is a minor of the input and coefficient size
@@ -162,8 +165,7 @@ def format_scalar(z: Pair) -> str:
 def _strip_content(row: list[_Int]) -> None:
     g = gcd(*row)
     if g > 1:
-        for k in range(len(row)):
-            row[k] //= g
+        row[:] = [x // g for x in row]
 
 
 def _row_from_fracs(fracs: Iterable[Fraction]) -> list[_Int]:
@@ -195,26 +197,25 @@ def _rank_mod_p(rows: Sequence[Sequence[_Int]], ncols: int) -> int:
     rows have rank at least r over the Gaussian rationals.
     """
     p, s = _P, _I_MOD_P
-    m = [[(r[k] + s * r[k + 1]) % p for k in range(0, 2 * ncols, 2)] for r in rows]
-    # Eliminate one column per step and drop it, so the rows of m keep only
-    # the columns still to be done.  A combine scales a row by the pivot, a
-    # unit mod p, instead of inverting.
-    rank = 0
-    while m and m[0]:
-        for i, r in enumerate(m):
-            if r[0]:
+    # Reduce each image row against the pivot rows found so far, in the
+    # order they were found: pivot row j is zero at the pivot columns of
+    # rows 0..j-1, so a row reduced by all of them is zero at each pivot
+    # column, and if anything of it is left its first nonzero column is a
+    # new pivot.  A combine scales the row by the pivot entry, a unit mod
+    # p, instead of inverting it.
+    pivots: list[tuple[int, int, list[int]]] = []
+    for r in rows:
+        m = [(a + s * b) % p for a, b in zip(r[0:2 * ncols:2], r[1:2 * ncols:2])]
+        for c, lead, prow in pivots:
+            if t := m[c]:
+                m = [(x * lead - t * y) % p for x, y in zip(m, prow)]
+        for c, x in enumerate(m):
+            if x:
+                pivots.append((c, x, m))
+                if len(pivots) == ncols:
+                    return ncols
                 break
-        else:
-            m = [r[1:] for r in m]
-            continue
-        prow = m.pop(i)
-        lead, tail = prow[0], prow[1:]
-        m = [
-            [(x * lead - t * y) % p for x, y in zip(r[1:], tail)] if (t := r[0]) else r[1:]
-            for r in m
-        ]
-        rank += 1
-    return rank
+    return len(pivots)
 
 
 def _reduce_int_rows(

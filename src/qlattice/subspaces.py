@@ -2,10 +2,12 @@
 
 A :class:`Subspace` holds a canonical reduced-echelon basis, and every
 subspace is interned: ``Subspace._make`` returns the one live object for
-each ``(ambient, rows)`` through a module-level weak-value table.  Two
-subspaces are therefore equal as sets exactly when they are the same
+each ``(ambient, rows)`` through a module-level table of weak references.
+Two subspaces are therefore equal as sets exactly when they are the same
 object, so equality and hashing are identity, done in C.  The table keeps
-no subspace alive; copying returns the object itself, and unpickling
+no subspace alive: its keys hold only ints, a dead reference counts as a
+miss, and the dead entries are swept out whenever the table has doubled
+since the last sweep.  Copying returns the object itself, and unpickling
 rebuilds through the table.
 
 Lattice operations: ``meet`` is intersection, ``join`` is linear span,
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 from random import Random
 from typing import Iterable, Sequence
-from weakref import WeakValueDictionary
+from weakref import ref
 
 from .linalg import (
     Pair,
@@ -61,12 +63,19 @@ _MAX_SAMPLE_TRIES = 200
 # Largest ambient accepted from fixtures and the command line.
 MAX_AMBIENT = 64
 _MEMO_LIMIT = 1024
+# The intern table is swept of dead entries when it outgrows this size,
+# and then again whenever it has doubled since the last sweep.
+_SWEEP_FLOOR = 1024
 
 _MEET = "meet"
 _JOIN = "join"
 _memo: dict[tuple[str, "Subspace", "Subspace"], "Subspace"] = {}
-# The one live Subspace for each (ambient, canonical rows).
-_interned: WeakValueDictionary[tuple[int, tuple], "Subspace"] = WeakValueDictionary()
+# A weak reference to the one live Subspace for each (ambient, canonical
+# rows).  The references take no callback: a dead one is overwritten on
+# its next lookup or dropped by the next sweep, so a dropped subspace
+# costs nothing when it dies.
+_interned: dict[tuple[int, tuple], ref] = {}
+_sweep_at = _SWEEP_FLOOR
 
 
 class AmbientMismatch(ValueError):
@@ -90,17 +99,32 @@ class Subspace:
 
     @classmethod
     def _make(cls, ambient: int, int_rows: Sequence[Sequence[int]]) -> "Subspace":
-        """The interned subspace with these canonical rows."""
-        rows = tuple(tuple(r) for r in int_rows)
+        """The interned subspace with these canonical rows.
+
+        A dead weak reference in the table counts as a miss and is
+        overwritten.  Once the table holds more than ``_sweep_at`` entries
+        it is swept of dead ones, and the next sweep waits until it has
+        doubled: it never holds more than twice the subspaces live at the
+        last sweep, or ``_SWEEP_FLOOR`` entries if that is more.
+        """
+        global _sweep_at
+        rows = tuple(map(tuple, int_rows))
         key = (ambient, rows)
-        self = _interned.get(key)
-        if self is None:
-            self = object.__new__(cls)
-            self.ambient = ambient
-            self._rows = rows
-            self._basis = None
-            self._complement = None
-            _interned[key] = self
+        entry = _interned.get(key)
+        if entry is not None:
+            self = entry()
+            if self is not None:
+                return self
+        self = object.__new__(cls)
+        self.ambient = ambient
+        self._rows = rows
+        self._basis = None
+        self._complement = None
+        _interned[key] = ref(self)
+        if len(_interned) > _sweep_at:
+            for k in [k for k, r in _interned.items() if r() is None]:
+                del _interned[k]
+            _sweep_at = max(2 * len(_interned), _SWEEP_FLOOR)
         return self
 
     # Copies and unpickled values must stay the interned object.
@@ -333,11 +357,19 @@ def _random_from(rng: Random, ambient: int, dim: int, coeff_bound: int) -> Subsp
     if coeff_bound < 0:
         raise ValueError(f"coefficient bound {coeff_bound} is negative")
     width = 2 * coeff_bound + 1
+    # Each entry is drawn as _below(rng, width) draws it, inline.
+    getrandbits = rng.getrandbits
+    k = width.bit_length()
     for _ in range(_MAX_SAMPLE_TRIES):
-        rows = [
-            [_below(rng, width) - coeff_bound for _ in range(2 * ambient)]
-            for _ in range(dim)
-        ]
+        rows = []
+        for _ in range(dim):
+            row = []
+            for _ in range(2 * ambient):
+                r = getrandbits(k)
+                while r >= width:
+                    r = getrandbits(k)
+                row.append(r - coeff_bound)
+            rows.append(row)
         red, _ = _reduce_int_rows(rows, ambient)
         if len(red) == dim:
             return Subspace._make(ambient, red)

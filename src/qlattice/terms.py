@@ -95,7 +95,10 @@ class Term:
         return f"<term {format_term(self)}>"
 
 
-# The one live Term for each (op, a, b).
+# The one live Term for each (op, a, b).  Unlike the subspace table, whose
+# keys hold only ints, this one must drop each entry as soon as its node
+# dies: the key holds the child terms, so a dead entry left for a later
+# sweep would keep its whole subterm alive.
 _interned: WeakValueDictionary[tuple, Term] = WeakValueDictionary()
 
 TOP = Term("top")

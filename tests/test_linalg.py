@@ -422,6 +422,62 @@ def tall_gaussian_int_rows(draw, max_cols=8):
     return rows, ncols
 
 
+def _ref_rank_mod_p(rows, ncols):
+    """``_rank_mod_p`` as it eliminated one column per step, re-slicing
+    every row, kept as the reference for the row-by-row echelon step."""
+    p, s = linalg._P, linalg._I_MOD_P
+    m = [[(r[k] + s * r[k + 1]) % p for k in range(0, 2 * ncols, 2)] for r in rows]
+    rank = 0
+    while m and m[0]:
+        for i, r in enumerate(m):
+            if r[0]:
+                break
+        else:
+            m = [r[1:] for r in m]
+            continue
+        prow = m.pop(i)
+        lead, tail = prow[0], prow[1:]
+        m = [
+            [(x * lead - t * y) % p for x, y in zip(r[1:], tail)] if (t := r[0]) else r[1:]
+            for r in m
+        ]
+        rank += 1
+    return rank
+
+
+@st.composite
+def mod_p_rows(draw, max_cols=6):
+    """Gaussian-integer rows, up to three more than columns: random ones,
+    zero ones, repeats, Gaussian multiples of earlier rows, and earlier
+    rows moved by multiples of _P or of ``_I_MOD_P - i``, which are equal
+    to them mod _P."""
+    ncols = draw(st.integers(1, max_cols))
+    width = 2 * ncols
+    vanishing = (linalg._P, 0, linalg._I_MOD_P, -1)  # both are 0 mod _P
+    rows = []
+    for _ in range(draw(st.integers(0, ncols + 3))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat", "multiple", "mod p"]))
+        if kind == "zero":
+            row = [0] * width
+        elif kind == "random" or not rows:
+            bound = draw(st.sampled_from([1, 3, 10**12]))
+            row = [draw(st.integers(-bound, bound)) for _ in range(width)]
+        else:
+            row = draw(st.sampled_from(rows))
+            if kind == "multiple":
+                row = _times(row, draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+            elif kind == "mod p":
+                row = list(row)
+                for j in draw(st.lists(st.integers(0, ncols - 1), min_size=1, max_size=3)):
+                    k = 2 * draw(st.integers(0, 1))
+                    za, zb = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+                    va, vb = vanishing[k], vanishing[k + 1]
+                    row[2 * j] += za * va - zb * vb
+                    row[2 * j + 1] += za * vb + zb * va
+        rows.append(list(row))
+    return rows, ncols
+
+
 class TestRankCertificate:
     """The rank certificate inside ``_reduce_int_rows``: the map
     a + b*i -> a + b*s mod p is a ring map, so full rank mod p is full rank
@@ -457,6 +513,17 @@ class TestRankCertificate:
     def test_tall_stacks_match_fraction_reference(self, case):
         rows, ncols = case
         assert _reduce_int_rows(rows, ncols) == _ref_reduce(rows, ncols)
+
+    @given(mod_p_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_row_by_row_rank_matches_column_by_column(self, case):
+        rows, ncols = case
+        assert linalg._rank_mod_p(rows, ncols) == _ref_rank_mod_p(rows, ncols)
+
+    def test_rows_equal_mod_p_have_rank_one(self):
+        # span(1, 0) against span(1, _P), as the meet stacks them
+        rows = [[1, 0, 0, 0], [1, 0, linalg._P, 0]]
+        assert linalg._rank_mod_p(rows, 2) == _ref_rank_mod_p(rows, 2) == 1
 
     @pytest.mark.parametrize("ncols", range(1, 9))
     def test_certificate_fires_on_full_rank_stacks(self, rank_verdicts, ncols):

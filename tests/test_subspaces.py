@@ -185,6 +185,31 @@ class TestInterning:
         gc.collect()
         assert ref() is None
 
+    def test_sweeps_keep_the_table_near_the_live_count(self):
+        def live():
+            return sum(r() is not None for r in sub._interned.values())
+
+        for k in range(10_000):
+            # the line of (1, k, 1), canonical as it stands
+            Subspace._make(3, [[1, 0, k, 0, 1, 0]])
+            if k % 1_000 == 999:
+                assert len(sub._interned) <= 2 * live() + sub._SWEEP_FLOOR
+        gc.collect()
+        assert len(sub._interned) <= 2 * live() + sub._SWEEP_FLOOR
+
+    def test_dropped_subspace_is_rebuilt_live(self):
+        rows = ((1, 0, 0, 0, 0, 0, 7, 5, 0, 3), (0, 0, 1, 0, 0, 0, 2, 0, 0, 11))
+        key = (5, rows)
+        p = span(5, [1, 0, 0, 7 + 5 * I, 3 * I], [0, 1, 0, 2, 11 * I])
+        assert p._rows == rows and sub._interned[key]() is p
+        del p
+        gc.collect()
+        assert sub._interned[key]() is None  # the dead entry is still there
+        q = span(5, [1, 0, 0, 7 + 5 * I, 3 * I], [0, 1, 0, 2, 11 * I])
+        assert isinstance(q, Subspace) and q._rows == rows
+        assert sub._interned[key]() is q
+        assert Subspace._make(5, rows) is q
+
 
 class TestAmbientCheck:
     """Every lattice operation refuses operands from different ambients."""
@@ -545,10 +570,11 @@ class TestRandomSubspace:
 
     @pytest.mark.parametrize("seed", [0, 5, "laws:0:4"])
     def test_random_from_keeps_the_randint_stream(self, seed):
+        # 40000 draws 17 bits per entry
         ours, twin = Random(seed), Random(seed)
-        for ambient in range(1, 6):
+        for ambient in range(1, 9):
             for dim in range(ambient + 1):
-                for bound in (1, 3):
+                for bound in (1, 2, 3, 7, 40000):
                     got = sub._random_from(ours, ambient, dim, bound)
                     assert got is _randint_random_from(twin, ambient, dim, bound)
         assert ours.getstate() == twin.getstate()
