@@ -1,0 +1,136 @@
+"""Alternating benchmark pairs: one checkout against another.
+
+    python3 bench/pairs.py PARENT CHANGE --workload plane-family \\
+        --seeds 901 902 903 904 905 --pairs 2 --seconds 10
+
+Runs ``perfbench/run.py --trace 0`` in each checkout, once per pair, and
+alternates which checkout runs first from one pair to the next, so a
+drift in the speed of the host falls on both sides alike.  Each seed
+gives ``--pairs`` pairs.  At the end it prints, for every end-to-end
+metric, each side's median, the quartiles of PARENT's runs, and in how
+many pairs CHANGE was better; "better" is read from the ``end_to_end``
+list of ``BENCHMARK.json`` in CHANGE, and is "lower" for a metric not
+listed there.
+
+Before the first run it deletes every ``__pycache__`` under ``src/`` and
+``perfbench/`` of both checkouts.  A checkout made from committed files
+has no bytecode, and where ``PYTHONDONTWRITEBYTECODE`` is set none is
+ever written, so every round process compiles the package first; a stale
+cache on one side only would lower that side's ``setup_s`` and
+``peak_rss_mb``.
+
+Exits 1 if a run fails or reports ``correct: false``.  Standard library
+only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def parse_args(argv):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path, help="checkout measured as the baseline")
+    ap.add_argument("change", type=Path, help="checkout measured against it")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1])
+    ap.add_argument("--pairs", type=int, default=1, help="pairs per seed")
+    ap.add_argument("--seconds", type=float, default=10.0)
+    ap.add_argument("--small", action="store_true",
+                    help="pass --small: the reduced job list of the self-test")
+    return ap.parse_args(argv)
+
+
+def clear_bytecode(tree: Path) -> int:
+    """Delete every ``__pycache__`` under `tree`'s ``src/`` and
+    ``perfbench/``; returns how many were deleted."""
+    caches = [d for sub in ("src", "perfbench")
+              for d in (tree / sub).rglob("__pycache__") if d.is_dir()]
+    for d in caches:
+        shutil.rmtree(d)
+    return len(caches)
+
+
+def run_once(tree: Path, args, seed: int) -> dict:
+    """The result line of one ``perfbench/run.py`` run in `tree`."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
+           "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
+    cmd += ["--small"] * args.small
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"pairs: run in {tree} at seed {seed} failed (exit {proc.returncode})")
+    return json.loads(lines[-1])
+
+
+def better_directions(tree: Path) -> dict[str, str]:
+    """``metric -> "lower" or "higher"`` from `tree`'s ``BENCHMARK.json``."""
+    path = tree / "BENCHMARK.json"
+    if not path.is_file():
+        return {}
+    return {m["name"]: m["better"] for m in json.loads(path.read_text())["end_to_end"]}
+
+
+def quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def _num(v: float) -> str:
+    return str(int(v)) if v == int(v) else f"{v:.6g}"
+
+
+def summarise(parent: list[dict], change: list[dict], better: dict[str, str]) -> list[str]:
+    """One line per metric of the runs' result lines: the medians, the
+    quartiles of `parent`, and the pairs in which `change` was better."""
+    lines = []
+    for name, first in parent[0]["metrics"].items():
+        old = [r["metrics"][name]["value"] for r in parent]
+        new = [r["metrics"][name]["value"] for r in change]
+        sign = -1 if better.get(name, "lower") == "higher" else 1
+        wins = sum(sign * (b - a) < 0 for a, b in zip(old, new))
+        q1, q3 = quartiles(old)
+        lines.append(
+            f"{name} ({first['unit']}, {better.get(name, 'lower')} is better): "
+            f"parent {_num(statistics.median(old))} [{_num(q1)}, {_num(q3)}] -> "
+            f"change {_num(statistics.median(new))}; better in {wins} of {len(old)} pairs"
+        )
+    return lines
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, tree in trees.items():
+        if not (tree / "perfbench" / "run.py").is_file():
+            raise SystemExit(f"pairs: no perfbench/run.py in {tree}")
+        print(f"{side}: {tree}; deleted {clear_bytecode(tree)} __pycache__ directories")
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    seeds = [seed for seed in args.seeds for _ in range(args.pairs)]
+    for i, seed in enumerate(seeds):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            result = run_once(trees[side], args, seed)
+            runs[side].append(result)
+            wall = result["metrics"].get("wall_s", {}).get("value")
+            print(f"pair {i + 1} seed {seed} {side}: wall_s {wall} correct {result['correct']}",
+                  flush=True)
+    print(f"{args.workload}: {len(seeds)} pairs, each side's median, "
+          "parent quartiles in brackets")
+    print("\n".join(summarise(runs["parent"], runs["change"], better_directions(trees["change"]))))
+    bad = sum(not r["correct"] for side in runs.values() for r in side)
+    if bad:
+        print(f"pairs: {bad} runs were not correct")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

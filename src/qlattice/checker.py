@@ -48,6 +48,7 @@ from .formulas import (
     transport,
 )
 from .subspaces import (
+    AmbientMismatch,
     Subspace,
     _below,
     _random_from,
@@ -85,14 +86,28 @@ _EXTRA_COEFFS = (
 )
 
 
+# The family of each (ambient, extra_lines) built so far: at most 4
+# ambients, each with at most 6 * 16 extra lines, so the table stays small.
+_families: dict[tuple[int, int], tuple[Subspace, ...]] = {}
+
+
 def coordinate_family(ambient: int, extra_lines: int = 0) -> list[Subspace]:
     """Deterministic exhaustive family: every coordinate subspace (one per
     subset of basis vectors, so 0 and 1 included) plus ``extra_lines``
     non-coordinate lines e_i + c*e_j.
 
     Extras are ordered coefficient-major: all pairs i < j with c = 1,
-    then with c = i, and so on through :data:`_EXTRA_COEFFS`.
+    then with c = i, and so on through :data:`_EXTRA_COEFFS`.  Each
+    family is built once per arguments and kept; every call returns a
+    new list of it.
     """
+    family = _families.get((ambient, extra_lines))
+    if family is None:
+        family = _families[ambient, extra_lines] = tuple(_build_family(ambient, extra_lines))
+    return list(family)
+
+
+def _build_family(ambient: int, extra_lines: int) -> list[Subspace]:
     if ambient < 1:
         raise ValueError("ambient dimension must be at least 1")
     if ambient > _MAX_EXHAUSTIVE_AMBIENT:
@@ -130,9 +145,19 @@ def coordinate_family(ambient: int, extra_lines: int = 0) -> list[Subspace]:
 
 
 def _tuples(names: Sequence[str], family: Sequence[Subspace], ambient: int) -> Iterator[Assignment]:
-    """Every assignment of `names` to members of `family`, in product order."""
+    """Every assignment of `names` to members of `family`, in product order.
+
+    Raises:
+        AmbientMismatch: if a member of `family` is not in `ambient`.
+    """
+    for s in family:
+        if s.ambient != ambient:
+            raise AmbientMismatch(
+                f"family member lives in ambient {s.ambient}, expected {ambient}"
+            )
+    of = Assignment._of
     for combo in itertools.product(family, repeat=len(names)):
-        yield Assignment(ambient, dict(zip(names, combo)))
+        yield of(ambient, dict(zip(names, combo)))
 
 
 class StoredWitnesses:
@@ -175,11 +200,20 @@ class CoordinateFamilyStrategy:
         if total <= self.cap:
             yield from _tuples(names, family, ambient)
         else:
-            rng = Random(f"coordinate-family:{self.seed}:{ambient}")
+            # Each index is drawn as _below(rng, size) draws it, inline: the
+            # words and values of rng.choice(family).
+            getrandbits = Random(f"coordinate-family:{self.seed}:{ambient}").getrandbits
             size = len(family)
+            k = size.bit_length()
+            of = Assignment._of
             for _ in range(self.cap):
-                bindings = {name: family[_below(rng, size)] for name in names}
-                yield Assignment(ambient, bindings)
+                bindings = {}
+                for name in names:
+                    r = getrandbits(k)
+                    while r >= size:
+                        r = getrandbits(k)
+                    bindings[name] = family[r]
+                yield of(ambient, bindings)
 
 
 def _random_assignments(
@@ -188,7 +222,7 @@ def _random_assignments(
     """`count` assignments of `names`, each a random subspace of uniform dimension."""
     rng = Random(seed)
     for _ in range(count):
-        yield Assignment(ambient, {
+        yield Assignment._of(ambient, {
             name: _random_from(rng, ambient, _below(rng, ambient + 1), coeff_bound)
             for name in names
         })

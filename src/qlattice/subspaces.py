@@ -8,7 +8,9 @@ object, so equality and hashing are identity, done in C.  The table keeps
 no subspace alive: its keys hold only ints, a dead reference counts as a
 miss, and the dead entries are swept out whenever the table has doubled
 since the last sweep.  Copying returns the object itself, and unpickling
-rebuilds through the table.
+rebuilds through the table.  ``Subspace.zero(n)`` and ``Subspace.full(n)``
+are held by the module, one object per ambient asked for: the interned
+object, built once and then returned by one dict lookup.
 
 Lattice operations: ``meet`` is intersection, ``join`` is linear span,
 ``complement`` is the orthogonal complement under the Hermitian inner
@@ -76,6 +78,10 @@ _memo: dict[tuple[str, "Subspace", "Subspace"], "Subspace"] = {}
 # costs nothing when it dies.
 _interned: dict[tuple[int, tuple], ref] = {}
 _sweep_at = _SWEEP_FLOOR
+# The zero and the full subspace of each ambient built so far, kept alive
+# here so that later calls skip the table.
+_zeros: dict[int, "Subspace"] = {}
+_fulls: dict[int, "Subspace"] = {}
 
 
 class AmbientMismatch(ValueError):
@@ -139,22 +145,29 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
-        """The trivial subspace of complex `ambient`-space."""
-        if ambient < 1:
-            raise AmbientMismatch("ambient dimension must be at least 1")
-        return cls._make(ambient, ())
+        """The trivial subspace of complex `ambient`-space, built once per
+        ambient."""
+        z = _zeros.get(ambient)
+        if z is None:
+            if ambient < 1:
+                raise AmbientMismatch("ambient dimension must be at least 1")
+            z = _zeros[ambient] = cls._make(ambient, ())
+        return z
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        """The whole space."""
-        if ambient < 1:
-            raise AmbientMismatch("ambient dimension must be at least 1")
-        rows = []
-        for i in range(ambient):
-            row = [0] * (2 * ambient)
-            row[2 * i] = 1
-            rows.append(row)
-        return cls._make(ambient, rows)
+        """The whole space, built once per ambient."""
+        f = _fulls.get(ambient)
+        if f is None:
+            if ambient < 1:
+                raise AmbientMismatch("ambient dimension must be at least 1")
+            rows = []
+            for i in range(ambient):
+                row = [0] * (2 * ambient)
+                row[2 * i] = 1
+                rows.append(row)
+            f = _fulls[ambient] = cls._make(ambient, rows)
+        return f
 
     @classmethod
     def from_spanning(

@@ -130,7 +130,14 @@ class Equation(NamedTuple):
 
 
 class Assignment:
-    """Finite map from variable names to subspaces of one ambient space."""
+    """Finite map from variable names to subspaces of one ambient space.
+
+    ``Assignment(ambient, bindings)`` checks every binding's ambient and
+    keeps its own copy of `bindings`.  The checker's samplers build
+    assignments by the million from subspaces of a known ambient, so they
+    call ``Assignment._of`` instead, which does neither; nothing else
+    may.
+    """
 
     __slots__ = ("ambient", "bindings")
 
@@ -144,6 +151,16 @@ class Assignment:
                 )
         self.ambient = ambient
         self.bindings = dict(bindings)
+
+    @classmethod
+    def _of(cls, ambient: int, bindings: dict[str, Subspace]) -> "Assignment":
+        """An assignment that takes `bindings` over as its own, unchecked:
+        the caller built the dict, holds no other reference to it, and
+        every value is a subspace of `ambient`, which is at least 1."""
+        self = object.__new__(cls)
+        self.ambient = ambient
+        self.bindings = bindings
+        return self
 
     def __getitem__(self, name: str) -> Subspace:
         try:
@@ -510,7 +527,8 @@ class Evaluator:
     ``eval(t)`` returns the column of `t`: its value under each assignment,
     in order.  Each slot up to that of `t` is computed once, as one column
     over the whole batch, so the per-slot dispatch is paid once per batch
-    rather than once per assignment; ``top`` and ``bot`` take each
+    rather than once per assignment; a ``var`` column reads each
+    assignment's bindings in place, and ``top`` and ``bot`` take each
     assignment's own ambient.  ``meet``, ``join`` and ``complement`` are
     read from :mod:`subspaces` at each call, so a replaced function sees
     one call per slot per assignment.  The meet is injectable so an
@@ -554,7 +572,10 @@ class Evaluator:
             elif op == "not":
                 col = list(map(_sub.complement, columns[a]))
             elif op == "var":
-                col = [x[a] for x in batch]
+                try:
+                    col = [x.bindings[a] for x in batch]
+                except KeyError:
+                    raise UnboundVariableError(a) from None
             elif op == "top":
                 col = [Subspace.full(x.ambient) for x in batch]
             else:

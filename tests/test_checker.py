@@ -82,6 +82,31 @@ def test_family_deterministic():
     assert coordinate_family(3, 6) == coordinate_family(3, 6)
 
 
+def test_family_is_a_new_list_on_each_call():
+    eq = orthomodular_law()
+    strat = CoordinateFamilyStrategy(extra_lines=4, cap=10, seed=3)
+    draws = [a.bindings for a in strat.assignments(eq, 3)]
+    first = coordinate_family(3, 4)
+    expected = list(first)
+    first.reverse()
+    first[0] = first.pop()
+    first.append(Subspace.line(3, [1, 2, 3]))
+    second = coordinate_family(3, 4)
+    assert second is not first
+    assert second == expected
+    assert [a.bindings for a in strat.assignments(eq, 3)] == draws
+
+
+def test_tuples_refuse_a_family_of_another_ambient():
+    from qlattice.subspaces import AmbientMismatch
+
+    with pytest.raises(AmbientMismatch, match="ambient 3, expected 2"):
+        list(checker._tuples(("p",), coordinate_family(3), 2))
+    mixed = coordinate_family(2) + [Subspace.zero(3)]
+    with pytest.raises(AmbientMismatch):
+        next(checker._tuples(("p", "q"), mixed, 2))
+
+
 def test_coordinate_strategy_exhaustive_count():
     eq = orthomodular_law()  # two variables
     strat = CoordinateFamilyStrategy(extra_lines=4)
@@ -100,14 +125,22 @@ def test_coordinate_strategy_caps_large_products():
     assert [a.bindings for a in got] == [a.bindings for a in again]
 
 
-@pytest.mark.parametrize("ambient", [2, 3])
+@pytest.mark.parametrize("ambient, extra_lines, size", [
+    pytest.param(1, 4, 2, id="1"),  # ambient 1 takes no extra lines
+    pytest.param(2, 4, 8, id="2"),
+    pytest.param(3, 4, 12, id="3"),
+    pytest.param(3, 8, 16, id="3+8"),
+    pytest.param(3, 12, 20, id="3+12"),
+])
 @pytest.mark.parametrize("seed", [0, 7])
-def test_coordinate_strategy_keeps_the_choice_stream(ambient, seed):
-    # above the cap, each binding is what rng.choice(family) would draw
+def test_coordinate_strategy_keeps_the_choice_stream(ambient, extra_lines, size, seed):
+    # above the cap, each binding is what rng.choice(family) would draw;
+    # at a power-of-two size half the drawn words are rejected
     eq = named_equations()["separation-1"]
-    strat = CoordinateFamilyStrategy(extra_lines=4, cap=300, seed=seed)
-    family = coordinate_family(ambient, 4)
-    assert len(family) ** len(eq.free_vars) > strat.cap
+    family = coordinate_family(ambient, extra_lines if ambient >= 2 else 0)
+    assert len(family) == size
+    cap = min(300, size ** len(eq.free_vars) - 1)
+    strat = CoordinateFamilyStrategy(extra_lines=extra_lines, cap=cap, seed=seed)
     rng = Random(f"coordinate-family:{seed}:{ambient}")
     expected = [{name: rng.choice(family) for name in eq.free_vars} for _ in range(strat.cap)]
     assert [a.bindings for a in strat.assignments(eq, ambient)] == expected
@@ -209,6 +242,24 @@ def test_check_reports_unbindable_variables():
     eq = parse_equation("z = z ^ z")
     with pytest.raises(CheckError, match="broken"):
         check(eq, 4, [_WrongNames()])
+
+
+class _ThirdLacksQ:
+    name = "bad"
+
+    def assignments(self, eq, ambient):
+        e1, e2 = Subspace.line(2, [1, 0]), Subspace.line(2, [0, 1])
+        yield Assignment(2, {"p": e1, "q": e2})
+        yield Assignment(2, {"p": e2, "q": e1})
+        yield Assignment(2, {"p": e1})
+        yield Assignment(2, {"p": e2, "q": e2})
+
+
+def test_check_reports_a_variable_missing_from_a_chunk():
+    # the third assignment is drawn in the second chunk, a batch of two
+    with pytest.raises(CheckError) as info:
+        check(parse_equation("p v q = q v p"), 2, [_ThirdLacksQ()])
+    assert str(info.value) == "strategy 'bad' produced an assignment missing variable 'q'"
 
 
 class _TwoLines:

@@ -109,6 +109,28 @@ class TestConstruction:
         assert f.dim == f.ambient == 3
         assert f.basis == gaussian_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
+    @pytest.mark.parametrize("ambient", [1, 2, 5, 9])
+    def test_zero_and_full_are_the_interned_objects(self, ambient):
+        z, f = Subspace.zero(ambient), Subspace.full(ambient)
+        identity = [[int(i == j) for j in range(ambient)] for i in range(ambient)]
+        assert z is Subspace._make(ambient, ()) is Subspace.from_spanning(ambient, [])
+        assert f is Subspace.from_spanning(ambient, identity)
+        refs = weakref.ref(z), weakref.ref(f)
+        del z, f
+        gc.collect()
+        assert refs[0]() is Subspace.zero(ambient) is Subspace._make(ambient, ())
+        assert refs[1]() is Subspace.full(ambient)
+        for s in (Subspace.zero(ambient), Subspace.full(ambient)):
+            assert copy.copy(s) is s and copy.deepcopy(s) is s
+            assert pickle.loads(pickle.dumps(s)) is s
+
+    @pytest.mark.parametrize("ambient", [0, -1])
+    def test_zero_and_full_need_a_positive_ambient(self, ambient):
+        with pytest.raises(AmbientMismatch):
+            Subspace.zero(ambient)
+        with pytest.raises(AmbientMismatch):
+            Subspace.full(ambient)
+
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatch):
             Subspace.from_spanning(3, [[1, 0]])

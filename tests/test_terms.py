@@ -283,9 +283,34 @@ class TestEvaluation:
         with pytest.raises(UnboundVariableError, match="'q'"):
             evaluate(q, Assignment(2, {"p": self.e1}))
 
+    def test_unbound_variable_named_in_a_batch(self):
+        # a batch of two or more builds each var slot as a column
+        bound = Assignment(2, {"p": self.e1, "q": self.e2})
+        batch = [bound, bound, Assignment(2, {"p": self.diag}), bound]
+        assert Evaluator(batch[:2]).eval(parse_term("p v q")) == [Subspace.full(2)] * 2
+        with pytest.raises(UnboundVariableError, match="'q'") as info:
+            Evaluator(batch).eval(parse_term("p v q"))
+        assert info.value.name == "q"
+
     def test_assignment_rejects_mixed_ambients(self):
         with pytest.raises(AmbientMismatch):
             Assignment(2, {"p": Subspace.zero(3)})
+        with pytest.raises(AmbientMismatch, match="'q' lives in ambient 3"):
+            Assignment(2, {"p": self.e1, "q": Subspace.zero(3)})
+
+    def test_assignment_keeps_its_own_copy(self):
+        given = {"p": self.e1}
+        a = Assignment(2, given)
+        given["p"] = self.e2
+        given["q"] = self.diag
+        assert a.bindings == {"p": self.e1}
+        assert a.bindings is not given
+
+    def test_private_constructor_takes_the_dict_over(self):
+        given = {"p": self.e1, "q": self.diag}
+        a = Assignment._of(2, given)
+        assert a.ambient == 2 and a.bindings is given
+        assert a["q"] is self.diag
 
     def test_holds(self):
         a = Assignment(2, {"p": self.e1, "q": self.e2, "r": self.diag})
