@@ -10,7 +10,13 @@ gives ``--pairs`` pairs.  At the end it prints, for every end-to-end
 metric, each side's median, the quartiles of PARENT's runs, and in how
 many pairs CHANGE was better; "better" is read from the ``end_to_end``
 list of ``BENCHMARK.json`` in CHANGE, and is "lower" for a metric not
-listed there.
+listed there.  Then it prints one verdict line per metric of that list:
+"gain shown" when CHANGE was better in at least nine tenths of the pairs
+(ties count for neither side) and the medians differ, in CHANGE's favour,
+by more than the distance between PARENT's quartiles; "worse beyond
+bound" when CHANGE's median is worse than PARENT's by more than the
+metric's ``bound``, a fraction of PARENT's median; else "no gain shown,
+within bound".
 
 Before the first run it deletes every ``__pycache__`` under ``src/`` and
 ``perfbench/`` of both checkouts.  A checkout made from committed files
@@ -70,12 +76,13 @@ def run_once(tree: Path, args, seed: int) -> dict:
     return json.loads(lines[-1])
 
 
-def better_directions(tree: Path) -> dict[str, str]:
-    """``metric -> "lower" or "higher"`` from `tree`'s ``BENCHMARK.json``."""
+def end_to_end(tree: Path) -> dict[str, dict]:
+    """``metric -> its entry`` (``better``, ``bound``, ...) in the
+    ``end_to_end`` list of `tree`'s ``BENCHMARK.json``."""
     path = tree / "BENCHMARK.json"
     if not path.is_file():
         return {}
-    return {m["name"]: m["better"] for m in json.loads(path.read_text())["end_to_end"]}
+    return {m["name"]: m for m in json.loads(path.read_text())["end_to_end"]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -89,21 +96,50 @@ def _num(v: float) -> str:
     return str(int(v)) if v == int(v) else f"{v:.6g}"
 
 
+def _compare(parent: list[dict], change: list[dict], name: str, better: str):
+    """`name`'s values in `parent` and in `change`, the sign that makes a
+    better value lower, and in how many pairs `change` was better."""
+    old = [r["metrics"][name]["value"] for r in parent]
+    new = [r["metrics"][name]["value"] for r in change]
+    sign = -1 if better == "higher" else 1
+    return old, new, sign, sum(sign * (b - a) < 0 for a, b in zip(old, new))
+
+
 def summarise(parent: list[dict], change: list[dict], better: dict[str, str]) -> list[str]:
     """One line per metric of the runs' result lines: the medians, the
     quartiles of `parent`, and the pairs in which `change` was better."""
     lines = []
     for name, first in parent[0]["metrics"].items():
-        old = [r["metrics"][name]["value"] for r in parent]
-        new = [r["metrics"][name]["value"] for r in change]
-        sign = -1 if better.get(name, "lower") == "higher" else 1
-        wins = sum(sign * (b - a) < 0 for a, b in zip(old, new))
+        old, new, _, wins = _compare(parent, change, name, better.get(name, "lower"))
         q1, q3 = quartiles(old)
         lines.append(
             f"{name} ({first['unit']}, {better.get(name, 'lower')} is better): "
             f"parent {_num(statistics.median(old))} [{_num(q1)}, {_num(q3)}] -> "
             f"change {_num(statistics.median(new))}; better in {wins} of {len(old)} pairs"
         )
+    return lines
+
+
+def verdicts(parent: list[dict], change: list[dict], specs: dict[str, dict]) -> list[str]:
+    """One verdict line per metric of `specs` that the runs report: "gain
+    shown", "worse beyond bound" or "no gain shown, within bound"."""
+    lines = []
+    for name, spec in specs.items():
+        if name not in parent[0]["metrics"]:
+            continue
+        old, new, sign, wins = _compare(parent, change, name, spec["better"])
+        q1, q3 = quartiles(old)
+        m_old, m_new = statistics.median(old), statistics.median(new)
+        worse_by = sign * (m_new - m_old)
+        if 10 * wins >= 9 * len(old) and -worse_by > q3 - q1:
+            verdict = (f"gain shown (better in {wins} of {len(old)} pairs; medians "
+                       f"apart by {_num(-worse_by)} > parent IQR {_num(q3 - q1)})")
+        elif worse_by > spec["bound"] * abs(m_old):
+            verdict = (f"worse beyond bound (worse by {_num(worse_by)} > "
+                       f"{_num(spec['bound'])} of parent median {_num(m_old)})")
+        else:
+            verdict = "no gain shown, within bound"
+        lines.append(f"{name}: {verdict}")
     return lines
 
 
@@ -125,7 +161,11 @@ def main(argv=None) -> int:
                   flush=True)
     print(f"{args.workload}: {len(seeds)} pairs, each side's median, "
           "parent quartiles in brackets")
-    print("\n".join(summarise(runs["parent"], runs["change"], better_directions(trees["change"]))))
+    specs = end_to_end(trees["change"])
+    better = {name: spec["better"] for name, spec in specs.items()}
+    for line in (summarise(runs["parent"], runs["change"], better)
+                 + verdicts(runs["parent"], runs["change"], specs)):
+        print(line)
     bad = sum(not r["correct"] for side in runs.values() for r in side)
     if bad:
         print(f"pairs: {bad} runs were not correct")

@@ -327,9 +327,13 @@ def _sweep(
     1, which bounds the matrix entries its columns hold.
 
     Raises:
+        AmbientMismatch: if `ambient` is below 1, before any assignment
+            is drawn.
         UnboundVariableError: if an assignment of a chunk lacks a variable
             of the roots.
     """
+    if ambient < 1:
+        raise AmbientMismatch(f"ambient dimension must be at least 1, got {ambient}")
     program = Program(roots)
     limit = max(1, _CHUNK_ENTRIES // (max(1, len(program.code)) * ambient * ambient))
     it = iter(assignments)

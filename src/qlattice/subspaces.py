@@ -33,16 +33,21 @@ independent route through complements kept for cross-checking, never
 called by the evaluator.
 
 Because the form is canonical, the result of ``meet`` or ``join`` depends
-only on its operands.  Both first test the ambients, then settle a zero,
-full or identical operand at once, and only then look in one module-level
-memo keyed on ``(op, p, q)`` before eliminating.  Trivial results never
-enter the memo, which holds at most ``_MEMO_LIMIT`` entries and is cleared
-when full.  ``meet_via_demorgan`` never reads or writes the meet entries,
-so certification stays independent of the memoised ``meet``.
+only on its operands, so each is a ``functools.lru_cache`` function of at
+most ``_MEMO_LIMIT // 2`` entries, least recently used dropped first: the
+op memo, served in C.  Only a miss runs the body, which tests the
+ambients, settles a zero, full or identical operand at once and only then
+eliminates.  Trivial results enter the memo too, so a repeated trivial
+call is a hit in C.  An exception is never cached, so every cached pair
+passed the ambient test.  ``meet.cache_info()`` and ``join.cache_info()``
+count the memo's hits, misses and entries at no extra cost.
+``meet_via_demorgan`` runs only ``join`` and ``complement``, so
+certification stays independent of the memoised ``meet``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from random import Random
 from typing import Iterable, Sequence
 from weakref import ref
@@ -64,14 +69,12 @@ from .linalg import (
 _MAX_SAMPLE_TRIES = 200
 # Largest ambient accepted from fixtures and the command line.
 MAX_AMBIENT = 64
+# The meet and join memos hold at most half of this each.
 _MEMO_LIMIT = 1024
 # The intern table is swept of dead entries when it outgrows this size,
 # and then again whenever it has doubled since the last sweep.
 _SWEEP_FLOOR = 1024
 
-_MEET = "meet"
-_JOIN = "join"
-_memo: dict[tuple[str, "Subspace", "Subspace"], "Subspace"] = {}
 # A weak reference to the one live Subspace for each (ambient, canonical
 # rows).  The references take no callback: a dead one is overwritten on
 # its next lookup or dropped by the next sweep, so a dropped subspace
@@ -220,13 +223,7 @@ def _mismatch(p: Subspace, q: Subspace) -> AmbientMismatch:
     )
 
 
-def _remember(key: tuple[str, Subspace, Subspace], value: Subspace) -> Subspace:
-    if len(_memo) >= _MEMO_LIMIT:
-        _memo.clear()
-    _memo[key] = value
-    return value
-
-
+@lru_cache(maxsize=_MEMO_LIMIT // 2)
 def join(p: Subspace, q: Subspace) -> Subspace:
     """Smallest subspace containing both: the span of the union."""
     if p.ambient != q.ambient:
@@ -235,12 +232,8 @@ def join(p: Subspace, q: Subspace) -> Subspace:
         return p
     if not p._rows or len(q._rows) == q.ambient:
         return q
-    key = (_JOIN, p, q)
-    hit = _memo.get(key)
-    if hit is not None:
-        return hit
     red, _ = _reduce_int_rows(p._rows + q._rows, p.ambient)
-    return _remember(key, Subspace._make(p.ambient, red))
+    return Subspace._make(p.ambient, red)
 
 
 def complement(p: Subspace) -> Subspace:
@@ -264,6 +257,7 @@ def complement(p: Subspace) -> Subspace:
     return c
 
 
+@lru_cache(maxsize=_MEMO_LIMIT // 2)
 def meet(p: Subspace, q: Subspace) -> Subspace:
     """Intersection: 0 by the dimension formula when the operands' rows
     certify ``dim(p v q) = dim p + dim q``, else by elimination on the
@@ -282,14 +276,10 @@ def meet(p: Subspace, q: Subspace) -> Subspace:
         return p
     if not q._rows or len(p._rows) == p.ambient:
         return q
-    key = (_MEET, p, q)
-    hit = _memo.get(key)
-    if hit is not None:
-        return hit
     n = p.ambient
     stacked = p._rows + q._rows
     if len(stacked) <= n and _rank_mod_p(stacked, n) == len(stacked):
-        return _remember(key, Subspace.zero(n))
+        return Subspace.zero(n)
     if 2 * len(stacked) <= 3 * n:
         small, big = p._rows, q._rows
         if len(small) > len(big):
@@ -299,14 +289,14 @@ def meet(p: Subspace, q: Subspace) -> Subspace:
     else:
         constraints = _null_rows(p._rows, n)[0] + _null_rows(q._rows, n)[0]
         rows, _ = _kernel_int(constraints, n)
-    return _remember(key, Subspace._make(n, rows))
+    return Subspace._make(n, rows)
 
 
 def meet_via_demorgan(p: Subspace, q: Subspace) -> Subspace:
     """Intersection through the De Morgan dual; independent of :func:`meet`.
 
-    It never touches the meet entries of the op memo (only ``join`` and
-    ``complement`` run), so a wrong memoised meet cannot leak into it, and
+    It never touches meet's cache (only ``join`` and ``complement``
+    run), so a wrong memoised meet cannot leak into it, and
     ``meet`` takes no complement, so the two routes share only the
     elimination core (``_kernel_int``, ``_reduce_int_rows``, ``_null_rows``).
     Its complements pick their route by dimension as ``complement`` does,

@@ -23,7 +23,19 @@ def rank_verdicts(monkeypatch):
 
 
 @pytest.fixture()
-def kernel_columns(monkeypatch):
+def empty_memo():
+    """Both op memos, the caches of ``meet`` and ``join``, emptied before
+    and after the test, so no earlier result answers and none written
+    under the test's patches outlives it."""
+    subspaces.meet.cache_clear()
+    subspaces.join.cache_clear()
+    yield
+    subspaces.meet.cache_clear()
+    subspaces.join.cache_clear()
+
+
+@pytest.fixture()
+def kernel_columns(monkeypatch, empty_memo):
     """The column count of each kernel ``subspaces`` takes, in call order,
     with the op memo emptied, so no earlier result answers."""
     seen = []
@@ -34,5 +46,4 @@ def kernel_columns(monkeypatch):
         return real(rows, ncols)
 
     monkeypatch.setattr(subspaces, "_kernel_int", spy)
-    monkeypatch.setattr(subspaces, "_memo", {})
     return seen

@@ -52,3 +52,70 @@ def test_clear_bytecode_only_under_src_and_perfbench(tmp_path):
 def test_refuses_a_tree_without_perfbench(tmp_path):
     with pytest.raises(SystemExit, match="no perfbench/run.py"):
         pairs.main([str(tmp_path), str(tmp_path), "--workload", "compile"])
+
+
+_SPECS = {
+    "wall_s": {"name": "wall_s", "better": "lower", "bound": 0.25},
+    "peak_rss_mb": {"name": "peak_rss_mb", "better": "lower", "bound": 0.15},
+    "hits": {"name": "hits", "better": "higher", "bound": 0.25},
+}
+_PARENT_WALL = [0.30, 0.31, 0.29, 0.30, 0.32, 0.30, 0.31, 0.29, 0.30, 0.30]
+
+
+def _verdict(name, old, new):
+    lines = pairs.verdicts([_run(**{name: v}) for v in old],
+                           [_run(**{name: v}) for v in new], _SPECS)
+    assert len(lines) == 1 and lines[0].startswith(name + ": ")
+    return lines[0][len(name) + 2:]
+
+
+def test_gain_shown_at_nine_of_ten_pairs_beyond_the_parent_iqr():
+    # parent median 0.30, quartiles 0.30 and 0.3075
+    assert _verdict("wall_s", _PARENT_WALL, [0.25] * 9 + [0.35]) == (
+        "gain shown (better in 9 of 10 pairs; medians apart by 0.05 > parent IQR 0.0075)"
+    )
+
+
+def test_no_gain_at_eight_of_ten_pairs():
+    assert _verdict("wall_s", _PARENT_WALL, [0.25] * 8 + [0.35] * 2) == (
+        "no gain shown, within bound"
+    )
+
+
+def test_no_gain_when_the_medians_are_within_the_parent_iqr():
+    # better in every pair, but the medians are only 0.005 apart
+    new = [v - 0.005 for v in _PARENT_WALL]
+    assert _verdict("wall_s", _PARENT_WALL, new) == "no gain shown, within bound"
+
+
+def test_a_tie_counts_for_neither_side():
+    assert _verdict("wall_s", _PARENT_WALL, [0.25] * 9 + [0.30]) == (
+        "gain shown (better in 9 of 10 pairs; medians apart by 0.05 > parent IQR 0.0075)"
+    )
+    assert _verdict("wall_s", _PARENT_WALL, [0.25] * 8 + [0.30, 0.30]) == (
+        "no gain shown, within bound"
+    )
+
+
+def test_worse_beyond_bound_is_relative_to_the_parent_median():
+    old = [20.0, 20.0, 20.0]
+    assert _verdict("peak_rss_mb", old, [23.5, 23.0, 23.5]) == (
+        "worse beyond bound (worse by 3.5 > 0.15 of parent median 20)"
+    )
+    # exactly the bound is still within it
+    assert _verdict("peak_rss_mb", old, [23.0, 23.0, 23.0]) == "no gain shown, within bound"
+
+
+def test_verdicts_follow_the_better_direction():
+    assert _verdict("hits", [8, 8, 8, 8], [4, 5, 5, 5]) == (
+        "worse beyond bound (worse by 3 > 0.25 of parent median 8)"
+    )
+    assert _verdict("hits", [8, 8, 8, 8], [10, 10, 10, 10]) == (
+        "gain shown (better in 4 of 4 pairs; medians apart by 2 > parent IQR 0)"
+    )
+
+
+def test_verdicts_only_for_listed_metrics_the_runs_report():
+    parent = [_run(wall_s=0.3, unlisted=1.0)]
+    change = [_run(wall_s=0.3, unlisted=9.0)]
+    assert pairs.verdicts(parent, change, _SPECS) == ["wall_s: no gain shown, within bound"]

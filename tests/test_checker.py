@@ -1,6 +1,10 @@
 """Strategies, verdicts, and the property suites at reduced sample counts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -276,9 +280,31 @@ def test_corrupted_meet_memo_fails_certification(monkeypatch):
     # a wrong memoised p ^ q makes "p ^ q = q ^ p" look refuted; the
     # De Morgan route must catch it instead of reporting a counterexample
     p, q = Subspace.line(2, [1, 0]), Subspace.line(2, [0, 1])
-    monkeypatch.setattr(sub, "_memo", {(sub._MEET, p, q): p})
+    real = sub.meet
+    monkeypatch.setattr(sub, "meet", lambda a, b: p if (a, b) == (p, q) else real(a, b))
     with pytest.raises(CheckError, match="certification"):
         check(parse_equation("p ^ q = q ^ p"), 2, [_TwoLines(p, q)])
+
+
+@pytest.mark.parametrize("ambient", [0, -1])
+@pytest.mark.parametrize("suite", ["run_lemma2_suite", "run_laws_suite"])
+def test_suites_refuse_an_ambient_below_one(suite, ambient):
+    # In a child process with a timeout, since a draw of _below(rng, 0)
+    # would never end.
+    code = (
+        f"from qlattice.checker import {suite}\n"
+        "from qlattice.subspaces import AmbientMismatch\n"
+        "try:\n"
+        f"    {suite}(ambients=({ambient},), samples=1)\n"
+        "except AmbientMismatch as e:\n"
+        "    print('refused:', e)\n"
+    )
+    src = str(Path(checker.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"refused: ambient dimension must be at least 1, got {ambient}\n"
 
 
 def test_default_strategy_order():

@@ -653,7 +653,7 @@ class TestNullRowMeet:
     @settings(max_examples=100, deadline=None)
     def test_random_pairs(self, pq):
         p, q = pq
-        sub._memo.clear()
+        meet.cache_clear()
         m = meet(p, q)
         assert m is meet_via_demorgan(p, q)
         if p.dim and q.dim:
@@ -663,7 +663,7 @@ class TestNullRowMeet:
     @settings(max_examples=150, deadline=None)
     def test_structured_pairs(self, case):
         kind, p, q, floor = case
-        sub._memo.clear()
+        meet.cache_clear()
         m = meet(p, q)
         assert m is meet(q, p) is meet_via_demorgan(p, q)
         assert [list(r) for r in m._rows] == _ref_meet(p, q)
@@ -680,7 +680,7 @@ class TestNullRowMeet:
         # the kernel's reduction sees that 1x1 matrix (-_P) as 0; Bareiss
         # still finds it nonzero, so the meet is 0.
         p, q = Subspace.line(2, [1, 0]), Subspace.line(2, [1, linalg._P])
-        sub._memo.clear()
+        meet.cache_clear()
         assert meet(p, q).is_zero()
         assert rank_verdicts == [1, 0]
 
@@ -688,7 +688,7 @@ class TestNullRowMeet:
         p, q = random_subspace(8, 3, seed=1), random_subspace(8, 5, seed=2)
         kernels = []
         monkeypatch.setattr(sub, "_kernel_int", lambda *args: kernels.append(args))
-        sub._memo.clear()
+        meet.cache_clear()
         assert meet(p, q).is_zero()
         assert rank_verdicts == [8] and kernels == []
 
@@ -790,7 +790,7 @@ class TestSmallerSide:
                 for kind, (p, q) in (("generic", generic), ("shared", shared)):
                     if p is q:
                         continue
-                    sub._memo.clear()
+                    meet.cache_clear()
                     kernel_columns.clear()
                     m = meet(p, q)
                     assert kernel_columns == _meet_kernels(p, q)
@@ -804,7 +804,7 @@ class TestSmallerSide:
     )
     def test_meet_routes_agree(self, kernel_columns, pq):
         p, q = pq
-        sub._memo.clear()
+        meet.cache_clear()
         kernel_columns.clear()
         m = meet(p, q)
         assert kernel_columns == (_meet_kernels(p, q) if p is not q else [])

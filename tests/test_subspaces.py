@@ -34,6 +34,10 @@ def span(ambient, *rows):
     return Subspace.from_spanning(ambient, rows)
 
 
+def _memo_sizes():
+    return meet.cache_info().currsize, join.cache_info().currsize
+
+
 def _inner(u, v):
     """<u, v>, conjugate-linear in u."""
     return sum((x.conjugate() * y for x, y in zip(u, v)), GaussianRational(0))
@@ -249,13 +253,13 @@ class TestAmbientCheck:
     def test_plain_miss(self, op, empty_memo):
         with pytest.raises(AmbientMismatch):
             op(span(2, [1, 1]), span(3, [1, 0, 1], [0, 1, 0]))
-        assert not empty_memo
+        assert _memo_sizes() == (0, 0)
 
     @pytest.mark.parametrize("op", [meet, join])
     def test_memo_holding_an_entry_for_one_operand(self, op, empty_memo):
         p, q = span(2, [1, 1]), span(2, [1, -1])
         op(p, q)
-        assert empty_memo
+        assert op.cache_info().currsize == 1
         other = span(3, [1, 0, 1])
         for args in ((p, other), (other, p), (other, q)):
             with pytest.raises(AmbientMismatch):
@@ -275,14 +279,19 @@ class TestAmbientCheck:
         "other", [Subspace.zero(3), Subspace.full(3), span(3, [1, 0, 1])],
         ids=["zero", "full", "line"])
     def test_memo_entry_for_the_mixed_pair(self, op, other, empty_memo):
-        # an entry no real call writes: the test must still come first
+        # an exception is never cached, so a mixed pair never gets an
+        # entry: each repeat runs the ambient test again and raises
         p = span(2, [1, 1])
-        for key in ((op.__name__, p, other), (op.__name__, other, p)):
-            empty_memo[key] = p
-        with pytest.raises(AmbientMismatch):
-            op(p, other)
-        with pytest.raises(AmbientMismatch):
-            op(other, p)
+        op(p, span(2, [1, -1]))
+        before = op.cache_info()
+        for _ in range(3):
+            with pytest.raises(AmbientMismatch):
+                op(p, other)
+            with pytest.raises(AmbientMismatch):
+                op(other, p)
+        after = op.cache_info()
+        assert after.currsize == before.currsize == 1
+        assert after.hits == before.hits
 
     def test_leq(self):
         with pytest.raises(AmbientMismatch):
@@ -359,8 +368,7 @@ class TestLargeAmbient:
     by the dimension formula, without a kernel."""
 
     @pytest.fixture()
-    def verdicts(self, monkeypatch, rank_verdicts):
-        monkeypatch.setattr(sub, "_memo", {})  # no earlier result answers
+    def verdicts(self, empty_memo, rank_verdicts):
         return rank_verdicts
 
     def test_generic_meet_and_join_are_certified(self, verdicts, monkeypatch):
@@ -415,7 +423,7 @@ class TestMeetTakesNoComplement:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sub, "complement", refuse)
-            mp.setattr(sub, "_memo", {})
+            meet.cache_clear()  # no earlier result answers
             m = meet(p, q)
         assert m is meet_via_demorgan(p, q)
 
@@ -469,21 +477,20 @@ class TestComplement:
         assert lhs == rhs
 
 
-@pytest.fixture()
-def empty_memo(monkeypatch):
-    memo = {}
-    monkeypatch.setattr(sub, "_memo", memo)
-    return memo
-
-
 class TestOpMemo:
+    """``meet`` and ``join`` are ``lru_cache`` functions; ``cache_info()``
+    counts the memo's hits, misses and entries, and ``__wrapped__`` is the
+    uncached body."""
+
     @given(subspace_pairs())
     @settings(max_examples=80)
     def test_memoised_results_match_fresh_ones(self, pq):
         p, q = pq
         m, j = meet(p, q), join(p, q)
         assert meet(p, q) is m and join(p, q) is j
-        sub._memo.clear()
+        assert meet.__wrapped__(p, q) is m and join.__wrapped__(p, q) is j
+        meet.cache_clear()
+        join.cache_clear()
         assert meet(p, q) == m and join(p, q) == j
 
     def test_equal_operands_built_separately_hit(self, empty_memo):
@@ -492,46 +499,61 @@ class TestOpMemo:
         p2, q2 = span(3, [2, 2, 0], [0, 0, 3]), span(3, [1, 1, 1], [0, 1, 1])
         assert p2 is p and q2 is q
         assert meet(p2, q2) is m and join(p2, q2) is j
-        assert len(empty_memo) == 2
+        for op in (meet, join):
+            assert op.cache_info()[:2] == (1, 1)  # hits, misses
+        assert _memo_sizes() == (1, 1)
 
     def test_memo_is_bounded(self, empty_memo):
+        limit = join.cache_info().maxsize
+        assert limit == meet.cache_info().maxsize == sub._MEMO_LIMIT // 2
         lines = [span(3, [1, k, 0]) for k in range(40)]
         largest = 0
         for p in lines:
             for q in lines:
                 if p is not q:
                     join(p, q)
-                    largest = max(largest, len(empty_memo))
-        assert 40 * 39 > sub._MEMO_LIMIT
-        assert largest <= sub._MEMO_LIMIT
-        assert 0 < len(empty_memo) < 40 * 39
+                    largest = max(largest, join.cache_info().currsize)
+        assert 40 * 39 > limit
+        assert largest <= limit
+        assert 0 < join.cache_info().currsize < 40 * 39
+
+    def test_a_repeated_meet_counts_one_miss_then_one_hit(self, empty_memo):
+        p, q = span(3, [1, 1, 0], [0, 0, 1]), span(3, [1, 0, 0], [0, 1, 1])
+        m = meet(p, q)
+        assert meet.cache_info()[:3] == (0, 1, sub._MEMO_LIMIT // 2)
+        assert meet(p, q) is m
+        assert meet.cache_info() == (1, 1, sub._MEMO_LIMIT // 2, 1)
 
     @given(trivial_operand_pairs())
     @settings(max_examples=150)
     def test_trivial_operands_give_the_full_answer(self, pq):
         p, q = pq
-        sub._memo.clear()
+        meet.cache_clear()
+        join.cache_clear()
         assert meet(p, q) is meet_via_demorgan(p, q)
         red, _ = _reduce_int_rows(p._rows + q._rows, p.ambient)
         assert join(p, q) is Subspace._make(p.ambient, red)
 
-    def test_trivial_calls_write_no_entry(self, empty_memo):
+    def test_trivial_call_returns_an_operand_and_hits_when_repeated(self, empty_memo):
         for n in range(1, 5):
             zero, full = Subspace.zero(n), Subspace.full(n)
             for d in range(n + 1):
                 p = random_subspace(n, d, seed=d)
                 for q in (zero, full, p):
                     for args in ((p, q), (q, p)):
-                        meet(*args)
-                        join(*args)
-        assert not empty_memo
-        meet(span(2, [1, 1]), span(2, [1, -1]))
-        assert len(empty_memo) == 1
+                        small = zero if zero in args else p
+                        big = full if full in args else p
+                        for op, want in ((meet, small), (join, big)):
+                            op.cache_clear()
+                            assert op(*args) is want  # the operand itself
+                            assert op(*args) is want
+                            assert op.cache_info()[:2] == (1, 1)  # hits, misses
 
     def test_demorgan_route_adds_no_meet_entry(self, empty_memo):
         p, q = span(3, [1, 1, 0], [0, 0, 1]), span(3, [1, 0, 0], [0, 1, 1])
         meet_via_demorgan(p, q)
-        assert not any(op == sub._MEET for op, _, _ in empty_memo)
+        assert meet.cache_info()[:2] == (0, 0) and _memo_sizes()[0] == 0
+        assert join.cache_info().misses == 1
 
 
 class TestEmbed:
