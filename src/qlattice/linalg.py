@@ -22,7 +22,12 @@ value, so every stored entry is a minor of the input and coefficient size
 stays bounded by Hadamard's inequality.  Rows are rescaled lazily, only
 when a step touches them.  Null rows, whose kernel is a canonical span,
 are read straight off its free columns, and a kernel reads them off one
-reduction of its input with the columns reversed.  Two products of rows
+reduction of its input with the columns reversed.  The span of two
+canonical blocks is merged rather than eliminated afresh: the smaller
+block's rows are reduced against the larger one, an exact membership
+step with no division, only the rows it leaves go through Bareiss, and
+the larger block's rows are then cleared of the new pivot columns with
+one lcm scale each.  Two products of rows
 let a caller eliminate on the side with fewer rows: the matrix of the
 bilinear pairing (no conjugation) of two row lists, and the rows that a
 list of coefficient rows combines.  Fractions reappear only when a
@@ -372,19 +377,103 @@ def _reversed_columns(rows: Iterable[Sequence[_Int]], ncols: int) -> list[list[_
     return out
 
 
+def _reversed_null_rows(
+    rows: Sequence[Sequence[_Int]], ncols: int
+) -> tuple[list[list[_Int]], list[int]]:
+    """The null rows of canonical rows, as a canonical block in reversed
+    columns, with its pivots.
+
+    These are the rows of :func:`_null_rows` by descending free column,
+    each with its columns reversed.  Reversal is an involution, so given
+    a canonical block in reversed columns it returns the canonical basis
+    of that block's right kernel in the original columns.
+    """
+    null, free = _null_rows(rows, ncols)
+    null.reverse()
+    return _reversed_columns(null, ncols), [ncols - 1 - j for j in reversed(free)]
+
+
 def _kernel_int(
     rows: Iterable[Sequence[_Int]], ncols: int
 ) -> tuple[list[list[_Int]], list[int]]:
     """Canonical integer basis (rows and their pivots) for the right kernel.
 
     The input is reduced once, with its column order reversed, and
-    :func:`_null_rows` reads the kernel off that form: reversed back, and
-    by ascending free column, its rows already are the canonical basis.
+    :func:`_reversed_null_rows` reads the canonical kernel basis off that
+    form.
     """
     red, _ = _reduce_int_rows(_reversed_columns(rows, ncols), ncols)
-    null, free = _null_rows(red, ncols)
-    null.reverse()
-    return _reversed_columns(null, ncols), [ncols - 1 - j for j in reversed(free)]
+    return _reversed_null_rows(red, ncols)
+
+
+def _leads(block: Iterable[Sequence[_Int]]) -> list[tuple[int, int, list[tuple]]]:
+    """For each canonical row: the index of its lead's real part, the lead
+    (a positive int) and the row's nonzero ``(k, re, im)`` entries."""
+    out = []
+    for r in block:
+        nz = [(k, r[k], r[k + 1]) for k in range(0, len(r), 2) if r[k] or r[k + 1]]
+        out.append((nz[0][0], nz[0][1], nz))
+    return out
+
+
+def _reduced_against(
+    rows: Iterable[Sequence[_Int]], leads: list[tuple[int, int, list[tuple]]]
+) -> Iterable[Sequence[_Int]]:
+    """Each row r reduced against a canonical block, given by its
+    :func:`_leads`, content stripped.
+
+    Block row i has its lead l_i > 0 at pivot column c_i and is zero at
+    the other pivots, so ``L * r - sum_i r[c_i] * (L / l_i) * A_i``, with
+    L the lcm of the l_i where r is nonzero, is zero at every pivot: an
+    exact step with no division.  It is zero exactly when r lies in the
+    block's span.  Rows are yielded one at a time, and a row that no
+    pivot touches is yielded as it is.
+    """
+    for r in rows:
+        hits = [h for h in leads if r[h[0]] or r[h[0] + 1]]
+        if not hits:
+            yield r
+            continue
+        scale = 1
+        for _, lead, _ in hits:
+            scale = scale * lead // gcd(scale, lead)
+        w = [scale * x for x in r]
+        for k, lead, nz in hits:
+            m = scale // lead
+            ta, tb = r[k] * m, r[k + 1] * m
+            for j, xa, xb in nz:
+                w[j] -= ta * xa - tb * xb
+                w[j + 1] -= ta * xb + tb * xa
+        _strip_content(w)
+        yield w
+
+
+def _merge_int_rows(
+    a: Sequence[Sequence[_Int]], b: Sequence[Sequence[_Int]], ncols: int
+) -> tuple[list[Sequence[_Int]], list[int]]:
+    """The canonical rows and pivots of the span of two canonical blocks,
+    as :func:`_reduce_int_rows` would give them for ``a + b``.
+
+    With A the block with more rows: the rows of B are reduced against A
+    (see :func:`_reduced_against`), and only the ones left nonzero are
+    reduced to canonical rows R, whose pivots are not A's; A's rows are
+    then reduced against R, which clears R's pivot columns with one lcm
+    scale per row and keeps A's leads positive, and their content is
+    stripped.  Ordered by pivot, A's rows and R are the canonical form.
+    When B lies in A's span, A's rows are returned as they are.
+    """
+    if len(b) > len(a):
+        a, b = b, a
+    lead_a = _leads(a)
+    pivots = [k // 2 for k, _, _ in lead_a]
+    rest = [r for r in _reduced_against(b, lead_a) if any(r)]
+    if not rest:
+        return list(a), pivots
+    new, new_pivots = _reduce_int_rows(rest, ncols)
+    rows = list(_reduced_against(a, _leads(new))) + new
+    pivots += new_pivots
+    order = sorted(range(len(rows)), key=pivots.__getitem__)
+    return [rows[i] for i in order], [pivots[i] for i in order]
 
 
 def _pair_int(

@@ -16,6 +16,14 @@ Lattice operations: ``meet`` is intersection, ``join`` is linear span,
 ``complement`` is the orthogonal complement under the Hermitian inner
 product (conjugate-linear in the first argument).
 
+``join`` never eliminates its operands from scratch.  A stack that the
+rank certificate shows to be full returns the held ``Subspace.full(n)``;
+otherwise the two canonical blocks are merged (``linalg._merge_int_rows``):
+the rows of the smaller operand are reduced against the larger one's,
+and only the rows left over go through Bareiss.  ``leq`` is that
+membership step alone: p <= q exactly when every row of p reduces to
+zero against q's rows.
+
 Both elimination routes of ``meet`` and ``complement`` work on whichever
 side has fewer rows; canonical forms are unique, so the route never shows
 in a result.  With d = dim p, ``complement`` reduces the n - d null rows
@@ -26,11 +34,14 @@ does not settle has s = dim p + dim q, an expected result of dimension
 s - n and 2n - s null-row constraints.  When 2s <= 3n, the result is
 small next to the constraints: it pairs the larger operand's null rows
 with the smaller operand's rows, takes the kernel of that matrix in
-dim-small columns, and reduces the combinations of the smaller operand's
-rows it gives.  Otherwise it takes the kernel of both operands' null rows
-in n columns.  ``meet`` takes no complement; ``meet_via_demorgan`` is an
-independent route through complements kept for cross-checking, never
-called by the evaluator.
+dim-small columns, and combines the smaller operand's rows by it; the
+kernel and the rows are canonical, so the combinations already are the
+canonical form once their content is stripped.  Otherwise each
+operand's null rows, with the columns reversed, are a canonical block:
+it merges the two blocks and reads the kernel off the merged form.
+``meet`` takes no complement; ``meet_via_demorgan`` is an independent
+route through complements kept for cross-checking, never called by the
+evaluator.
 
 Because the form is canonical, the result of ``meet`` or ``join`` depends
 only on its operands, so each is a ``functools.lru_cache`` function of at
@@ -59,11 +70,16 @@ from .linalg import (
     _conj_int_rows,
     _fracs_from_int_rows,
     _kernel_int,
+    _leads,
+    _merge_int_rows,
     _null_rows,
     _pair_int,
     _rank_mod_p,
     _reduce_int_rows,
+    _reduced_against,
+    _reversed_null_rows,
     _row_from_scalars,
+    _strip_content,
 )
 
 _MAX_SAMPLE_TRIES = 200
@@ -225,15 +241,23 @@ def _mismatch(p: Subspace, q: Subspace) -> AmbientMismatch:
 
 @lru_cache(maxsize=_MEMO_LIMIT // 2)
 def join(p: Subspace, q: Subspace) -> Subspace:
-    """Smallest subspace containing both: the span of the union."""
+    """Smallest subspace containing both: the span of the union.
+
+    Full when the rank certificate shows the stacked rows have rank n;
+    otherwise the canonical rows of both are merged, so only the rows of
+    the smaller operand that the larger one does not span are reduced.
+    """
     if p.ambient != q.ambient:
         raise _mismatch(p, q)
     if p is q or not q._rows or len(p._rows) == p.ambient:
         return p
     if not p._rows or len(q._rows) == q.ambient:
         return q
-    red, _ = _reduce_int_rows(p._rows + q._rows, p.ambient)
-    return Subspace._make(p.ambient, red)
+    n = p.ambient
+    if len(p._rows) + len(q._rows) >= n and _rank_mod_p(p._rows + q._rows, n) == n:
+        return Subspace.full(n)
+    rows, _ = _merge_int_rows(p._rows, q._rows, n)
+    return Subspace._make(n, rows)
 
 
 def complement(p: Subspace) -> Subspace:
@@ -267,8 +291,9 @@ def meet(p: Subspace, q: Subspace) -> Subspace:
     with fewer rows S (p on a tie) lies in the other one iff its null
     rows N give ``N S^T c = 0``: the kernel of the pairing matrix
     ``N S^T`` takes ``dim S`` columns, and the combinations of S it
-    gives are reduced to the canonical rows.  Otherwise the result is
-    the kernel of both operands' null rows.  No complement is taken.
+    gives, content stripped, are the canonical rows.  Otherwise the
+    result is the kernel of both operands' null rows, read off the merge
+    of their column-reversed blocks.  No complement is taken.
     """
     if p.ambient != q.ambient:
         raise _mismatch(p, q)
@@ -285,10 +310,14 @@ def meet(p: Subspace, q: Subspace) -> Subspace:
         if len(small) > len(big):
             small, big = big, small
         coeffs, _ = _kernel_int(_pair_int(_null_rows(big, n)[0], small), len(small))
-        rows, _ = _reduce_int_rows(_combine_int(coeffs, small, n), n)
+        rows = _combine_int(coeffs, small, n)
+        for r in rows:
+            _strip_content(r)
     else:
-        constraints = _null_rows(p._rows, n)[0] + _null_rows(q._rows, n)[0]
-        rows, _ = _kernel_int(constraints, n)
+        null_p, _ = _reversed_null_rows(p._rows, n)
+        null_q, _ = _reversed_null_rows(q._rows, n)
+        merged, _ = _merge_int_rows(null_p, null_q, n)
+        rows, _ = _reversed_null_rows(merged, n)
     return Subspace._make(n, rows)
 
 
@@ -298,7 +327,8 @@ def meet_via_demorgan(p: Subspace, q: Subspace) -> Subspace:
     It never touches meet's cache (only ``join`` and ``complement``
     run), so a wrong memoised meet cannot leak into it, and
     ``meet`` takes no complement, so the two routes share only the
-    elimination core (``_kernel_int``, ``_reduce_int_rows``, ``_null_rows``).
+    elimination core (``_kernel_int``, ``_reduce_int_rows``, ``_null_rows``,
+    ``_merge_int_rows``).
     Its complements pick their route by dimension as ``complement`` does,
     and it never pairs rows as ``meet`` does.
     """
@@ -308,15 +338,19 @@ def meet_via_demorgan(p: Subspace, q: Subspace) -> Subspace:
 
 
 def leq(p: Subspace, q: Subspace) -> bool:
-    """Containment ``p <= q``; equivalent to ``meet(p, q) == p``."""
+    """Containment ``p <= q``; equivalent to ``meet(p, q) is p``.
+
+    Every row of p must reduce to zero against q's canonical rows.  A p
+    of q's dimension or more is contained only if it is q, which
+    interning makes the same object.
+    """
     if p.ambient != q.ambient:
         raise _mismatch(p, q)
     if not p._rows or p is q:
         return True
-    if len(p._rows) > len(q._rows):
+    if len(p._rows) >= len(q._rows):
         return False
-    red, _ = _reduce_int_rows(q._rows + p._rows, p.ambient)
-    return len(red) == len(q._rows)
+    return not any(map(any, _reduced_against(p._rows, _leads(q._rows))))
 
 
 def embed(p: Subspace, bigger_ambient: int, pad: Subspace) -> Subspace:

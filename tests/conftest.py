@@ -47,3 +47,35 @@ def kernel_columns(monkeypatch, empty_memo):
 
     monkeypatch.setattr(subspaces, "_kernel_int", spy)
     return seen
+
+
+@pytest.fixture()
+def reductions(monkeypatch, empty_memo):
+    """The rows of each call to ``_reduce_int_rows``, from ``linalg`` and
+    ``subspaces`` alike, in call order, with the op memo emptied."""
+    seen = []
+    real = linalg._reduce_int_rows
+
+    def spy(rows, ncols):
+        rows = [list(r) for r in rows]
+        seen.append(rows)
+        return real(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_reduce_int_rows", spy)
+    monkeypatch.setattr(subspaces, "_reduce_int_rows", spy)
+    return seen
+
+
+@pytest.fixture()
+def merged_blocks(monkeypatch, empty_memo):
+    """The row counts of the two blocks of each merge ``subspaces`` asks
+    for, in call order, with the op memo emptied."""
+    seen = []
+    real = subspaces._merge_int_rows
+
+    def spy(a, b, ncols):
+        seen.append((len(a), len(b)))
+        return real(a, b, ncols)
+
+    monkeypatch.setattr(subspaces, "_merge_int_rows", spy)
+    return seen

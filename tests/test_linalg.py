@@ -18,6 +18,7 @@ from qlattice.linalg import (
     _combine_int,
     _conj_int_rows,
     _kernel_int,
+    _merge_int_rows,
     _null_rows,
     _pair_int,
     _reduce_int_rows,
@@ -600,6 +601,90 @@ class TestNullRows:
         assert null == [[-1, 0, 0, 0, 2, 0, 0, 0], [0, 1, -6, 0, 0, 0, 2, 0]]
 
 
+@st.composite
+def canonical_block_pairs(draw, max_cols=8):
+    """(kind, a, b, ncols): two canonical blocks of `ncols` columns that
+    are generic, share a line, are nested (either way round), are equal,
+    stack to full rank, or are column-reversed null-row blocks."""
+    kind = draw(st.sampled_from(["generic", "shared", "nested", "equal", "full", "null"]))
+    ncols = draw(st.integers(1, max_cols))
+    bound = draw(st.sampled_from([1, 3, 20]))
+    entry = st.integers(-bound, bound)
+
+    def rows(k):
+        return [[draw(entry) for _ in range(2 * ncols)] for _ in range(k)]
+
+    def canonical(rs):
+        return _reduce_int_rows(rs, ncols)[0]
+
+    def combos(block, k):
+        out = []
+        for _ in range(k):
+            row = [0] * (2 * ncols)
+            for base in block:
+                za, zb = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+                row = [x + y for x, y in zip(row, _times(base, za, zb))]
+            out.append(row)
+        return out
+
+    a = canonical(rows(draw(st.integers(0, ncols))))
+    if kind == "generic":
+        b = canonical(rows(draw(st.integers(0, ncols))))
+    elif kind == "shared":
+        line = rows(1)[0]
+        a = canonical([line] + rows(draw(st.integers(0, ncols - 1))))
+        b = canonical([_times(line, 2, 1)] + rows(draw(st.integers(0, ncols - 1))))
+    elif kind == "nested":
+        b = canonical(combos(a, draw(st.integers(0, len(a)))))
+        if draw(st.booleans()):
+            a, b = b, a
+    elif kind == "equal":
+        b = draw(st.sampled_from([a, canonical(combos(a, len(a) + 1))]))
+    elif kind == "full":
+        _, pivots = _reduce_int_rows(a, ncols)
+        units = [[int(k == 2 * c) for k in range(2 * ncols)]
+                 for c in range(ncols) if c not in pivots]
+        b = canonical(rows(draw(st.integers(0, 2))) + units)
+    else:
+        def flipped(block):
+            return _reverse_columns(_null_rows(block, ncols)[0][::-1], ncols)
+        a, b = flipped(a), flipped(canonical(rows(draw(st.integers(0, ncols)))))
+    return kind, a, b, ncols
+
+
+class TestMerge:
+    """``_merge_int_rows`` gives the canonical form of two stacked
+    canonical blocks without eliminating them from scratch."""
+
+    @given(canonical_block_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_merge_is_the_reduction_of_the_stack(self, case):
+        kind, a, b, ncols = case
+        assert _reduce_int_rows(a, ncols)[0] == a and _reduce_int_rows(b, ncols)[0] == b
+        expected = _reduce_int_rows(a + b, ncols)
+        for x, y in ((a, b), (b, a)):
+            rows, pivots = _merge_int_rows(x, y, ncols)
+            assert ([list(r) for r in rows], pivots) == expected
+        if kind == "full":
+            assert expected[1] == list(range(ncols))
+
+    def test_example(self):
+        # A = span(e0 + 2 e2, 2 e1 + e2); B's row e0 + e1 + e2 reduces to
+        # 2 (e0 + e1 + e2) - 2 (e0 + 2 e2) - (2 e1 + e2) = -3 e2 against
+        # A, the new pivot 2, which A's rows are then cleared of.
+        a = [[1, 0, 0, 0, 2, 0], [0, 0, 2, 0, 1, 0]]
+        b = [[1, 0, 1, 0, 1, 0]]
+        identity = ([[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0]], [0, 1, 2])
+        assert _merge_int_rows(a, b, 3) == identity
+
+    def test_block_in_the_span_leaves_the_larger_rows(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(linalg, "_reduce_int_rows", lambda *args: calls.append(args))
+        a = [[1, 0, 0, 0, 2, 0], [0, 0, 2, 0, 1, 0]]
+        b = [[2, 0, 2, 0, 5, 0]]  # 2 A_0 + A_1, canonically scaled
+        assert _merge_int_rows(b, a, 3) == (a, [0, 1]) and calls == []
+
+
 def _ref_meet(p, q):
     """The meet through the fraction-level reference alone: the kernel of
     both operands' kernel rows."""
@@ -721,15 +806,31 @@ class TestPairAndCombine:
         assert _combine_int(coeffs, rows, ncols) == expected
 
 
-def _meet_kernels(p, q):
-    """The kernel column counts `meet` must use on a nontrivial pair: none
-    when the rank certificate settles 0; else the smaller operand's rows
-    when 2 (dim p + dim q) <= 3n, and n for the kernel of both null-row
-    stacks otherwise."""
+def _meet_route(p, q):
+    """The route `meet` must take on a nontrivial pair: "zero" when the
+    rank certificate settles 0, else "pairing" when 2 (dim p + dim q) <=
+    3n, and "null rows" otherwise."""
     n, s = p.ambient, p.dim + q.dim
     if s <= n and linalg._rank_mod_p(p._rows + q._rows, n) == s:
+        return "zero"
+    return "pairing" if 2 * s <= 3 * n else "null rows"
+
+
+def _meet_kernels(p, q):
+    """The kernel column counts `meet` must use on a nontrivial pair: the
+    smaller operand's rows on the pairing route, and none otherwise (the
+    null-row route merges both null-row blocks and reads the kernel off
+    the merged form)."""
+    return [min(p.dim, q.dim)] if _meet_route(p, q) == "pairing" else []
+
+
+def _meet_merges(p, q):
+    """The block row counts of the merges `meet` must ask for on a
+    nontrivial pair: both operands' null rows on the null-row route, and
+    none otherwise."""
+    if _meet_route(p, q) != "null rows":
         return []
-    return [min(p.dim, q.dim)] if 2 * s <= 3 * n else [n]
+    return [(p.ambient - p.dim, p.ambient - q.dim)]
 
 
 def _fresh_complement(p):
@@ -739,8 +840,9 @@ def _fresh_complement(p):
 
 @st.composite
 def route_pairs(draw, max_ambient=6):
-    """Nontrivial operand pairs at n <= 6: generic ones, and ones around a
-    shared line, which no certificate can settle whatever their dims."""
+    """Nontrivial operand pairs at n <= `max_ambient`: generic ones, and
+    ones around a shared line, which no certificate can settle whatever
+    their dims."""
     n = draw(st.integers(2, max_ambient))
     dp, dq = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
     seeds = iter(draw(st.lists(st.integers(0, 10**6), min_size=3, max_size=3)))
@@ -778,7 +880,7 @@ class TestSmallerSide:
         assert _fresh_complement(c) is p
 
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_meet_routes_at_every_dimension_pair(self, kernel_columns, n):
+    def test_meet_routes_at_every_dimension_pair(self, kernel_columns, merged_blocks, n):
         # Generic pairs, and pairs around a shared line, whose meet no
         # certificate settles, so that s <= n takes a kernel too.
         line = random_subspace(n, 1, seed=n)
@@ -792,9 +894,11 @@ class TestSmallerSide:
                         continue
                     meet.cache_clear()
                     kernel_columns.clear()
+                    merged_blocks.clear()
                     m = meet(p, q)
                     assert kernel_columns == _meet_kernels(p, q)
-                    assert kernel_columns or kind == "generic"
+                    assert merged_blocks == _meet_merges(p, q)
+                    assert kernel_columns or merged_blocks or kind == "generic"
                     assert [list(r) for r in m._rows] == _ref_meet(p, q)
 
     @given(route_pairs())
@@ -802,12 +906,14 @@ class TestSmallerSide:
         max_examples=150, deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_meet_routes_agree(self, kernel_columns, pq):
+    def test_meet_routes_agree(self, kernel_columns, merged_blocks, pq):
         p, q = pq
         meet.cache_clear()
         kernel_columns.clear()
+        merged_blocks.clear()
         m = meet(p, q)
         assert kernel_columns == (_meet_kernels(p, q) if p is not q else [])
+        assert merged_blocks == (_meet_merges(p, q) if p is not q else [])
         assert [list(r) for r in m._rows] == _ref_meet(p, q)
         assert m is meet(q, p) is meet_via_demorgan(p, q)
 
@@ -820,6 +926,19 @@ class TestSmallerSide:
         m = meet(p, q)
         assert m is line and kernel_columns == [2]
         assert [list(r) for r in m._rows] == _ref_meet(p, q)
+
+    @given(route_pairs(max_ambient=8))
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_join_reduces_no_more_rows_than_the_smaller_operand(self, reductions, pq):
+        p, q = pq
+        join.cache_clear()
+        reductions.clear()
+        j = join(p, q)
+        assert all(len(rows) <= min(p.dim, q.dim) for rows in reductions)
+        assert [list(r) for r in j._rows] == _ref_reduce(p._rows + q._rows, p.ambient)[0]
 
 
 class TestConjTranspose:

@@ -5,6 +5,7 @@ import gc
 import pickle
 import weakref
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -71,6 +72,35 @@ def trivial_operand_pairs(draw, max_ambient=4):
     kinds = {"random": draw(subspaces(ambient=n)), "zero": Subspace.zero(n),
              "full": Subspace.full(n), "same": p}
     q = kinds[draw(st.sampled_from(sorted(kinds)))]
+    return draw(st.sampled_from([(p, q), (q, p)]))
+
+
+@st.composite
+def leq_pairs(draw, max_ambient=6):
+    """(p, q) in one ambient, either way round: generic, around a shared
+    line, nested, equal, with a zero operand, or coordinate subspaces,
+    where some canonical rows of one may lie in the other and some not."""
+    n = draw(st.integers(1, max_ambient))
+    kind = draw(st.sampled_from(["generic", "shared", "nested", "equal", "zero", "coordinate"]))
+    p = draw(subspaces(ambient=n))
+
+    def coordinate():
+        axes = draw(st.sets(st.integers(0, n - 1)))
+        return Subspace.from_spanning(n, [[int(j == c) for j in range(n)] for c in axes])
+
+    if kind == "generic":
+        q = draw(subspaces(ambient=n))
+    elif kind == "shared":
+        line = random_subspace(n, 1, draw(st.integers(0, 10**6)))
+        p, q = join(line, p), join(line, draw(subspaces(ambient=n)))
+    elif kind == "nested":
+        q = join(p, draw(subspaces(ambient=n)))
+    elif kind == "equal":
+        q = p
+    elif kind == "zero":
+        q = Subspace.zero(n)
+    else:
+        p, q = coordinate(), coordinate()
     return draw(st.sampled_from([(p, q), (q, p)]))
 
 
@@ -343,6 +373,13 @@ class TestJoinMeet:
         assert leq(p, q) == (meet(p, q) == p)
         assert leq(meet(p, q), p) and leq(p, join(p, q))
 
+    @given(leq_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_leq_is_meet_returning_the_operand(self, pq):
+        p, q = pq
+        assert leq(p, q) == (meet(p, q) is p)
+        assert leq(q, p) == (meet(q, p) is q)
+
     @given(subspace_triples())
     @settings(max_examples=60)
     def test_lattice_axioms(self, pqr):
@@ -410,6 +447,49 @@ class TestSmallerSideAtLargeAmbient:
         assert c.dim == 8 and kernel_columns == []
         c._complement = None
         assert complement(c) is p and kernel_columns == [32]
+
+    def test_join_reduces_only_the_smaller_operand(self, reductions):
+        # dims 12 and 8 span 20 dimensions: the 8 rows of q are reduced
+        # against p's 12, and only those 8 go through Bareiss
+        p = random_subspace(32, 12, seed=1)
+        q = random_subspace(32, 8, seed=2)
+        reductions.clear()
+        j = join(p, q)
+        assert [len(rows) for rows in reductions] == [8]
+        assert j.dim == 20 and leq(p, j) and leq(q, j)
+
+
+def _bits(rows):
+    return max((abs(x).bit_length() for r in rows for x in r), default=0)
+
+
+class TestJoinGrowth:
+    """What ``join`` hands to Bareiss is bounded by its operands' sizes:
+    each row of q reduced against p's rows (dim p >= dim q) has at most
+    bits(L) + bits(max|p|) + bits(max|q|) + ceil(log2(dim p)) + 3 bits,
+    with L the lcm of p's leads."""
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_rows_handed_to_bareiss_are_bounded(self, reductions, n):
+        line = random_subspace(n, 1, seed=n)
+        cases = []
+        for dp, dq in ((n // 4, n // 4), (n // 2, n // 4), (n // 2, n // 2 - 1), (n - 2, 1)):
+            for seed in range(3):
+                cases.append((random_subspace(n, dp, seed=seed),
+                              random_subspace(n, dq, seed=seed + 100)))
+                cases.append((join(line, random_subspace(n, dp - 1, seed=seed + 200)),
+                              join(line, random_subspace(n, dq - 1, seed=seed + 300))))
+        for p, q in cases:
+            if p.dim < q.dim:
+                p, q = q, p
+            join.cache_clear()
+            reductions.clear()
+            join(p, q)
+            scale = lcm(*(next(x for x in r if x) for r in p._rows))
+            bound = (scale.bit_length() + _bits(p._rows) + _bits(q._rows)
+                     + (p.dim - 1).bit_length() + 3)
+            assert len(reductions) == (0 if leq(q, p) else 1)
+            assert all(_bits(rows) <= bound for rows in reductions)
 
 
 class TestMeetTakesNoComplement:
