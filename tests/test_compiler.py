@@ -381,6 +381,27 @@ def test_emitted_text_matches_golden_digests():
     assert _compile_digests() == json.loads((GOLDEN / "compile-digests.json").read_text())
 
 
+def _corpus_digests() -> dict[str, str]:
+    """blake2b of the solver text of every ``_CORPUS`` sentence at
+    n = 1..3 in both forms; these cover ``<=``, ``exists``, inner scopes
+    and nested constants.  ``tests/golden/compile-digests-corpus.json``
+    holds the output of ``json.dumps(_corpus_digests(), indent=2)``."""
+    digests = {}
+    for i, s in enumerate(_CORPUS):
+        for n in (1, 2, 3):
+            for form in ("validity", "refutation"):
+                text = emit_solver_text(compile_sentence(s, n), form)
+                digests[f"corpus-{i} n={n} {form}"] = blake2b(
+                    text.encode(), digest_size=32
+                ).hexdigest()
+    return digests
+
+
+def test_corpus_text_matches_golden_digests():
+    expected = json.loads((GOLDEN / "compile-digests-corpus.json").read_text())
+    assert _corpus_digests() == expected
+
+
 # name in compile-digests-large.json -> (source, n, form)
 _LARGE_COMPILES = {
     "worked-example n=8": ("worked-example", 8, "validity"),
