@@ -4,12 +4,14 @@ The pipeline has three stages, each preserving truth over the subspace
 lattice of C^n:
 
 1. ``flatten``: name every compound subterm with a fresh universally
-   quantified variable, so each atom mentions only variables and the
-   constants 0, 1.  Quantifiers stay where they are written, and each
-   maximal quantifier-free scope is flattened in place.  A scope's
-   definitions are the non-variable slots of one term ``Program`` over
-   its atom sides, so equal subterms share a name; ``fresh`` lists the
-   names of every scope, at any depth.
+   quantified variable, so each atom is an equation of variables and
+   the constants 0, 1; ``x <= y`` becomes ``x = x ^ y``.  Quantifiers
+   stay where they are written, and each maximal quantifier-free scope
+   becomes ``forall t1 ... tk. (defs -> matrix)`` in place.  A scope's
+   definitions are atoms ``t = op(leaves)``, one per non-variable slot
+   of one term ``Program`` over its atom sides, so equal subterms share
+   a name.  The result is a plain sentence, returned in a ``Flat`` with
+   the fresh names of every scope, at any depth.
 2. ``encode_kernels``: read each lattice variable as the kernel of an
    n x n complex matrix and expand the flat atoms into quantified
    statements about vectors: membership, orthogonality, and the join
@@ -48,8 +50,9 @@ validity of the output over the reals; deciding that validity is
 delegated to an external solver and is never needed to build or test
 this module.
 
-Stage one is independently checkable without any solver: a flat
-sentence's fresh variables are pinned by their defining atoms, so
+Stage one is independently checkable without any solver: its output
+is a sentence of the source grammar, which ``format_sentence`` prints,
+and its fresh variables are pinned by their defining atoms, so
 ``eval_flat`` puts each definition, expanded to a term, in place of its
 variable and must agree with direct evaluation of the source over any
 finite domain.
@@ -59,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .subspaces import Subspace
 from .terms import Meet, Program, Term, Var
@@ -76,49 +79,12 @@ Node = tuple  # (op, args); see the module docstring
 # --- stage 1: flattening ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Definition:
-    """``name = <kind over operands>``; operands are variable names."""
+class Flat(NamedTuple):
+    """Stage one's output: the flat sentence, and every fresh name it
+    binds, at any depth, in the order the names were taken."""
 
-    name: str
-    kind: str  # "meet" | "join" | "not" | "top" | "bot"
-    operands: tuple[str, ...]
-
-    def as_sentence(self) -> S.Sentence:
-        rhs = Term(self.kind, *(Var(o) for o in self.operands))
-        return ("eq", (Var(self.name), rhs))
-
-
-@dataclass(frozen=True)
-class FlatSentence:
-    """The source's leading quantifiers, then the fresh names and
-    definitions of the rest if it is quantifier-free, and a conclusion
-    whose atoms compare plain leaves.  Below the leading run, quantifiers
-    stay in place and each quantifier-free scope is flattened there."""
-
-    prefix: tuple[tuple[str, str], ...]  # ("forall" | "exists", name)
-    definitions: tuple[Definition, ...]  # dependency order
-    conclusion: S.Sentence
-    fresh: tuple[str, ...]  # every fresh name, at any depth
-
-    def to_sentence(self) -> S.Sentence:
-        body = self.conclusion
-        if self.definitions:
-            hyp = S.conjoin([d.as_sentence() for d in self.definitions])
-            body = ("implies", (hyp, body))
-        for kind, name in reversed(self.prefix):
-            body = (kind, ((name,), body))
-        return body
-
-
-def _desugar_leq(s: S.Sentence) -> S.Sentence:
-    def visit(node: S.Sentence, kids: list) -> S.Sentence:
-        op, args = node
-        if op == "leq":
-            return ("eq", (args[0], Meet(*args)))
-        return S.rebuild(node, kids)
-
-    return S.fold(s, visit)
+    sentence: S.Sentence
+    fresh: tuple[str, ...]
 
 
 class _FreshNames:
@@ -144,13 +110,16 @@ class _FreshNames:
                 return name
 
 
-def _name_subterms(matrix: S.Sentence, names: _FreshNames) -> FlatSentence:
-    """Give every compound subterm of a quantifier-free matrix a fresh
-    universally quantified variable, shared on structural equality, and
-    rewrite the matrix atoms over the resulting leaves."""
+def _name_subterms(matrix: S.Sentence, names: _FreshNames) -> S.Sentence:
+    """``forall t1 ... tk. (defs -> matrix')`` for a quantifier-free matrix.
+
+    Every compound subterm gets a fresh variable, shared on structural
+    equality and defined by an atom ``t = op(leaves)``; ``x <= y`` becomes
+    ``x = x ^ y``, and each atom of ``matrix'`` compares plain leaves.
+    With nothing to name, the matrix comes back as it is."""
     program = Program()
     leaf: list[str] = []  # per slot: the variable naming it
-    definitions: list[Definition] = []
+    defs: list[S.Sentence] = []  # dependency order
 
     def side(t: Term) -> Term:
         # bare constants are legal atom sides; only nested ones get names
@@ -162,57 +131,54 @@ def _name_subterms(matrix: S.Sentence, names: _FreshNames) -> FlatSentence:
                 leaf.append(a)
             else:
                 leaf.append(names.take())
-                operands = tuple(leaf[s] for s in (a, b) if s is not None)
-                definitions.append(Definition(leaf[-1], op, operands))
+                rhs = Term(op, *(Var(leaf[s]) for s in (a, b) if s is not None))
+                defs.append(("eq", (Var(leaf[-1]), rhs)))
         return Var(leaf[root])
 
     def visit(node: S.Sentence, kids: list) -> S.Sentence:
         op, args = node
+        if op == "leq":
+            return ("eq", (side(args[0]), side(Meet(*args))))
         if op == "eq":
             return ("eq", (side(args[0]), side(args[1])))
         return (op, tuple(kids))
 
-    conclusion = S.fold(matrix, visit)
-    fresh = tuple(d.name for d in definitions)
-    return FlatSentence(
-        tuple(("forall", name) for name in fresh), tuple(definitions), conclusion, fresh
-    )
+    body = S.fold(matrix, visit)
+    if defs:
+        body = ("implies", (S.conjoin(defs), body))
+    for _, (t, _rhs) in reversed(defs):
+        body = ("forall", ((t.a,), body))
+    return body
 
 
-def flatten(s: S.Sentence) -> FlatSentence:
+def flatten(s: S.Sentence) -> Flat:
     """Stage one; requires a closed sentence.
 
     Quantifiers stay where they are written.  Each maximal
-    quantifier-free subformula becomes ``forall fresh. (defs -> matrix)``
-    in place, which is sound in any context because the definitions pin
-    each fresh variable to one value."""
+    quantifier-free subformula, the whole sentence if it has no
+    quantifier, becomes ``forall fresh. (defs -> matrix)`` in place,
+    which is sound in any context because the definitions pin each fresh
+    variable to one value."""
     free = S.free_sentence_vars(s)
     if free:
         raise CompileError(
             "sentence must be closed; free: " + ", ".join(sorted(free))
         )
-    s = S.rename_bound(_desugar_leq(s))
+    s = S.rename_bound(s)
     names = _FreshNames(s)
-    prefix = []
-    while s[0] in S.QUANTIFIERS:
-        prefix += ((s[0], name) for name in s[1][0])
-        s = s[1][1]
 
     def visit(node: S.Sentence, kids: list) -> tuple[S.Sentence, bool]:
         # (flattened node, whether it is quantifier-free and left as is)
         if node[0] not in S.QUANTIFIERS and all(qf for _, qf in kids):
             return node, True
-        subs = [_name_subterms(k, names).to_sentence() if qf else k for k, qf in kids]
+        subs = [_name_subterms(k, names) if qf else k for k, qf in kids]
         return S.rebuild(node, subs), False
 
     body, qf = S.fold(s, visit)
-    top = _name_subterms(body, names) if qf else FlatSentence((), (), body, ())
-    return FlatSentence(
-        tuple(prefix) + top.prefix, top.definitions, top.conclusion, tuple(names.taken)
-    )
+    return Flat(_name_subterms(body, names) if qf else body, tuple(names.taken))
 
 
-def eval_flat(flat: FlatSentence, domain: Iterable[Subspace], ambient: int) -> bool:
+def eval_flat(flat: Flat, domain: Iterable[Subspace], ambient: int) -> bool:
     """Truth of the flat sentence with source variables ranging over
     ``domain``.
 
@@ -245,7 +211,7 @@ def eval_flat(flat: FlatSentence, domain: Iterable[Subspace], ambient: int) -> b
             return kids[-1]
         return S.rebuild(s, kids)
 
-    return S.eval_sentence(S.fold(flat.to_sentence(), visit), domain, ambient)
+    return S.eval_sentence(S.fold(flat.sentence, visit), domain, ambient)
 
 
 # --- stage 2: kernel encoding -----------------------------------------------
@@ -289,12 +255,6 @@ class _Namer:
 
 def _components(vec: str, n: int) -> tuple[str, ...]:
     return tuple(f"{vec}.{j}" for j in range(1, n + 1))
-
-
-def _matrix_entries(name: str, n: int) -> tuple[str, ...]:
-    return tuple(
-        f"{name}.{i}.{j}" for i in range(1, n + 1) for j in range(1, n + 1)
-    )
 
 
 def _kernel(name: str, vec: str, n: int, namer: _Namer) -> Node:
@@ -370,11 +330,11 @@ def _encode_atom(atom: S.Sentence, n: int, namer: _Namer) -> Node:
     return ("forall", (_components(v, n), body))
 
 
-def encode_kernels(flat: FlatSentence, n: int) -> Node:
-    """Stage two: one n x n matrix of complex variables per lattice
-    variable, one binder block per run of quantifiers of one kind;
-    definitions and atoms expanded per their schemas, and a chain of
-    conjunctions as one ``and``."""
+def encode_kernels(s: S.Sentence, n: int) -> Node:
+    """Stage two, on a flat sentence: one n x n matrix of complex
+    variables per lattice variable, one binder block per run of
+    quantifiers of one kind; definitions and atoms expanded per their
+    schemas, and a chain of conjunctions as one ``and``."""
     if n < 1:
         raise CompileError("matrix dimension must be at least 1")
     namer = _Namer()
@@ -391,7 +351,9 @@ def encode_kernels(flat: FlatSentence, n: int) -> Node:
             return kids[0]
         kids = [close(k) for k in kids]
         if op in S.QUANTIFIERS:
-            names = tuple(e for name in args[0] for e in _matrix_entries(name, n))
+            # binder names read off the entry nodes: ("var", ("x.i.j",))
+            rows = (row for name in args[0] for row in namer.matrix(name, n))
+            names = tuple(entry[1][0] for row in rows for entry in row)
             body = kids[0]
             if body[0] == op:
                 names += body[1][0]
@@ -404,7 +366,7 @@ def encode_kernels(flat: FlatSentence, n: int) -> Node:
             return _encode_atom(node, n, namer)
         return (op, kids if op == "and" else tuple(kids))
 
-    return close(S.fold(flat.to_sentence(), visit))
+    return close(S.fold(s, visit))
 
 
 # --- stage 3: realification -------------------------------------------------
@@ -476,7 +438,7 @@ def complex_to_real(c: Node) -> Node:
 
 def compile_sentence(s: S.Sentence, n: int) -> Node:
     """The whole pipeline; truth over L(C^n) becomes real validity."""
-    return complex_to_real(encode_kernels(flatten(s), n))
+    return complex_to_real(encode_kernels(flatten(s).sentence, n))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from qlattice.checker import (
     run_transport_suite,
 )
 from qlattice.compiler import (
-    Definition,
     compile_sentence,
     emit_solver_text,
     eval_flat,
@@ -43,10 +42,15 @@ from qlattice.formulas import (
     orthomodular_law,
     separation_witness,
 )
-from qlattice.sentences import eval_sentence, parse_sentence, universal_closure
+from qlattice.sentences import (
+    eval_sentence,
+    format_sentence,
+    parse_sentence,
+    universal_closure,
+)
 from qlattice.smtlib import check_solver_text
 from qlattice.subspaces import Subspace
-from qlattice.terms import Assignment, Var, evaluate
+from qlattice.terms import Assignment, evaluate
 
 GOLDEN = Path(__file__).parent / "golden"
 WORKED = "forall x, y, z. ~(x ^ y) v z = y ^ (~z v x)"
@@ -167,12 +171,18 @@ def test_criterion_08_meet_route_agreement(capsys):
 
 
 def test_criterion_09_compiler_structural(capsys):
+    # 6 fresh names and 6 definitions, the first t1 = x ^ y, and the
+    # conclusion t3 = t6
     flat = flatten(parse_sentence(WORKED))
+    flat_text = (
+        "forall x, y, z, t1, t2, t3, t4, t5, t6. "
+        "t1 = x ^ y & t2 = ~t1 & t3 = t2 v z & t4 = ~z & t5 = t4 v x "
+        "& t6 = y ^ t5 -> t3 = t6"
+    )
     shape_ok = (
-        len(flat.fresh) == 6
-        and len(flat.definitions) == 6
-        and flat.conclusion == ("eq", (Var("t3"), Var("t6")))
-        and flat.definitions[0] == Definition("t1", "meet", ("x", "y"))
+        flat.fresh == ("t1", "t2", "t3", "t4", "t5", "t6")
+        and format_sentence(flat.sentence) == flat_text
+        and flat.sentence == parse_sentence(flat_text)
     )
 
     agree_ok = True

@@ -17,7 +17,6 @@ from gaussian import GaussianRational, gaussian_rows
 from qlattice.checker import coordinate_family
 from qlattice.compiler import (
     CompileError,
-    Definition,
     _encode_definition,
     _Namer,
     compile_sentence,
@@ -39,6 +38,7 @@ from qlattice.formulas import (
 )
 from qlattice.linalg import _reduce_int_rows, _row_from_fracs
 from qlattice.sentences import (
+    conjoin,
     eval_sentence,
     format_sentence,
     parse_sentence,
@@ -46,7 +46,7 @@ from qlattice.sentences import (
 )
 from qlattice.smtlib import check_solver_text, parse_script
 from qlattice.subspaces import Subspace, complement, join, leq, random_subspace
-from qlattice.terms import BOT, Join, Var
+from qlattice.terms import Join, Meet, Not, Var
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
@@ -54,64 +54,71 @@ DATA = Path(__file__).parent / "data"
 WORKED = "forall x, y, z. ~(x ^ y) v z = y ^ (~z v x)"
 
 
+def _assert_flattens(source: str, text: str, fresh: tuple[str, ...]) -> None:
+    """``flatten`` of `source` prints as `text`, is the very sentence that
+    `text` parses to, one binder per quantifier node, and binds `fresh`."""
+    flat = flatten(parse_sentence(source))
+    assert format_sentence(flat.sentence) == text
+    assert flat.sentence == parse_sentence(text)
+    assert flat.fresh == fresh
+
+
 def test_flatten_worked_example_shape():
-    flat = flatten(parse_sentence(WORKED))
-    assert flat.fresh == ("t1", "t2", "t3", "t4", "t5", "t6")
-    assert flat.definitions == (
-        Definition("t1", "meet", ("x", "y")),
-        Definition("t2", "not", ("t1",)),
-        Definition("t3", "join", ("t2", "z")),
-        Definition("t4", "not", ("z",)),
-        Definition("t5", "join", ("t4", "x")),
-        Definition("t6", "meet", ("y", "t5")),
+    _assert_flattens(
+        WORKED,
+        "forall x, y, z, t1, t2, t3, t4, t5, t6. "
+        "t1 = x ^ y & t2 = ~t1 & t3 = t2 v z & t4 = ~z & t5 = t4 v x "
+        "& t6 = y ^ t5 -> t3 = t6",
+        ("t1", "t2", "t3", "t4", "t5", "t6"),
     )
-    assert flat.conclusion == ("eq", (Var("t3"), Var("t6")))
-    assert flat.prefix[:3] == (("forall", "x"), ("forall", "y"), ("forall", "z"))
-    assert all(kind == "forall" for kind, _ in flat.prefix)
 
 
 def test_flatten_printed_form():
-    flat = flatten(parse_sentence(WORKED))
-    assert format_sentence(flat.to_sentence()) == (
-        "forall x, y, z, t1, t2, t3, t4, t5, t6. "
-        "t1 = x ^ y & t2 = ~t1 & t3 = t2 v z & t4 = ~z & t5 = t4 v x "
-        "& t6 = y ^ t5 -> t3 = t6"
-    )
-    # and the printed form parses back to the same sentence
-    s = flat.to_sentence()
-    assert parse_sentence(format_sentence(s)) == s
+    # the flat sentence is built, not printed and parsed: its nodes are
+    # exactly these, with the definitions a left-nested conjunction
+    x, y, z = Var("x"), Var("y"), Var("z")
+    t = {i: Var(f"t{i}") for i in range(1, 7)}
+    defs = [
+        ("eq", (t[1], Meet(x, y))),
+        ("eq", (t[2], Not(t[1]))),
+        ("eq", (t[3], Join(t[2], z))),
+        ("eq", (t[4], Not(z))),
+        ("eq", (t[5], Join(t[4], x))),
+        ("eq", (t[6], Meet(y, t[5]))),
+    ]
+    body = ("implies", (conjoin(defs), ("eq", (t[3], t[6]))))
+    for name in ("x", "y", "z", "t1", "t2", "t3", "t4", "t5", "t6")[::-1]:
+        body = ("forall", ((name,), body))
+    assert flatten(parse_sentence(WORKED)).sentence == body
 
 
 def test_flatten_atomic_sentence_unchanged():
-    flat = flatten(parse_sentence("forall x. x = x"))
-    assert flat.definitions == ()
-    assert flat.fresh == ()
-    assert flat.to_sentence() == parse_sentence("forall x. x = x")
+    _assert_flattens("forall x. x = x", "forall x. x = x", ())
 
 
 def test_flatten_shares_repeated_subterms():
-    flat = flatten(parse_sentence("forall x, y. (x ^ y) v (x ^ y) = x ^ y"))
-    assert flat.definitions == (
-        Definition("t1", "meet", ("x", "y")),
-        Definition("t2", "join", ("t1", "t1")),
+    _assert_flattens(
+        "forall x, y. (x ^ y) v (x ^ y) = x ^ y",
+        "forall x, y, t1, t2. t1 = x ^ y & t2 = t1 v t1 -> t2 = t1",
+        ("t1", "t2"),
     )
-    assert flat.conclusion == ("eq", (Var("t2"), Var("t1")))
 
 
 def test_flatten_desugars_leq():
-    flat = flatten(parse_sentence("forall x, y. x <= y"))
-    assert flat.definitions == (Definition("t1", "meet", ("x", "y")),)
-    assert flat.conclusion == ("eq", (Var("x"), Var("t1")))
+    _assert_flattens("forall x, y. x <= y", "forall x, y, t1. t1 = x ^ y -> x = t1", ("t1",))
 
 
 def test_flatten_names_nested_constants():
-    flat = flatten(parse_sentence("forall x. x v 0 = x"))
-    assert flat.definitions == (
-        Definition("t1", "bot", ()),
-        Definition("t2", "join", ("x", "t1")),
+    # a bare constant side stays; a nested one is a definition t = 0
+    _assert_flattens(
+        "forall x. x v 0 = x",
+        "forall x, t1, t2. t1 = 0 & t2 = x v t1 -> t2 = x",
+        ("t1", "t2"),
     )
-    op, (lhs, rhs) = flat.definitions[0].as_sentence()
-    assert (op, lhs) == ("eq", Var("t1")) and rhs is BOT
+    _assert_flattens(
+        "1 v 0 = 1", "forall t1, t2, t3. t1 = 1 & t2 = 0 & t3 = t1 v t2 -> t3 = 1",
+        ("t1", "t2", "t3"),
+    )
 
 
 def test_flatten_requires_closed():
@@ -121,33 +128,37 @@ def test_flatten_requires_closed():
 
 def test_flatten_avoids_captured_fresh_names():
     # a source variable already called t1 must not collide
-    flat = flatten(parse_sentence("forall t1. t1 ^ t1 = t1"))
-    assert flat.fresh == ("t2",)
+    _assert_flattens(
+        "forall t1. t1 ^ t1 = t1", "forall t1, t2. t2 = t1 ^ t1 -> t2 = t1", ("t2",)
+    )
 
 
 def test_quantifiers_stay_in_place():
-    flat = flatten(parse_sentence("!(exists x. x = 0)"))
-    assert flat.prefix == ()
-    assert flat.to_sentence() == ("not", (("exists", (("x",), ("eq", (Var("x"), BOT)))),))
+    _assert_flattens("!(exists x. x = 0)", "!(exists x. x = 0)", ())
 
 
 def test_quantified_iff_is_expanded():
     # the biconditional stays whole, its operands keep their quantifiers
     s = parse_sentence("(forall x. x = 0) <-> (forall y. y = 0)")
     flat = flatten(s)
-    assert flat.to_sentence() == s
+    assert flat == (s, ())
     dom = coordinate_family(2, 0)
     assert eval_flat(flat, dom, 2) == eval_sentence(s, dom, 2)
 
 
 def test_inner_scopes_are_flattened_in_place():
-    s = parse_sentence("forall x. exists y. x ^ y = 0 & (forall z. z v x = z)")
-    flat = flatten(s)
-    assert flat.prefix == (("forall", "x"), ("exists", "y"))
-    assert flat.definitions == ()
-    assert flat.fresh == ("t1", "t2")
-    assert format_sentence(flat.conclusion) == (
-        "(forall t2. t2 = x ^ y -> t2 = 0) & (forall z, t1. t1 = z v x -> t1 = z)"
+    # inner scopes take fresh names first, as the fold reaches them
+    _assert_flattens(
+        "forall x. exists y. x ^ y = 0 & (forall z. z v x = z)",
+        "forall x. exists y. (forall t2. t2 = x ^ y -> t2 = 0) "
+        "& (forall z, t1. t1 = z v x -> t1 = z)",
+        ("t1", "t2"),
+    )
+    _assert_flattens(
+        "forall x. exists y. (x ^ y = 0 & forall z. z ^ x <= y v z)",
+        "forall x. exists y. (forall t4. t4 = x ^ y -> t4 = 0) "
+        "& (forall z, t1, t2, t3. t1 = z ^ x & t2 = y v z & t3 = t1 ^ t2 -> t1 = t3)",
+        ("t1", "t2", "t3", "t4"),
     )
 
 
@@ -213,8 +224,7 @@ def test_encoding_is_deterministic():
 
 
 def test_realification_doubles_quantifiers():
-    flat = flatten(parse_sentence("forall x. x = x"))
-    c = encode_kernels(flat, 3)
+    c = encode_kernels(flatten(parse_sentence("forall x. x = x")).sentence, 3)
     op, (names, _) = complex_to_real(c)
     assert op == "forall"
     # the atom's forall v shares the block of forall x
@@ -350,7 +360,7 @@ def _check_realification(c, r, rng):
 def test_realification_preserves_complex_values(n):
     rng = random.Random(n)
     for s in _CORPUS:
-        c = encode_kernels(flatten(s), n)
+        c = encode_kernels(flatten(s).sentence, n)
         assert _check_realification(c, complex_to_real(c), rng) > 0
 
 
@@ -457,7 +467,7 @@ def test_emit_rejects_unknown_form():
 
 def test_encode_rejects_bad_dimension():
     with pytest.raises(CompileError):
-        encode_kernels(flatten(parse_sentence("forall x. x = x")), 0)
+        encode_kernels(flatten(parse_sentence("forall x. x = x")).sentence, 0)
 
 
 def _affine(e, env, bound):
