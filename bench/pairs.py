@@ -16,7 +16,10 @@ listed there.  Then it prints one verdict line per metric of that list:
 by more than the distance between PARENT's quartiles; "worse beyond
 bound" when CHANGE's median is worse than PARENT's by more than the
 metric's ``bound``, a fraction of PARENT's median; else "no gain shown,
-within bound".
+within bound".  Last, it prints the median over each side's runs of the
+unscaled setup, round and reference-slice times that every run notes
+(its ``unscaled medians:`` line), so a move in ``setup_s`` that comes
+only from the reference-slice scale shows as one.
 
 Before the first run it deletes every ``__pycache__`` under ``src/`` and
 ``perfbench/`` of both checkouts.  A checkout made from committed files
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import shutil
 import statistics
 import subprocess
@@ -63,8 +67,23 @@ def clear_bytecode(tree: Path) -> int:
     return len(caches)
 
 
+_UNSCALED = re.compile(
+    r"unscaled medians: setup (\S+) s, round (\S+) s, reference slice (\S+) s")
+_UNSCALED_PARTS = ("setup", "round", "reference slice")
+
+
+def unscaled(lines: list[str]) -> dict[str, float]:
+    """``part -> seconds`` from a run's ``unscaled medians:`` note line,
+    or nothing when the run printed none."""
+    for line in lines:
+        if m := _UNSCALED.fullmatch(line):
+            return dict(zip(_UNSCALED_PARTS, map(float, m.groups())))
+    return {}
+
+
 def run_once(tree: Path, args, seed: int) -> dict:
-    """The result line of one ``perfbench/run.py`` run in `tree`."""
+    """The result line of one ``perfbench/run.py`` run in `tree`, with the
+    run's :func:`unscaled` times under ``"unscaled"``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
            "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
     cmd += ["--small"] * args.small
@@ -73,7 +92,7 @@ def run_once(tree: Path, args, seed: int) -> dict:
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"pairs: run in {tree} at seed {seed} failed (exit {proc.returncode})")
-    return json.loads(lines[-1])
+    return dict(json.loads(lines[-1]), unscaled=unscaled(lines))
 
 
 def end_to_end(tree: Path) -> dict[str, dict]:
@@ -143,6 +162,19 @@ def verdicts(parent: list[dict], change: list[dict], specs: dict[str, dict]) -> 
     return lines
 
 
+def unscaled_summary(parent: list[dict], change: list[dict]) -> list[str]:
+    """One line per side: the median over its runs of each unscaled time;
+    nothing unless every run reported them."""
+    if not all(r.get("unscaled") for r in parent + change):
+        return []
+    return [
+        f"{side} unscaled medians: " + ", ".join(
+            f"{part} {_num(statistics.median(r['unscaled'][part] for r in runs))} s"
+            for part in _UNSCALED_PARTS)
+        for side, runs in (("parent", parent), ("change", change))
+    ]
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -164,7 +196,8 @@ def main(argv=None) -> int:
     specs = end_to_end(trees["change"])
     better = {name: spec["better"] for name, spec in specs.items()}
     for line in (summarise(runs["parent"], runs["change"], better)
-                 + verdicts(runs["parent"], runs["change"], specs)):
+                 + verdicts(runs["parent"], runs["change"], specs)
+                 + unscaled_summary(runs["parent"], runs["change"])):
         print(line)
     bad = sum(not r["correct"] for side in runs.values() for r in side)
     if bad:

@@ -81,6 +81,7 @@ def separation_equation(i: int) -> Equation:
     return Equation(alpha_iter(i + 1), BOT)
 
 
+@cache
 def separation_witness(i: int) -> Assignment:
     """Assignment over ambient ``2**(i + 1)`` falsifying :func:`separation_equation`.
 
@@ -88,7 +89,8 @@ def separation_witness(i: int) -> Assignment:
     into two coordinate halves p and q plus the graph line family
     r = span{b_j + b_(j+h)}; alpha then evaluates to the relative complement
     of p, halving the dimension, so after ``i + 1`` levels a single
-    dimension survives.
+    dimension survives.  Built once per `i`: every caller gets the same
+    assignment, so none may change its bindings.
     """
     n = 2 ** (i + 1)
     current = Subspace.full(n)

@@ -15,24 +15,24 @@ sends i to a square root of -1; the rank of the images is a lower bound
 on the rank, and a full one makes the identity the answer.  It is an
 echelon step over F_p: it reduces the images row by row against the
 pivot rows found so far, without inverses, and stops as soon as the rank
-reaches the column count.  Every other input
-goes through fraction-free Gauss-Jordan (Bareiss): each combine
+reaches the column count.  Every other input goes through
+fraction-free Gauss-Jordan (Bareiss): each combine
 ``D_k * r - r[c_k] * p_k`` is divided exactly by the previous pivot
 value, so every stored entry is a minor of the input and coefficient size
-stays bounded by Hadamard's inequality.  Rows are rescaled lazily, only
-when a step touches them.  Null rows, whose kernel is a canonical span,
+stays bounded by Hadamard's inequality.  Every row takes every step, so
+all rows share one level, and a step rewrites a row only on the columns
+where it can still change.  Null rows, whose kernel is a canonical span,
 are read straight off its free columns, and a kernel reads them off one
 reduction of its input with the columns reversed.  The span of two
 canonical blocks is merged rather than eliminated afresh: the smaller
 block's rows are reduced against the larger one, an exact membership
 step with no division, only the rows it leaves go through Bareiss, and
 the larger block's rows are then cleared of the new pivot columns with
-one lcm scale each.  Two products of rows
-let a caller eliminate on the side with fewer rows: the matrix of the
-bilinear pairing (no conjugation) of two row lists, and the rows that a
-list of coefficient rows combines.  Fractions reappear only when a
-canonical reduced row echelon basis is materialised, with each pivot
-normalised to 1.
+one lcm scale each.  Two products of rows let a caller eliminate on the
+side with fewer rows: the matrix of the bilinear pairing (no
+conjugation) of two row lists, and the rows that a list of coefficient
+rows combines.  Fractions reappear only when a canonical reduced row
+echelon basis is materialised, with each pivot normalised to 1.
 """
 
 from __future__ import annotations
@@ -49,10 +49,14 @@ _Int = int  # Gaussian-integer rows are flat lists [re0, im0, re1, im1, ...]
 Pair = tuple[int | Fraction, int | Fraction]
 Scalar = Pair | int | Fraction
 
-# The prime of the rank certificate and a square root of -1 modulo it: 3
-# generates the units mod _P, so 3 ** ((_P - 1) / 4) has order 4.
-_P = 998244353
-_I_MOD_P = pow(3, (_P - 1) // 4, _P)
+# The prime of the rank certificate and a square root of -1 modulo it.
+# _P = 32749 is the largest prime = 1 (mod 4) below 2**15, so a product of
+# two residues, and each ``x * lead - t * y`` of the F_p step, stays below
+# 2**30 in size: one CPython digit.  As _P = 5 (mod 8), 2 is a quadratic
+# non-residue, so 2 ** ((_P - 1) / 2) = -1 and 2 ** ((_P - 1) / 4) has
+# order 4.
+_P = 32749
+_I_MOD_P = pow(2, (_P - 1) // 4, _P)
 
 
 class ScalarFormatError(ValueError):
@@ -248,17 +252,19 @@ def _reduce_int_rows(
             identity.append(row)
         return identity, list(range(ncols))
     # Fraction-free Gauss-Jordan (Bareiss).  With D the pivot value of the
-    # previous step (1 before the first), step k turns every other row r
-    # into (D_k * r - r[c_k] * p_k) / D; the division is exact and every
-    # entry stays a minor of the input.  Rows are scaled lazily: when r is
-    # zero in the pivot column the step would only multiply it by D_k / D,
-    # so it is skipped.  level[i] is the pivot value that was current when
-    # work[i] was last written, so the Bareiss row is work[i] * D / level[i]:
-    # a combine divides by level[i] instead of D, and the pivot row is
-    # brought up to date before its step.
-    d = (1, 0)
-    level = [d] * len(work)
+    # previous step (1 before the first), step k turns every row r other
+    # than the pivot row p_k into (D_k * r - r[c_k] * p_k) / D.  By
+    # Sylvester's identity the division is exact even where r[c_k] = 0, so
+    # every entry stays a minor of the input and all rows share the level
+    # D.  A row is rewritten only on its live columns: p_k is zero left of
+    # c_k, a row without a pivot is zero there too, and a row with an
+    # earlier pivot is zero at the other pivot columns and holds D at its
+    # own, which is written once at the end.  Such a row can change only
+    # from the first pivot-less column on, every other row only right of
+    # c_k, and every row becomes zero at c_k.
+    da, db = 1, 0
     pivots: list[int] = []
+    free = width  # the first pivot-less column's real part, once there is one
     npiv = 0
     for pc in range(ncols):
         re_i, im_i = 2 * pc, 2 * pc + 1
@@ -266,71 +272,57 @@ def _reduce_int_rows(
             if work[pi][re_i] or work[pi][im_i]:
                 break
         else:
+            free = min(free, re_i)
             continue
         if pi != npiv:
             work[npiv], work[pi] = work[pi], work[npiv]
-            level[npiv], level[pi] = level[pi], level[npiv]
         prow = work[npiv]
-        if level[npiv] is not d:
-            # Bring the pivot row up to date: work * D / level.
-            da, db = d
-            sa, sb = level[npiv]
-            n2 = sa * sa + sb * sb
-            for k in range(re_i, width, 2):
-                ra, rb = prow[k], prow[k + 1]
-                xa, xb = da * ra - db * rb, da * rb + db * ra
-                prow[k] = (xa * sa + xb * sb) // n2
-                prow[k + 1] = (xb * sa - xa * sb) // n2
-        pa, pb = d = prow[re_i], prow[im_i]
+        pa, pb = prow[re_i], prow[im_i]
+        live = re_i + 2
+        earlier = min(free, live)
+        n2 = da * da + db * db
         for i, r in enumerate(work):
-            ta, tb = r[re_i], r[im_i]
-            if i == npiv or not (ta or tb):
+            if i == npiv:
                 continue
-            # r := (D_k * r - r[pc] * prow) / level[i], from the row's
-            # leading column on (both rows are zero left of it).
-            start = 2 * pivots[i] if i < npiv else re_i
-            sa, sb = level[i]
-            if sb:
-                n2 = sa * sa + sb * sb
+            ta, tb = r[re_i], r[im_i]
+            start = earlier if i < npiv else live
+            if db:
                 for k in range(start, width, 2):
                     ra, rb = r[k], r[k + 1]
                     qa, qb = prow[k], prow[k + 1]
                     xa = pa * ra - pb * rb - ta * qa + tb * qb
                     xb = pa * rb + pb * ra - ta * qb - tb * qa
-                    r[k] = (xa * sa + xb * sb) // n2
-                    r[k + 1] = (xb * sa - xa * sb) // n2
-            elif sa != 1:
+                    r[k] = (xa * da + xb * db) // n2
+                    r[k + 1] = (xb * da - xa * db) // n2
+            elif da != 1:
                 for k in range(start, width, 2):
                     ra, rb = r[k], r[k + 1]
                     qa, qb = prow[k], prow[k + 1]
-                    r[k] = (pa * ra - pb * rb - ta * qa + tb * qb) // sa
-                    r[k + 1] = (pa * rb + pb * ra - ta * qb - tb * qa) // sa
-            else:  # level 1: nothing to divide
+                    r[k] = (pa * ra - pb * rb - ta * qa + tb * qb) // da
+                    r[k + 1] = (pa * rb + pb * ra - ta * qb - tb * qa) // da
+            else:  # D = 1: nothing to divide
                 for k in range(start, width, 2):
                     ra, rb = r[k], r[k + 1]
                     qa, qb = prow[k], prow[k + 1]
                     r[k] = pa * ra - pb * rb - ta * qa + tb * qb
                     r[k + 1] = pa * rb + pb * ra - ta * qb - tb * qa
-            level[i] = d
-        level[npiv] = d
+            r[re_i] = r[im_i] = 0
+        da, db = pa, pb
         pivots.append(pc)
         npiv += 1
         if npiv == len(work):
             break  # every row holds a pivot, so no later column has one
     work = work[:npiv]
-    # Normalise: multiply by the conjugate of the pivot entry so the pivot
-    # becomes |pivot|^2 > 0, then strip content so each row is primitive.
-    # The result does not depend on the row's scale, so the lazily scaled
-    # rows need no final update.
-    for k in range(npiv):
-        pc = pivots[k]
-        prow = work[k]
-        pa, pb = prow[2 * pc], prow[2 * pc + 1]
-        if pb or pa < 0:
+    # Normalise: set each pivot entry to D, multiply by the conjugate of D
+    # so the pivot becomes |D|^2 > 0, then strip content so each row is
+    # primitive.
+    for prow, pc in zip(work, pivots):
+        prow[2 * pc], prow[2 * pc + 1] = da, db
+        if db or da < 0:
             for j in range(0, width, 2):
                 ra, rb = prow[j], prow[j + 1]
-                prow[j] = pa * ra + pb * rb
-                prow[j + 1] = pa * rb - pb * ra
+                prow[j] = da * ra + db * rb
+                prow[j + 1] = da * rb - db * ra
         _strip_content(prow)
     return work, pivots
 

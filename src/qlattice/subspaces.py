@@ -407,6 +407,9 @@ def _random_from(rng: Random, ambient: int, dim: int, coeff_bound: int) -> Subsp
                     r = getrandbits(k)
                 row.append(r - coeff_bound)
             rows.append(row)
+        # A square draw of full rank mod p is the whole space, as in join.
+        if dim == ambient and _rank_mod_p(rows, ambient) == ambient:
+            return Subspace.full(ambient)
         red, _ = _reduce_int_rows(rows, ambient)
         if len(red) == dim:
             return Subspace._make(ambient, red)

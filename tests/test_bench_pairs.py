@@ -119,3 +119,26 @@ def test_verdicts_only_for_listed_metrics_the_runs_report():
     parent = [_run(wall_s=0.3, unlisted=1.0)]
     change = [_run(wall_s=0.3, unlisted=9.0)]
     assert pairs.verdicts(parent, change, _SPECS) == ["wall_s: no gain shown, within bound"]
+
+
+def test_unscaled_medians_are_read_from_the_note_line_and_summarised():
+    lines = [
+        "wall_s = 0.4 s",
+        "unscaled medians: setup 0.1155 s, round 0.31 s, reference slice 0.0205 s",
+        '{"correct": true}',
+    ]
+    assert pairs.unscaled(lines) == {"setup": 0.1155, "round": 0.31, "reference slice": 0.0205}
+    assert pairs.unscaled(lines[:1]) == {}
+
+    def run(setup, round_s, ref):
+        return dict(_run(wall_s=round_s), unscaled={
+            "setup": setup, "round": round_s, "reference slice": ref})
+
+    parent = [run(0.12, 0.30, 0.020), run(0.11, 0.32, 0.021), run(0.13, 0.31, 0.022)]
+    change = [run(0.12, 0.28, 0.024), run(0.12, 0.27, 0.025), run(0.11, 0.29, 0.023)]
+    assert pairs.unscaled_summary(parent, change) == [
+        "parent unscaled medians: setup 0.12 s, round 0.31 s, reference slice 0.021 s",
+        "change unscaled medians: setup 0.12 s, round 0.28 s, reference slice 0.024 s",
+    ]
+    # A run without the note line (an older perfbench) gives no summary.
+    assert pairs.unscaled_summary(parent, change + [_run(wall_s=0.3)]) == []

@@ -351,7 +351,9 @@ def _times(row, za, zb):
 @st.composite
 def gaussian_int_rows(draw, max_cols=8):
     """Rows of Gaussian integers, some zero, some dependent on earlier rows,
-    some carrying a Gaussian factor (1+i) or (2+i)."""
+    some carrying a Gaussian factor (1+i) or (2+i); in some draws one
+    column is zero in every row, so a pivot-less column can lie left of a
+    later pivot."""
     ncols = draw(st.integers(1, max_cols))
     bound = draw(st.sampled_from([1, 3, 20]))
     entry = st.integers(-bound, bound)
@@ -369,6 +371,10 @@ def gaussian_int_rows(draw, max_cols=8):
             row = [draw(entry) for _ in range(2 * ncols)]
         factor = draw(st.sampled_from([(1, 0), (1, 1), (2, 1)]))
         rows.append(_times(row, *factor))
+    if draw(st.sampled_from(["rows", "zero column"])) == "zero column":
+        c = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[2 * c] = row[2 * c + 1] = 0
     return rows, ncols
 
 
@@ -378,6 +384,13 @@ class TestIntCore:
     def test_reduce_matches_fraction_reference(self, case):
         rows, ncols = case
         assert _reduce_int_rows(rows, ncols) == _ref_reduce(rows, ncols)
+
+    def test_pivot_less_column_left_of_a_later_pivot(self):
+        # Column 1 has no pivot, so the step at column 2 rewrites the row
+        # with the pivot at column 0 from column 1 on, and its entry at
+        # column 2 must come out zero.
+        rows = [[1, -1, 0, 0, -1, -1], [-1, 1, 0, 0, -1, 0]]
+        assert _reduce_int_rows(rows, 3) == ([[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0]], [0, 2])
 
     @given(gaussian_int_rows())
     @settings(max_examples=100, deadline=None)
@@ -489,6 +502,7 @@ class TestRankCertificate:
         assert p % 4 == 1
         assert all(p % d for d in range(2, int(p**0.5) + 1))
         assert s * s % p == p - 1
+        assert p * p < 2**30
 
     def test_i_is_not_sent_to_one(self, rank_verdicts):
         # Row 2 is i times row 1: rank 1, although under i -> 1 the rows

@@ -703,6 +703,24 @@ class TestRandomSubspace:
                     assert got is _randint_random_from(twin, ambient, dim, bound)
         assert ours.getstate() == twin.getstate()
 
+    def test_full_rank_draw_is_the_held_full_space(self, monkeypatch):
+        # At dim == ambient the rank certificate settles a full-rank draw
+        # with no reduction, and the draws after it are the ones they were.
+        calls = []
+        reduce = sub._reduce_int_rows
+
+        def spy(rows, ncols):
+            calls.append(ncols)
+            return reduce(rows, ncols)
+
+        monkeypatch.setattr(sub, "_reduce_int_rows", spy)
+        ours, twin = Random(3), Random(3)
+        got = sub._random_from(ours, 4, 4, 3)
+        assert got is Subspace.full(4) and calls == []
+        assert _randint_random_from(twin, 4, 4, 3) is got
+        assert sub._random_from(ours, 4, 2, 3) is _randint_random_from(twin, 4, 2, 3)
+        assert ours.getstate() == twin.getstate()
+
 
 def _randint_random_from(rng, ambient, dim, coeff_bound):
     """``_random_from`` as it drew each coefficient through ``rng.randint``."""
