@@ -1,5 +1,9 @@
 """The chunked sweep behind ``check``: the same verdicts as a plain loop
-over single assignments, and bounded draws."""
+over single assignments, bounded draws, and pinned outcomes."""
+
+import json
+from hashlib import blake2b
+from pathlib import Path
 
 import pytest
 
@@ -9,10 +13,13 @@ from qlattice.checker import (
     StoredWitnesses,
     check,
     coordinate_family,
+    default_strategies,
 )
 from qlattice.formulas import named_equations
 from qlattice.subspaces import Subspace
 from qlattice.terms import BOT, Assignment, Equation, Join, Var, evaluate, parse_equation
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def reference_check(eq, ambient, strategies):
@@ -147,3 +154,34 @@ def test_a_wide_ambient_draws_exactly_k(k):
     verdict = check(BELOW, 64, [strategy])
     assert verdict.samples_tried == k
     assert strategy.drawn == k
+
+
+def _check_outcomes() -> dict[str, list]:
+    """Status, samples tried, strategy log and the blake2b of the
+    counterexample fixture (or None) of every catalogue equation, under
+    ``default_strategies(samples=100)`` at ambients 1..3 and under the
+    plane-family strategies at ambients 2 and 3.
+    ``tests/golden/check-outcomes.json`` holds the output of
+    ``json.dumps(_check_outcomes(), indent=2)``."""
+    strategy_sets = {
+        "default": (lambda: default_strategies(samples=100), (1, 2, 3)),
+        "plane-family": (lambda: [StoredWitnesses(), CoordinateFamilyStrategy(cap=4096)], (2, 3)),
+    }
+    outcomes = {}
+    for label, (strategies, ambients) in strategy_sets.items():
+        for name, eq in named_equations().items():
+            for n in ambients:
+                v = check(eq, n, strategies())
+                cx = v.counterexample
+                digest = None if cx is None else blake2b(
+                    cx.fixture().encode(), digest_size=32
+                ).hexdigest()
+                outcomes[f"{name} n={n} {label}"] = [
+                    v.status, v.samples_tried, list(v.strategy_log), digest,
+                ]
+    return outcomes
+
+
+def test_check_outcomes_match_golden():
+    expected = json.loads((GOLDEN / "check-outcomes.json").read_text())
+    assert _check_outcomes() == expected
