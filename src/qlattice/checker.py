@@ -20,14 +20,18 @@ transport, and the distinct-line family) into pass/fail records with
 inline certificates; :data:`SUITES` names them for the CLI and
 :func:`run_all`.
 
-``check`` and every suite run on one sweep, :func:`_sweep`.  It draws
-assignments in chunks of 1, 2, 4, ... up to a cap, evaluates the chunk's
-terms slot by slot as columns (:class:`~qlattice.terms.Evaluator`), then
-runs a probe that returns None or the detail of a failure on each
-assignment in order.  The first failure ends the sweep: a suite record's
-``samples`` counts the assignments evaluated up to and including the
-failing one, whose fixture is the certificate.  A clean sweep gives a pass
-record over every assignment, worded from what the probe tallied.
+``check`` and every suite run on one sweep, :func:`_sweep`.  Its unit of
+work is a row: a plain tuple of subspaces of the sweep's one ambient, the
+values of the variable names in order (``eq.free_vars`` order for a
+strategy, so a custom strategy's ``assignments(eq, ambient)`` yields such
+tuples).  The sweep draws rows in chunks of 1, 2, 4, ... up to a cap,
+evaluates the chunk's terms slot by slot as columns
+(:class:`~qlattice.terms.Evaluator`), then runs a probe that returns None
+or the detail of a failure on each row in order.  The first failure ends
+the sweep, and only that row becomes an :class:`~qlattice.terms.Assignment`:
+a suite record's ``samples`` counts the rows evaluated up to and including
+the failing one, whose fixture is the certificate.  A clean sweep gives a
+pass record over every row, worded from what the probe tallied.
 """
 
 from __future__ import annotations
@@ -63,7 +67,6 @@ from .terms import (
     Evaluator,
     Program,
     Term,
-    UnboundVariableError,
     Var,
     evaluate,
     holds,
@@ -144,8 +147,8 @@ def _build_family(ambient: int, extra_lines: int) -> list[Subspace]:
     return family
 
 
-def _tuples(names: Sequence[str], family: Sequence[Subspace], ambient: int) -> Iterator[Assignment]:
-    """Every assignment of `names` to members of `family`, in product order.
+def _tuples(names: Sequence[str], family: Sequence[Subspace], ambient: int) -> Iterator[tuple]:
+    """Every row of `names` over members of `family`, in product order.
 
     Raises:
         AmbientMismatch: if a member of `family` is not in `ambient`.
@@ -155,28 +158,28 @@ def _tuples(names: Sequence[str], family: Sequence[Subspace], ambient: int) -> I
             raise AmbientMismatch(
                 f"family member lives in ambient {s.ambient}, expected {ambient}"
             )
-    of = Assignment._of
-    for combo in itertools.product(family, repeat=len(names)):
-        yield of(ambient, dict(zip(names, combo)))
+    return itertools.product(family, repeat=len(names))
 
 
 class StoredWitnesses:
-    """Stored counterexample assignments whose equation matches exactly."""
+    """Stored counterexample assignments whose equation matches exactly,
+    each read into a row."""
 
     name = "stored-witnesses"
 
-    def assignments(self, eq: Equation, ambient: int) -> Iterator[Assignment]:
+    def assignments(self, eq: Equation, ambient: int) -> Iterator[tuple]:
+        names = eq.free_vars
         for record in counterexample_catalog():
             if record.equation == eq and record.assignment.ambient == ambient:
-                yield record.assignment
+                yield tuple(map(record.assignment.__getitem__, names))
 
 
 class CoordinateFamilyStrategy:
-    """All tuples over :func:`coordinate_family`, sampled above a cap.
+    """All rows over :func:`coordinate_family`, sampled above a cap.
 
-    Exhaustive when family_size ** nvars <= cap; otherwise ``cap`` seeded
-    uniform tuples, so the strategy stays deterministic and bounded even
-    for equations with many variables.
+    Exhaustive when family_size ** nvars <= cap, in product order;
+    otherwise ``cap`` seeded uniform rows, so the strategy stays
+    deterministic and bounded even for equations with many variables.
     """
 
     name = "coordinate-family"
@@ -186,16 +189,13 @@ class CoordinateFamilyStrategy:
         self.cap = cap
         self.seed = seed
 
-    def assignments(self, eq: Equation, ambient: int) -> Iterator[Assignment]:
+    def assignments(self, eq: Equation, ambient: int) -> Iterator[tuple]:
         if ambient > _MAX_EXHAUSTIVE_AMBIENT:
             return
         # Ambient 1 has no pairs i < j, hence no non-coordinate lines.
         extras = self.extra_lines if ambient >= 2 else 0
         family = coordinate_family(ambient, extras)
         names = eq.free_vars
-        if not names:
-            yield Assignment(ambient, {})
-            return
         total = len(family) ** len(names)
         if total <= self.cap:
             yield from _tuples(names, family, ambient)
@@ -205,31 +205,30 @@ class CoordinateFamilyStrategy:
             getrandbits = Random(f"coordinate-family:{self.seed}:{ambient}").getrandbits
             size = len(family)
             k = size.bit_length()
-            of = Assignment._of
             for _ in range(self.cap):
-                bindings = {}
-                for name in names:
+                row = []
+                for _ in names:
                     r = getrandbits(k)
                     while r >= size:
                         r = getrandbits(k)
-                    bindings[name] = family[r]
-                yield of(ambient, bindings)
+                    row.append(family[r])
+                yield tuple(row)
 
 
 def _random_assignments(
     seed: str, ambient: int, names: Sequence[str], count: int, coeff_bound: int
-) -> Iterator[Assignment]:
-    """`count` assignments of `names`, each a random subspace of uniform dimension."""
+) -> Iterator[tuple]:
+    """`count` rows of `names`, each value a random subspace of uniform dimension."""
     rng = Random(seed)
     for _ in range(count):
-        yield Assignment._of(ambient, {
-            name: _random_from(rng, ambient, _below(rng, ambient + 1), coeff_bound)
-            for name in names
-        })
+        yield tuple([
+            _random_from(rng, ambient, _below(rng, ambient + 1), coeff_bound)
+            for _ in names
+        ])
 
 
 class RandomSampling:
-    """Seeded random assignments; dimensions drawn uniformly in 0..ambient."""
+    """Seeded random rows; dimensions drawn uniformly in 0..ambient."""
 
     name = "random"
 
@@ -238,7 +237,7 @@ class RandomSampling:
         self.seed = seed
         self.coeff_bound = coeff_bound
 
-    def assignments(self, eq: Equation, ambient: int) -> Iterator[Assignment]:
+    def assignments(self, eq: Equation, ambient: int) -> Iterator[tuple]:
         yield from _random_assignments(
             f"random:{self.seed}:{ambient}", ambient, eq.free_vars,
             self.count, self.coeff_bound,
@@ -304,56 +303,71 @@ _CHUNK_ENTRIES = 2 ** 14
 
 
 def _sweep(
-    assignments: Iterable[Assignment],
+    rows: Iterable[tuple],
+    names: Sequence[str],
     ambient: int,
     roots: Sequence[Term],
     probe,
     routes: Sequence = (None,),
 ) -> tuple[int, Assignment | None, object]:
-    """Run `probe` on each assignment in order until it returns a failure.
+    """Run `probe` on each row in order until it returns a failure.
 
-    Assignments are drawn in chunks of 1, 2, 4, ... assignments.  Each
+    A row is a tuple of subspaces of `ambient`, the values of `names` in
+    that order.  Rows are drawn in chunks of 1, 2, 4, ... rows.  Each
     chunk's `roots` are evaluated as columns by one :class:`Evaluator` per
     meet route in `routes` (None is the default meet), over one shared
-    program; then ``probe(a, *values)`` runs on each assignment of the
-    chunk, with the values of the roots under each route in turn, and
-    returns None or the detail of a failure.
+    program; then ``probe(row, *values)`` runs on each row of the chunk,
+    with the values of the roots under each route in turn, and returns
+    None or the detail of a failure.
 
-    Returns the number of assignments probed and, at the first failure,
-    the failing assignment and its detail (else None and None).  A failure
-    at position k has drawn at most 2k - 1 assignments, since no chunk is
-    longer than all chunks before it plus one.  A chunk is at most
-    ``_CHUNK_ENTRIES // (program slots * ambient**2)`` long, and at least
-    1, which bounds the matrix entries its columns hold.
+    Returns the number of rows probed and, at the first failure, the
+    failing row as an :class:`Assignment` and its detail (else None and
+    None).  A failure at position k has drawn at most 2k - 1 rows, since
+    no chunk is longer than all chunks before it plus one.  A chunk is at
+    most ``_CHUNK_ENTRIES // (program slots * ambient**2)`` long, and at
+    least 1, which bounds the matrix entries its columns hold.
 
     Raises:
-        AmbientMismatch: if `ambient` is below 1, before any assignment
-            is drawn.
-        UnboundVariableError: if an assignment of a chunk lacks a variable
-            of the roots.
+        AmbientMismatch: if `ambient` is below 1, before any row is drawn.
+        CheckError: if an item of a chunk is not a tuple of one value per
+            name; the message is worded to follow the name of the rows'
+            source, as in ``strategy 'x' produced ...``.
+        UnboundVariableError: if a root has a variable not in `names`.
     """
     if ambient < 1:
         raise AmbientMismatch(f"ambient dimension must be at least 1, got {ambient}")
     program = Program(roots)
     limit = max(1, _CHUNK_ENTRIES // (max(1, len(program.code)) * ambient * ambient))
-    it = iter(assignments)
+    width = len(names)
+    it = iter(rows)
     size = 1
     done = 0
     while chunk := list(itertools.islice(it, size)):
+        # the shape of every row, checked once per chunk by C-level passes
+        if not all(map(isinstance, chunk, itertools.repeat(tuple))):
+            raise CheckError("produced an assignment that is not a tuple of values")
+        widths = set(map(len, chunk))
+        if widths != {width}:
+            short = min(widths)
+            if short < width:
+                raise CheckError(f"produced an assignment missing variable {names[short]!r}")
+            raise CheckError(
+                f"produced an assignment of {max(widths)} values for {width} variables"
+            )
         columns = []
         for route in routes:
-            ev = Evaluator(chunk, route, program)
+            ev = Evaluator(chunk, names, ambient, route, program)
             columns += [ev.eval(t) for t in roots]
-        for a, values in zip(chunk, zip(*columns) if columns else itertools.repeat(())):
+        for row, values in zip(chunk, zip(*columns) if columns else itertools.repeat(())):
             done += 1
-            detail = probe(a, *values)
+            detail = probe(row, *values)
             if detail is not None:
-                return done, a, detail
+                return done, Assignment(ambient, dict(zip(names, row))), detail
         size = min(2 * size, limit)
     return done, None, None
 
 
-def _differ(a: Assignment, lhs: Subspace, rhs: Subspace) -> tuple[Subspace, Subspace] | None:
+def _differ(row: tuple, lhs: Subspace, rhs: Subspace) -> tuple[Subspace, Subspace] | None:
     """The two sides when they differ."""
     return None if lhs == rhs else (lhs, rhs)
 
@@ -361,26 +375,31 @@ def _differ(a: Assignment, lhs: Subspace, rhs: Subspace) -> tuple[Subspace, Subs
 def check(eq: Equation, ambient: int, strategies: Sequence | None = None) -> Verdict:
     """Search the strategies in order for a falsifying assignment.
 
-    Each strategy's assignments go through :func:`_sweep`, so a
-    counterexample at its k-th assignment has drawn at most 2k - 1 of them,
-    and exactly k when one assignment's values alone reach the sweep's
-    memory cap.  Stops at the first counterexample (certified before it is
-    returned); otherwise reports how many assignments were survived.
+    A strategy's ``assignments(eq, ambient)`` yields rows: tuples of
+    subspaces of `ambient`, one per name of ``eq.free_vars``, in that
+    order.  Each strategy's rows go through :func:`_sweep`, so a
+    counterexample at its k-th row has drawn at most 2k - 1 of them, and
+    exactly k when one row's values alone reach the sweep's memory cap.
+    Stops at the first counterexample (certified before it is returned);
+    otherwise reports how many rows were survived.
+
+    Raises:
+        CheckError: naming the strategy, if it yields an item that is not
+            a tuple of one value per free variable, or if certification
+            fails.
     """
     if ambient < 1:
         raise ValueError("ambient dimension must be at least 1")
     if strategies is None:
         strategies = default_strategies()
+    names = eq.free_vars
     samples_tried = 0
     log: list[str] = []
     for strategy in strategies:
         try:
-            n, a, sides = _sweep(strategy.assignments(eq, ambient), ambient, eq, _differ)
-        except UnboundVariableError as exc:
-            raise CheckError(
-                f"strategy {strategy.name!r} produced an assignment "
-                f"missing variable {exc.name!r}"
-            ) from None
+            n, a, sides = _sweep(strategy.assignments(eq, ambient), names, ambient, eq, _differ)
+        except CheckError as exc:
+            raise CheckError(f"strategy {strategy.name!r} {exc}") from None
         samples_tried += n
         if a is not None:
             _certify(eq, a)
@@ -467,7 +486,7 @@ def run_lemma2_suite(
     for ambient in ambients:
         max_dim = 0
 
-        def probe(a: Assignment, value: Subspace) -> str | None:
+        def probe(row: tuple, value: Subspace) -> str | None:
             nonlocal max_dim
             d = value.dim
             if 2 * d > ambient:
@@ -475,9 +494,10 @@ def run_lemma2_suite(
             max_dim = max(max_dim, d)
             return None
 
+        names = ("p", "q", "r")
         n, a, detail = _sweep(_random_assignments(
-            f"lemma2:{seed}:{ambient}", ambient, ("p", "q", "r"), samples, coeff_bound
-        ), ambient, (term,), probe)
+            f"lemma2:{seed}:{ambient}", ambient, names, samples, coeff_bound
+        ), names, ambient, (term,), probe)
         records.append(_fail("lemma2", ambient, n, detail, a) if a else SuiteRecord(
             "lemma2", ambient, n, "pass",
             f"2*dim(alpha) <= {ambient} held; max dim seen {max_dim}",
@@ -503,9 +523,9 @@ def run_lemma3_suite() -> SuiteReport:
     three distinct lines, where it equals the complement of p."""
     nonzero = 0
 
-    def probe(a: Assignment, value: Subspace) -> str | None:
+    def probe(row: tuple, value: Subspace) -> str | None:
         nonlocal nonzero
-        p, q, r = a["p"], a["q"], a["r"]
+        p, q, r = row
         distinct_lines = (
             p.dim == 1 and q.dim == 1 and r.dim == 1
             and p != q and q != r and p != r
@@ -521,8 +541,9 @@ def run_lemma3_suite() -> SuiteReport:
                 return "nonzero value differs from complement of p"
         return None
 
-    triples = _tuples(("p", "q", "r"), coordinate_family(2, 5), 2)
-    total, a, detail = _sweep(triples, 2, (alpha(),), probe)
+    names = ("p", "q", "r")
+    triples = _tuples(names, coordinate_family(2, 5), 2)
+    total, a, detail = _sweep(triples, names, 2, (alpha(),), probe)
     return SuiteReport((_fail("lemma3", 2, total, detail, a) if a else SuiteRecord(
         "lemma3", 2, total, "pass",
         f"{nonzero} of {total} triples nonzero, all equal to ~p; "
@@ -600,11 +621,12 @@ def run_laws_suite(
     # each characterization with q := p: its value where p = q.
     roots = [t for _, eq in laws for t in eq] + [t for eq in chars for t in eq]
     roots += [substitute(t, {"q": Var("p")}) for eq in chars for t in eq]
+    names = ("p", "q", "r")
     records = []
     for ambient in ambients:
         distinct_pairs = 0
 
-        def probe(a: Assignment, *values: Subspace) -> str | None:
+        def probe(row: tuple, *values: Subspace) -> str | None:
             nonlocal distinct_pairs
             sides = iter(values)
             for name, _ in laws:
@@ -614,7 +636,7 @@ def run_laws_suite(
             as_given = [next(sides) == next(sides) for _ in chars]
             if not all(next(sides) == next(sides) for _ in chars):
                 return "eq-char-equal violated"
-            p, q = a["p"], a["q"]
+            p, q, _ = row
             if p != q:
                 distinct_pairs += 1
                 if any(as_given):
@@ -624,8 +646,8 @@ def run_laws_suite(
             return None
 
         n, a, detail = _sweep(_random_assignments(
-            f"laws:{seed}:{ambient}", ambient, ("p", "q", "r"), samples, coeff_bound
-        ), ambient, roots, probe)
+            f"laws:{seed}:{ambient}", ambient, names, samples, coeff_bound
+        ), names, ambient, roots, probe)
         records.append(_fail("laws", ambient, n, detail, a) if a else SuiteRecord(
             "laws", ambient, n, "pass",
             f"{len(laws)} laws, both equality characterizations "
@@ -644,27 +666,28 @@ def run_meet_agreement_suite(
     raw pairs and through whole-equation evaluation."""
     suite = "meet-agreement"
 
-    def pair_agrees(a: Assignment) -> str | None:
-        p, q = a["p"], a["q"]
+    def pair_agrees(row: tuple) -> str | None:
+        p, q = row
         if meet(p, q) != meet_via_demorgan(p, q):
             return f"routes disagree on pair of dims {p.dim}, {q.dim}"
         return None
 
-    pairs = _tuples(("p", "q"), coordinate_family(ambient, extra_lines), ambient)
-    paired, a, detail = _sweep(pairs, ambient, (), pair_agrees)
+    names = ("p", "q")
+    pairs = _tuples(names, coordinate_family(ambient, extra_lines), ambient)
+    paired, a, detail = _sweep(pairs, names, ambient, (), pair_agrees)
     done = paired
     strategy = CoordinateFamilyStrategy(extra_lines=extra_lines, cap=256, seed=seed)
     for name, eq in named_equations().items():
         if a is not None:
             break
 
-        def equation_agrees(_: Assignment, lhs, rhs, lhs_demorgan, rhs_demorgan) -> str | None:
+        def equation_agrees(_: tuple, lhs, rhs, lhs_demorgan, rhs_demorgan) -> str | None:
             if (lhs == rhs) != (lhs_demorgan == rhs_demorgan):
                 return f"routes disagree evaluating {name}"
             return None
 
-        n, a, detail = _sweep(strategy.assignments(eq, ambient), ambient, eq,
-                              equation_agrees, (None, meet_via_demorgan))
+        n, a, detail = _sweep(strategy.assignments(eq, ambient), eq.free_vars, ambient,
+                              eq, equation_agrees, (None, meet_via_demorgan))
         done += n
     return SuiteReport((_fail(suite, ambient, done, detail, a) if a else SuiteRecord(
         suite, ambient, done, "pass",
@@ -715,10 +738,10 @@ def run_gamma_suite() -> SuiteReport:
     nonzero = 0
     coincident = 0
 
-    def probe(a: Assignment, value: Subspace) -> str | None:
+    def probe(row: tuple, value: Subspace) -> str | None:
         nonlocal nonzero, coincident
-        p, r, s = a["p"], a["r"], a["s"]
-        if len(set(a.bindings.values())) < 4:
+        p, _, r, s = row
+        if len(set(row)) < 4:
             coincident += 1
             if not value.is_zero():
                 return f"nonzero value (dim {value.dim}) despite a coincidence"
@@ -735,8 +758,9 @@ def run_gamma_suite() -> SuiteReport:
                 return "nonzero value differs from p"
         return None
 
-    tuples = _tuples(("p", "q", "r", "s"), lines, 2)
-    total, a, detail = _sweep(tuples, 2, (gamma_distinct_lines(4),), probe)
+    names = ("p", "q", "r", "s")
+    total, a, detail = _sweep(_tuples(names, lines, 2), names, 2,
+                              (gamma_distinct_lines(4),), probe)
     return SuiteReport((_fail("gamma", 2, total, detail, a) if a else SuiteRecord(
         "gamma", 2, total, "pass",
         f"zero on all {coincident} coincident tuples; nonzero exactly on "

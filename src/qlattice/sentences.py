@@ -50,10 +50,10 @@ from .subspaces import Subspace, leq
 from .terms import (
     Equation,
     Assignment,
-    Evaluator,
     ParseError,
     Program,
     TokenStream,
+    _one_row,
     format_term,
     free_vars,
     parse_chains,
@@ -311,7 +311,7 @@ def eval_sentence(
             program = programs.get(args)
             if program is None:
                 program = programs[args] = Program(args)
-            ev = Evaluator((Assignment(ambient, env),), program=program)
+            ev = _one_row(Assignment(ambient, env), program=program)
             (left,), (right,) = ev.eval(args[0]), ev.eval(args[1])
             value = left == right if op == "eq" else leq(left, right)
         elif op in QUANTIFIERS:

@@ -20,9 +20,11 @@ alive.  A :class:`Program` lists the distinct subterms of some roots in
 post-order, one slot each, in the same shape with children replaced by
 slots.  Evaluation, free variables, substitution, normal forms and the
 compiler's flattening loop over programs, linear in distinct subterms and
-without recursion, so no term is too deep for them; evaluation runs each
-slot once over a whole batch of assignments.  Printing walks the
-slots with an explicit stack, linear in the printed text.
+without recursion, so no term is too deep for them.  Evaluation runs each
+slot once over a whole batch of rows: a batch has one ambient, and a row
+is a plain tuple of its subspaces, one per variable name in a given
+order.  Printing walks the slots with an explicit stack, linear in the
+printed text.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import re
 from contextlib import contextmanager
 from functools import partial
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from weakref import WeakValueDictionary
 
@@ -133,10 +136,9 @@ class Assignment:
     """Finite map from variable names to subspaces of one ambient space.
 
     ``Assignment(ambient, bindings)`` checks every binding's ambient and
-    keeps its own copy of `bindings`.  The checker's samplers build
-    assignments by the million from subspaces of a known ambient, so they
-    call ``Assignment._of`` instead, which does neither; nothing else
-    may.
+    keeps its own copy of `bindings`.  The checker's sweeps do not build
+    one per sample: they evaluate plain tuples of subspaces (see
+    :class:`Evaluator`) and build an assignment only for a result.
     """
 
     __slots__ = ("ambient", "bindings")
@@ -151,16 +153,6 @@ class Assignment:
                 )
         self.ambient = ambient
         self.bindings = dict(bindings)
-
-    @classmethod
-    def _of(cls, ambient: int, bindings: dict[str, Subspace]) -> "Assignment":
-        """An assignment that takes `bindings` over as its own, unchecked:
-        the caller built the dict, holds no other reference to it, and
-        every value is a subspace of `ambient`, which is at least 1."""
-        self = object.__new__(cls)
-        self.ambient = ambient
-        self.bindings = bindings
-        return self
 
     def __getitem__(self, name: str) -> Subspace:
         try:
@@ -522,46 +514,59 @@ def rename(t: Term, mapping: Mapping[str, str]) -> Term:
 
 
 class Evaluator:
-    """Evaluates terms under a batch of assignments, one slot at a time.
+    """Evaluates terms under a batch of rows, one slot at a time.
 
-    ``eval(t)`` returns the column of `t`: its value under each assignment,
-    in order.  Each slot up to that of `t` is computed once, as one column
+    A batch is a sequence of rows over one ambient: each row is a tuple of
+    subspaces of `ambient`, the values of `names` in that order.
+    ``eval(t)`` returns the column of `t`: its value under each row, in
+    order.  Each slot up to that of `t` is computed once, as one column
     over the whole batch, so the per-slot dispatch is paid once per batch
-    rather than once per assignment; a ``var`` column reads each
-    assignment's bindings in place, and ``top`` and ``bot`` take each
-    assignment's own ambient.  ``meet``, ``join`` and ``complement`` are
-    read from :mod:`subspaces` at each call, so a replaced function sees
-    one call per slot per assignment.  The meet is injectable so an
-    independent implementation can be swapped in for cross-checks.
+    rather than once per row; a ``var`` column reads its variable's
+    position in each row, and ``top`` and ``bot`` are those of `ambient`.
+    ``meet``, ``join`` and ``complement`` are read from :mod:`subspaces`
+    at each call, so a replaced function sees one call per slot per row.
+    The meet is injectable so an independent implementation can be
+    swapped in for cross-checks.  Rows are not checked: each must hold a
+    subspace of `ambient` at each position of `names`.
 
-    Every column stays alive with the evaluator: a batch of ``k``
-    assignments over a program of ``s`` slots holds ``k * s`` subspaces,
-    each of at most ``ambient ** 2`` entries.  The checker's sweep
-    therefore draws its batches in chunks of 1, 2, 4, ... assignments,
-    with chunk size x slots x ambient**2 at most 2**14 entries, and draws
-    at most 2k - 1 assignments when the k-th fails.  For a program of
-    thousands of slots that bound is one assignment per chunk, so a batch
-    of one keeps each slot's bare value instead of a one-element column,
-    and runs the slots as a plain loop.  The returned columns are the
-    evaluator's own and must not be modified.
+    Every column stays alive with the evaluator: a batch of ``k`` rows
+    over a program of ``s`` slots holds ``k * s`` subspaces, each of at
+    most ``ambient ** 2`` entries.  The checker's sweep therefore draws
+    its batches in chunks of 1, 2, 4, ... rows, with chunk size x slots x
+    ambient**2 at most 2**14 entries, and draws at most 2k - 1 rows when
+    the k-th fails.  For a program of thousands of slots that bound is
+    one row per chunk, so a batch of one keeps each slot's bare value
+    instead of a one-element column, and runs the slots as a plain loop.
+    The returned columns are the evaluator's own and must not be
+    modified.
     """
 
-    __slots__ = ("assignments", "program", "_columns", "_meet")
+    __slots__ = ("rows", "names", "ambient", "program", "_positions", "_columns", "_meet")
 
-    def __init__(self, assignments: Sequence[Assignment], meet_op=None, program=None) -> None:
-        self.assignments = assignments
+    def __init__(self, rows: Sequence[tuple[Subspace, ...]], names: Sequence[str],
+                 ambient: int, meet_op=None, program=None) -> None:
+        self.rows = rows
+        self.names = names
+        self.ambient = ambient
         self.program = program if program is not None else Program()
+        self._positions = {name: i for i, name in enumerate(names)}
         # a column per slot, or its bare value in a batch of one
         self._columns: list = []
         self._meet = meet_op
 
+    def _position(self, name: str) -> int:
+        i = self._positions.get(name)
+        if i is None:
+            raise UnboundVariableError(name)
+        return i
+
     def eval(self, t: Term) -> list[Subspace]:
         slot = self.program.slot(t)
         columns = self._columns
-        batch = self.assignments
+        rows = self.rows
         meet = self._meet or _sub.meet
         code = self.program.code[len(columns):slot + 1]
-        if len(batch) == 1:
+        if len(rows) == 1:
             self._eval_one(code, meet)
             return [columns[slot]]
         for op, a, b in code:
@@ -572,25 +577,21 @@ class Evaluator:
             elif op == "not":
                 col = list(map(_sub.complement, columns[a]))
             elif op == "var":
-                try:
-                    col = [x.bindings[a] for x in batch]
-                except KeyError:
-                    raise UnboundVariableError(a) from None
+                col = list(map(itemgetter(self._position(a)), rows))
             elif op == "top":
-                col = [Subspace.full(x.ambient) for x in batch]
+                col = [Subspace.full(self.ambient)] * len(rows)
             else:
-                col = [Subspace.zero(x.ambient) for x in batch]
+                col = [Subspace.zero(self.ambient)] * len(rows)
             columns.append(col)
         return columns[slot]
 
     def _eval_one(self, code, meet) -> None:
-        """Run `code` for a batch of one assignment, keeping bare values:
-        a one-element list per slot would cost more than the operation on
-        a small ambient."""
+        """Run `code` for a batch of one row, keeping bare values: a
+        one-element list per slot would cost more than the operation on a
+        small ambient."""
         values = self._columns
         join, complement = _sub.join, _sub.complement
-        (x,) = self.assignments
-        bound = x.bindings.get
+        (row,) = self.rows
         for op, a, b in code:
             if op == "meet":
                 v = meet(values[a], values[b])
@@ -599,14 +600,19 @@ class Evaluator:
             elif op == "not":
                 v = complement(values[a])
             elif op == "var":
-                v = bound(a)
-                if v is None:
-                    raise UnboundVariableError(a)
+                v = row[self._position(a)]
             elif op == "top":
-                v = Subspace.full(x.ambient)
+                v = Subspace.full(self.ambient)
             else:
-                v = Subspace.zero(x.ambient)
+                v = Subspace.zero(self.ambient)
             values.append(v)
+
+
+def _one_row(assignment: Assignment, meet_op=None, program=None) -> Evaluator:
+    """An evaluator of the batch of one row that `assignment` binds."""
+    bindings = assignment.bindings
+    return Evaluator((tuple(bindings.values()),), tuple(bindings), assignment.ambient,
+                     meet_op, program)
 
 
 def evaluate(t: Term, assignment: Assignment, meet_op=None) -> Subspace:
@@ -615,11 +621,11 @@ def evaluate(t: Term, assignment: Assignment, meet_op=None) -> Subspace:
     Raises:
         UnboundVariableError: if a free variable of `t` has no binding.
     """
-    return Evaluator((assignment,), meet_op).eval(t)[0]
+    return _one_row(assignment, meet_op).eval(t)[0]
 
 
 def holds(eq: Equation, assignment: Assignment, meet_op=None) -> bool:
     """Whether both sides of `eq` evaluate to the same subspace under one
     assignment."""
-    ev = Evaluator((assignment,), meet_op)
+    ev = _one_row(assignment, meet_op)
     return ev.eval(eq.lhs) == ev.eval(eq.rhs)

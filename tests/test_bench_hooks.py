@@ -83,12 +83,14 @@ def test_every_meet_and_join_slot_calls_the_hooked_function(monkeypatch):
             calls[_name] += 1
             return _orig(p, q)
         monkeypatch.setattr(qlattice.subspaces, name, counted)
-    # A batch evaluates slot by slot, so the count is per slot and assignment.
+    # A batch evaluates slot by slot, so the count is per slot and row;
+    # a batch has one ambient, so each ambient's rows take their own evaluator.
     t = qlattice.terms.parse_term("((0 ^ 1) v (1 ^ 1)) ^ ~((1 v 0) ^ (0 v 0)) v (1 ^ ~1)")
     code = qlattice.terms.Program((t,)).code
-    batch = [qlattice.terms.Assignment(n, {}) for n in (3, 1, 2, 3)]
-    values = qlattice.terms.Evaluator(batch).eval(t)
-    assert [v.ambient for v in values] == [3, 1, 2, 3]
+    batches = {3: [(), ()], 1: [()], 2: [()]}
+    values = [v for n, rows in batches.items()
+              for v in qlattice.terms.Evaluator(rows, (), n).eval(t)]
+    assert [v.ambient for v in values] == [3, 3, 1, 2]
     assert all(v.dim == v.ambient for v in values)
     assert calls == {"meet": 5 * 4, "join": 4 * 4}
-    assert calls == {op: len(batch) * sum(o == op for o, _, _ in code) for op in calls}
+    assert calls == {op: len(values) * sum(o == op for o, _, _ in code) for op in calls}

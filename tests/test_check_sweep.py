@@ -28,9 +28,10 @@ def reference_check(eq, ambient, strategies):
     samples, log = 0, []
     for strategy in strategies:
         k = 0
-        for a in strategy.assignments(eq, ambient):
+        for row in strategy.assignments(eq, ambient):
             k += 1
             samples += 1
+            a = Assignment(ambient, dict(zip(eq.free_vars, row)))
             lhs, rhs = evaluate(eq.lhs, a), evaluate(eq.rhs, a)
             if lhs != rhs:
                 log.append(f"{strategy.name}: counterexample at assignment {k}")
@@ -70,32 +71,32 @@ def test_check_matches_the_one_at_a_time_loop(strategies, ambient):
 
 
 class Listed:
-    """A fixed list of assignments that counts how many were drawn."""
+    """A fixed list of rows that counts how many were drawn."""
 
     name = "listed"
 
-    def __init__(self, assignments):
-        self.listed = assignments
+    def __init__(self, rows):
+        self.listed = rows
         self.drawn = 0
 
     def assignments(self, eq, ambient):
-        for a in self.listed:
+        for row in self.listed:
             self.drawn += 1
-            yield a
+            yield row
 
 
 # p <= q: holds wherever p is 0 or q is 1, fails at p = 1, q = 0.
 BELOW = parse_equation("p = p ^ q")
 _FAMILY = coordinate_family(2, 3)
-_FAILING = Assignment(2, {"p": Subspace.full(2), "q": Subspace.zero(2)})
+# rows of BELOW are (p, q)
+_FAILING = (Subspace.full(2), Subspace.zero(2))
 
 
 def _holding(count):
-    """`count` assignments under which BELOW holds, not all alike."""
+    """`count` rows under which BELOW holds, not all alike."""
     zero, full = Subspace.zero(2), Subspace.full(2)
     return [
-        Assignment(2, {"p": zero, "q": _FAMILY[i % len(_FAMILY)]} if i % 2
-                   else {"p": _FAMILY[i % len(_FAMILY)], "q": full})
+        (zero, _FAMILY[i % len(_FAMILY)]) if i % 2 else (_FAMILY[i % len(_FAMILY)], full)
         for i in range(count)
     ]
 
@@ -110,7 +111,7 @@ def test_first_counterexample_at_a_chunk_boundary(k):
     verdict = assert_same_as_reference(BELOW, 2, [strategy])
     assert verdict.samples_tried == k
     assert verdict.strategy_log == (f"listed: counterexample at assignment {k}",)
-    assert verdict.counterexample.assignment is _FAILING
+    assert verdict.counterexample.assignment.bindings == dict(zip(("p", "q"), _FAILING))
 
 
 @pytest.mark.parametrize("k", POSITIONS + [100, 129, 1000])
@@ -135,11 +136,13 @@ def test_a_program_over_the_memory_cap_draws_exactly_k(k):
     chain = Var(names[0])
     for name in names[1:]:
         chain = Join(chain, Var(name))
+    eq = Equation(chain, BOT)
     zero = Subspace.zero(2)
-    holding = Assignment(2, dict.fromkeys(names, zero))
-    failing = Assignment(2, {**holding.bindings, "x7": Subspace.line(2, [1, 0])})
+    holding = (zero,) * len(names)
+    failing = tuple(Subspace.line(2, [1, 0]) if name == "x7" else zero
+                    for name in eq.free_vars)
     strategy = Listed([holding] * (k - 1) + [failing] + [holding] * k)
-    verdict = check(Equation(chain, BOT), 2, [strategy])
+    verdict = check(eq, 2, [strategy])
     assert verdict.samples_tried == k
     assert strategy.drawn == k
 
@@ -148,8 +151,8 @@ def test_a_program_over_the_memory_cap_draws_exactly_k(k):
 def test_a_wide_ambient_draws_exactly_k(k):
     # three slots of 64 x 64 entries reach the cap alone
     zero, full = Subspace.zero(64), Subspace.full(64)
-    holding = Assignment(64, {"p": zero, "q": full})
-    failing = Assignment(64, {"p": full, "q": zero})
+    holding = (zero, full)
+    failing = (full, zero)
     strategy = Listed([holding] * (k - 1) + [failing] + [holding] * k)
     verdict = check(BELOW, 64, [strategy])
     assert verdict.samples_tried == k

@@ -33,6 +33,7 @@ from qlattice.fixtures import parse_assignment_fixture
 from qlattice.formulas import (
     beta,
     beta_witness,
+    counterexample_catalog,
     distributive_law,
     named_equations,
     orthomodular_law,
@@ -89,7 +90,7 @@ def test_family_deterministic():
 def test_family_is_a_new_list_on_each_call():
     eq = orthomodular_law()
     strat = CoordinateFamilyStrategy(extra_lines=4, cap=10, seed=3)
-    draws = [a.bindings for a in strat.assignments(eq, 3)]
+    draws = list(strat.assignments(eq, 3))
     first = coordinate_family(3, 4)
     expected = list(first)
     first.reverse()
@@ -98,7 +99,7 @@ def test_family_is_a_new_list_on_each_call():
     second = coordinate_family(3, 4)
     assert second is not first
     assert second == expected
-    assert [a.bindings for a in strat.assignments(eq, 3)] == draws
+    assert list(strat.assignments(eq, 3)) == draws
 
 
 def test_tuples_refuse_a_family_of_another_ambient():
@@ -116,7 +117,9 @@ def test_coordinate_strategy_exhaustive_count():
     strat = CoordinateFamilyStrategy(extra_lines=4)
     got = list(strat.assignments(eq, 2))
     assert len(got) == 8 ** 2
-    assert all(sorted(a.bindings) == ["p", "q"] for a in got)
+    assert eq.free_vars == ("p", "q")
+    family = coordinate_family(2, 4)
+    assert got == [(p, q) for p in family for q in family]
 
 
 def test_coordinate_strategy_caps_large_products():
@@ -126,7 +129,8 @@ def test_coordinate_strategy_caps_large_products():
     got = list(strat.assignments(eq, 4))
     assert len(got) == 50
     again = list(strat.assignments(eq, 4))
-    assert [a.bindings for a in got] == [a.bindings for a in again]
+    assert got == again
+    assert all(type(row) is tuple and len(row) == len(eq.free_vars) for row in got)
 
 
 @pytest.mark.parametrize("ambient, extra_lines, size", [
@@ -146,8 +150,8 @@ def test_coordinate_strategy_keeps_the_choice_stream(ambient, extra_lines, size,
     cap = min(300, size ** len(eq.free_vars) - 1)
     strat = CoordinateFamilyStrategy(extra_lines=extra_lines, cap=cap, seed=seed)
     rng = Random(f"coordinate-family:{seed}:{ambient}")
-    expected = [{name: rng.choice(family) for name in eq.free_vars} for _ in range(strat.cap)]
-    assert [a.bindings for a in strat.assignments(eq, ambient)] == expected
+    expected = [tuple([rng.choice(family) for name in eq.free_vars]) for _ in range(strat.cap)]
+    assert list(strat.assignments(eq, ambient)) == expected
 
 
 def test_random_strategy_keeps_the_randint_stream():
@@ -158,11 +162,11 @@ def test_random_strategy_keeps_the_randint_stream():
         strat = RandomSampling(count=40, seed=3, coeff_bound=2)
         rng = Random(f"random:3:{ambient}")
         expected = [
-            {name: sub._random_from(rng, ambient, rng.randint(0, ambient), 2)
-             for name in eq.free_vars}
+            tuple([sub._random_from(rng, ambient, rng.randint(0, ambient), 2)
+                   for name in eq.free_vars])
             for _ in range(strat.count)
         ]
-        assert [a.bindings for a in strat.assignments(eq, ambient)] == expected
+        assert list(strat.assignments(eq, ambient)) == expected
 
 
 def test_coordinate_strategy_skips_large_ambients():
@@ -175,15 +179,20 @@ def test_random_strategy_deterministic_and_bounded():
     one = list(strat.assignments(eq, 3))
     two = list(strat.assignments(eq, 3))
     assert len(one) == 25
-    assert [a.bindings for a in one] == [a.bindings for a in two]
-    assert all(sorted(a.bindings) == ["p", "q"] for a in one)
+    assert one == two
+    assert eq.free_vars == ("p", "q")
+    assert all(type(row) is tuple and len(row) == 2 for row in one)
 
 
 def test_stored_witness_strategy_matches_exactly():
     strat = StoredWitnesses()
-    hits = list(strat.assignments(distributive_law(), 2))
+    eq = distributive_law()
+    hits = list(strat.assignments(eq, 2))
     assert len(hits) == 1
-    assert hits[0]["p"] == Subspace.line(2, [1, 1])
+    # the stored witness, read in free-variable order
+    (stored,) = [r.assignment for r in counterexample_catalog() if r.equation == eq]
+    assert hits[0] == tuple(stored[name] for name in eq.free_vars)
+    assert dict(zip(eq.free_vars, hits[0]))["p"] == Subspace.line(2, [1, 1])
     # same equation, wrong ambient: the stored witness does not apply
     assert list(strat.assignments(distributive_law(), 3)) == []
 
@@ -239,7 +248,7 @@ class _WrongNames:
     name = "broken"
 
     def assignments(self, eq, ambient):
-        yield beta_witness()  # binds p,q,r,s but not, say, z
+        yield tuple(beta_witness().bindings.values())  # p,q,r,s where z alone is asked
 
 
 def test_check_reports_unbindable_variables():
@@ -253,10 +262,10 @@ class _ThirdLacksQ:
 
     def assignments(self, eq, ambient):
         e1, e2 = Subspace.line(2, [1, 0]), Subspace.line(2, [0, 1])
-        yield Assignment(2, {"p": e1, "q": e2})
-        yield Assignment(2, {"p": e2, "q": e1})
-        yield Assignment(2, {"p": e1})
-        yield Assignment(2, {"p": e2, "q": e2})
+        yield (e1, e2)
+        yield (e2, e1)
+        yield (e1,)
+        yield (e2, e2)
 
 
 def test_check_reports_a_variable_missing_from_a_chunk():
@@ -266,14 +275,48 @@ def test_check_reports_a_variable_missing_from_a_chunk():
     assert str(info.value) == "strategy 'bad' produced an assignment missing variable 'q'"
 
 
+class _Malformed:
+    """Rows of ``p v q = q v p`` that hold, with `item` at position `at`."""
+
+    name = "malformed"
+
+    def __init__(self, item, at):
+        self.item, self.at = item, at
+
+    def assignments(self, eq, ambient):
+        e1, e2 = Subspace.line(2, [1, 0]), Subspace.line(2, [0, 1])
+        for k in range(1, 10):
+            yield self.item if k == self.at else (e1, e2)
+
+
+_E1 = Subspace.line(2, [1, 0])
+
+
+@pytest.mark.parametrize("item, message", [
+    pytest.param(Assignment(2, {"p": _E1, "q": _E1}),
+                 "produced an assignment that is not a tuple of values", id="assignment"),
+    pytest.param([_E1, _E1], "produced an assignment that is not a tuple of values", id="list"),
+    pytest.param((_E1,), "produced an assignment missing variable 'q'", id="short"),
+    pytest.param((), "produced an assignment missing variable 'p'", id="empty"),
+    pytest.param((_E1, _E1, _E1), "produced an assignment of 3 values for 2 variables",
+                 id="long"),
+])
+@pytest.mark.parametrize("at", [1, 2, 5])  # the first chunk, the second, the third
+def test_check_refuses_an_item_that_is_not_a_row(item, message, at):
+    strategy = _Malformed(item, at)
+    with pytest.raises(CheckError) as info:
+        check(parse_equation("p v q = q v p"), 2, [strategy])
+    assert str(info.value) == f"strategy 'malformed' {message}"
+
+
 class _TwoLines:
     name = "two-lines"
 
     def __init__(self, p, q):
-        self.assignment = Assignment(2, {"p": p, "q": q})
+        self.row = (p, q)
 
     def assignments(self, eq, ambient):
-        yield self.assignment
+        yield self.row
 
 
 def test_corrupted_meet_memo_fails_certification(monkeypatch):
@@ -413,24 +456,26 @@ def _other(v: Subspace) -> Subspace:
 
 def _wrong_eval(flips):
     """Evaluator.eval goes wrong on the terms `flips` picks: in the column
-    entry of the k-th assignment under which it evaluates one of them, in
-    sweep order, and again whenever that same assignment object is
-    evaluated, as certification does."""
+    entry of the k-th row under which it evaluates one of them, in sweep
+    order, and again at every later row of the same values, such as the
+    row certification builds from the reported assignment."""
     def arm(monkeypatch, k):
-        seen = []
-        position = {}  # id of each assignment in `seen` -> its index there
+        seen = []  # each row object first evaluated, as an Assignment
+        rows = []  # the same rows
+        position = {}  # id of each row in `rows` -> its index there
         real = Evaluator.eval
 
         def eval(self, t):
             column = real(self, t)
             if not flips(t):
                 return column
-            for a in self.assignments:
-                if id(a) not in position:
-                    position[id(a)] = len(seen)
-                    seen.append(a)
-            return [_other(v) if position[id(a)] == k - 1 else v
-                    for a, v in zip(self.assignments, column)]
+            for row in self.rows:
+                if id(row) not in position:
+                    position[id(row)] = len(rows)
+                    rows.append(row)
+                    seen.append(Assignment(self.ambient, dict(zip(self.names, row))))
+            return [_other(v) if position[id(row)] >= k - 1 and row == rows[k - 1] else v
+                    for row, v in zip(self.rows, column)]
 
         monkeypatch.setattr(Evaluator, "eval", eval)
         return seen

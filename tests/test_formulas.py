@@ -26,8 +26,8 @@ from qlattice.subspaces import Subspace, complement, leq, meet, random_subspace
 from qlattice.terms import (
     Assignment,
     Equation,
-    Evaluator,
     Var,
+    _one_row,
     evaluate,
     free_vars,
     holds,
@@ -79,7 +79,7 @@ class TestAlpha:
     @given(triples())
     @settings(max_examples=40)
     def test_first_join_below_second(self, a):
-        ev = Evaluator([a])
+        ev = _one_row(a)
         (va,), (vb,) = ev.eval(parse_term("p v q ^ r")), ev.eval(parse_term("(p v q) ^ (p v r)"))
         assert leq(va, vb)
 
@@ -87,7 +87,7 @@ class TestAlpha:
 class TestBeta:
     def test_witness_chain_frozen(self):
         w = beta_witness()
-        ev = Evaluator([w])
+        ev = _one_row(w)
         (inner,) = ev.eval(alpha())
         assert inner == Subspace.line(4, [0, 0, 1, 0])
         (second,) = ev.eval(parse_term("~p"))

@@ -36,6 +36,7 @@ from qlattice.terms import (
     UnboundVariableError,
     Var,
     _nnf,
+    _one_row,
     evaluate,
     format_term,
     free_vars,
@@ -85,17 +86,21 @@ def term_with_assignment(draw, max_ambient=3, strategy=terms):
 
 
 @st.composite
-def term_with_batch(draw, max_ambient=3):
-    """A term and 1..5 assignments of it, each in its own ambient."""
+def term_with_batches(draw, max_ambient=3):
+    """A term, the sorted names of its variables, and 1..3 batches of 1..5
+    rows of them, each batch in its own ambient, as ``(ambient, rows)``."""
     t = draw(terms)
-    batch = []
-    for _ in range(draw(st.integers(1, 5))):
+    names = tuple(sorted(free_vars(t)))
+    batches = []
+    for _ in range(draw(st.integers(1, 3))):
         n = draw(st.integers(1, max_ambient))
-        batch.append(Assignment(n, {
-            name: random_subspace(n, draw(st.integers(0, n)), draw(st.integers(0, 10**6)))
-            for name in sorted(free_vars(t))
-        }))
-    return t, batch
+        batches.append((n, [
+            tuple(random_subspace(n, draw(st.integers(0, n)), draw(st.integers(0, 10**6)))
+                  for _ in names)
+            for _ in range(draw(st.integers(1, 5)))
+        ]))
+    return t, names, batches
+
 
 
 class TestParsing:
@@ -285,11 +290,10 @@ class TestEvaluation:
 
     def test_unbound_variable_named_in_a_batch(self):
         # a batch of two or more builds each var slot as a column
-        bound = Assignment(2, {"p": self.e1, "q": self.e2})
-        batch = [bound, bound, Assignment(2, {"p": self.diag}), bound]
-        assert Evaluator(batch[:2]).eval(parse_term("p v q")) == [Subspace.full(2)] * 2
+        rows = [(self.e1, self.e2), (self.e2, self.e1)]
+        assert Evaluator(rows, ("p", "q"), 2).eval(parse_term("p v q")) == [Subspace.full(2)] * 2
         with pytest.raises(UnboundVariableError, match="'q'") as info:
-            Evaluator(batch).eval(parse_term("p v q"))
+            Evaluator([(self.e1,), (self.diag,)], ("p",), 2).eval(parse_term("p v q"))
         assert info.value.name == "q"
 
     def test_assignment_rejects_mixed_ambients(self):
@@ -306,12 +310,6 @@ class TestEvaluation:
         assert a.bindings == {"p": self.e1}
         assert a.bindings is not given
 
-    def test_private_constructor_takes_the_dict_over(self):
-        given = {"p": self.e1, "q": self.diag}
-        a = Assignment._of(2, given)
-        assert a.ambient == 2 and a.bindings is given
-        assert a["q"] is self.diag
-
     def test_holds(self):
         a = Assignment(2, {"p": self.e1, "q": self.e2, "r": self.diag})
         assert holds(parse_equation("p ^ q = q ^ p"), a)
@@ -325,8 +323,7 @@ class TestEvaluation:
         assert evaluate(t, a, meet_op=meet_via_demorgan) == evaluate(t, a)
 
     def test_shared_evaluator_memo(self):
-        a = Assignment(2, {"p": self.e1, "q": self.e2})
-        ev = Evaluator([a])
+        ev = Evaluator([(self.e1, self.e2)], ("p", "q"), 2)
         (v1,), (v2,) = ev.eval(parse_term("p v q")), ev.eval(parse_term("(p v q) ^ 1"))
         assert v1 == v2 and v1.dim == v1.ambient
 
@@ -367,25 +364,29 @@ class TestProgram:
     def test_evaluator_matches_recursive_reference(self, ta, meet_op):
         t, a = ta
         expected = reference_eval(t, a, meet_op)
-        assert Evaluator([a], meet_op).eval(t) == [expected]
+        assert _one_row(a, meet_op).eval(t) == [expected]
         # a program shared by two roots evaluates each to its own value
         shared = Program([to_nnf(t), t])
-        assert Evaluator([a], meet_op, shared).eval(t) == [expected]
+        assert _one_row(a, meet_op, shared).eval(t) == [expected]
 
-    @given(term_with_batch(), st.sampled_from([meet, meet_via_demorgan]))
+    @given(term_with_batches(), st.sampled_from([meet, meet_via_demorgan]))
     @settings(max_examples=60)
     def test_batch_evaluates_each_assignment_on_its_own(self, tb, meet_op):
-        # one value per assignment, in order; 0 and 1 in each one's ambient
-        t, batch = tb
-        expected = [reference_eval(t, a, meet_op) for a in batch]
-        assert Evaluator(batch, meet_op).eval(t) == expected
-        assert [evaluate(t, a, meet_op) for a in batch] == expected
+        # one value per row, in order; 0 and 1 in each batch's ambient
+        t, names, batches = tb
+        for n, rows in batches:
+            batch = [Assignment(n, dict(zip(names, row))) for row in rows]
+            expected = [reference_eval(t, a, meet_op) for a in batch]
+            assert Evaluator(rows, names, n, meet_op).eval(t) == expected
+            assert [evaluate(t, a, meet_op) for a in batch] == expected
 
     def test_constants_take_each_assignments_ambient(self):
-        batch = [Assignment(n, {}) for n in (3, 1, 2)]
-        ev = Evaluator(batch)
-        assert ev.eval(TOP) == [Subspace.full(n) for n in (3, 1, 2)]
-        assert ev.eval(parse_term("~1 v 0")) == [Subspace.zero(n) for n in (3, 1, 2)]
+        # one evaluator per ambient, a batch of several rows and of one
+        for n in (3, 1, 2):
+            for size in (3, 1):
+                ev = Evaluator([()] * size, (), n)
+                assert ev.eval(TOP) == [Subspace.full(n)] * size
+                assert ev.eval(parse_term("~1 v 0")) == [Subspace.zero(n)] * size
 
     @given(terms)
     @settings(max_examples=80)
@@ -417,8 +418,8 @@ class TestProgram:
             calls.append((x, y))
             return meet(x, y)
 
-        a = Assignment(2, {"p": Subspace.line(2, [1, 0]), "q": Subspace.line(2, [1, 1])})
-        ev = Evaluator([a], counting_meet)
+        ev = Evaluator([(Subspace.line(2, [1, 0]), Subspace.line(2, [1, 1]))], ("p", "q"), 2,
+                       counting_meet)
         ev.eval(parse_term("(p ^ q) v (p ^ q)"))
         ev.eval(parse_term("~(p ^ q)"))
         assert len(calls) == 1
