@@ -163,7 +163,7 @@ def _tuples(names: Sequence[str], family: Sequence[Subspace], ambient: int) -> I
 
 class StoredWitnesses:
     """Stored counterexample assignments whose equation matches exactly,
-    each read into a row."""
+    each read into a row: a tuple of its values in ``eq.free_vars`` order."""
 
     name = "stored-witnesses"
 
@@ -175,7 +175,8 @@ class StoredWitnesses:
 
 
 class CoordinateFamilyStrategy:
-    """All rows over :func:`coordinate_family`, sampled above a cap.
+    """All rows over :func:`coordinate_family`, sampled above a cap; a row
+    is a tuple of family members in ``eq.free_vars`` order.
 
     Exhaustive when family_size ** nvars <= cap, in product order;
     otherwise ``cap`` seeded uniform rows, so the strategy stays
@@ -228,7 +229,8 @@ def _random_assignments(
 
 
 class RandomSampling:
-    """Seeded random rows; dimensions drawn uniformly in 0..ambient."""
+    """Seeded random rows, tuples of subspaces in ``eq.free_vars`` order;
+    dimensions drawn uniformly in 0..ambient."""
 
     name = "random"
 
@@ -482,6 +484,7 @@ def run_lemma2_suite(
     """Dimension bound 2*dim(alpha) <= ambient on random triples, plus the
     even-ambient triple that meets the bound exactly."""
     term = alpha()
+    names = ("p", "q", "r")
     records = []
     for ambient in ambients:
         max_dim = 0
@@ -494,7 +497,6 @@ def run_lemma2_suite(
             max_dim = max(max_dim, d)
             return None
 
-        names = ("p", "q", "r")
         n, a, detail = _sweep(_random_assignments(
             f"lemma2:{seed}:{ambient}", ambient, names, samples, coeff_bound
         ), names, ambient, (term,), probe)
