@@ -52,8 +52,22 @@ eliminates.  Trivial results enter the memo too, so a repeated trivial
 call is a hit in C.  An exception is never cached, so every cached pair
 passed the ambient test.  ``meet.cache_info()`` and ``join.cache_info()``
 count the memo's hits, misses and entries at no extra cost.
+
+Commutativity is structural in the memo: each unordered pair is computed
+once.  Distinct interned subspaces have distinct row tuples, so
+``p._rows < q._rows`` orders any two of them.  A nontrivial miss with
+``p._rows > q._rows`` returns the memoised function applied to ``(q, p)``,
+called through a private alias (``_meet``, ``_join``), so a function
+that replaces the public name is called only by the caller.  The
+first call in the other order therefore counts two misses and writes two
+entries for one elimination, and every later call in either order is a
+hit.  Only the fixed order ever eliminates.
+
 ``meet_via_demorgan`` runs only ``join`` and ``complement``, so
-certification stays independent of the memoised ``meet``.
+certification stays independent of the memoised ``meet``.  It is an
+``lru_cache`` function of its own, of ``_MEMO_LIMIT // 2`` entries, and
+with meet's and join's the memos hold at most ``3 * _MEMO_LIMIT // 2``
+entries.
 """
 
 from __future__ import annotations
@@ -85,7 +99,7 @@ from .linalg import (
 _MAX_SAMPLE_TRIES = 200
 # Largest ambient accepted from fixtures and the command line.
 MAX_AMBIENT = 64
-# The meet and join memos hold at most half of this each.
+# The meet, join and De Morgan memos hold at most half of this each.
 _MEMO_LIMIT = 1024
 # The intern table is swept of dead entries when it outgrows this size,
 # and then again whenever it has doubled since the last sweep.
@@ -246,6 +260,8 @@ def join(p: Subspace, q: Subspace) -> Subspace:
     Full when the rank certificate shows the stacked rows have rank n;
     otherwise the canonical rows of both are merged, so only the rows of
     the smaller operand that the larger one does not span are reduced.
+    A nontrivial pair is computed only with ``p._rows < q._rows``; the
+    other order is passed on to ``_join(q, p)``.
     """
     if p.ambient != q.ambient:
         raise _mismatch(p, q)
@@ -253,11 +269,18 @@ def join(p: Subspace, q: Subspace) -> Subspace:
         return p
     if not p._rows or len(q._rows) == q.ambient:
         return q
+    if p._rows > q._rows:
+        return _join(q, p)
     n = p.ambient
     if len(p._rows) + len(q._rows) >= n and _rank_mod_p(p._rows + q._rows, n) == n:
         return Subspace.full(n)
     rows, _ = _merge_int_rows(p._rows, q._rows, n)
     return Subspace._make(n, rows)
+
+
+# The memoised join under a name of its own, for the other operand order:
+# a replacement of the public name never sees that inner call.
+_join = join
 
 
 def complement(p: Subspace) -> Subspace:
@@ -293,7 +316,9 @@ def meet(p: Subspace, q: Subspace) -> Subspace:
     ``N S^T`` takes ``dim S`` columns, and the combinations of S it
     gives, content stripped, are the canonical rows.  Otherwise the
     result is the kernel of both operands' null rows, read off the merge
-    of their column-reversed blocks.  No complement is taken.
+    of their column-reversed blocks.  No complement is taken.  As in
+    :func:`join`, a nontrivial pair is computed only with
+    ``p._rows < q._rows``; the other order is passed on to ``_meet(q, p)``.
     """
     if p.ambient != q.ambient:
         raise _mismatch(p, q)
@@ -301,6 +326,8 @@ def meet(p: Subspace, q: Subspace) -> Subspace:
         return p
     if not q._rows or len(p._rows) == p.ambient:
         return q
+    if p._rows > q._rows:
+        return _meet(q, p)
     n = p.ambient
     stacked = p._rows + q._rows
     if len(stacked) <= n and _rank_mod_p(stacked, n) == len(stacked):
@@ -321,6 +348,11 @@ def meet(p: Subspace, q: Subspace) -> Subspace:
     return Subspace._make(n, rows)
 
 
+# The memoised meet under a name of its own, as ``_join`` is for join.
+_meet = meet
+
+
+@lru_cache(maxsize=_MEMO_LIMIT // 2)
 def meet_via_demorgan(p: Subspace, q: Subspace) -> Subspace:
     """Intersection through the De Morgan dual; independent of :func:`meet`.
 
@@ -330,7 +362,9 @@ def meet_via_demorgan(p: Subspace, q: Subspace) -> Subspace:
     elimination core (``_kernel_int``, ``_reduce_int_rows``, ``_null_rows``,
     ``_merge_int_rows``).
     Its complements pick their route by dimension as ``complement`` does,
-    and it never pairs rows as ``meet`` does.
+    and it never pairs rows as ``meet`` does.  Its results have an
+    ``lru_cache`` memo of their own, of ``_MEMO_LIMIT // 2`` entries; it
+    keeps both operand orders apart.
     """
     if p.ambient != q.ambient:
         raise _mismatch(p, q)
@@ -387,12 +421,13 @@ def _below(rng: Random, n: int) -> int:
 
 
 def _random_from(rng: Random, ambient: int, dim: int, coeff_bound: int) -> Subspace:
+    if coeff_bound < 1:
+        raise ValueError(
+            f"coefficient bound {coeff_bound} is zero or negative; it must be at least 1")
     if dim == 0:
         return Subspace.zero(ambient)
     if not 0 <= dim <= ambient:
         raise AmbientMismatch(f"dimension {dim} not in 0..{ambient}")
-    if coeff_bound < 0:
-        raise ValueError(f"coefficient bound {coeff_bound} is negative")
     width = 2 * coeff_bound + 1
     # Each entry is drawn as _below(rng, width) draws it, inline.
     getrandbits = rng.getrandbits
@@ -426,5 +461,6 @@ def random_subspace(
     Spanning rows get Gaussian-integer entries with components drawn
     uniformly from ``[-coeff_bound, coeff_bound]``, resampled until the rank
     is exactly `dim`.  The same arguments always return the same subspace.
+    A `coeff_bound` below 1 is refused with ``ValueError`` at every `dim`.
     """
     return _random_from(Random(seed), ambient, dim, coeff_bound)

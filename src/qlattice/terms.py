@@ -524,9 +524,11 @@ class Evaluator:
     rather than once per row; a ``var`` column reads its variable's
     position in each row, and ``top`` and ``bot`` are those of `ambient`.
     ``meet``, ``join`` and ``complement`` are read from :mod:`subspaces`
-    at each call, so a replaced function sees one call per slot per row.
-    The meet is injectable so an independent implementation can be
-    swapped in for cross-checks.  Rows are not checked: each must hold a
+    at each call, so a replaced function sees one call per slot per row;
+    ``meet`` and ``join`` pass the other operand order of a pair on
+    through private names, never through the replaced one.  The meet is
+    injectable so an independent implementation can be swapped in for
+    cross-checks.  Rows are not checked: each must hold a
     subspace of `ambient` at each position of `names`.
 
     Every column stays alive with the evaluator: a batch of ``k`` rows

@@ -24,14 +24,16 @@ def rank_verdicts(monkeypatch):
 
 @pytest.fixture()
 def empty_memo():
-    """Both op memos, the caches of ``meet`` and ``join``, emptied before
-    and after the test, so no earlier result answers and none written
-    under the test's patches outlives it."""
-    subspaces.meet.cache_clear()
-    subspaces.join.cache_clear()
+    """The op memos, the caches of ``meet``, ``join`` and
+    ``meet_via_demorgan``, emptied before and after the test, so no
+    earlier result answers and none written under the test's patches
+    outlives it."""
+    memos = (subspaces.meet, subspaces.join, subspaces.meet_via_demorgan)
+    for op in memos:
+        op.cache_clear()
     yield
-    subspaces.meet.cache_clear()
-    subspaces.join.cache_clear()
+    for op in memos:
+        op.cache_clear()
 
 
 @pytest.fixture()

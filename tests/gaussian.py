@@ -130,3 +130,21 @@ def gaussian_rows(rows) -> tuple[tuple[GaussianRational, ...], ...]:
     """Rows of scalars (ints, Fractions or ``(re, im)`` pairs) as rows of
     :class:`GaussianRational`, the shape of ``Subspace.basis``."""
     return tuple(tuple(GaussianRational._coerce(e) for e in row) for row in rows)
+
+
+def rank(rows) -> int:
+    """Rank over Q(i) of rows of scalars, by textbook forward elimination
+    over :class:`GaussianRational`."""
+    work = [list(r) for r in gaussian_rows(rows)]
+    done = 0
+    for c in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(done, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[done], work[pivot] = work[pivot], work[done]
+        top = work[done]
+        for i in range(done + 1, len(work)):
+            f = work[i][c] / top[c]
+            work[i] = [x - f * y for x, y in zip(work[i], top)]
+        done += 1
+    return done

@@ -6,6 +6,8 @@ import inspect
 import sys
 from pathlib import Path
 
+import pytest
+
 import qlattice
 from qlattice import checker
 
@@ -74,9 +76,11 @@ def test_hooked_suites_accept_the_workload_keywords(monkeypatch):
             inspect.signature(getattr(checker, attr)).bind(**kwargs)
 
 
-def test_every_meet_and_join_slot_calls_the_hooked_function(monkeypatch):
+def test_every_meet_and_join_slot_calls_the_hooked_function(monkeypatch, empty_memo):
     # Zero and full operands are settled inside subspaces.meet and join,
-    # not in Evaluator.eval, so the tracer still sees one call per slot.
+    # not in Evaluator.eval, and the other operand order of a pair is
+    # passed on through a private name, so the tracer still sees one call
+    # per slot.
     calls = {"meet": 0, "join": 0}
     for name in calls:
         def counted(p, q, _name=name, _orig=getattr(qlattice.subspaces, name)):
@@ -94,3 +98,35 @@ def test_every_meet_and_join_slot_calls_the_hooked_function(monkeypatch):
     assert all(v.dim == v.ambient for v in values)
     assert calls == {"meet": 5 * 4, "join": 4 * 4}
     assert calls == {op: len(values) * sum(o == op for o, _, _ in code) for op in calls}
+    # Nontrivial operands in both orders, each order first met with the
+    # memo empty, so each pair is a miss passed on to the other order.
+    calls.update(meet=0, join=0)
+    span = qlattice.Subspace.from_spanning
+    p, q = span(3, [[1, 1, 0]]), span(3, [[1, 0, 0], [0, 1, 1]])
+    assert p._rows > q._rows
+    t = qlattice.terms.parse_term("((p ^ q) v (q ^ p)) ^ ((q v p) v (p v q))")
+    code = qlattice.terms.Program((t,)).code
+    rows = [(p, q), (q, p)]
+    values = qlattice.terms.Evaluator(rows, ("p", "q"), 3).eval(t)
+    assert [v.dim for v in values] == [0, 0]  # the line is not in the plane
+    assert calls == {"meet": 3 * 2, "join": 4 * 2}
+    assert calls == {op: len(rows) * sum(o == op for o, _, _ in code) for op in calls}
+
+
+@pytest.mark.parametrize("ambient", [2, 3, 6])
+@pytest.mark.parametrize("strategy", [
+    checker.StoredWitnesses(),
+    checker.CoordinateFamilyStrategy(),
+    checker.CoordinateFamilyStrategy(cap=4),
+    checker.RandomSampling(count=3),
+], ids=["stored", "family", "family-sampled", "random"])
+def test_strategy_assignments_can_be_closed(strategy, ambient):
+    # The tracer's generator hook calls close() on whatever a hooked
+    # strategy's assignments returns, so each must return an object that
+    # has one, on every branch.
+    eq = qlattice.terms.parse_equation("p ^ (q v r) = (p ^ q) v (p ^ r)")
+    assert callable(getattr(strategy.assignments(eq, ambient), "close", None))
+    tracer = _load("tracing").Tracer()
+    hooked = tracer._wrap_generator(tracer._id("strategy"), strategy.assignments)
+    rows = list(hooked(eq, ambient))
+    assert rows == list(strategy.assignments(eq, ambient))

@@ -4,15 +4,16 @@ import copy
 import gc
 import pickle
 import weakref
+from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gaussian import GaussianRational, gaussian_rows
+from gaussian import GaussianRational, gaussian_rows, rank
 import qlattice.subspaces as sub
 from qlattice.linalg import _reduce_int_rows, _strip_content
 from qlattice.subspaces import (
@@ -37,6 +38,39 @@ def span(ambient, *rows):
 
 def _memo_sizes():
     return meet.cache_info().currsize, join.cache_info().currsize
+
+
+def _fixed(p, q):
+    """The operands in the order meet and join compute them in."""
+    return (p, q) if p._rows <= q._rows else (q, p)
+
+
+@contextmanager
+def _eliminations():
+    """The elimination-core calls of meet's and join's bodies, in call
+    order; every body that a shortcut does not settle makes one."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_rank_mod_p", "_merge_int_rows", "_kernel_int", "_reversed_null_rows"):
+            def spy(*args, _real=getattr(sub, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+            mp.setattr(sub, name, spy)
+        yield calls
+
+
+def _is_join(j, p, q):
+    """j is the span of p and q, by the reference rank."""
+    P, Q, J = (gaussian_rows(s.basis) for s in (p, q, j))
+    return rank(J) == rank(P + Q) == rank(J + P + Q)
+
+
+def _is_meet(m, p, q):
+    """m lies in p and in q and has the dimension of their intersection,
+    by the reference rank."""
+    P, Q, M = (gaussian_rows(s.basis) for s in (p, q, m))
+    return (rank(M + P) == len(P) and rank(M + Q) == len(Q)
+            and len(M) == len(P) + len(Q) - rank(P + Q))
 
 
 def _inner(u, v):
@@ -101,6 +135,29 @@ def leq_pairs(draw, max_ambient=6):
         q = Subspace.zero(n)
     else:
         p, q = coordinate(), coordinate()
+    return draw(st.sampled_from([(p, q), (q, p)]))
+
+
+@st.composite
+def nontrivial_pairs(draw, max_ambient=5):
+    """(p, q) in one ambient, either way round, neither 0, C^n nor the
+    other operand: generic, nested, of equal dimension, or around a
+    shared line."""
+    kind = draw(st.sampled_from(["generic", "nested", "equal-dimension", "shared-line"]))
+    n = draw(st.integers(3 if kind == "nested" else 2, max_ambient))
+    seeds = iter(draw(st.lists(st.integers(0, 10**6), min_size=3, max_size=3)))
+    if kind == "nested":  # generic rows, so dim q = dim p + e < n
+        p = random_subspace(n, draw(st.integers(1, n - 2)), next(seeds))
+        q = join(p, random_subspace(n, draw(st.integers(1, n - 1 - p.dim)), next(seeds)))
+    elif kind == "shared-line":
+        line = random_subspace(n, 1, next(seeds))
+        p = join(line, random_subspace(n, draw(st.integers(0, n - 2)), next(seeds)))
+        q = join(line, random_subspace(n, draw(st.integers(0, n - 2)), next(seeds)))
+    else:
+        p = random_subspace(n, draw(st.integers(1, n - 1)), next(seeds))
+        d = p.dim if kind == "equal-dimension" else draw(st.integers(1, n - 1))
+        q = random_subspace(n, d, next(seeds))
+    assume(p is not q and 0 < p.dim < n and 0 < q.dim < n)
     return draw(st.sampled_from([(p, q), (q, p)]))
 
 
@@ -287,7 +344,8 @@ class TestAmbientCheck:
 
     @pytest.mark.parametrize("op", [meet, join])
     def test_memo_holding_an_entry_for_one_operand(self, op, empty_memo):
-        p, q = span(2, [1, 1]), span(2, [1, -1])
+        p, q = span(2, [1, -1]), span(2, [1, 1])
+        assert _fixed(p, q) == (p, q)
         op(p, q)
         assert op.cache_info().currsize == 1
         other = span(3, [1, 0, 1])
@@ -312,7 +370,9 @@ class TestAmbientCheck:
         # an exception is never cached, so a mixed pair never gets an
         # entry: each repeat runs the ambient test again and raises
         p = span(2, [1, 1])
-        op(p, span(2, [1, -1]))
+        q = span(2, [1, -1])
+        assert _fixed(q, p) == (q, p)
+        op(q, p)
         before = op.cache_info()
         for _ in range(3):
             with pytest.raises(AmbientMismatch):
@@ -568,37 +628,53 @@ class TestOpMemo:
         p, q = pq
         m, j = meet(p, q), join(p, q)
         assert meet(p, q) is m and join(p, q) is j
-        assert meet.__wrapped__(p, q) is m and join.__wrapped__(p, q) is j
+        # a fresh body run: in the other order the body passes the call on
+        lo, hi = _fixed(p, q)
+        assert meet.__wrapped__(lo, hi) is m and join.__wrapped__(lo, hi) is j
         meet.cache_clear()
         join.cache_clear()
         assert meet(p, q) == m and join(p, q) == j
 
     def test_equal_operands_built_separately_hit(self, empty_memo):
         p, q = span(3, [1, 1, 0], [0, 0, 1]), span(3, [1, 0, 0], [0, 1, 1])
-        m, j = meet(p, q), join(p, q)
+        assert _fixed(p, q) == (q, p)
+        # the other order: a miss passed on to a miss in the fixed order,
+        # two entries and one body run each (a kernel on the pairing route
+        # for the meet, the full-rank certificate for the join)
+        with _eliminations() as calls:
+            m, j = meet(p, q), join(p, q)
+        assert calls == ["_kernel_int", "_rank_mod_p"]
         p2, q2 = span(3, [2, 2, 0], [0, 0, 3]), span(3, [1, 1, 1], [0, 1, 1])
         assert p2 is p and q2 is q
-        assert meet(p2, q2) is m and join(p2, q2) is j
+        with _eliminations() as calls:
+            assert meet(p2, q2) is m and join(p2, q2) is j
+        assert calls == []
         for op in (meet, join):
-            assert op.cache_info()[:2] == (1, 1)  # hits, misses
-        assert _memo_sizes() == (1, 1)
+            assert op.cache_info()[:2] == (1, 2)  # hits, misses
+        assert _memo_sizes() == (2, 2)
 
     def test_memo_is_bounded(self, empty_memo):
+        memos = (meet, join, meet_via_demorgan)
+        assert [op.cache_info().currsize for op in memos] == [0, 0, 0]  # emptied
         limit = join.cache_info().maxsize
-        assert limit == meet.cache_info().maxsize == sub._MEMO_LIMIT // 2
+        assert limit == sub._MEMO_LIMIT // 2
+        assert all(op.cache_info().maxsize == limit for op in memos)
         lines = [span(3, [1, k, 0]) for k in range(40)]
-        largest = 0
+        largest = dict.fromkeys(memos, 0)
         for p in lines:
             for q in lines:
                 if p is not q:
-                    join(p, q)
-                    largest = max(largest, join.cache_info().currsize)
+                    for op in memos:
+                        op(p, q)
+                        largest[op] = max(largest[op], op.cache_info().currsize)
         assert 40 * 39 > limit
-        assert largest <= limit
-        assert 0 < join.cache_info().currsize < 40 * 39
+        for op in memos:
+            assert largest[op] <= limit
+            assert 0 < op.cache_info().currsize < 40 * 39
 
     def test_a_repeated_meet_counts_one_miss_then_one_hit(self, empty_memo):
-        p, q = span(3, [1, 1, 0], [0, 0, 1]), span(3, [1, 0, 0], [0, 1, 1])
+        q, p = span(3, [1, 1, 0], [0, 0, 1]), span(3, [1, 0, 0], [0, 1, 1])
+        assert _fixed(p, q) == (p, q)
         m = meet(p, q)
         assert meet.cache_info()[:3] == (0, 1, sub._MEMO_LIMIT // 2)
         assert meet(p, q) is m
@@ -631,9 +707,39 @@ class TestOpMemo:
 
     def test_demorgan_route_adds_no_meet_entry(self, empty_memo):
         p, q = span(3, [1, 1, 0], [0, 0, 1]), span(3, [1, 0, 0], [0, 1, 1])
-        meet_via_demorgan(p, q)
+        m = meet_via_demorgan(p, q)
         assert meet.cache_info()[:2] == (0, 0) and _memo_sizes()[0] == 0
-        assert join.cache_info().misses == 1
+        # the join of the complements comes in the other order: two misses
+        assert _fixed(complement(p), complement(q)) == (complement(q), complement(p))
+        assert join.cache_info()[1:] == (2, sub._MEMO_LIMIT // 2, 2)
+        assert meet_via_demorgan.cache_info()[:2] == (0, 1)
+        assert meet_via_demorgan(p, q) is m
+        assert meet_via_demorgan.cache_info()[:2] == (1, 1)
+        assert join.cache_info().misses == 2 and meet.cache_info().currsize == 0
+
+
+class TestOnePairOnce:
+    """A nontrivial pair is computed only in the order ``p._rows <
+    q._rows``; the other order is passed on to the memoised function, so
+    each unordered pair runs the body's elimination once."""
+
+    @given(nontrivial_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_each_unordered_pair_is_computed_once(self, pq):
+        p, q = pq
+        for op, is_result in ((meet, _is_meet), (join, _is_join)):
+            with _eliminations() as calls:
+                fresh = op.__wrapped__(*_fixed(p, q))
+            once = len(calls)
+            op.cache_clear()
+            with _eliminations() as calls:
+                first = op(p, q)
+                assert len(calls) == once
+                assert op(q, p) is first is fresh
+            assert len(calls) == once > 0
+            info = op.cache_info()
+            assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+            assert is_result(op(p, q), p, q) and is_result(op(q, p), q, p)
 
 
 class TestEmbed:
@@ -683,6 +789,17 @@ class TestRandomSubspace:
     def test_negative_coefficient_bound_is_refused(self):
         with pytest.raises(ValueError, match="negative"):
             random_subspace(3, 1, seed=1, coeff_bound=-1)
+
+    @pytest.mark.parametrize("dim", [0, 1, 3])
+    @pytest.mark.parametrize("bound", [0, -5])
+    def test_bound_below_one_is_refused_before_any_draw(self, dim, bound):
+        rng = Random(1)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="negative"):
+            sub._random_from(rng, 3, dim, bound)
+        assert rng.getstate() == state
+        with pytest.raises(ValueError, match="at least 1"):
+            random_subspace(3, dim, seed=1, coeff_bound=bound)
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 2024, "random:0:3"])
     def test_below_draws_as_randrange(self, seed):
