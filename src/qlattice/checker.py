@@ -37,7 +37,8 @@ pass record over every row, worded from what the probe tallied.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cache
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
@@ -89,11 +90,6 @@ _EXTRA_COEFFS = (
 )
 
 
-# The family of each (ambient, extra_lines) built so far: at most 4
-# ambients, each with at most 6 * 16 extra lines, so the table stays small.
-_families: dict[tuple[int, int], tuple[Subspace, ...]] = {}
-
-
 def coordinate_family(ambient: int, extra_lines: int = 0) -> list[Subspace]:
     """Deterministic exhaustive family: every coordinate subspace (one per
     subset of basis vectors, so 0 and 1 included) plus ``extra_lines``
@@ -104,13 +100,13 @@ def coordinate_family(ambient: int, extra_lines: int = 0) -> list[Subspace]:
     family is built once per arguments and kept; every call returns a
     new list of it.
     """
-    family = _families.get((ambient, extra_lines))
-    if family is None:
-        family = _families[ambient, extra_lines] = tuple(_build_family(ambient, extra_lines))
-    return list(family)
+    return list(_build_family(ambient, extra_lines))
 
 
-def _build_family(ambient: int, extra_lines: int) -> list[Subspace]:
+# Cached per (ambient, extra_lines): at most 4 ambients, each with at most
+# 6 * 16 extra lines, so the cache stays small.
+@cache
+def _build_family(ambient: int, extra_lines: int) -> tuple[Subspace, ...]:
     if ambient < 1:
         raise ValueError("ambient dimension must be at least 1")
     if ambient > _MAX_EXHAUSTIVE_AMBIENT:
@@ -133,7 +129,7 @@ def _build_family(ambient: int, extra_lines: int) -> list[Subspace]:
     for coeff in _EXTRA_COEFFS:
         for i, j in pairs:
             if produced == extra_lines:
-                return family
+                return tuple(family)
             row = [0] * ambient
             row[i] = 1
             row[j] = coeff
@@ -144,7 +140,7 @@ def _build_family(ambient: int, extra_lines: int) -> list[Subspace]:
             f"cannot construct {extra_lines} distinct extra lines "
             f"in ambient {ambient}"
         )
-    return family
+    return tuple(family)
 
 
 def _tuples(names: Sequence[str], family: Sequence[Subspace], ambient: int) -> Iterator[tuple]:
@@ -435,14 +431,8 @@ class SuiteRecord:
         return f"[{tag}] {self.suite}{where} samples={self.samples}: {self.detail}"
 
     def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "ambient": self.ambient,
-            "samples": self.samples,
-            "status": self.status,
-            "detail": self.detail,
-            "certificate": self.certificate,
-        }
+        """The fields by name, in declaration order."""
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -659,14 +649,12 @@ def run_laws_suite(
     return SuiteReport(tuple(records))
 
 
-def run_meet_agreement_suite(
-    ambient: int = 3,
-    extra_lines: int = 4,
-    seed: int = 0,
-) -> SuiteReport:
+def run_meet_agreement_suite(seed: int = 0) -> SuiteReport:
     """The kernel-based meet and the complement-based meet agree, both on
-    raw pairs and through whole-equation evaluation."""
+    raw pairs and through whole-equation evaluation, over the ambient-3
+    coordinate family with four extra lines."""
     suite = "meet-agreement"
+    ambient = 3
 
     def pair_agrees(row: tuple) -> str | None:
         p, q = row
@@ -675,10 +663,10 @@ def run_meet_agreement_suite(
         return None
 
     names = ("p", "q")
-    pairs = _tuples(names, coordinate_family(ambient, extra_lines), ambient)
+    pairs = _tuples(names, coordinate_family(ambient, 4), ambient)
     paired, a, detail = _sweep(pairs, names, ambient, (), pair_agrees)
     done = paired
-    strategy = CoordinateFamilyStrategy(extra_lines=extra_lines, cap=256, seed=seed)
+    strategy = CoordinateFamilyStrategy(extra_lines=4, cap=256, seed=seed)
     for name, eq in named_equations().items():
         if a is not None:
             break
@@ -698,11 +686,12 @@ def run_meet_agreement_suite(
     ),))
 
 
-def run_transport_suite(extras: Iterable[int] = (1, 2)) -> SuiteReport:
-    """Stored counterexamples still falsify after moving to a larger space."""
+def run_transport_suite() -> SuiteReport:
+    """Stored counterexamples still falsify after moving to a space of one
+    or two more dimensions."""
     records = []
     for record in counterexample_catalog():
-        for extra in extras:
+        for extra in (1, 2):
             moved = transport(record.assignment, extra)
             suite = f"transport-{record.label}"
             if holds(record.equation, moved):

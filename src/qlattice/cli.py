@@ -15,6 +15,9 @@ Exit codes, fixed for scriptability:
      preconditions, a solver that fails or cannot start)
   5  internal errors (an unexpected exception: a defect, not a verdict)
 
+A reader that closes stdout early changes neither the exit code nor
+stderr: the rest of the output goes to ``os.devnull``.
+
 Ambients outside 1 to ``subspaces.MAX_AMBIENT`` are usage errors (parse
 errors in a fixture), and so are separation indices whose witness ambient
 would exceed it, coefficient bounds below 1 and solver timeouts that are
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import shlex
 import sys
 from pathlib import Path
@@ -150,11 +154,27 @@ def _read(path: str) -> str:
         raise UsageError(f"cannot read {path}: not UTF-8 text") from exc
 
 
+def _print(text: str, end: str = "\n") -> None:
+    """Print `text` to stdout and flush it.
+
+    A reader that closes the pipe early is not an error: stdout is then
+    pointed at ``os.devnull``, so the command runs on to the exit code it
+    gives with stdout open, and no later write or flush, the
+    interpreter's last one included, raises again.
+    """
+    try:
+        print(text, end=end, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     assignment = parse_assignment_fixture(_read(args.fixture))
     value = evaluate(parse_term(args.term), assignment)
-    sys.stdout.write(format_subspace_fixture(value))
-    print(f"# dim {value.dim}")
+    _print(format_subspace_fixture(value), end="")
+    _print(f"# dim {value.dim}")
     return EXIT_OK
 
 
@@ -186,10 +206,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         samples=args.samples, seed=args.seed, coeff_bound=args.coeff_bound
     )
     verdict = check(eq, args.ambient, strategies)
-    print(verdict.summary())
+    _print(verdict.summary())
     if verdict.counterexample is None:
         return EXIT_OK
-    sys.stdout.write(verdict.counterexample.fixture())
+    _print(verdict.counterexample.fixture(), end="")
     return EXIT_FALSIFIED
 
 
@@ -235,7 +255,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
     elif family == "gamma":
         term = gamma_distinct_lines(index)
     if term is not None:
-        print(format_term(term))
+        _print(format_term(term))
         return EXIT_OK
 
     if family == "separation":
@@ -244,7 +264,7 @@ def cmd_emit(args: argparse.Namespace) -> int:
         eq = named_equations()[name]
     else:
         raise UsageError(f"unknown formula name {name!r}")
-    print(f"{format_term(eq.lhs)} = {format_term(eq.rhs)}")
+    _print(f"{format_term(eq.lhs)} = {format_term(eq.rhs)}")
     return EXIT_OK
 
 
@@ -255,7 +275,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
         assignment = separation_witness(_separation_index("separation:I", i))
     else:
         raise UsageError(f"unknown witness name {args.name!r}")
-    sys.stdout.write(format_assignment_fixture(assignment))
+    _print(format_assignment_fixture(assignment), end="")
     return EXIT_OK
 
 
@@ -267,9 +287,9 @@ def cmd_suite(args: argparse.Namespace) -> int:
     run = checker.run_all if args.name == "all" else checker.SUITES[args.name]
     report = run(args.samples, args.seed, args.coeff_bound, args.max_i)
     if args.json:
-        print(json.dumps(report.as_dict(), indent=2))
+        _print(json.dumps(report.as_dict(), indent=2))
     else:
-        print("\n".join(report.lines()))
+        _print("\n".join(report.lines()))
     return EXIT_OK if report.passed else EXIT_FALSIFIED
 
 
@@ -288,16 +308,16 @@ def cmd_compile(args: argparse.Namespace) -> int:
             Path(args.out).write_text(text)
         except OSError as exc:
             raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
-        print(f"wrote {args.out}")
-        print(description)
+        _print(f"wrote {args.out}")
+        _print(description)
     else:
-        sys.stdout.write(text)
+        _print(text, end="")
         print(description, file=sys.stderr)
     if not args.solve:
         return EXIT_OK
     command = tuple(shlex.split(args.solver)) if args.solver else None
     result = run_external_solver(text, command, timeout_seconds=args.timeout)
-    print(f"solver: {result.status}")
+    _print(f"solver: {result.status}")
     if result.status == "invalid":
         return EXIT_FALSIFIED
     if result.status == "error":

@@ -154,40 +154,19 @@ def gamma_distinct_lines(k: int) -> Term:
     return g
 
 
-def orthomodular_law() -> Equation:
-    return parse_equation("p ^ (~p v (p ^ q)) = p ^ q")
-
-
-def modular_law() -> Equation:
-    return parse_equation("(p ^ r) v (q ^ r) = ((p ^ r) v q) ^ r")
-
-
-def distributive_law() -> Equation:
-    return parse_equation("p v (q ^ r) = (p v q) ^ (p v r)")
-
-
-def equality_characterization() -> Equation:
-    """``(p v q) ^ (~p v ~q) = 0`` holds exactly when p = q."""
-    return parse_equation("(p v q) ^ (~p v ~q) = 0")
-
-
-def equality_characterization_dual() -> Equation:
-    """``(~p ^ ~q) v (p ^ q) = 1`` holds exactly when p = q."""
-    return parse_equation("(~p ^ ~q) v (p ^ q) = 1")
-
-
 @cache
 def _catalogue() -> dict[str, Equation]:
     return {
-        "oml": orthomodular_law(),
-        "modular": modular_law(),
-        "distributive": distributive_law(),
+        "oml": parse_equation("p ^ (~p v (p ^ q)) = p ^ q"),
+        "modular": parse_equation("(p ^ r) v (q ^ r) = ((p ^ r) v q) ^ r"),
+        "distributive": parse_equation("p v (q ^ r) = (p v q) ^ (p v r)"),
         "demorgan-meet": parse_equation("~(p ^ q) = ~p v ~q"),
         "demorgan-join": parse_equation("~(p v q) = ~p ^ ~q"),
         "involution": parse_equation("~~p = p"),
         "complement-meet": parse_equation("p ^ ~p = 0"),
-        "eq-char": equality_characterization(),
-        "eq-char-dual": equality_characterization_dual(),
+        # The two equality characterizations: each holds exactly when p = q.
+        "eq-char": parse_equation("(p v q) ^ (~p v ~q) = 0"),
+        "eq-char-dual": parse_equation("(~p ^ ~q) v (p ^ q) = 1"),
         "alpha-zero": Equation(alpha(), BOT),
         "beta-zero": Equation(beta(), BOT),
         "separation-0": separation_equation(0),
@@ -214,17 +193,22 @@ class Counterexample:
 def transport(a: Assignment, extra: int) -> Assignment:
     """Move an assignment into ``extra`` more dimensions.
 
-    Every binding v becomes ``v (+) C^extra``, the construction that makes
-    counterexamples survive in any larger ambient space.
+    Every binding v becomes ``v (+) C^extra``, and a counterexample stays
+    one.  The block-diagonal subspaces ``x (+) y`` of ``C^(m + e)`` form a
+    sub-ortholattice isomorphic to ``L(C^m) x L(C^e)``: meet and join act
+    blockwise, ``~(x (+) y) = ~x (+) ~y`` because the two coordinate
+    blocks are orthogonal under the Hermitian form, and ``0 = 0 (+) 0``,
+    ``1 = 1 (+) 1``.  So every term's value at the moved assignment has
+    its value at `a` as its first block, and two sides that differ at `a`
+    still differ.
     """
     if extra < 0:
         raise ValueError("extra dimensions must be nonnegative")
     if extra == 0:
         return a
     pad = Subspace.full(extra)
-    n = a.ambient + extra
     return Assignment(
-        n, {name: embed(s, n, pad) for name, s in a.bindings.items()}
+        a.ambient + extra, {name: embed(s, pad) for name, s in a.bindings.items()}
     )
 
 
@@ -233,7 +217,7 @@ def counterexample_catalog() -> tuple[Counterexample, ...]:
     """Known falsifying assignments, re-derivable and exact."""
     distrib = Counterexample(
         "distributive-three-lines",
-        distributive_law(),
+        _catalogue()["distributive"],
         Assignment(
             2,
             {

@@ -33,6 +33,10 @@ side with fewer rows: the matrix of the bilinear pairing (no
 conjugation) of two row lists, and the rows that a list of coefficient
 rows combines.  Fractions reappear only when a canonical reduced row
 echelon basis is materialised, with each pivot normalised to 1.
+
+Canonical rows carry their own pivots, at each row's first nonzero
+entry, so the null-row, kernel and merge helpers return the rows alone;
+only ``_reduce_int_rows`` returns its pivot columns beside them.
 """
 
 from __future__ import annotations
@@ -236,7 +240,9 @@ def _reduce_int_rows(
     pivot columns.  Each returned row is primitive (content 1) and its pivot
     entry is a positive ordinary integer, which makes the form unique; the
     Fraction-level canonical basis is obtained by dividing each row by its
-    pivot entry.
+    pivot entry.  It is the one helper that returns pivots beside its rows:
+    :func:`_merge_int_rows` orders its rows by them, and the benchmark's
+    trace hook unpacks the pair.
 
     With at least `ncols` nonzero rows, rank `ncols` from :func:`_rank_mod_p`
     settles the answer as the identity rows, which is the canonical form of
@@ -327,9 +333,7 @@ def _reduce_int_rows(
     return work, pivots
 
 
-def _null_rows(
-    rows: Sequence[Sequence[_Int]], ncols: int
-) -> tuple[list[list[_Int]], list[int]]:
+def _null_rows(rows: Sequence[Sequence[_Int]], ncols: int) -> list[list[_Int]]:
     """Rows whose joint kernel is the span of the canonical rows R.
 
     Row i of R (see :func:`_reduce_int_rows`) has its lead l_i > 0 at
@@ -338,7 +342,7 @@ def _null_rows(
     lcm of the leads of the rows nonzero at j, content stripped, so that
     ``R w_j = 0`` with no conjugation.  Only rows with c_i < j are nonzero
     at j, so by descending j, with the columns reversed, the w_j already
-    are a reduced echelon form.  Returns them by ascending j, with the j.
+    are a reduced echelon form.  Returns them by ascending j.
     """
     leads = [(r, next(k for k, x in enumerate(r) if x)) for r in rows]
     pivset = {k // 2 for _, k in leads}
@@ -357,7 +361,7 @@ def _null_rows(
             w[k], w[k + 1] = -r[re_j] * mult, -r[im_j] * mult
         _strip_content(w)
         out.append(w)
-    return out, free
+    return out
 
 
 def _reversed_columns(rows: Iterable[Sequence[_Int]], ncols: int) -> list[list[_Int]]:
@@ -369,26 +373,20 @@ def _reversed_columns(rows: Iterable[Sequence[_Int]], ncols: int) -> list[list[_
     return out
 
 
-def _reversed_null_rows(
-    rows: Sequence[Sequence[_Int]], ncols: int
-) -> tuple[list[list[_Int]], list[int]]:
+def _reversed_null_rows(rows: Sequence[Sequence[_Int]], ncols: int) -> list[list[_Int]]:
     """The null rows of canonical rows, as a canonical block in reversed
-    columns, with its pivots.
+    columns.
 
     These are the rows of :func:`_null_rows` by descending free column,
     each with its columns reversed.  Reversal is an involution, so given
     a canonical block in reversed columns it returns the canonical basis
     of that block's right kernel in the original columns.
     """
-    null, free = _null_rows(rows, ncols)
-    null.reverse()
-    return _reversed_columns(null, ncols), [ncols - 1 - j for j in reversed(free)]
+    return _reversed_columns(reversed(_null_rows(rows, ncols)), ncols)
 
 
-def _kernel_int(
-    rows: Iterable[Sequence[_Int]], ncols: int
-) -> tuple[list[list[_Int]], list[int]]:
-    """Canonical integer basis (rows and their pivots) for the right kernel.
+def _kernel_int(rows: Iterable[Sequence[_Int]], ncols: int) -> list[list[_Int]]:
+    """The canonical integer rows of the right kernel.
 
     The input is reduced once, with its column order reversed, and
     :func:`_reversed_null_rows` reads the canonical kernel basis off that
@@ -442,9 +440,9 @@ def _reduced_against(
 
 def _merge_int_rows(
     a: Sequence[Sequence[_Int]], b: Sequence[Sequence[_Int]], ncols: int
-) -> tuple[list[Sequence[_Int]], list[int]]:
-    """The canonical rows and pivots of the span of two canonical blocks,
-    as :func:`_reduce_int_rows` would give them for ``a + b``.
+) -> list[Sequence[_Int]]:
+    """The canonical rows of the span of two canonical blocks, as
+    :func:`_reduce_int_rows` would give them for ``a + b``.
 
     With A the block with more rows: the rows of B are reduced against A
     (see :func:`_reduced_against`), and only the ones left nonzero are
@@ -457,15 +455,14 @@ def _merge_int_rows(
     if len(b) > len(a):
         a, b = b, a
     lead_a = _leads(a)
-    pivots = [k // 2 for k, _, _ in lead_a]
     rest = [r for r in _reduced_against(b, lead_a) if any(r)]
     if not rest:
-        return list(a), pivots
+        return list(a)
     new, new_pivots = _reduce_int_rows(rest, ncols)
     rows = list(_reduced_against(a, _leads(new))) + new
-    pivots += new_pivots
+    pivots = [k // 2 for k, _, _ in lead_a] + new_pivots
     order = sorted(range(len(rows)), key=pivots.__getitem__)
-    return [rows[i] for i in order], [pivots[i] for i in order]
+    return [rows[i] for i in order]
 
 
 def _pair_int(

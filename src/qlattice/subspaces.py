@@ -9,8 +9,9 @@ no subspace alive: its keys hold only ints, a dead reference counts as a
 miss, and the dead entries are swept out whenever the table has doubled
 since the last sweep.  Copying returns the object itself, and unpickling
 rebuilds through the table.  ``Subspace.zero(n)`` and ``Subspace.full(n)``
-are held by the module, one object per ambient asked for: the interned
-object, built once and then returned by one dict lookup.
+are ``functools.cache`` functions of the ambient: the interned object is
+built on the first call for each ambient, kept alive by the cache, and
+then returned by a lookup in C.
 
 Lattice operations: ``meet`` is intersection, ``join`` is linear span,
 ``complement`` is the orthogonal complement under the Hermitian inner
@@ -72,7 +73,7 @@ entries.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from random import Random
 from typing import Iterable, Sequence
 from weakref import ref
@@ -111,10 +112,6 @@ _SWEEP_FLOOR = 1024
 # costs nothing when it dies.
 _interned: dict[tuple[int, tuple], ref] = {}
 _sweep_at = _SWEEP_FLOOR
-# The zero and the full subspace of each ambient built so far, kept alive
-# here so that later calls skip the table.
-_zeros: dict[int, "Subspace"] = {}
-_fulls: dict[int, "Subspace"] = {}
 
 
 class AmbientMismatch(ValueError):
@@ -176,31 +173,27 @@ class Subspace:
     def __reduce__(self) -> tuple:
         return (Subspace._make, (self.ambient, self._rows))
 
-    @classmethod
-    def zero(cls, ambient: int) -> "Subspace":
+    @staticmethod
+    @cache
+    def zero(ambient: int) -> "Subspace":
         """The trivial subspace of complex `ambient`-space, built once per
         ambient."""
-        z = _zeros.get(ambient)
-        if z is None:
-            if ambient < 1:
-                raise AmbientMismatch("ambient dimension must be at least 1")
-            z = _zeros[ambient] = cls._make(ambient, ())
-        return z
+        if ambient < 1:
+            raise AmbientMismatch("ambient dimension must be at least 1")
+        return Subspace._make(ambient, ())
 
-    @classmethod
-    def full(cls, ambient: int) -> "Subspace":
+    @staticmethod
+    @cache
+    def full(ambient: int) -> "Subspace":
         """The whole space, built once per ambient."""
-        f = _fulls.get(ambient)
-        if f is None:
-            if ambient < 1:
-                raise AmbientMismatch("ambient dimension must be at least 1")
-            rows = []
-            for i in range(ambient):
-                row = [0] * (2 * ambient)
-                row[2 * i] = 1
-                rows.append(row)
-            f = _fulls[ambient] = cls._make(ambient, rows)
-        return f
+        if ambient < 1:
+            raise AmbientMismatch("ambient dimension must be at least 1")
+        rows = []
+        for i in range(ambient):
+            row = [0] * (2 * ambient)
+            row[2 * i] = 1
+            rows.append(row)
+        return Subspace._make(ambient, rows)
 
     @classmethod
     def from_spanning(
@@ -274,8 +267,7 @@ def join(p: Subspace, q: Subspace) -> Subspace:
     n = p.ambient
     if len(p._rows) + len(q._rows) >= n and _rank_mod_p(p._rows + q._rows, n) == n:
         return Subspace.full(n)
-    rows, _ = _merge_int_rows(p._rows, q._rows, n)
-    return Subspace._make(n, rows)
+    return Subspace._make(n, _merge_int_rows(p._rows, q._rows, n))
 
 
 # The memoised join under a name of its own, for the other operand order:
@@ -295,9 +287,9 @@ def complement(p: Subspace) -> Subspace:
         n = p.ambient
         conj = _conj_int_rows(p._rows)
         if 2 * len(conj) > n:
-            rows, _ = _reduce_int_rows(_null_rows(conj, n)[0], n)
+            rows, _ = _reduce_int_rows(_null_rows(conj, n), n)
         else:
-            rows, _ = _kernel_int(conj, n)
+            rows = _kernel_int(conj, n)
         c = Subspace._make(n, rows)
         p._complement = c
         c._complement = p
@@ -336,15 +328,15 @@ def meet(p: Subspace, q: Subspace) -> Subspace:
         small, big = p._rows, q._rows
         if len(small) > len(big):
             small, big = big, small
-        coeffs, _ = _kernel_int(_pair_int(_null_rows(big, n)[0], small), len(small))
+        coeffs = _kernel_int(_pair_int(_null_rows(big, n), small), len(small))
         rows = _combine_int(coeffs, small, n)
         for r in rows:
             _strip_content(r)
     else:
-        null_p, _ = _reversed_null_rows(p._rows, n)
-        null_q, _ = _reversed_null_rows(q._rows, n)
-        merged, _ = _merge_int_rows(null_p, null_q, n)
-        rows, _ = _reversed_null_rows(merged, n)
+        merged = _merge_int_rows(
+            _reversed_null_rows(p._rows, n), _reversed_null_rows(q._rows, n), n
+        )
+        rows = _reversed_null_rows(merged, n)
     return Subspace._make(n, rows)
 
 
@@ -387,24 +379,17 @@ def leq(p: Subspace, q: Subspace) -> bool:
     return not any(map(any, _reduced_against(p._rows, _leads(q._rows))))
 
 
-def embed(p: Subspace, bigger_ambient: int, pad: Subspace) -> Subspace:
-    """Transport `p` into a larger space as ``p (+) pad``.
-
-    `p` occupies the first ``p.ambient`` coordinates of the larger space and
-    `pad` the remaining ones, so the two coordinate blocks must tile
-    `bigger_ambient` exactly.
+def embed(p: Subspace, pad: Subspace) -> Subspace:
+    """The block-diagonal subspace ``p (+) pad`` of ambient
+    ``p.ambient + pad.ambient``: `p` occupies the first ``p.ambient``
+    coordinates and `pad` the remaining ones.
     """
-    if p.ambient + pad.ambient != bigger_ambient:
-        raise AmbientMismatch(
-            f"blocks of {p.ambient} and {pad.ambient} coordinates do not tile "
-            f"an ambient of {bigger_ambient}"
-        )
     head = 2 * p.ambient
     tail = 2 * pad.ambient
     rows = [list(r) + [0] * tail for r in p._rows]
     rows += [[0] * head + list(r) for r in pad._rows]
     # Block-diagonal stacking of canonical rows is already canonical.
-    return Subspace._make(bigger_ambient, rows)
+    return Subspace._make(p.ambient + pad.ambient, rows)
 
 
 def _below(rng: Random, n: int) -> int:

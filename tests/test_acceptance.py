@@ -36,10 +36,8 @@ from qlattice.formulas import (
     alpha_iter,
     beta,
     beta_witness,
-    distributive_law,
     gamma_distinct_lines,
     named_equations,
-    orthomodular_law,
     separation_witness,
 )
 from qlattice.sentences import (
@@ -149,7 +147,7 @@ def test_criterion_06_laws_suite(capsys):
 
 
 def test_criterion_07_counterexample_transport(capsys):
-    report = run_transport_suite(extras=(1, 2))
+    report = run_transport_suite()
     ok = report.passed and len(report.records) == 10
     _report(
         capsys, 7,
@@ -160,8 +158,8 @@ def test_criterion_07_counterexample_transport(capsys):
 
 
 def test_criterion_08_meet_route_agreement(capsys):
-    report = run_meet_agreement_suite(ambient=3, extra_lines=4)
-    ok = report.passed
+    report = run_meet_agreement_suite()
+    ok = report.passed and [r.ambient for r in report.records] == [3]
     _report(
         capsys, 8,
         "kernel-intersection meet agrees with the complement-of-join-of-"
@@ -188,8 +186,8 @@ def test_criterion_09_compiler_structural(capsys):
     agree_ok = True
     sentences = [
         parse_sentence(WORKED),
-        universal_closure(orthomodular_law()),
-        universal_closure(distributive_law()),
+        universal_closure(named_equations()["oml"]),
+        universal_closure(named_equations()["distributive"]),
     ]
     for s in sentences:
         for ambient, extras in ((2, 1), (3, 0)):
@@ -199,7 +197,7 @@ def test_criterion_09_compiler_structural(capsys):
 
     worked_text = emit_solver_text(compile_sentence(parse_sentence(WORKED), 2))
     distrib_text = emit_solver_text(
-        compile_sentence(universal_closure(distributive_law()), 1)
+        compile_sentence(universal_closure(named_equations()["distributive"]), 1)
     )
     golden_ok = (
         worked_text == (GOLDEN / "worked-example-n2.smt2").read_text()
@@ -227,9 +225,9 @@ def test_criterion_10_external_solver(capsys):
             )
         pytest.skip("no external solver available")
     cases = [
-        (universal_closure(distributive_law()), 1, "valid"),
-        (universal_closure(distributive_law()), 2, "invalid"),
-        (universal_closure(orthomodular_law()), 1, "valid"),
+        (universal_closure(named_equations()["distributive"]), 1, "valid"),
+        (universal_closure(named_equations()["distributive"]), 2, "invalid"),
+        (universal_closure(named_equations()["oml"]), 1, "valid"),
     ]
     verdicts = []
     for sentence, n, _ in cases:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import qlattice
+import qlattice.smtlib  # a traced module that the package does not import
 from qlattice import checker
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -130,3 +131,49 @@ def test_strategy_assignments_can_be_closed(strategy, ambient):
     hooked = tracer._wrap_generator(tracer._id("strategy"), strategy.assignments)
     rows = list(hooked(eq, ambient))
     assert rows == list(strategy.assignments(eq, ambient))
+
+
+def test_reduce_keeps_its_pair_under_the_tracer(empty_memo):
+    # The tracer's reduce hook unpacks ``(rows, pivots)`` from
+    # _reduce_int_rows, the one elimination helper that still returns
+    # pivots.  Every elimination route of meet, join and complement must
+    # reach it through the hook and give the untraced result.  Meet's
+    # merge route needs 2s > 3n with neither operand full, so it starts at
+    # n = 5.
+    sub = qlattice.subspaces
+    rs = sub.random_subspace
+    cases = []
+    for n in (4, 5, 6):
+        cases += [
+            ("meet", rs(n, n // 2, seed=n), rs(n, n - n // 2 + 1, seed=n + 10)),  # 2s <= 3n
+            ("join", rs(n, 1, seed=n + 20), rs(n, 2, seed=n + 30)),  # a merge
+            ("complement", rs(n, n - 1, seed=n + 40)),  # 2d > n
+            ("complement", rs(n, 1, seed=n + 50)),  # 2d <= n
+        ]
+        if n > 4:
+            cases.append(("meet", rs(n, n - 1, seed=n + 60), rs(n, n - 1, seed=n + 70)))
+    memos = (sub.meet, sub.join)
+
+    def run(each=lambda: None):
+        for memo in memos:
+            memo.cache_clear()
+        out = []
+        for name, *operands in cases:
+            for s in operands:
+                s._complement = None
+            out.append(getattr(sub, name)(*operands))
+            each()
+        return out
+
+    untraced = run()
+    assert all(not v.is_zero() for v in untraced)
+    tracer = _load("tracing").Tracer()
+    rows_in = []
+    tracer.install()
+    try:
+        traced = run(lambda: rows_in.append(tracer.counts["linalg.reduce.rows_in"]))
+    finally:
+        tracer.uninstall()
+    assert all(t is u for t, u in zip(traced, untraced, strict=True))
+    # each operation reduced some rows through the hook
+    assert all(a < b for a, b in zip([0] + rows_in, rows_in))

@@ -34,9 +34,7 @@ from qlattice.formulas import (
     beta,
     beta_witness,
     counterexample_catalog,
-    distributive_law,
     named_equations,
-    orthomodular_law,
     transport,
 )
 import qlattice.subspaces as sub
@@ -88,7 +86,7 @@ def test_family_deterministic():
 
 
 def test_family_is_a_new_list_on_each_call():
-    eq = orthomodular_law()
+    eq = named_equations()["oml"]
     strat = CoordinateFamilyStrategy(extra_lines=4, cap=10, seed=3)
     draws = list(strat.assignments(eq, 3))
     first = coordinate_family(3, 4)
@@ -113,7 +111,7 @@ def test_tuples_refuse_a_family_of_another_ambient():
 
 
 def test_coordinate_strategy_exhaustive_count():
-    eq = orthomodular_law()  # two variables
+    eq = named_equations()["oml"]  # two variables
     strat = CoordinateFamilyStrategy(extra_lines=4)
     got = list(strat.assignments(eq, 2))
     assert len(got) == 8 ** 2
@@ -157,7 +155,7 @@ def test_coordinate_strategy_keeps_the_choice_stream(ambient, extra_lines, size,
 def test_random_strategy_keeps_the_randint_stream():
     # dimensions as rng.randint(0, ambient) drew them, between the
     # coefficient draws of _random_from (pinned in test_subspaces)
-    eq = orthomodular_law()
+    eq = named_equations()["oml"]
     for ambient in (1, 3, 5):
         strat = RandomSampling(count=40, seed=3, coeff_bound=2)
         rng = Random(f"random:3:{ambient}")
@@ -170,11 +168,11 @@ def test_random_strategy_keeps_the_randint_stream():
 
 
 def test_coordinate_strategy_skips_large_ambients():
-    assert list(CoordinateFamilyStrategy().assignments(orthomodular_law(), 8)) == []
+    assert list(CoordinateFamilyStrategy().assignments(named_equations()["oml"], 8)) == []
 
 
 def test_random_strategy_deterministic_and_bounded():
-    eq = orthomodular_law()
+    eq = named_equations()["oml"]
     strat = RandomSampling(count=25, seed=3, coeff_bound=2)
     one = list(strat.assignments(eq, 3))
     two = list(strat.assignments(eq, 3))
@@ -186,7 +184,7 @@ def test_random_strategy_deterministic_and_bounded():
 
 def test_stored_witness_strategy_matches_exactly():
     strat = StoredWitnesses()
-    eq = distributive_law()
+    eq = named_equations()["distributive"]
     hits = list(strat.assignments(eq, 2))
     assert len(hits) == 1
     # the stored witness, read in free-variable order
@@ -194,11 +192,11 @@ def test_stored_witness_strategy_matches_exactly():
     assert hits[0] == tuple(stored[name] for name in eq.free_vars)
     assert dict(zip(eq.free_vars, hits[0]))["p"] == Subspace.line(2, [1, 1])
     # same equation, wrong ambient: the stored witness does not apply
-    assert list(strat.assignments(distributive_law(), 3)) == []
+    assert list(strat.assignments(named_equations()["distributive"], 3)) == []
 
 
 def test_check_distributive_counterexample():
-    verdict = check(distributive_law(), 2)
+    verdict = check(named_equations()["distributive"], 2)
     assert verdict.status == "counterexample"
     cx = verdict.counterexample
     assert cx.lhs_value != cx.rhs_value
@@ -207,8 +205,8 @@ def test_check_distributive_counterexample():
 
 
 def test_check_is_deterministic():
-    a = check(distributive_law(), 2)
-    b = check(distributive_law(), 2)
+    a = check(named_equations()["distributive"], 2)
+    b = check(named_equations()["distributive"], 2)
     assert (a.status, a.samples_tried, a.strategy_log) == (
         b.status, b.samples_tried, b.strategy_log
     )
@@ -218,7 +216,7 @@ def test_check_is_deterministic():
 
 def test_check_holds_on_samples_wording():
     strategies = [CoordinateFamilyStrategy(), RandomSampling(count=50)]
-    verdict = check(orthomodular_law(), 2, strategies)
+    verdict = check(named_equations()["oml"], 2, strategies)
     assert verdict.status == "holds-on-samples"
     assert verdict.counterexample is None
     assert "sampling cannot certify validity" in verdict.summary()
@@ -233,7 +231,7 @@ def test_check_beta_witness_value():
 
 
 def test_check_counterexample_fixture_round_trips():
-    verdict = check(distributive_law(), 2)
+    verdict = check(named_equations()["distributive"], 2)
     text = verdict.counterexample.fixture()
     assert parse_assignment_fixture(text).bindings == \
         verdict.counterexample.assignment.bindings
@@ -241,7 +239,7 @@ def test_check_counterexample_fixture_round_trips():
 
 def test_check_rejects_bad_ambient():
     with pytest.raises(ValueError):
-        check(orthomodular_law(), 0)
+        check(named_equations()["oml"], 0)
 
 
 class _WrongNames:

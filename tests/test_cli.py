@@ -676,6 +676,36 @@ def test_module_entry_point():
     assert proc.stdout == format_term(alpha()) + "\n"
 
 
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, first, code", [
+    (["emit", "alpha-iter:4"], format_term(alpha_iter(4))[:100], 0),
+    (["check", "q v (p ^ r v q) ^ ~(r v p) = q", "--ambient", "4"], "counterexample after", 1),
+    (["check", "p v (q ^ r) = (p v q) ^ (p v r)", "--ambient", "32", "--samples", "5"],
+     "counterexample after", 1),
+], ids=["emit", "check", "check-large-fixture"])
+def test_reader_that_stops_early_keeps_the_exit_code(argv, first, code, buffered):
+    # A reader that closes the pipe after one line, as `| head -1` does, is
+    # not a defect: the command returns its own exit code, and stderr stays
+    # empty.  The emit line (267,423 bytes) and the ambient-32 fixture
+    # (about 78 kB) are longer than a pipe holds, so a write always meets
+    # the closed pipe; the emit line is read only up to its first 100 bytes.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qlattice", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    line = proc.stdout.readline(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == code, err
+    assert line.decode().startswith(first)
+    assert err == b""
+
+
 def _interpreter_env() -> dict[str, str]:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     pyenv = shutil.which("pyenv")

@@ -30,10 +30,7 @@ from qlattice.compiler import (
     stats,
 )
 from qlattice.formulas import (
-    distributive_law,
-    modular_law,
     named_equations,
-    orthomodular_law,
     separation_equation,
 )
 from qlattice.linalg import _reduce_int_rows, _row_from_fracs
@@ -177,9 +174,9 @@ _MIXED_SCOPES = [parse_sentence(text) for text in (
 
 _CORPUS = [
     parse_sentence(WORKED),
-    universal_closure(orthomodular_law()),
-    universal_closure(modular_law()),
-    universal_closure(distributive_law()),
+    universal_closure(named_equations()["oml"]),
+    universal_closure(named_equations()["modular"]),
+    universal_closure(named_equations()["distributive"]),
     universal_closure(named_equations()["eq-char"]),
     universal_closure(separation_equation(0)),
     parse_sentence("exists p. !(p = 0) & p <= 1"),
@@ -213,7 +210,7 @@ def test_stats_variable_count():
     for n in (1, 2):
         worked = stats(compile_sentence(parse_sentence(WORKED), n))
         assert worked.top_level_reals == 2 * n * n * (3 + 6)
-    distrib = stats(compile_sentence(universal_closure(distributive_law()), 1))
+    distrib = stats(compile_sentence(universal_closure(named_equations()["distributive"]), 1))
     assert distrib.top_level_reals == 2 * (3 + 5)
 
 
@@ -368,7 +365,7 @@ def test_emitted_text_matches_golden_files():
     worked = emit_solver_text(compile_sentence(parse_sentence(WORKED), 2))
     assert worked == (GOLDEN / "worked-example-n2.smt2").read_text()
     distrib = emit_solver_text(
-        compile_sentence(universal_closure(distributive_law()), 1)
+        compile_sentence(universal_closure(named_equations()["distributive"]), 1)
     )
     assert distrib == (GOLDEN / "distributive-n1.smt2").read_text()
 
@@ -454,13 +451,13 @@ def test_emitted_text_parses_under_bundled_reader(form, n):
 
 
 def test_refutation_form_requests_model():
-    r = compile_sentence(universal_closure(distributive_law()), 1)
+    r = compile_sentence(universal_closure(named_equations()["distributive"]), 1)
     assert "(get-model)" in emit_solver_text(r, "refutation")
     assert "(get-model)" not in emit_solver_text(r, "validity")
 
 
 def test_emit_rejects_unknown_form():
-    r = compile_sentence(universal_closure(distributive_law()), 1)
+    r = compile_sentence(universal_closure(named_equations()["distributive"]), 1)
     with pytest.raises(CompileError):
         emit_solver_text(r, "model")
 

@@ -11,13 +11,8 @@ from qlattice.formulas import (
     beta,
     beta_witness,
     counterexample_catalog,
-    distributive_law,
-    equality_characterization,
-    equality_characterization_dual,
     gamma_distinct_lines,
-    modular_law,
     named_equations,
-    orthomodular_law,
     separation_equation,
     separation_witness,
     transport,
@@ -31,6 +26,7 @@ from qlattice.terms import (
     evaluate,
     free_vars,
     holds,
+    parse_equation,
     parse_term,
     rename,
 )
@@ -221,12 +217,12 @@ class TestLaws:
     @given(triples())
     @settings(max_examples=50)
     def test_oml_modular_always_hold(self, a):
-        assert holds(orthomodular_law(), a)
-        assert holds(modular_law(), a)
+        assert holds(named_equations()["oml"], a)
+        assert holds(named_equations()["modular"], a)
 
     def test_distributivity_fails_at_catalog_witness(self):
         cx = counterexample_catalog()[0]
-        assert cx.equation == distributive_law()
+        assert cx.equation == named_equations()["distributive"]
         assert not holds(cx.equation, cx.assignment)
 
     def test_equality_characterization_both_directions(self):
@@ -234,7 +230,7 @@ class TestLaws:
         t = random_subspace(3, 1, seed=10)
         equal = Assignment(3, {"p": s, "q": s})
         unequal = Assignment(3, {"p": s, "q": t})
-        for eq in (equality_characterization(), equality_characterization_dual()):
+        for eq in (named_equations()["eq-char"], named_equations()["eq-char-dual"]):
             assert holds(eq, equal)
             assert not holds(eq, unequal)
 
@@ -251,9 +247,9 @@ class TestLaws:
             "involution", "complement-meet", "eq-char", "eq-char-dual",
             "alpha-zero", "beta-zero", "separation-0", "separation-1", "gamma4-zero",
         ]
-        assert first["oml"] == orthomodular_law()
-        assert first["modular"] == modular_law()
-        assert first["eq-char-dual"] == equality_characterization_dual()
+        assert first["oml"] == parse_equation("p ^ (~p v (p ^ q)) = p ^ q")
+        assert first["modular"] == parse_equation("(p ^ r) v (q ^ r) = ((p ^ r) v q) ^ r")
+        assert first["eq-char-dual"] == parse_equation("(~p ^ ~q) v (p ^ q) = 1")
         assert first["separation-1"] == separation_equation(1)
         assert first["gamma4-zero"].lhs is gamma_distinct_lines(4)
         assert first["demorgan-meet"] == Equation(

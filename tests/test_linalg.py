@@ -396,13 +396,13 @@ class TestIntCore:
     @settings(max_examples=100, deadline=None)
     def test_kernel_matches_fraction_reference(self, case):
         rows, ncols = case
-        assert _kernel_int(rows, ncols) == _ref_kernel(rows, ncols)
+        assert _kernel_int(rows, ncols) == _ref_kernel(rows, ncols)[0]
 
     @given(gaussian_int_rows())
     @settings(max_examples=100, deadline=None)
     def test_complement_rows_are_hermitian_orthogonal(self, case):
         rows, ncols = case
-        complement, _ = _kernel_int(_conj_int_rows(rows), ncols)
+        complement = _kernel_int(_conj_int_rows(rows), ncols)
         for u in rows:
             for v in complement:
                 # <u, v> = sum conj(u_j) v_j, real and imaginary parts
@@ -562,15 +562,15 @@ class TestOneReductionKernel:
 
         monkeypatch.setattr(linalg, "_reduce_int_rows", spy)
         rows = [[1, 0, 2, 1, 0, 0, 3, 0], [0, 0, 1, 0, 1, -1, 0, 2]]
-        assert _kernel_int(rows, 4) == _ref_kernel(rows, 4)
+        assert _kernel_int(rows, 4) == _ref_kernel(rows, 4)[0]
         assert calls == [4]
 
     @given(gaussian_int_rows())
     @settings(max_examples=100, deadline=None)
     def test_double_complement_is_the_span(self, case):
         rows, ncols = case
-        perp, _ = _kernel_int(_conj_int_rows(rows), ncols)
-        assert _kernel_int(_conj_int_rows(perp), ncols) == _ref_reduce(rows, ncols)
+        perp = _kernel_int(_conj_int_rows(rows), ncols)
+        assert _kernel_int(_conj_int_rows(perp), ncols) == _ref_reduce(rows, ncols)[0]
 
 
 def _bilinear(u, v):
@@ -584,6 +584,11 @@ def _reverse_columns(rows, ncols):
     return [[x for c in reversed(range(ncols)) for x in r[2 * c : 2 * c + 2]] for r in rows]
 
 
+def _lead(row):
+    """The column of a canonical row's pivot: its first nonzero entry."""
+    return next(k for k, x in enumerate(row) if x) // 2
+
+
 class TestNullRows:
     """``_null_rows`` reads off rows whose joint kernel is a canonical span."""
 
@@ -592,26 +597,29 @@ class TestNullRows:
     def test_read_off(self, case):
         rows, ncols = case
         red, pivots = _reduce_int_rows(rows, ncols)
-        null, free = _null_rows(red, ncols)
+        null = _null_rows(red, ncols)
         assert len(null) == ncols - len(red)
-        assert free == [c for c in range(ncols) if c not in pivots]
         for r in red:
             for w in null:
                 assert _bilinear(r, w) == (0, 0)
         # By descending free column, with the columns reversed, the rows
-        # already are the canonical reduced form.
+        # already are the canonical reduced form, each led by its free
+        # column.
+        free = [c for c in range(ncols) if c not in pivots]
         flipped = _reverse_columns(null[::-1], ncols)
+        assert [_lead(w) for w in flipped] == [ncols - 1 - j for j in reversed(free)]
         assert _reduce_int_rows(flipped, ncols) == (
             flipped, [ncols - 1 - j for j in reversed(free)]
         )
-        assert _kernel_int(null, ncols) == (red, pivots)
+        assert _kernel_int(null, ncols) == red
 
     def test_example(self):
         # span(2 e0 + e2 - i e3, e1 + 3 e3) in C^4: free column 2 meets a
         # row with lead 2, free column 3 rows with leads 2 and 1.
         red = [[2, 0, 0, 0, 1, 0, 0, -1], [0, 0, 1, 0, 0, 0, 3, 0]]
-        null, free = _null_rows(red, 4)
-        assert free == [2, 3]
+        null = _null_rows(red, 4)
+        # With the columns reversed, free column j leads at 3 - j.
+        assert [_lead(w) for w in _reverse_columns(null, 4)] == [3 - 2, 3 - 3]
         assert null == [[-1, 0, 0, 0, 2, 0, 0, 0], [0, 1, -6, 0, 0, 0, 2, 0]]
 
 
@@ -661,7 +669,7 @@ def canonical_block_pairs(draw, max_cols=8):
         b = canonical(rows(draw(st.integers(0, 2))) + units)
     else:
         def flipped(block):
-            return _reverse_columns(_null_rows(block, ncols)[0][::-1], ncols)
+            return _reverse_columns(_null_rows(block, ncols)[::-1], ncols)
         a, b = flipped(a), flipped(canonical(rows(draw(st.integers(0, ncols)))))
     return kind, a, b, ncols
 
@@ -675,12 +683,13 @@ class TestMerge:
     def test_merge_is_the_reduction_of_the_stack(self, case):
         kind, a, b, ncols = case
         assert _reduce_int_rows(a, ncols)[0] == a and _reduce_int_rows(b, ncols)[0] == b
-        expected = _reduce_int_rows(a + b, ncols)
+        expected, pivots = _reduce_int_rows(a + b, ncols)
         for x, y in ((a, b), (b, a)):
-            rows, pivots = _merge_int_rows(x, y, ncols)
-            assert ([list(r) for r in rows], pivots) == expected
+            rows = _merge_int_rows(x, y, ncols)
+            assert [list(r) for r in rows] == expected
+            assert [_lead(r) for r in rows] == pivots
         if kind == "full":
-            assert expected[1] == list(range(ncols))
+            assert pivots == list(range(ncols))
 
     def test_example(self):
         # A = span(e0 + 2 e2, 2 e1 + e2); B's row e0 + e1 + e2 reduces to
@@ -688,15 +697,17 @@ class TestMerge:
         # A, the new pivot 2, which A's rows are then cleared of.
         a = [[1, 0, 0, 0, 2, 0], [0, 0, 2, 0, 1, 0]]
         b = [[1, 0, 1, 0, 1, 0]]
-        identity = ([[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0]], [0, 1, 2])
-        assert _merge_int_rows(a, b, 3) == identity
+        identity = [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0]]
+        merged = _merge_int_rows(a, b, 3)
+        assert merged == identity and [_lead(r) for r in merged] == [0, 1, 2]
 
     def test_block_in_the_span_leaves_the_larger_rows(self, monkeypatch):
         calls = []
         monkeypatch.setattr(linalg, "_reduce_int_rows", lambda *args: calls.append(args))
         a = [[1, 0, 0, 0, 2, 0], [0, 0, 2, 0, 1, 0]]
         b = [[2, 0, 2, 0, 5, 0]]  # 2 A_0 + A_1, canonically scaled
-        assert _merge_int_rows(b, a, 3) == (a, [0, 1]) and calls == []
+        merged = _merge_int_rows(b, a, 3)
+        assert merged == a and [_lead(r) for r in merged] == [0, 1] and calls == []
 
 
 def _ref_meet(p, q):

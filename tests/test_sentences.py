@@ -6,7 +6,7 @@ import pytest
 
 from qlattice.checker import coordinate_family
 from qlattice.compiler import eval_flat, flatten
-from qlattice.formulas import distributive_law, orthomodular_law
+from qlattice.formulas import named_equations
 from qlattice.subspaces import Subspace
 from qlattice.sentences import (
     conjoin,
@@ -176,7 +176,7 @@ def test_free_vars_and_closure():
 
 
 def test_universal_closure_is_closed():
-    s = universal_closure(distributive_law())
+    s = universal_closure(named_equations()["distributive"])
     assert free_sentence_vars(s) == frozenset()
     assert format_sentence(s).startswith("forall p, q, r. ")
 
@@ -190,13 +190,13 @@ def test_conjoin():
 
 
 def test_eval_distributive_by_dimension():
-    dl = universal_closure(distributive_law())
+    dl = universal_closure(named_equations()["distributive"])
     assert eval_sentence(dl, coordinate_family(1, 0), 1)
     assert not eval_sentence(dl, coordinate_family(2, 2), 2)
 
 
 def test_eval_oml_holds():
-    s = universal_closure(orthomodular_law())
+    s = universal_closure(named_equations()["oml"])
     assert eval_sentence(s, coordinate_family(2, 2), 2)
     assert eval_sentence(s, coordinate_family(3, 1), 3)
 

@@ -176,7 +176,7 @@ def built_subspaces(draw, max_ambient=4):
         join(p, q),
         meet(p, q),
         complement(p),
-        embed(p, n + pad.ambient, pad),
+        embed(p, pad),
         Subspace.full(n),
         Subspace.zero(n),
         p,  # random_subspace
@@ -745,26 +745,23 @@ class TestOnePairOnce:
 class TestEmbed:
     def test_pads_with_block(self):
         p = span(2, [1, 1])
-        big = embed(p, 3, Subspace.full(1))
+        big = embed(p, Subspace.full(1))
+        assert big.ambient == 3
         assert big == span(3, [1, 1, 0], [0, 0, 1])
 
     def test_zero_pad(self):
         p = span(2, [1, I])
-        big = embed(p, 4, Subspace.zero(2))
-        assert big.dim == 1
+        big = embed(p, Subspace.zero(2))
+        assert big.ambient == 4 and big.dim == 1
         assert big == span(4, [1, I, 0, 0])
-
-    def test_blocks_must_tile(self):
-        with pytest.raises(AmbientMismatch):
-            embed(span(2, [1, 0]), 4, Subspace.full(1))
 
     def test_transported_distributivity_failure(self):
         # the three-line counterexample keeps working after p (+) C^k
         for extra in (1, 2):
             pad = Subspace.full(extra)
-            p = embed(span(2, [1, 1]), 2 + extra, pad)
-            q = embed(span(2, [1, 0]), 2 + extra, pad)
-            r = embed(span(2, [0, 1]), 2 + extra, pad)
+            p = embed(span(2, [1, 1]), pad)
+            q = embed(span(2, [1, 0]), pad)
+            r = embed(span(2, [0, 1]), pad)
             assert join(p, meet(q, r)) != meet(join(p, q), join(p, r))
 
 
