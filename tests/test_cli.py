@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import time
+from hashlib import blake2b
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from qlattice.formulas import (
     alpha_iter,
     beta_witness,
     gamma_distinct_lines,
+    named_equations,
     separation_witness,
 )
 from qlattice.smtlib import check_solver_text
@@ -262,6 +264,31 @@ def test_emit_equation(capsys):
     assert out.rstrip().endswith("= 0")
     code, out, _ = run(capsys, "emit", "oml")
     assert code == 0 and " = " in out
+
+
+# Every catalogue name, and each indexed family at its least and largest index.
+_EMIT_DIGEST_NAMES = (
+    *named_equations(),
+    "alpha-iter:1", "alpha-iter:5", "gamma:3", "gamma:5", "separation:0", "separation:4",
+)
+
+
+def _emit_digests(capsys) -> dict[str, dict]:
+    """The blake2b-128 digest and byte count of ``emit NAME``'s stdout for
+    every name of ``_EMIT_DIGEST_NAMES``.  ``tests/golden/emit-digests.json``
+    holds the output of ``json.dumps(_emit_digests(capsys), indent=2)``."""
+    digests = {}
+    for name in _EMIT_DIGEST_NAMES:
+        code, out, err = run(capsys, "emit", name)
+        assert (code, err) == (0, "")
+        data = out.encode()
+        digests[name] = {"blake2b": blake2b(data, digest_size=16).hexdigest(),
+                         "bytes": len(data)}
+    return digests
+
+
+def test_emit_matches_golden_digests(capsys):
+    assert _emit_digests(capsys) == json.loads((GOLDEN / "emit-digests.json").read_text())
 
 
 def test_emit_unknown_name(capsys):
