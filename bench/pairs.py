@@ -54,7 +54,10 @@ def parse_args(argv):
     ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--small", action="store_true",
                     help="pass --small: the reduced job list of the self-test")
-    return ap.parse_args(argv)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error(f"--pairs must be at least 1, got {args.pairs}")
+    return args
 
 
 def clear_bytecode(tree: Path) -> int:

@@ -80,6 +80,8 @@ class CheckError(RuntimeError):
 
 
 _MAX_EXHAUSTIVE_AMBIENT = 4
+# Non-coordinate lines the coordinate-family strategy adds from ambient 2 on.
+_EXTRA_LINES = 4
 
 # Coefficients for non-coordinate lines e_i + c*e_j, nicest first.  The
 # order is the public contract: ambient 2 with two extras must yield
@@ -90,23 +92,19 @@ _EXTRA_COEFFS = (
 )
 
 
-def coordinate_family(ambient: int, extra_lines: int = 0) -> list[Subspace]:
+# Kept per (ambient, extra_lines): at most 4 ambients, each with at most
+# 6 * 16 extra lines, so the cache stays small.
+@cache
+def coordinate_family(ambient: int, extra_lines: int = 0) -> tuple[Subspace, ...]:
     """Deterministic exhaustive family: every coordinate subspace (one per
     subset of basis vectors, so 0 and 1 included) plus ``extra_lines``
     non-coordinate lines e_i + c*e_j.
 
     Extras are ordered coefficient-major: all pairs i < j with c = 1,
     then with c = i, and so on through :data:`_EXTRA_COEFFS`.  Each
-    family is built once per arguments and kept; every call returns a
-    new list of it.
+    family is built once per arguments, and every call returns that one
+    tuple.
     """
-    return list(_build_family(ambient, extra_lines))
-
-
-# Cached per (ambient, extra_lines): at most 4 ambients, each with at most
-# 6 * 16 extra lines, so the cache stays small.
-@cache
-def _build_family(ambient: int, extra_lines: int) -> tuple[Subspace, ...]:
     if ambient < 1:
         raise ValueError("ambient dimension must be at least 1")
     if ambient > _MAX_EXHAUSTIVE_AMBIENT:
@@ -143,20 +141,6 @@ def _build_family(ambient: int, extra_lines: int) -> tuple[Subspace, ...]:
     return tuple(family)
 
 
-def _tuples(names: Sequence[str], family: Sequence[Subspace], ambient: int) -> Iterator[tuple]:
-    """Every row of `names` over members of `family`, in product order.
-
-    Raises:
-        AmbientMismatch: if a member of `family` is not in `ambient`.
-    """
-    for s in family:
-        if s.ambient != ambient:
-            raise AmbientMismatch(
-                f"family member lives in ambient {s.ambient}, expected {ambient}"
-            )
-    return itertools.product(family, repeat=len(names))
-
-
 class StoredWitnesses:
     """Stored counterexample assignments whose equation matches exactly,
     each read into a row: a tuple of its values in ``eq.free_vars`` order."""
@@ -171,8 +155,9 @@ class StoredWitnesses:
 
 
 class CoordinateFamilyStrategy:
-    """All rows over :func:`coordinate_family`, sampled above a cap; a row
-    is a tuple of family members in ``eq.free_vars`` order.
+    """All rows over :func:`coordinate_family` with :data:`_EXTRA_LINES`
+    extra lines (none in ambient 1), sampled above a cap; a row is a tuple
+    of family members in ``eq.free_vars`` order.
 
     Exhaustive when family_size ** nvars <= cap, in product order;
     otherwise ``cap`` seeded uniform rows, so the strategy stays
@@ -181,8 +166,7 @@ class CoordinateFamilyStrategy:
 
     name = "coordinate-family"
 
-    def __init__(self, extra_lines: int = 4, cap: int = 4096, seed: int = 0) -> None:
-        self.extra_lines = extra_lines
+    def __init__(self, cap: int = 4096, seed: int = 0) -> None:
         self.cap = cap
         self.seed = seed
 
@@ -190,12 +174,11 @@ class CoordinateFamilyStrategy:
         if ambient > _MAX_EXHAUSTIVE_AMBIENT:
             return
         # Ambient 1 has no pairs i < j, hence no non-coordinate lines.
-        extras = self.extra_lines if ambient >= 2 else 0
-        family = coordinate_family(ambient, extras)
+        family = coordinate_family(ambient, _EXTRA_LINES if ambient >= 2 else 0)
         names = eq.free_vars
         total = len(family) ** len(names)
         if total <= self.cap:
-            yield from _tuples(names, family, ambient)
+            yield from itertools.product(family, repeat=len(names))
         else:
             # Each index is drawn as _below(rng, size) draws it, inline: the
             # words and values of rng.choice(family).
@@ -269,6 +252,9 @@ class CounterexampleRecord:
 
 @dataclass(frozen=True)
 class Verdict:
+    """The outcome of :func:`check`: ``status`` is ``"counterexample"`` with
+    the certified `counterexample`, or ``"holds-on-samples"`` with None."""
+
     status: str  # "counterexample" | "holds-on-samples"
     samples_tried: int
     strategy_log: tuple[str, ...]
@@ -430,10 +416,6 @@ class SuiteRecord:
         where = f" ambient={self.ambient}" if self.ambient is not None else ""
         return f"[{tag}] {self.suite}{where} samples={self.samples}: {self.detail}"
 
-    def as_dict(self) -> dict:
-        """The fields by name, in declaration order."""
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class SuiteReport:
@@ -452,7 +434,7 @@ class SuiteReport:
     def as_dict(self) -> dict:
         return {
             "passed": self.passed,
-            "records": [r.as_dict() for r in self.records],
+            "records": [asdict(r) for r in self.records],
         }
 
     def __add__(self, other: "SuiteReport") -> "SuiteReport":
@@ -534,7 +516,7 @@ def run_lemma3_suite() -> SuiteReport:
         return None
 
     names = ("p", "q", "r")
-    triples = _tuples(names, coordinate_family(2, 5), 2)
+    triples = itertools.product(coordinate_family(2, 5), repeat=len(names))
     total, a, detail = _sweep(triples, names, 2, (alpha(),), probe)
     return SuiteReport((_fail("lemma3", 2, total, detail, a) if a else SuiteRecord(
         "lemma3", 2, total, "pass",
@@ -556,11 +538,7 @@ def run_separation_suite(
         eq = separation_equation(i)
         for k in range(i + 1):
             ambient = 2 ** k
-            strategies = [
-                CoordinateFamilyStrategy(seed=seed),
-                RandomSampling(count=samples, seed=seed, coeff_bound=coeff_bound),
-            ]
-            verdict = check(eq, ambient, strategies)
+            verdict = check(eq, ambient, default_strategies(samples, seed, coeff_bound))
             if verdict.status == "holds-on-samples":
                 records.append(SuiteRecord(
                     f"separation-{i}-holds", ambient, verdict.samples_tried,
@@ -663,10 +641,10 @@ def run_meet_agreement_suite(seed: int = 0) -> SuiteReport:
         return None
 
     names = ("p", "q")
-    pairs = _tuples(names, coordinate_family(ambient, 4), ambient)
+    pairs = itertools.product(coordinate_family(ambient, _EXTRA_LINES), repeat=len(names))
     paired, a, detail = _sweep(pairs, names, ambient, (), pair_agrees)
     done = paired
-    strategy = CoordinateFamilyStrategy(extra_lines=4, cap=256, seed=seed)
+    strategy = CoordinateFamilyStrategy(cap=256, seed=seed)
     for name, eq in named_equations().items():
         if a is not None:
             break
@@ -750,7 +728,7 @@ def run_gamma_suite() -> SuiteReport:
         return None
 
     names = ("p", "q", "r", "s")
-    total, a, detail = _sweep(_tuples(names, lines, 2), names, 2,
+    total, a, detail = _sweep(itertools.product(lines, repeat=len(names)), names, 2,
                               (gamma_distinct_lines(4),), probe)
     return SuiteReport((_fail("gamma", 2, total, detail, a) if a else SuiteRecord(
         "gamma", 2, total, "pass",

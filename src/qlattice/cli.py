@@ -66,7 +66,6 @@ from .terms import (
     ParseError,
     UnboundVariableError,
     evaluate,
-    format_term,
     parse_equation,
     parse_term,
 )
@@ -79,13 +78,19 @@ EXIT_SEMANTIC = 4
 EXIT_INTERNAL = 5
 
 
-# Least and largest index `emit` accepts per indexed family.  The least is
-# where the family starts.  The terms are shared DAGs that print as trees
-# whose text grows exponentially in the index: gamma:5 is 23.5 MB and
+# Indexed family -> (builder, least and largest index `emit` accepts).  The
+# least is where the family starts.  The terms are shared DAGs that print as
+# trees whose text grows exponentially in the index: gamma:5 is 23.5 MB and
 # gamma:6 does not finish printing; alpha-iter:5 is 3.7 MB and each step
 # is about 14x longer; separation:I prints alpha_iter(I+1) = 0, so
 # separation:4 is as long as alpha-iter:5.
-EMIT_INDEX_RANGE = {"alpha-iter": (1, 5), "gamma": (3, 5), "separation": (0, 4)}
+EMIT_INDEXED = {
+    "alpha-iter": (alpha_iter, 1, 5),
+    "gamma": (gamma_distinct_lines, 3, 5),
+    "separation": (separation_equation, 0, 4),
+}
+# The plain terms `emit` prints; every other plain name is a catalogue equation.
+EMIT_TERMS = {"alpha": alpha, "beta": beta}
 
 # `witness separation:I` and `suite --max-i I` run the level-I witness, whose
 # ambient 2**(I + 1) must not exceed MAX_AMBIENT.
@@ -237,34 +242,22 @@ def _indexed(name: str, expected_key: str) -> int | None:
 def cmd_emit(args: argparse.Namespace) -> int:
     name = args.name
     family = name.partition(":")[0]
-    if family in EMIT_INDEX_RANGE:
+    if family in EMIT_INDEXED:
+        build, low, high = EMIT_INDEXED[family]
         index = _indexed(name, family)
-        low, high = EMIT_INDEX_RANGE[family]
         _at_least(f"the {family} index", index, low)
         if index > high:
             raise UsageError(
                 f"{family}:{index} exceeds the maximum {family}:{high} for emit"
             )
-    term = None
-    if name == "alpha":
-        term = alpha()
-    elif name == "beta":
-        term = beta()
-    elif family == "alpha-iter":
-        term = alpha_iter(index)
-    elif family == "gamma":
-        term = gamma_distinct_lines(index)
-    if term is not None:
-        _print(format_term(term))
-        return EXIT_OK
-
-    if family == "separation":
-        eq = separation_equation(index)
+        formula = build(index)
+    elif name in EMIT_TERMS:
+        formula = EMIT_TERMS[name]()
     elif name in named_equations():
-        eq = named_equations()[name]
+        formula = named_equations()[name]
     else:
         raise UsageError(f"unknown formula name {name!r}")
-    _print(f"{format_term(eq.lhs)} = {format_term(eq.rhs)}")
+    _print(str(formula))
     return EXIT_OK
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .subspaces import Subspace, complement, embed, meet
 from .terms import (
@@ -155,8 +157,10 @@ def gamma_distinct_lines(k: int) -> Term:
 
 
 @cache
-def _catalogue() -> dict[str, Equation]:
-    return {
+def named_equations() -> Mapping[str, Equation]:
+    """The equation catalogue by CLI name, in a stable order: parsed once
+    per process, and every call returns that one read-only mapping."""
+    return MappingProxyType({
         "oml": parse_equation("p ^ (~p v (p ^ q)) = p ^ q"),
         "modular": parse_equation("(p ^ r) v (q ^ r) = ((p ^ r) v q) ^ r"),
         "distributive": parse_equation("p v (q ^ r) = (p v q) ^ (p v r)"),
@@ -172,13 +176,7 @@ def _catalogue() -> dict[str, Equation]:
         "separation-0": separation_equation(0),
         "separation-1": separation_equation(1),
         "gamma4-zero": Equation(gamma_distinct_lines(4), BOT),
-    }
-
-
-def named_equations() -> dict[str, Equation]:
-    """The equation catalogue by CLI name, in a stable order: parsed once
-    per process, and a new dict on each call."""
-    return dict(_catalogue())
+    })
 
 
 @dataclass(frozen=True)
@@ -217,7 +215,7 @@ def counterexample_catalog() -> tuple[Counterexample, ...]:
     """Known falsifying assignments, re-derivable and exact."""
     distrib = Counterexample(
         "distributive-three-lines",
-        _catalogue()["distributive"],
+        named_equations()["distributive"],
         Assignment(
             2,
             {

@@ -617,13 +617,13 @@ def _one_row(assignment: Assignment, meet_op=None, program=None) -> Evaluator:
                      meet_op, program)
 
 
-def evaluate(t: Term, assignment: Assignment, meet_op=None) -> Subspace:
+def evaluate(t: Term, assignment: Assignment) -> Subspace:
     """Value of `t` under one assignment.
 
     Raises:
         UnboundVariableError: if a free variable of `t` has no binding.
     """
-    return _one_row(assignment, meet_op).eval(t)[0]
+    return _one_row(assignment).eval(t)[0]
 
 
 def holds(eq: Equation, assignment: Assignment, meet_op=None) -> bool:

@@ -6,13 +6,13 @@ criterion is optional: with no solver on PATH it reports SKIP, and a
 solver timeout is reported, not failed.
 """
 
+import itertools
 import time
 from pathlib import Path
 
 import pytest
 
 from qlattice.checker import (
-    CoordinateFamilyStrategy,
     RandomSampling,
     check,
     coordinate_family,
@@ -75,10 +75,14 @@ def test_criterion_01_beta_witness_value(capsys):
 def test_criterion_02_beta_vanishes_in_the_plane(capsys):
     start = time.perf_counter()
     family = coordinate_family(2, 5)
-    strategies = (
-        CoordinateFamilyStrategy(extra_lines=5, cap=len(family) ** 4),
-        RandomSampling(count=10_000),
-    )
+
+    class PlaneFamily:
+        name = "plane-family"
+
+        def assignments(self, eq, ambient):
+            return itertools.product(family, repeat=len(eq.free_vars))
+
+    strategies = (PlaneFamily(), RandomSampling(count=10_000))
     verdict = check(named_equations()["beta-zero"], 2, strategies)
     elapsed = time.perf_counter() - start
     expected = len(family) ** 4 + 10_000

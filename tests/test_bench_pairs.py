@@ -54,6 +54,19 @@ def test_refuses_a_tree_without_perfbench(tmp_path):
         pairs.main([str(tmp_path), str(tmp_path), "--workload", "compile"])
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_refuses_fewer_than_one_pair_before_any_run(tmp_path, monkeypatch, capsys, count):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("")
+    runs = []
+    monkeypatch.setattr(pairs, "run_once", lambda *args: runs.append(args))
+    with pytest.raises(SystemExit) as exc:
+        pairs.main([str(tmp_path), str(tmp_path), "--workload", "plane-family",
+                    "--pairs", count])
+    assert exc.value.code == 2 and runs == []
+    assert f"--pairs must be at least 1, got {count}" in capsys.readouterr().err
+
+
 _SPECS = {
     "wall_s": {"name": "wall_s", "better": "lower", "bound": 0.25},
     "peak_rss_mb": {"name": "peak_rss_mb", "better": "lower", "bound": 0.15},

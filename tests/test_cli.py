@@ -301,41 +301,38 @@ def test_emit_bad_index_syntax(capsys):
     assert run(capsys, "emit", "alpha-iter:x")[0] == 2
 
 
-def test_emit_gamma_below_three_is_usage_error(capsys, monkeypatch):
-    def unbuilt(k):
-        raise AssertionError(f"gamma:{k} was built")
+def _refuse_builds(monkeypatch, family):
+    """Make building any index of `family` under ``emit`` fail the test."""
+    def unbuilt(index):
+        raise AssertionError(f"{family}:{index} was built")
 
-    monkeypatch.setattr(cli, "gamma_distinct_lines", unbuilt)
+    _, low, high = cli.EMIT_INDEXED[family]
+    monkeypatch.setitem(cli.EMIT_INDEXED, family, (unbuilt, low, high))
+
+
+def test_emit_gamma_below_three_is_usage_error(capsys, monkeypatch):
+    _refuse_builds(monkeypatch, "gamma")
     code, out, err = run(capsys, "emit", "gamma:2")
     assert code == 2 and out == ""
     assert "gamma index must be at least 3" in err
 
 
 def test_emit_gamma_above_cap_is_refused(capsys, monkeypatch):
-    def unbuilt(k):
-        raise AssertionError(f"gamma:{k} was built")
-
-    monkeypatch.setattr(cli, "gamma_distinct_lines", unbuilt)
+    _refuse_builds(monkeypatch, "gamma")
     code, out, err = run(capsys, "emit", "gamma:6")
     assert code == 2 and out == ""
     assert "maximum gamma:5" in err
 
 
 def test_emit_alpha_iter_above_cap_is_refused(capsys, monkeypatch):
-    def unbuilt(m):
-        raise AssertionError(f"alpha-iter:{m} was built")
-
-    monkeypatch.setattr(cli, "alpha_iter", unbuilt)
+    _refuse_builds(monkeypatch, "alpha-iter")
     code, out, err = run(capsys, "emit", "alpha-iter:6")
     assert code == 2 and out == ""
     assert "maximum alpha-iter:5" in err
 
 
 def test_emit_separation_above_cap_is_refused(capsys, monkeypatch):
-    def unbuilt(i):
-        raise AssertionError(f"separation:{i} was built")
-
-    monkeypatch.setattr(cli, "separation_equation", unbuilt)
+    _refuse_builds(monkeypatch, "separation")
     code, out, err = run(capsys, "emit", "separation:5")
     assert code == 2 and out == ""
     assert "maximum separation:4" in err

@@ -320,7 +320,7 @@ class TestEvaluation:
     def test_injected_meet_route(self):
         a = Assignment(2, {"p": self.e1, "q": self.diag})
         t = parse_term("p ^ q v ~p")
-        assert evaluate(t, a, meet_op=meet_via_demorgan) == evaluate(t, a)
+        assert _one_row(a, meet_via_demorgan).eval(t)[0] == evaluate(t, a)
 
     def test_shared_evaluator_memo(self):
         ev = Evaluator([(self.e1, self.e2)], ("p", "q"), 2)
@@ -331,7 +331,7 @@ class TestEvaluation:
     @settings(max_examples=60)
     def test_meet_routes_agree_on_random_terms(self, ta):
         t, a = ta
-        assert evaluate(t, a) == evaluate(t, a, meet_op=meet_via_demorgan)
+        assert evaluate(t, a) == _one_row(a, meet_via_demorgan).eval(t)[0]
 
 
 def reference_eval(t, a, meet_op):
@@ -378,7 +378,7 @@ class TestProgram:
             batch = [Assignment(n, dict(zip(names, row))) for row in rows]
             expected = [reference_eval(t, a, meet_op) for a in batch]
             assert Evaluator(rows, names, n, meet_op).eval(t) == expected
-            assert [evaluate(t, a, meet_op) for a in batch] == expected
+            assert [_one_row(a, meet_op).eval(t)[0] for a in batch] == expected
 
     def test_constants_take_each_assignments_ambient(self):
         # one evaluator per ambient, a batch of several rows and of one
