@@ -37,10 +37,9 @@ pass record over every row, worded from what the probe tallied.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
 from functools import cache
 from random import Random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .fixtures import format_assignment_fixture
 from .formulas import (
@@ -238,8 +237,7 @@ def default_strategies(
     ]
 
 
-@dataclass(frozen=True)
-class CounterexampleRecord:
+class CounterexampleRecord(NamedTuple):
     """A falsifying assignment together with both evaluated sides."""
 
     assignment: Assignment
@@ -250,8 +248,7 @@ class CounterexampleRecord:
         return format_assignment_fixture(self.assignment)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """The outcome of :func:`check`: ``status`` is ``"counterexample"`` with
     the certified `counterexample`, or ``"holds-on-samples"`` with None."""
 
@@ -402,8 +399,7 @@ def check(eq: Equation, ambient: int, strategies: Sequence | None = None) -> Ver
 # Suites
 
 
-@dataclass(frozen=True)
-class SuiteRecord:
+class SuiteRecord(NamedTuple):
     suite: str
     ambient: int | None
     samples: int
@@ -417,8 +413,7 @@ class SuiteRecord:
         return f"[{tag}] {self.suite}{where} samples={self.samples}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     records: tuple[SuiteRecord, ...]
 
     @property
@@ -434,7 +429,7 @@ class SuiteReport:
     def as_dict(self) -> dict:
         return {
             "passed": self.passed,
-            "records": [asdict(r) for r in self.records],
+            "records": [r._asdict() for r in self.records],
         }
 
     def __add__(self, other: "SuiteReport") -> "SuiteReport":

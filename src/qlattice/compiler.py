@@ -60,7 +60,6 @@ finite domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -441,8 +440,7 @@ def compile_sentence(s: S.Sentence, n: int) -> Node:
     return complex_to_real(encode_kernels(flatten(s).sentence, n))
 
 
-@dataclass(frozen=True)
-class CompileStats:
+class CompileStats(NamedTuple):
     top_level_reals: int
     quantifier_blocks: int
     equations: int
@@ -532,8 +530,7 @@ def find_solver() -> tuple[str, ...] | None:
     return None
 
 
-@dataclass(frozen=True)
-class SolverResult:
+class SolverResult(NamedTuple):
     status: str  # "valid" | "invalid" | "unknown" | "timeout" | "error"
     output: str
 

@@ -12,10 +12,9 @@ and are re-evaluated by the test suite rather than trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .subspaces import Subspace, complement, embed, meet
 from .terms import (
@@ -179,8 +178,7 @@ def named_equations() -> Mapping[str, Equation]:
     })
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """A stored falsifying assignment for an equation."""
 
     label: str

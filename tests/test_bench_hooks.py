@@ -23,6 +23,22 @@ def _load(name):
     return module
 
 
+def test_injected_wrong_verdict_is_a_wrong_verdict(monkeypatch):
+    # The self-test counts any failed job as caught, so its injection must
+    # fail through the oracle's verdict check, not by raising in a job.
+    monkeypatch.setitem(sys.modules, "run", _load("run"))
+    selftest = _load("selftest")
+    workload = _load("workloads").plane_family(3, small=True)
+    monkeypatch.setattr(checker, "check", checker.check)
+    selftest._patch_wrong_verdict()
+    outputs = [job.run() for job in workload.jobs]
+    wrong = "verdict holds-on-samples, expected a counterexample"
+    assert sorted(workload.oracle(outputs)) == sorted(
+        (f"check {name} n=2", wrong) for name in (
+            "distributive", "eq-char", "eq-char-dual", "alpha-zero",
+            "separation-0", "gamma4-zero"))
+
+
 def test_every_trace_hook_resolves():
     tracing = _load("tracing")
     for name, module, attr, kind in tracing.HOOKS:

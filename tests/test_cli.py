@@ -700,6 +700,17 @@ def test_module_entry_point():
     assert proc.stdout == format_term(alpha()) + "\n"
 
 
+def test_import_generates_no_dataclass_code():
+    # Every command is a fresh process; the records are named tuples, so
+    # importing the package and the CLI never loads `dataclasses`.  -S
+    # keeps site-packages and .pth files from importing it first.
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+            "import qlattice, qlattice.cli; print('dataclasses' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv, first, code", [
     (["emit", "alpha-iter:4"], format_term(alpha_iter(4))[:100], 0),
