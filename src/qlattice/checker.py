@@ -8,10 +8,11 @@ fixed order (stored witnesses, then a structured coordinate family, then
 random sampling) and stops at the first disagreement; a clean run is
 reported as ``holds-on-samples``, never as validity.
 
-Counterexamples are self-certifying: before one is returned it is
-re-evaluated with the alternative complement-based meet, so a bug in
-either meet route surfaces as a loud :class:`CheckError` instead of a
-bogus verdict.
+Before a counterexample is returned, :func:`_certify` re-evaluates it
+with the alternative complement-based meet, so a fault of ``meet`` alone
+surfaces as a loud :class:`CheckError` instead of a bogus verdict.  Both
+routes share ``join`` and ``complement``, so a fault there can still be
+reported as a certified counterexample (ROADMAP item 12).
 
 The ``run_*_suite`` functions package the recurring experiments (the
 dimension bound on alpha, the line classification, the hierarchy
@@ -20,18 +21,19 @@ transport, and the distinct-line family) into pass/fail records with
 inline certificates; :data:`SUITES` names them for the CLI and
 :func:`run_all`.
 
-``check`` and every suite run on one sweep, :func:`_sweep`.  Its unit of
+``check`` and the suites run on one sweep, :func:`_sweep`.  Its unit of
 work is a row: a plain tuple of subspaces of the sweep's one ambient, the
 values of the variable names in order (``eq.free_vars`` order for a
 strategy, so a custom strategy's ``assignments(eq, ambient)`` yields such
-tuples).  The sweep draws rows in chunks of 1, 2, 4, ... up to a cap,
-evaluates the chunk's terms slot by slot as columns
-(:class:`~qlattice.terms.Evaluator`), then runs a probe that returns None
-or the detail of a failure on each row in order.  The first failure ends
-the sweep, and only that row becomes an :class:`~qlattice.terms.Assignment`:
-a suite record's ``samples`` counts the rows evaluated up to and including
-the failing one, whose fixture is the certificate.  A clean sweep gives a
-pass record over every row, worded from what the probe tallied.
+tuples).  A probe returns None or the detail of a failure on each row, in
+order, and the first failure ends the sweep.  :func:`_swept` turns one
+sweep into one suite record: a fail record whose ``samples`` counts the
+rows up to and including the failing one, whose fixture is the
+certificate, or a pass record worded from what the probe tallied.  The
+lemma2, lemma2-tight (a one-row sweep of the witness triple), lemma3, laws
+and gamma records come from it; meet-agreement adds several sweeps into
+one record, and separation's holds records come from :func:`check`.
+Transport and the separation witnesses each evaluate one stored assignment.
 """
 
 from __future__ import annotations
@@ -436,10 +438,18 @@ class SuiteReport(NamedTuple):
         return SuiteReport(self.records + other.records)
 
 
-def _fail(suite: str, ambient: int | None, samples: int, detail: str,
-          a: Assignment) -> SuiteRecord:
-    return SuiteRecord(suite, ambient, samples, "fail", detail,
-                       format_assignment_fixture(a))
+def _fail(suite: str, ambient: int, samples: int, detail: str, a: Assignment) -> SuiteRecord:
+    return SuiteRecord(suite, ambient, samples, "fail", detail, format_assignment_fixture(a))
+
+
+def _swept(suite: str, ambient: int, rows: Iterable[tuple], names: Sequence[str],
+           roots: Sequence[Term], probe, passed) -> SuiteRecord:
+    """The record of one :func:`_sweep`: a fail record certified by the
+    failing row, else a pass record worded by ``passed(n)`` for the n rows
+    probed."""
+    n, a, detail = _sweep(rows, names, ambient, roots, probe)
+    return _fail(suite, ambient, n, detail, a) if a else SuiteRecord(
+        suite, ambient, n, "pass", passed(n))
 
 
 def run_lemma2_suite(
@@ -464,26 +474,16 @@ def run_lemma2_suite(
             max_dim = max(max_dim, d)
             return None
 
-        n, a, detail = _sweep(_random_assignments(
-            f"lemma2:{seed}:{ambient}", ambient, names, samples, coeff_bound
-        ), names, ambient, (term,), probe)
-        records.append(_fail("lemma2", ambient, n, detail, a) if a else SuiteRecord(
-            "lemma2", ambient, n, "pass",
-            f"2*dim(alpha) <= {ambient} held; max dim seen {max_dim}",
-        ))
-    # Tightness: the full-space half split in ambient 4 reaches dim 2.
+        rows = _random_assignments(
+            f"lemma2:{seed}:{ambient}", ambient, names, samples, coeff_bound)
+        records.append(_swept("lemma2", ambient, rows, names, (term,), probe, lambda n: (
+            f"2*dim(alpha) <= {ambient} held; max dim seen {max_dim}")))
     w = separation_witness(1)
-    tight = Assignment(4, {"p": w["p1"], "q": w["q1"], "r": w["r1"]})
-    d = evaluate(term, tight).dim
-    if d == 2:
-        records.append(SuiteRecord(
-            "lemma2-tight", 4, 1, "pass",
-            "half-split triple reaches dim 2 = ambient/2",
-        ))
-    else:
-        records.append(_fail(
-            "lemma2-tight", 4, 1, f"expected dim 2, got {d}", tight,
-        ))
+    records.append(_swept(
+        "lemma2-tight", 4, [(w["p1"], w["q1"], w["r1"])], names, (term,),
+        lambda row, value: None if value.dim == 2 else f"expected dim 2, got {value.dim}",
+        lambda n: "half-split triple reaches dim 2 = ambient/2",
+    ))
     return SuiteReport(tuple(records))
 
 
@@ -495,10 +495,7 @@ def run_lemma3_suite() -> SuiteReport:
     def probe(row: tuple, value: Subspace) -> str | None:
         nonlocal nonzero
         p, q, r = row
-        distinct_lines = (
-            p.dim == 1 and q.dim == 1 and r.dim == 1
-            and p != q and q != r and p != r
-        )
+        distinct_lines = p.dim == q.dim == r.dim == 1 and len({p, q, r}) == 3
         if value.is_zero() == distinct_lines:
             return (
                 f"misclassified triple: value dim {value.dim}, "
@@ -511,12 +508,10 @@ def run_lemma3_suite() -> SuiteReport:
         return None
 
     names = ("p", "q", "r")
-    triples = itertools.product(coordinate_family(2, 5), repeat=len(names))
-    total, a, detail = _sweep(triples, names, 2, (alpha(),), probe)
-    return SuiteReport((_fail("lemma3", 2, total, detail, a) if a else SuiteRecord(
-        "lemma3", 2, total, "pass",
-        f"{nonzero} of {total} triples nonzero, all equal to ~p; "
-        "the rest vanish",
+    return SuiteReport((_swept(
+        "lemma3", 2, itertools.product(coordinate_family(2, 5), repeat=3), names,
+        (alpha(),), probe,
+        lambda n: f"{nonzero} of {n} triples nonzero, all equal to ~p; the rest vanish",
     ),))
 
 
@@ -534,30 +529,20 @@ def run_separation_suite(
         for k in range(i + 1):
             ambient = 2 ** k
             verdict = check(eq, ambient, default_strategies(samples, seed, coeff_bound))
-            if verdict.status == "holds-on-samples":
-                records.append(SuiteRecord(
-                    f"separation-{i}-holds", ambient, verdict.samples_tried,
-                    "pass", verdict.summary(),
-                ))
-            else:
-                records.append(SuiteRecord(
-                    f"separation-{i}-holds", ambient, verdict.samples_tried,
-                    "fail", "unexpected " + verdict.summary(),
-                    verdict.counterexample.fixture(),
-                ))
-        witness = separation_witness(i)
-        value = evaluate(eq.lhs, witness)
-        if value.dim == 1:
+            cx = verdict.counterexample
             records.append(SuiteRecord(
-                f"separation-{i}-witness", 2 ** (i + 1), 1, "pass",
-                "witness falsifies with value dimension exactly 1",
-                format_assignment_fixture(witness),
+                f"separation-{i}-holds", ambient, verdict.samples_tried,
+                "fail" if cx else "pass", ("unexpected " if cx else "") + verdict.summary(),
+                cx and cx.fixture(),
             ))
-        else:
-            records.append(_fail(
-                f"separation-{i}-witness", 2 ** (i + 1), 1,
-                f"witness value has dimension {value.dim}, expected 1", witness,
-            ))
+        witness = separation_witness(i)
+        d = evaluate(eq.lhs, witness).dim
+        records.append(SuiteRecord(
+            f"separation-{i}-witness", 2 ** (i + 1), 1, "pass" if d == 1 else "fail",
+            "witness falsifies with value dimension exactly 1" if d == 1
+            else f"witness value has dimension {d}, expected 1",
+            format_assignment_fixture(witness),
+        ))
     return SuiteReport(tuple(records))
 
 
@@ -610,15 +595,12 @@ def run_laws_suite(
                 return "dimension-formula violated"
             return None
 
-        n, a, detail = _sweep(_random_assignments(
-            f"laws:{seed}:{ambient}", ambient, names, samples, coeff_bound
-        ), names, ambient, roots, probe)
-        records.append(_fail("laws", ambient, n, detail, a) if a else SuiteRecord(
-            "laws", ambient, n, "pass",
+        rows = _random_assignments(
+            f"laws:{seed}:{ambient}", ambient, names, samples, coeff_bound)
+        records.append(_swept("laws", ambient, rows, names, roots, probe, lambda n: (
             f"{len(laws)} laws, both equality characterizations "
-            f"({distinct_pairs} distinct pairs), and the dimension "
-            "formula held",
-        ))
+            f"({distinct_pairs} distinct pairs), and the dimension formula held"
+        )))
     return SuiteReport(tuple(records))
 
 
@@ -670,8 +652,7 @@ def run_transport_suite() -> SuiteReport:
             if holds(record.equation, moved):
                 records.append(_fail(
                     suite, moved.ambient, 1,
-                    f"falsification lost after adding {extra} dimensions",
-                    moved,
+                    f"falsification lost after adding {extra} dimensions", moved,
                 ))
                 continue
             _certify(record.equation, moved)
@@ -723,13 +704,11 @@ def run_gamma_suite() -> SuiteReport:
         return None
 
     names = ("p", "q", "r", "s")
-    total, a, detail = _sweep(itertools.product(lines, repeat=len(names)), names, 2,
-                              (gamma_distinct_lines(4),), probe)
-    return SuiteReport((_fail("gamma", 2, total, detail, a) if a else SuiteRecord(
-        "gamma", 2, total, "pass",
-        f"zero on all {coincident} coincident tuples; nonzero exactly on "
-        f"the {nonzero} distinct tuples avoiding r = ~p and s = ~p, "
-        "always equal to p",
+    return SuiteReport((_swept(
+        "gamma", 2, itertools.product(lines, repeat=len(names)), names,
+        (gamma_distinct_lines(4),), probe,
+        lambda n: f"zero on all {coincident} coincident tuples; nonzero exactly on "
+        f"the {nonzero} distinct tuples avoiding r = ~p and s = ~p, always equal to p",
     ),))
 
 

@@ -35,6 +35,7 @@ from qlattice.formulas import (
     beta_witness,
     counterexample_catalog,
     named_equations,
+    separation_witness,
     transport,
 )
 import qlattice.subspaces as sub
@@ -524,4 +525,44 @@ def test_suite_records_its_first_failure(monkeypatch, capsys, name, run, arm, k,
     lines = capsys.readouterr().out.splitlines()
     assert code == 1
     assert any(line.startswith(f"[FAIL] {name}") for line in lines)
+    assert lines[-1].startswith("SUITE FAILURES")
+
+
+_HALF_SPLIT = separation_witness(1)
+
+
+@pytest.mark.parametrize("name, run, suite, witness, detail", [
+    pytest.param(
+        "lemma2", lambda: run_lemma2_suite(ambients=(2,), samples=10), "lemma2-tight",
+        Assignment(4, {"p": _HALF_SPLIT["p1"], "q": _HALF_SPLIT["q1"], "r": _HALF_SPLIT["r1"]}),
+        "expected dim 2, got 4", id="lemma2-tight"),
+    pytest.param(
+        "separation", lambda: run_separation_suite(max_i=0, samples=10),
+        "separation-0-witness", separation_witness(0),
+        "witness value has dimension 2, expected 1", id="separation-0-witness"),
+])
+def test_witness_record_fails_on_a_wrong_value(monkeypatch, capsys, name, run, suite, witness,
+                                               detail):
+    """A wrong Evaluator.eval on the witness row alone fails that suite's
+    one-assignment record, certified by the witness."""
+    values = set(witness.bindings.values())
+    real = Evaluator.eval
+
+    def eval(self, t):
+        column = real(self, t)
+        return [_other(v) if self.ambient == witness.ambient and set(row) == values else v
+                for row, v in zip(self.rows, column)]
+
+    monkeypatch.setattr(Evaluator, "eval", eval)
+    failed = [r for r in run().records if r.status == "fail"]
+    assert [(r.suite, r.ambient, r.samples, r.detail) for r in failed] == [
+        (suite, witness.ambient, 1, detail)
+    ]
+    cert = parse_assignment_fixture(failed[0].certificate)
+    assert (cert.ambient, cert.bindings) == (witness.ambient, witness.bindings)
+
+    code = main(["suite", name, "--samples", "10", "--max-i", "0"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert f"[FAIL] {suite} ambient={witness.ambient} samples=1: {detail}" in lines
     assert lines[-1].startswith("SUITE FAILURES")
