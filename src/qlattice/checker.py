@@ -115,30 +115,22 @@ def coordinate_family(ambient: int, extra_lines: int = 0) -> tuple[Subspace, ...
         )
     if extra_lines < 0:
         raise ValueError("extra_lines must be nonnegative")
-    family = []
-    for mask in range(2 ** ambient):
-        rows = [
-            [1 if c == i else 0 for c in range(ambient)]
-            for i in range(ambient)
-            if mask >> i & 1
-        ]
-        family.append(Subspace.from_spanning(ambient, rows))
     pairs = list(itertools.combinations(range(ambient), 2))
-    produced = 0
-    for coeff in _EXTRA_COEFFS:
-        for i, j in pairs:
-            if produced == extra_lines:
-                return tuple(family)
-            row = [0] * ambient
-            row[i] = 1
-            row[j] = coeff
-            family.append(Subspace.line(ambient, row))
-            produced += 1
-    if produced < extra_lines:
+    if extra_lines > len(_EXTRA_COEFFS) * len(pairs):
         raise ValueError(
             f"cannot construct {extra_lines} distinct extra lines "
             f"in ambient {ambient}"
         )
+    units = Subspace.full(ambient).basis
+    family = [
+        Subspace.from_spanning(ambient, [u for i, u in enumerate(units) if mask >> i & 1])
+        for mask in range(2 ** ambient)
+    ]
+    for coeff, (i, j) in itertools.islice(itertools.product(_EXTRA_COEFFS, pairs), extra_lines):
+        row = [0] * ambient
+        row[i] = 1
+        row[j] = coeff
+        family.append(Subspace.line(ambient, row))
     return tuple(family)
 
 
@@ -403,7 +395,7 @@ def check(eq: Equation, ambient: int, strategies: Sequence | None = None) -> Ver
 
 class SuiteRecord(NamedTuple):
     suite: str
-    ambient: int | None
+    ambient: int
     samples: int
     status: str  # "pass" | "fail"
     detail: str
@@ -411,8 +403,7 @@ class SuiteRecord(NamedTuple):
 
     def line(self) -> str:
         tag = "PASS" if self.status == "pass" else "FAIL"
-        where = f" ambient={self.ambient}" if self.ambient is not None else ""
-        return f"[{tag}] {self.suite}{where} samples={self.samples}: {self.detail}"
+        return f"[{tag}] {self.suite} ambient={self.ambient} samples={self.samples}: {self.detail}"
 
 
 class SuiteReport(NamedTuple):
@@ -664,7 +655,8 @@ def run_transport_suite() -> SuiteReport:
 
 
 def run_gamma_suite() -> SuiteReport:
-    """The four-variable distinct-line detector over a six-line family.
+    """The four-variable distinct-line detector over the six lines of the
+    ambient-2 coordinate family with :data:`_EXTRA_LINES` extra lines.
 
     Any coincidence among the four arguments forces the value to zero
     (distinctness is necessary for a nonzero value).  It is not
@@ -672,14 +664,7 @@ def run_gamma_suite() -> SuiteReport:
     which is the complement of p, so r = ~p or s = ~p also collapses
     everything.  Away from those degeneracies the value is p itself.
     """
-    lines = [
-        Subspace.line(2, [1, 0]),
-        Subspace.line(2, [0, 1]),
-        Subspace.line(2, [1, 1]),
-        Subspace.line(2, [1, -1]),
-        Subspace.line(2, [1, (0, 1)]),
-        Subspace.line(2, [1, 2]),
-    ]
+    lines = [s for s in coordinate_family(2, _EXTRA_LINES) if s.dim == 1]
     nonzero = 0
     coincident = 0
 

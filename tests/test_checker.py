@@ -57,6 +57,14 @@ def test_family_ambient2_two_extras():
     fam = coordinate_family(2, 2)
     assert fam[4] == Subspace.line(2, [1, 1])
     assert fam[5] == Subspace.line(2, [1, (0, 1)])
+    # coefficient-major across pairs: every pair i < j with c = 1 comes
+    # before the first line with c = i
+    assert coordinate_family(3, 4)[8:] == (
+        Subspace.line(3, [1, 1, 0]),
+        Subspace.line(3, [1, 0, 1]),
+        Subspace.line(3, [0, 1, 1]),
+        Subspace.line(3, [1, (0, 1), 0]),
+    )
 
 
 def test_family_sizes():
@@ -80,6 +88,13 @@ def test_family_rejects_bad_arguments():
     # no pairs i < j exist in one dimension
     with pytest.raises(ValueError):
         coordinate_family(1, 1)
+    # each pair i < j takes one line per coefficient, and no more
+    for ambient, capacity in ((2, 16), (3, 48)):
+        assert len(coordinate_family(ambient, capacity)) == 2 ** ambient + capacity
+        with pytest.raises(ValueError, match=(
+            f"^cannot construct {capacity + 1} distinct extra lines in ambient {ambient}$"
+        )):
+            coordinate_family(ambient, capacity + 1)
 
 
 def test_family_deterministic():
@@ -328,6 +343,15 @@ def test_suites_refuse_an_ambient_below_one(suite, ambient):
                           timeout=30, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"refused: ambient dimension must be at least 1, got {ambient}\n"
+
+
+def test_sweep_refuses_ambient_zero_before_drawing_a_row(monkeypatch):
+    calls = []
+    real = checker._random_from
+    monkeypatch.setattr(checker, "_random_from", lambda *args: calls.append(args) or real(*args))
+    with pytest.raises(sub.AmbientMismatch, match="at least 1, got 0"):
+        run_lemma2_suite(ambients=(0,), samples=1)
+    assert calls == []
 
 
 def test_default_strategy_order():

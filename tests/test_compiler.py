@@ -450,6 +450,32 @@ def test_emitted_text_parses_under_bundled_reader(form, n):
         check_solver_text(emit_solver_text(compile_sentence(s, n), form))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("left, right", [
+    ("forall p. 0 = p", "forall p. p = 0"),
+    ("forall p. 1 = p", "forall p. p = 1"),
+    ("forall p, q. 0 = p <-> q = 1", "forall p, q. p = 0 <-> 1 = q"),
+])
+def test_constant_side_of_an_atom_compiles_either_way_round(left, right, n):
+    def text(source):
+        return emit_solver_text(compile_sentence(parse_sentence(source), n))
+    assert text(left) == text(right)
+
+
+def test_atoms_of_two_constants_compile():
+    texts = {
+        source: emit_solver_text(compile_sentence(parse_sentence(source), 1))
+        for source in ("1 = 1", "0 = 0", "0 = 1", "1 = 0")
+    }
+    for text in texts.values():
+        check_solver_text(text)
+    # membership in 1 is the empty conjunction, printed as true
+    assert texts["1 = 1"] == (
+        "(set-logic NRA)\n(assert (not\n(forall ((v!1.1.re Real) (v!1.1.im Real))\n"
+        "true)))\n(check-sat)\n"
+    )
+
+
 def test_refutation_form_requests_model():
     r = compile_sentence(universal_closure(named_equations()["distributive"]), 1)
     assert "(get-model)" in emit_solver_text(r, "refutation")
