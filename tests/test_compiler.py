@@ -413,6 +413,7 @@ def test_corpus_text_matches_golden_digests():
 _LARGE_COMPILES = {
     "worked-example n=8": ("worked-example", 8, "validity"),
     "worked-example n=16": ("worked-example", 16, "validity"),
+    "worked-example n=64": ("worked-example", 64, "validity"),
     "separation-1 n=8 refutation": ("separation-1", 8, "refutation"),
 }
 
