@@ -10,9 +10,13 @@ reported as ``holds-on-samples``, never as validity.
 
 Before a counterexample is returned, :func:`_certify` re-evaluates it
 with the alternative complement-based meet, so a fault of ``meet`` alone
-surfaces as a loud :class:`CheckError` instead of a bogus verdict.  Both
-routes share ``join`` and ``complement``, so a fault there can still be
-reported as a certified counterexample (ROADMAP item 12).
+surfaces as a loud :class:`CheckError` instead of a bogus verdict.  It
+then evaluates the dual equation, with meet and join swapped and 0 and 1
+swapped, at the complements of the row, which must fail too: there each
+meet runs as a join and each join as a meet, so a fault of ``join`` that
+made the refutation shows as a dual equation that holds.  A fault of
+``complement``, or of both meet and join, can still be reported as a
+certified counterexample (ROADMAP item 12).
 
 The ``run_*_suite`` functions package the recurring experiments (the
 dimension bound on alpha, the line classification, the hierarchy
@@ -264,11 +268,35 @@ class Verdict(NamedTuple):
         )
 
 
+# op -> its dual, for the ops that change
+_DUAL_OPS = {"meet": "join", "join": "meet", "top": "bot", "bot": "top"}
+
+
+def _dual(t: Term) -> Term:
+    """`t` with meet and join swapped and 0 and 1 swapped.  Complement is
+    a dual automorphism, so its value at the complements of a row is the
+    complement of the value of `t` at the row."""
+    out: list[Term] = []
+    for op, a, b in Program((t,)).code:
+        if op == "var":
+            out.append(Var(a))
+        else:
+            out.append(Term(_DUAL_OPS.get(op, op), *(out[k] for k in (a, b) if k is not None)))
+    return out[-1]
+
+
 def _certify(eq: Equation, a: Assignment) -> None:
-    """Re-evaluate a refutation through the complement-based meet."""
+    """Re-evaluate a refutation through the complement-based meet, and the
+    dual equation at the complements of its values, which must fail too."""
     if holds(eq, a, meet_op=meet_via_demorgan):
         raise CheckError(
             "counterexample failed certification: the two meet routes disagree"
+        )
+    complements = {name: complement(value) for name, value in a.bindings.items()}
+    if holds(Equation(_dual(eq.lhs), _dual(eq.rhs)), Assignment(a.ambient, complements)):
+        raise CheckError(
+            "counterexample failed certification: the dual equation holds "
+            "at the complements"
         )
 
 

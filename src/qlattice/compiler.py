@@ -28,18 +28,24 @@ module docstring.  Stage two adds complex expression nodes and lets
     ("const", (re, im))                   a complex constant
     ("conj", (e,))                        complex conjugate
     ("mul", (e, e)), ("add", (e, ...))    product, sum; empty sum is 0
+    ("dot", (row, vec, n))                row.1 * vec.1 + ... + row.n * vec.n,
+                                          of names, without conjugation
     ("eq", (e, e))                        an equation of two expressions
     ("and", (f, ...)), ("or", (f, ...))   empty: true, false
 
-Stage three keeps the formula nodes and makes each side of a real
-``eq`` its SMT-LIB term text, such as ``"(+ (* x.re y.re) (- (* x.im
-y.im)))"``; there is no real expression node.  Every formula walk is
-``sentences.fold`` or, in the emitter, its own explicit stack, so no
-sentence or formula is too deep for them.  Expressions are at most
-three levels deep, and stage three writes the real and imaginary text
-of each in one recursive pass, naming each variable's ``.re`` and
+Row i of ``<matrix of x> * v = 0`` is ``("dot", ("x.i", v, n))`` set
+equal to 0.  Stage three keeps the formula nodes and makes each side of
+a real ``eq`` its SMT-LIB term text, such as ``"(+ (* x.re y.re) (-
+(* x.im y.im)))"``; there is no real expression node.  Every formula
+walk is ``sentences.fold`` or, in the emitter, its own explicit stack,
+so no sentence or formula is too deep for them.  Expressions are at
+most three levels deep, and stage three writes the real and imaginary
+text of each in one recursive pass, naming each variable's ``.re`` and
 ``.im`` parts once per call; a malformed expression raises
-``CompileError``.
+``CompileError``.  A ``dot`` is written from a text pattern made once
+per length n and call: the product split of a row of stand-in names,
+into which two ``str.replace`` calls put the row name, then the vector
+name.
 
 ``emit_solver_text`` renders the result as SMT-LIB v2, one formula node
 per line and without indentation, pasting each equation's side texts in
@@ -218,10 +224,11 @@ def eval_flat(flat: Flat, domain: Iterable[Subspace], ambient: int) -> bool:
 # Generated names use '!' and '.', which the sentence grammar cannot
 # produce in identifiers, so they never collide with source variables:
 #   x.i.j     entry (i, j) of the matrix whose kernel is lattice var x
+#   x.i       row i of that matrix, in a dot node
 #   v!k.j     component j of the k-th quantified vector
 
 
-_ZERO = ("const", (Fraction(0), Fraction(0)))
+_ZERO = ("add", ())  # the empty sum
 # connective op -> its SMT-LIB operator
 _CONNECTIVES = {"and": "and", "or": "or", "implies": "=>", "iff": "=", "not": "not"}
 
@@ -231,39 +238,30 @@ def _var(name: str) -> Node:
 
 
 class _Namer:
-    """The fresh vector names of one compile, and each lattice variable's
-    matrix entry nodes, built once and shared by all its kernel blocks."""
+    """The fresh vector names of one compile."""
 
     def __init__(self) -> None:
         self.vectors = 0
-        self.matrices: dict[str, list[tuple[Node, ...]]] = {}
 
     def vector(self) -> str:
         self.vectors += 1
         return f"v!{self.vectors}"
-
-    def matrix(self, name: str, n: int) -> list[tuple[Node, ...]]:
-        rows = self.matrices.get(name)
-        if rows is None:
-            rows = self.matrices[name] = [
-                tuple(_var(f"{name}.{i}.{j}") for j in range(1, n + 1))
-                for i in range(1, n + 1)
-            ]
-        return rows
 
 
 def _components(vec: str, n: int) -> tuple[str, ...]:
     return tuple(f"{vec}.{j}" for j in range(1, n + 1))
 
 
-def _kernel(name: str, vec: str, n: int, namer: _Namer) -> Node:
+def _entries(name: str, n: int) -> tuple[str, ...]:
+    """The entries of the matrix of lattice var name, row by row."""
+    return tuple(f"{name}.{i}.{j}" for i in range(1, n + 1) for j in range(1, n + 1))
+
+
+def _kernel(name: str, vec: str, n: int) -> Node:
     """The n row equations of <matrix of name> * vec = 0."""
-    components = [_var(c) for c in _components(vec, n)]  # shared by every row
-    rows = []
-    for entries in namer.matrix(name, n):
-        terms = tuple(("mul", pair) for pair in zip(entries, components))
-        rows.append(("eq", (("add", terms), _ZERO)))
-    return ("and", tuple(rows))
+    return ("and", tuple(
+        ("eq", (("dot", (f"{name}.{i}", vec, n)), _ZERO)) for i in range(1, n + 1)
+    ))
 
 
 def _hermitian_dot_zero(v: str, w: str, n: int) -> Node:
@@ -278,10 +276,10 @@ def _vec_is_zero(vec: str, n: int) -> Node:
     return ("and", tuple(("eq", (_var(c), _ZERO)) for c in _components(vec, n)))
 
 
-def _membership(leaf: Term, vec: str, n: int, namer: _Namer) -> Node:
+def _membership(leaf: Term, vec: str, n: int) -> Node:
     """Formula: vec lies in the subspace denoted by a leaf term."""
     if leaf.op == "var":
-        return _kernel(leaf.a, vec, n, namer)
+        return _kernel(leaf.a, vec, n)
     if leaf.op == "top":
         return ("and", ())
     if leaf.op == "bot":
@@ -292,14 +290,14 @@ def _membership(leaf: Term, vec: str, n: int, namer: _Namer) -> Node:
 def _encode_definition(name: str, term: Term, n: int, namer: _Namer) -> Node:
     """``name = term`` for a meet, join or complement of variables."""
     v = namer.vector()
-    member = _kernel(name, v, n, namer)
+    member = _kernel(name, v, n)
     if term.op == "meet":
-        rhs = ("and", (_kernel(term.a.a, v, n, namer), _kernel(term.b.a, v, n, namer)))
+        rhs = ("and", (_kernel(term.a.a, v, n), _kernel(term.b.a, v, n)))
     elif term.op == "not":
         w = namer.vector()
         rhs = ("forall", (
             _components(w, n),
-            ("implies", (_kernel(term.a.a, w, n, namer), _hermitian_dot_zero(v, w, n))),
+            ("implies", (_kernel(term.a.a, w, n), _hermitian_dot_zero(v, w, n))),
         ))
     else:  # join: y v z = y + z in finite dimension
         a, b = namer.vector(), namer.vector()
@@ -309,7 +307,7 @@ def _encode_definition(name: str, term: Term, n: int, namer: _Namer) -> Node:
         )
         rhs = ("exists", (
             _components(a, n) + _components(b, n),
-            ("and", (_kernel(term.a.a, a, n, namer), _kernel(term.b.a, b, n, namer)) + total),
+            ("and", (_kernel(term.a.a, a, n), _kernel(term.b.a, b, n)) + total),
         ))
     return ("forall", (_components(v, n), ("iff", (member, rhs))))
 
@@ -321,11 +319,11 @@ def _encode_atom(atom: S.Sentence, n: int, namer: _Namer) -> Node:
     if lhs.op != "var" and rhs.op == "var":
         lhs, rhs = rhs, lhs
     if rhs.op == "top":
-        body = _membership(lhs, v, n, namer)
+        body = _membership(lhs, v, n)
     elif rhs.op == "bot":
-        body = ("implies", (_membership(lhs, v, n, namer), _vec_is_zero(v, n)))
+        body = ("implies", (_membership(lhs, v, n), _vec_is_zero(v, n)))
     else:
-        body = ("iff", (_membership(lhs, v, n, namer), _membership(rhs, v, n, namer)))
+        body = ("iff", (_membership(lhs, v, n), _membership(rhs, v, n)))
     return ("forall", (_components(v, n), body))
 
 
@@ -350,9 +348,7 @@ def encode_kernels(s: S.Sentence, n: int) -> Node:
             return kids[0]
         kids = [close(k) for k in kids]
         if op in S.QUANTIFIERS:
-            # binder names read off the entry nodes: ("var", ("x.i.j",))
-            rows = (row for name in args[0] for row in namer.matrix(name, n))
-            names = tuple(entry[1][0] for row in rows for entry in row)
+            names = tuple(entry for name in args[0] for entry in _entries(name, n))
             body = kids[0]
             if body[0] == op:
                 names += body[1][0]
@@ -381,33 +377,56 @@ def _fmt_const(value: Fraction) -> str:
     return f"(- {text})" if num < 0 else text
 
 
-def _split_expr(e: Node, names: dict[str, tuple[str, str]]) -> tuple[str, str]:
+# Stand-ins for the row and vector names in the text pattern of a dot row;
+# names are ASCII identifiers with '.' and '!', so neither occurs in one.
+_ROW, _VEC = "\1", "\0"
+
+
+def _split_expr(e: Node, memo: dict) -> tuple[str, str]:
     """SMT-LIB text of the real and imaginary parts of a complex
-    expression.  ``names`` maps a variable to its ``.re``/``.im`` names,
+    expression.  ``memo`` maps a variable to its ``.re``/``.im`` names,
+    and a length n to the text pattern of a dot row of that length, each
     made on first use."""
     op, args = e
+    if op == "dot":
+        if len(args) != 3 or not (
+            type(args[0]) is type(args[1]) is str and type(args[2]) is int and args[2] > 0
+        ):
+            raise CompileError(f"a dot row takes two names and a positive length: {e!r}")
+        row, vec, n = args
+        pattern = memo.get(n)
+        if pattern is None:
+            # the generic split of sum_j row.j * vec.j, with stand-in names
+            pattern = memo[n] = _split_expr(("add", tuple(
+                ("mul", (_var(f"{_ROW}.{j}"), _var(f"{_VEC}.{j}"))) for j in range(1, n + 1)
+            )), {})
+        re, im = pattern
+        return (
+            re.replace(_ROW, row).replace(_VEC, vec),
+            im.replace(_ROW, row).replace(_VEC, vec),
+        )
     if op == "var":
         name = args[0]
-        parts = names.get(name)
+        parts = memo.get(name)
         if parts is None:
-            parts = names[name] = (name + ".re", name + ".im")
+            parts = memo[name] = (name + ".re", name + ".im")
         return parts
     if op == "mul":
         if len(args) != 2:
             raise CompileError(f"a product takes two operands: {e!r}")
-        a_re, a_im = _split_expr(args[0], names)
-        b_re, b_im = _split_expr(args[1], names)
+        a_re, a_im = _split_expr(args[0], memo)
+        b_re, b_im = _split_expr(args[1], memo)
         return (
             f"(+ (* {a_re} {b_re}) (- (* {a_im} {b_im})))",
             f"(+ (* {a_re} {b_im}) (* {a_im} {b_re}))",
         )
     if op == "add":
         if len(args) < 2:
-            return _split_expr(args[0], names) if args else ("0", "0")
-        re, im = zip(*[_split_expr(a, names) for a in args])
+            return _split_expr(args[0], memo) if args else ("0", "0")
+        re, im = zip(*[_split_expr(a, memo) for a in args])
         return "(+ " + " ".join(re) + ")", "(+ " + " ".join(im) + ")"
     if op == "conj" and len(args) == 1:
-        re, im = _split_expr(args[0], names)
+        re, im = _split_expr(args[0], memo)
         return re, f"(- {im})"
     if op == "const" and len(args) == 2:
         return _fmt_const(args[0]), _fmt_const(args[1])
@@ -418,13 +437,13 @@ def complex_to_real(c: Node) -> Node:
     """Stage three: every complex variable becomes a (re, im) pair of
     real variables, and every complex equation two real equations whose
     sides are SMT-LIB term text."""
-    names: dict[str, tuple[str, str]] = {}
+    memo: dict = {}  # see _split_expr
 
     def visit(node: Node, kids: list) -> Node:
         op, args = node
         if op == "eq":
-            l_re, l_im = _split_expr(args[0], names)
-            r_re, r_im = _split_expr(args[1], names)
+            l_re, l_im = _split_expr(args[0], memo)
+            r_re, r_im = _split_expr(args[1], memo)
             return ("and", (("eq", (l_re, r_re)), ("eq", (l_im, r_im))))
         if op in S.QUANTIFIERS:
             return (op, (_split_vars(args[0]), kids[0]))

@@ -40,7 +40,7 @@ from qlattice.formulas import (
 )
 import qlattice.subspaces as sub
 from qlattice.subspaces import Subspace
-from qlattice.terms import BOT, Assignment, Equation, Evaluator, parse_equation
+from qlattice.terms import BOT, TOP, Assignment, Equation, Evaluator, parse_equation
 
 
 def test_family_ambient2_no_extras():
@@ -324,6 +324,20 @@ def test_corrupted_meet_memo_fails_certification(monkeypatch):
         check(parse_equation("p ^ q = q ^ p"), 2, [_TwoLines(p, q)])
 
 
+@pytest.mark.parametrize("ambient", [2, 3])
+def test_faulty_join_fails_certification(monkeypatch, ambient):
+    # a join that returns its left operand for two distinct lines refutes
+    # "p v q = q v p", and the meet route cannot see it, since it has no
+    # meet; the dual "p ^ q = q ^ p" holds at the complements, so the
+    # duality leg must refuse the counterexample
+    real = sub.join
+    monkeypatch.setattr(
+        sub, "join", lambda a, b: a if a.dim == b.dim == 1 and a != b else real(a, b)
+    )
+    with pytest.raises(CheckError, match="dual equation holds"):
+        check(parse_equation("p v q = q v p"), ambient)
+
+
 @pytest.mark.parametrize("ambient", [0, -1])
 @pytest.mark.parametrize("suite", ["run_lemma2_suite", "run_laws_suite"])
 def test_suites_refuse_an_ambient_below_one(suite, ambient):
@@ -458,11 +472,13 @@ def _other(v: Subspace) -> Subspace:
     return Subspace.zero(v.ambient) if v == full else full
 
 
-def _wrong_eval(flips):
+def _wrong_eval(flips, dual=False):
     """Evaluator.eval goes wrong on the terms `flips` picks: in the column
     entry of the k-th row under which it evaluates one of them, in sweep
     order, and again at every later row of the same values, such as the
-    row certification builds from the reported assignment."""
+    row certification builds from the reported assignment.  With `dual`
+    it goes wrong at the row of their complements too, the row at which
+    certification evaluates the dual equation."""
     def arm(monkeypatch, k):
         seen = []  # each row object first evaluated, as an Assignment
         rows = []  # the same rows
@@ -478,7 +494,12 @@ def _wrong_eval(flips):
                     position[id(row)] = len(rows)
                     rows.append(row)
                     seen.append(Assignment(self.ambient, dict(zip(self.names, row))))
-            return [_other(v) if position[id(row)] >= k - 1 and row == rows[k - 1] else v
+            if len(rows) < k:
+                return column
+            wrong = [rows[k - 1]]
+            if dual:
+                wrong.append(tuple(map(sub.complement, rows[k - 1])))
+            return [_other(v) if position[id(row)] >= k - 1 and row in wrong else v
                     for row, v in zip(self.rows, column)]
 
         monkeypatch.setattr(Evaluator, "eval", eval)
@@ -523,7 +544,7 @@ _OML_LHS = named_equations()["oml"].lhs
         ("lemma2", lambda: run_lemma2_suite(ambients=(3,), samples=10), _ANY, 4, 4),
         ("lemma3", run_lemma3_suite, _ANY, 100, 100),
         ("separation", lambda: run_separation_suite(max_i=0, samples=10),
-         _wrong_eval(lambda t: t == BOT), 5, 5),
+         _wrong_eval(lambda t: t in (BOT, TOP), dual=True), 5, 5),
         ("laws", lambda: run_laws_suite(ambients=(2,), samples=10),
          _wrong_eval(lambda t: t == _OML_LHS), 7, 7),
         ("meet-agreement", run_meet_agreement_suite, _wrong_meet, 20, 20),
@@ -550,6 +571,15 @@ def test_suite_records_its_first_failure(monkeypatch, capsys, name, run, arm, k,
     assert code == 1
     assert any(line.startswith(f"[FAIL] {name}") for line in lines)
     assert lines[-1].startswith("SUITE FAILURES")
+
+
+def test_wrong_value_at_one_row_fails_duality_certification(monkeypatch):
+    # the separation case above with 0 wrong only at the failing row:
+    # the dual equation, "... = 1" at the complements, holds there, so
+    # the refutation is not certified
+    _wrong_eval(lambda t: t == BOT)(monkeypatch, 5)
+    with pytest.raises(CheckError, match="dual equation holds"):
+        run_separation_suite(max_i=0, samples=10)
 
 
 _HALF_SPLIT = separation_witness(1)

@@ -286,8 +286,17 @@ def test_stats_count_the_printed_equations(n):
         assert stats(r).equations == emit_solver_text(r).count("(= ")
 
 
+def _dot_sum(row, vec, n):
+    """The sum of products that ``("dot", (row, vec, n))`` stands for."""
+    return ("add", tuple(
+        ("mul", (("var", (f"{row}.{j}",)), ("var", (f"{vec}.{j}",)))) for j in range(1, n + 1)
+    ))
+
+
 def _complex_value(e, env):
     op, args = e
+    if op == "dot":
+        return _complex_value(_dot_sum(*args), env)
     if op == "var":
         return env[args[0]]
     if op == "const":
@@ -499,6 +508,8 @@ def _affine(e, env, bound):
     ({bound name: coefficient}, constant); it must be affine in the
     bound names."""
     op, args = e
+    if op == "dot":
+        return _affine(_dot_sum(*args), env, bound)
     if op == "var":
         if args[0] in bound:
             return {args[0]: GaussianRational(1)}, GaussianRational(0)

@@ -39,6 +39,12 @@ def _ref_split_expr(e):
     if op == "add":
         parts = [_ref_split_expr(a) for a in args]
         return ("add", tuple(p[0] for p in parts)), ("add", tuple(p[1] for p in parts))
+    if op == "dot":
+        row, vec, n = args
+        return _ref_split_expr(("add", tuple(
+            ("mul", (("var", (f"{row}.{j}",)), ("var", (f"{vec}.{j}",))))
+            for j in range(1, n + 1)
+        )))
     if op == "mul":
         a_re, a_im = _ref_split_expr(args[0])
         b_re, b_im = _ref_split_expr(args[1])
@@ -79,6 +85,13 @@ _leaves = st.sampled_from(["x.1.1", "x.1.2", "y.2.1", "v!1.1", "v!2.3"]).map(
 )
 _parts = st.fractions(min_value=-7, max_value=7, max_denominator=5)
 _consts = st.tuples(_parts, _parts).map(lambda reim: ("const", reim))
+# kernel rows: a matrix row times a vector, of a few lengths, so rows of
+# one length in one expression share a text pattern
+_dots = st.tuples(
+    st.sampled_from(["x.1", "x.2", "y_2.10"]),
+    st.sampled_from(["v!1", "v!12", "z"]),
+    st.integers(1, 3),
+).map(lambda args: ("dot", args))
 
 
 def _extend(inner):
@@ -89,9 +102,9 @@ def _extend(inner):
     )
 
 
-# leaves, constants, conj of a leaf or a compound, nested products, and
-# sums of 0, 1 or many operands, drawn to any of these depths
-_exprs = st.recursive(st.one_of(_leaves, _consts), _extend, max_leaves=12)
+# leaves, constants, kernel rows, conj of a leaf or a compound, nested
+# products, and sums of 0, 1 or many operands, drawn to any of these depths
+_exprs = st.recursive(st.one_of(_leaves, _consts, _dots), _extend, max_leaves=12)
 
 
 def _ref_texts(e):
@@ -117,6 +130,26 @@ def test_equations_realify_as_the_reference(lhs, rhs):
     assert f"(= {l_im} {r_im})" in text
 
 
+# row and vector names: identifiers with digits and '_', matrix rows
+# "x.i", and the fresh vectors "v!k" of stage two
+_ROWS = ("x.1", "x.64", "a_1.2", "t12.3", "p_q9.10")
+_VECTORS = ("v!1", "v!23", "x_0", "y7")
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), 64])
+def test_dot_rows_match_the_product_split(n):
+    # every row goes through one memo, so all but the first reuse the
+    # text pattern made for length n
+    memo = {}
+    for row in _ROWS:
+        for vec in _VECTORS:
+            generic = ("add", tuple(
+                ("mul", (("var", (f"{row}.{j}",)), ("var", (f"{vec}.{j}",))))
+                for j in range(1, n + 1)
+            ))
+            assert _split_expr(("dot", (row, vec, n)), memo) == _split_expr(generic, {})
+
+
 _A, _B, _C = (("var", (name,)) for name in ("a", "b", "c"))
 
 
@@ -132,9 +165,17 @@ _A, _B, _C = (("var", (name,)) for name in ("a", "b", "c"))
         ("const", (Fraction(1), Fraction(2), Fraction(3))),
         ("conj", (_A, _B)),
         ("add", (_A, ("mul", (_A, _B, _C)))),
+        ("dot", ("a", "b")),
+        ("dot", ("a", "b", 2, 2)),
+        ("dot", ("a", "b", 0)),
+        ("dot", ("a", "b", "2")),
+        ("dot", ("a", "b", True)),
+        ("dot", (_A, "b", 2)),
+        ("dot", ("a", _B, 2)),
     ],
     ids=["mul-3", "mul-1", "mul-0", "unknown-op", "real-neg", "const-1", "const-3",
-         "conj-2", "nested-mul-3"],
+         "conj-2", "nested-mul-3", "dot-2", "dot-4", "dot-length-0", "dot-length-str",
+         "dot-length-bool", "dot-row-node", "dot-vector-node"],
 )
 def test_malformed_complex_expressions_are_refused(e):
     with pytest.raises(CompileError):
@@ -158,6 +199,7 @@ def test_malformed_complex_expressions_are_refused(e):
         _A,
         ("mul", (_A, _B)),
         ("const", (Fraction(1),)),
+        ("dot", ("a", "b", 2)),
         Fraction(0),
         0,
         None,
@@ -165,8 +207,8 @@ def test_malformed_complex_expressions_are_refused(e):
         ["a"],
     ],
     ids=["mul-3", "mul-1", "unknown-op", "complex-conj", "neg-2", "const-2", "const-0",
-         "nested-mul-1", "var", "mul-2", "const-1", "fraction", "int", "none", "bytes",
-         "list"],
+         "nested-mul-1", "var", "mul-2", "const-1", "dot", "fraction", "int", "none",
+         "bytes", "list"],
 )
 def test_malformed_real_expressions_are_refused(e):
     # an equation side must be SMT-LIB term text; the emitter prints it as is
