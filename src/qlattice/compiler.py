@@ -33,19 +33,19 @@ module docstring.  Stage two adds complex expression nodes and lets
     ("eq", (e, e))                        an equation of two expressions
     ("and", (f, ...)), ("or", (f, ...))   empty: true, false
 
-Row i of ``<matrix of x> * v = 0`` is ``("dot", ("x.i", v, n))`` set
-equal to 0.  Stage three keeps the formula nodes and makes each side of
-a real ``eq`` its SMT-LIB term text, such as ``"(+ (* x.re y.re) (-
-(* x.im y.im)))"``; there is no real expression node.  Every formula
-walk is ``sentences.fold`` or, in the emitter, its own explicit stack,
-so no sentence or formula is too deep for them.  Expressions are at
-most three levels deep, and stage three writes the real and imaginary
-text of each in one recursive pass, naming each variable's ``.re`` and
+Stage three keeps the formula nodes and makes each side of a real
+``eq`` its SMT-LIB term text, such as ``"(+ (* x.re y.re) (- (* x.im
+y.im)))"``; there is no real expression node.  Every formula walk is
+``sentences.fold`` or, in the emitter, its own explicit stack, so no
+sentence or formula is too deep for them.  Expressions are at most
+three levels deep, and stage three writes the real and imaginary text
+of each in one recursive pass, naming each variable's ``.re`` and
 ``.im`` parts once per call; a malformed expression raises
-``CompileError``.  A ``dot`` is written from a text pattern made once
-per length n and call: the product split of a row of stand-in names,
-into which two ``str.replace`` calls put the row name, then the vector
-name.
+``CompileError``.  Row i of ``<matrix of x> * v = 0`` is ``("dot",
+("x.i", v, n))`` set equal to 0, and stage three writes each ``dot``
+from a text pattern made once per length n and call: the product split
+of a row of stand-in names, into which two ``str.replace`` calls put
+the row name, then the vector name.
 
 ``emit_solver_text`` renders the result as SMT-LIB v2, one formula node
 per line and without indentation, pasting each equation's side texts in
@@ -252,11 +252,6 @@ def _components(vec: str, n: int) -> tuple[str, ...]:
     return tuple(f"{vec}.{j}" for j in range(1, n + 1))
 
 
-def _entries(name: str, n: int) -> tuple[str, ...]:
-    """The entries of the matrix of lattice var name, row by row."""
-    return tuple(f"{name}.{i}.{j}" for i in range(1, n + 1) for j in range(1, n + 1))
-
-
 def _kernel(name: str, vec: str, n: int) -> Node:
     """The n row equations of <matrix of name> * vec = 0."""
     return ("and", tuple(
@@ -348,7 +343,11 @@ def encode_kernels(s: S.Sentence, n: int) -> Node:
             return kids[0]
         kids = [close(k) for k in kids]
         if op in S.QUANTIFIERS:
-            names = tuple(entry for name in args[0] for entry in _entries(name, n))
+            # each lattice var binds the entries of its matrix, row by row
+            names = tuple(
+                f"{name}.{i}.{j}"
+                for name in args[0] for i in range(1, n + 1) for j in range(1, n + 1)
+            )
             body = kids[0]
             if body[0] == op:
                 names += body[1][0]
