@@ -15,11 +15,14 @@ listed there.  Then it prints one verdict line per metric of that list:
 (ties count for neither side) and the medians differ, in CHANGE's favour,
 by more than the distance between PARENT's quartiles; "worse beyond
 bound" when CHANGE's median is worse than PARENT's by more than the
-metric's ``bound``, a fraction of PARENT's median; else "no gain shown,
-within bound".  Last, it prints the median over each side's runs of the
-unscaled setup, round and reference-slice times that every run notes
-(its ``unscaled medians:`` line), so a move in ``setup_s`` that comes
-only from the reference-slice scale shows as one.
+metric's ``bound``, a fraction of PARENT's median; "unresolved" when
+the distance between PARENT's quartiles is wider than that bound, so a
+worse median within it would not show, unless every CHANGE run is better
+than every PARENT run; else "no gain shown, within bound".  Last, it
+prints the median over each side's runs of the unscaled setup, round
+and reference-slice times that every run notes (its ``unscaled
+medians:`` line), so a move in ``setup_s`` that comes only from the
+reference-slice scale shows as one.
 
 Before the first run it deletes every ``__pycache__`` under ``src/`` and
 ``perfbench/`` of both checkouts.  A checkout made from committed files
@@ -144,7 +147,8 @@ def summarise(parent: list[dict], change: list[dict], better: dict[str, str]) ->
 
 def verdicts(parent: list[dict], change: list[dict], specs: dict[str, dict]) -> list[str]:
     """One verdict line per metric of `specs` that the runs report: "gain
-    shown", "worse beyond bound" or "no gain shown, within bound"."""
+    shown", "worse beyond bound", "unresolved" or "no gain shown, within
+    bound"."""
     lines = []
     for name, spec in specs.items():
         if name not in parent[0]["metrics"]:
@@ -153,11 +157,15 @@ def verdicts(parent: list[dict], change: list[dict], specs: dict[str, dict]) -> 
         q1, q3 = quartiles(old)
         m_old, m_new = statistics.median(old), statistics.median(new)
         worse_by = sign * (m_new - m_old)
+        bound = spec["bound"] * abs(m_old)
         if 10 * wins >= 9 * len(old) and -worse_by > q3 - q1:
             verdict = (f"gain shown (better in {wins} of {len(old)} pairs; medians "
                        f"apart by {_num(-worse_by)} > parent IQR {_num(q3 - q1)})")
-        elif worse_by > spec["bound"] * abs(m_old):
+        elif worse_by > bound:
             verdict = (f"worse beyond bound (worse by {_num(worse_by)} > "
+                       f"{_num(spec['bound'])} of parent median {_num(m_old)})")
+        elif q3 - q1 > bound and max(sign * v for v in new) >= min(sign * v for v in old):
+            verdict = (f"unresolved (parent IQR {_num(q3 - q1)} > "
                        f"{_num(spec['bound'])} of parent median {_num(m_old)})")
         else:
             verdict = "no gain shown, within bound"

@@ -11,10 +11,12 @@ reported as ``holds-on-samples``, never as validity.
 Before a counterexample is returned, :func:`_certify` re-evaluates it
 with the alternative complement-based meet, so a fault of ``meet`` alone
 surfaces as a loud :class:`CheckError` instead of a bogus verdict.  It
-then evaluates the dual equation, with meet and join swapped and 0 and 1
-swapped, at the complements of the row, which must fail too: there each
-meet runs as a join and each join as a meet, so a fault of ``join`` that
-made the refutation shows as a dual equation that holds.  A fault of
+then relabels the equation's program, meet as join, join as meet, 0 as 1
+and 1 as 0, and runs it at the complements of the row: each slot then
+computes the dual of its term, the complement of the term's value at the
+row, so the dual equation must fail there too.  Each meet runs as a join
+and each join as a meet, so a fault of ``join`` that made the refutation
+shows as a dual equation that holds.  No dual term is built.  A fault of
 ``complement``, or of both meet and join, can still be reported as a
 certified counterexample (ROADMAP item 12).
 
@@ -272,28 +274,20 @@ class Verdict(NamedTuple):
 _DUAL_OPS = {"meet": "join", "join": "meet", "top": "bot", "bot": "top"}
 
 
-def _dual(t: Term) -> Term:
-    """`t` with meet and join swapped and 0 and 1 swapped.  Complement is
-    a dual automorphism, so its value at the complements of a row is the
-    complement of the value of `t` at the row."""
-    out: list[Term] = []
-    for op, a, b in Program((t,)).code:
-        if op == "var":
-            out.append(Var(a))
-        else:
-            out.append(Term(_DUAL_OPS.get(op, op), *(out[k] for k in (a, b) if k is not None)))
-    return out[-1]
-
-
 def _certify(eq: Equation, a: Assignment) -> None:
-    """Re-evaluate a refutation through the complement-based meet, and the
-    dual equation at the complements of its values, which must fail too."""
-    if holds(eq, a, meet_op=meet_via_demorgan):
+    """Re-evaluate a refutation through the complement-based meet, then run
+    its program relabelled by :data:`_DUAL_OPS` at the complements of its
+    row: that evaluates the dual equation, which must fail too."""
+    names, row = tuple(a.bindings), tuple(a.bindings.values())
+    program = Program(eq)
+    ev = Evaluator((row,), names, a.ambient, meet_via_demorgan, program)
+    if ev.eval(eq.lhs) == ev.eval(eq.rhs):
         raise CheckError(
             "counterexample failed certification: the two meet routes disagree"
         )
-    complements = {name: complement(value) for name, value in a.bindings.items()}
-    if holds(Equation(_dual(eq.lhs), _dual(eq.rhs)), Assignment(a.ambient, complements)):
+    program.code[:] = [(_DUAL_OPS.get(op, op), x, y) for op, x, y in program.code]
+    ev = Evaluator((tuple(map(complement, row)),), names, a.ambient, program=program)
+    if ev.eval(eq.lhs) == ev.eval(eq.rhs):
         raise CheckError(
             "counterexample failed certification: the dual equation holds "
             "at the complements"

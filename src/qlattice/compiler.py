@@ -25,7 +25,6 @@ module docstring.  Stage two adds complex expression nodes and lets
 ``and`` and ``or`` take any number of operands::
 
     ("var", (name,))                      a complex variable
-    ("const", (re, im))                   a complex constant
     ("conj", (e,))                        complex conjugate
     ("mul", (e, e)), ("add", (e, ...))    product, sum; empty sum is 0
     ("dot", (row, vec, n))                row.1 * vec.1 + ... + row.n * vec.n,
@@ -66,7 +65,6 @@ finite domain.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .subspaces import Subspace
@@ -370,12 +368,6 @@ def _split_vars(names: Sequence[str]) -> tuple[str, ...]:
     return tuple(f"{name}.{part}" for name in names for part in ("re", "im"))
 
 
-def _fmt_const(value: Fraction) -> str:
-    num, den = value.numerator, value.denominator
-    text = str(abs(num)) if den == 1 else f"(/ {abs(num)} {den})"
-    return f"(- {text})" if num < 0 else text
-
-
 # Stand-ins for the row and vector names in the text pattern of a dot row;
 # names are ASCII identifiers with '.' and '!', so neither occurs in one.
 _ROW, _VEC = "\1", "\0"
@@ -427,8 +419,6 @@ def _split_expr(e: Node, memo: dict) -> tuple[str, str]:
     if op == "conj" and len(args) == 1:
         re, im = _split_expr(args[0], memo)
         return re, f"(- {im})"
-    if op == "const" and len(args) == 2:
-        return _fmt_const(args[0]), _fmt_const(args[1])
     raise CompileError(f"not a complex expression: {e!r}")
 
 

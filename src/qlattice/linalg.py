@@ -69,11 +69,14 @@ class ScalarFormatError(ValueError):
 
 # --- scalar text -----------------------------------------------------------
 #
-# scalar   := rational | rational sign rat-imag | rat-imag | sign rat-imag
-# rational := ['-'] digits ['/' digits]
-# rat-imag := rational '*' 'i' | 'i' | '-i'
+# scalar   := rational [sign coef-i] | ['-'] coef-i
+# coef-i   := [unsigned '*'] 'i'
+# rational := ['-'] unsigned
+# unsigned := digits ['/' digits]
+# sign     := '+' | '-'
 # digits   := one or more of the ASCII digits 0-9
 #
+# Spaces are ignored anywhere in the text, other whitespace at either end.
 # This is the single parse point for scalars; the fixture reader delegates
 # here.
 

@@ -119,6 +119,28 @@ def test_worse_beyond_bound_is_relative_to_the_parent_median():
     assert _verdict("peak_rss_mb", old, [23.0, 23.0, 23.0]) == "no gain shown, within bound"
 
 
+def test_unresolved_when_the_parent_iqr_is_wider_than_the_bound():
+    # parent median 20, quartiles 16 and 24: an IQR of 8 > 0.15 * 20
+    old = [10.0, 16.0, 20.0, 24.0, 30.0]
+    assert _verdict("peak_rss_mb", old, [21.0, 15.0, 22.0, 25.0, 19.0]) == (
+        "unresolved (parent IQR 8 > 0.15 of parent median 20)"
+    )
+    # unless every change run is better than every parent run, here by
+    # less than the parent IQR (quartiles 19.6 and 30)
+    assert _verdict("peak_rss_mb", [19.5, 19.6, 20.0, 30.0, 40.0], [19.0] * 5) == (
+        "no gain shown, within bound"
+    )
+    # the gain and bound verdicts come first
+    assert _verdict("peak_rss_mb", old, [40.0] * 5) == (
+        "worse beyond bound (worse by 20 > 0.15 of parent median 20)"
+    )
+    assert _verdict("hits", [1, 4, 8, 12, 15], [20, 16, 20, 20, 20]) == (
+        "gain shown (better in 5 of 5 pairs; medians apart by 12 > parent IQR 8)"
+    )
+    # an IQR of exactly the bound, 0.25 of 8, still reads the median
+    assert _verdict("hits", [4, 8, 8, 10, 12], [7] * 5) == "no gain shown, within bound"
+
+
 def test_verdicts_follow_the_better_direction():
     assert _verdict("hits", [8, 8, 8, 8], [4, 5, 5, 5]) == (
         "worse beyond bound (worse by 3 > 0.25 of parent median 8)"

@@ -8,6 +8,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
 
 import qlattice.checker as checker
 from qlattice.checker import (
@@ -40,7 +41,8 @@ from qlattice.formulas import (
 )
 import qlattice.subspaces as sub
 from qlattice.subspaces import Subspace
-from qlattice.terms import BOT, TOP, Assignment, Equation, Evaluator, parse_equation
+from qlattice.terms import BOT, TOP, Assignment, Equation, Evaluator, evaluate, parse_equation
+from test_terms import term_with_assignment
 
 
 def test_family_ambient2_no_extras():
@@ -336,6 +338,18 @@ def test_faulty_join_fails_certification(monkeypatch, ambient):
     )
     with pytest.raises(CheckError, match="dual equation holds"):
         check(parse_equation("p v q = q v p"), ambient)
+
+
+@given(term_with_assignment(max_ambient=4))
+@settings(max_examples=80, deadline=None)
+def test_a_true_refutation_by_a_constant_is_certified(case):
+    # t = c fails at a, as c is 1 where t is 0 and 0 where t is not; its
+    # dual, t's program relabelled set equal to the other constant, fails
+    # at the complements of a, so either order must certify
+    t, a = case
+    c = TOP if evaluate(t, a).dim == 0 else BOT
+    checker._certify(Equation(t, c), a)
+    checker._certify(Equation(c, t), a)
 
 
 @pytest.mark.parametrize("ambient", [0, -1])

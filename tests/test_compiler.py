@@ -299,8 +299,6 @@ def _complex_value(e, env):
         return _complex_value(_dot_sum(*args), env)
     if op == "var":
         return env[args[0]]
-    if op == "const":
-        return GaussianRational(*args)
     if op == "conj":
         return _complex_value(args[0], env).conjugate()
     if op == "mul":
@@ -514,8 +512,6 @@ def _affine(e, env, bound):
         if args[0] in bound:
             return {args[0]: GaussianRational(1)}, GaussianRational(0)
         return {}, env[args[0]]
-    if op == "const":
-        return {}, GaussianRational(*args)
     if op == "conj":
         coeffs, c = _affine(args[0], env, bound)
         assert not coeffs, "conjugate of a bound variable"

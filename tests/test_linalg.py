@@ -136,6 +136,7 @@ class TestScalarText:
     @pytest.mark.parametrize(
         "bad",
         ["", "x", "1.5", "1+", "i*i", "1//2", "1/0", "+",
+         "+i", "+2*i", "+3", "1+-i", "1--2*i",
          "\u0663", "1/\u0662", "\uff11+2*i", "1+\u0663*i", "\u0661\u0660*i"],
     )
     def test_parse_rejects(self, bad):
