@@ -12,14 +12,17 @@ Grammar, loosest binding first::
               | term ('=' | '<=') term
 
 The binary levels are one table, :data:`CONNECTIVES`, that the parser
-and the printer both read.  A quantifier scopes maximally to the right,
-so ``forall x. A & B`` quantifies over the whole conjunction.  An opening
+and the printer both read.  The parser is one level-indexed function over
+the token scan of :func:`terms.scan`, in the shape of
+:func:`terms.term_chain`, which parses the terms of atoms at the same
+index and depth.  A quantifier scopes maximally to the right, so
+``forall x. A & B`` quantifies over the whole conjunction.  An opening
 parenthesis is ambiguous between a grouped sentence and a parenthesised
 term inside an atom; the parser tries the atom reading first and
-backtracks.
-Parentheses, ``!`` and quantified names together nest at most
-``terms.MAX_NESTING`` levels, and other input is a :class:`ParseError`;
-connective chains may be any length.
+backtracks to the same token index and depth.  Parentheses, ``!`` and
+quantified names together nest at most ``terms.MAX_NESTING`` levels, and
+other input is a :class:`ParseError`; connective chains may be any
+length.
 
 A sentence is a plain ``(op, args)`` tuple whose ``args`` is always a
 tuple::
@@ -44,23 +47,24 @@ the sentence relative to the domain, not relative to all of L(C^n).
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 from .subspaces import Subspace, leq
 from .terms import (
     Equation,
     Assignment,
-    ParseError,
     Program,
-    TokenStream,
+    SyntaxAt,
     _one_row,
+    deeper,
+    expected,
     format_term,
     free_vars,
-    parse_chains,
-    parse_term_stream,
+    parse_with,
     print_levels,
     rename,
-    tokenize,
+    term_chain,
 )
 
 Sentence = tuple  # (op, args); see the module docstring
@@ -119,61 +123,72 @@ CONNECTIVES = (
     ("and", ("&", False)),
 )
 _RELATIONS = {"=": "eq", "<=": "leq"}
-
-
-def _connect(op: str, lhs: Sentence, rhs: Sentence) -> Sentence:
-    return (op, (lhs, rhs))
+_SENTENCE_UNARY = len(CONNECTIVES)  # the level of '!', quantifiers and atoms
 
 
 def parse_sentence(text: str) -> Sentence:
-    ts = TokenStream(tokenize(text))
-    s = parse_chains(ts, CONNECTIVES, _parse_sunary, _connect)
-    ts.expect("EOF", "end of sentence")
-    return s
+    return parse_with(text, _chain, "sentence")
 
 
-def _parse_sunary(ts: TokenStream) -> Sentence:
-    tok = ts.peek()
-    if tok.kind == "!":
-        ts.advance()
-        with ts.nested(tok):
-            return ("not", (_parse_sunary(ts),))
-    if tok.kind in QUANTIFIERS:
-        ts.advance()
-        names = [ts.expect("ID", "a variable name").text]
-        while ts.match(","):
-            names.append(ts.expect("ID", "a variable name").text)
-        ts.expect(".", "'.' after the quantified variables")
-        with ts.nested(tok, len(names)):  # one binder per name
-            body = parse_chains(ts, CONNECTIVES, _parse_sunary, _connect)
-        for name in reversed(names):
-            body = (tok.text, ((name,), body))
-        return body
-    return _parse_atom(ts)
+def _chain(kinds: list[str], texts: list[str], i: int, depth: int,
+           level: int = 0) -> tuple[Sentence, int]:
+    """The sentence of ``CONNECTIVES[level:]`` from token `i`, as
+    :func:`terms.term_chain` reads its table; the level past the table
+    parses a unary sentence.  A chain of any length is a loop."""
+    if level < _SENTENCE_UNARY:
+        op, (symbol, right) = CONNECTIVES[level]
+        level += 1
+        out, i = _chain(kinds, texts, i, depth, level)
+        if kinds[i] != symbol:
+            return out, i
+        parts = [out]
+        while kinds[i] == symbol:
+            out, i = _chain(kinds, texts, i + 1, depth, level)
+            parts.append(out)
+        if right:
+            return reduce(lambda rhs, lhs: (op, (lhs, rhs)), reversed(parts)), i
+        return reduce(lambda lhs, rhs: (op, (lhs, rhs)), parts), i
+    kind = kinds[i]
+    if kind == "!":
+        body, i = _chain(kinds, texts, i + 1, deeper(depth, 1, i), level)
+        return ("not", (body,)), i
+    if kind not in QUANTIFIERS:
+        return _parse_atom(kinds, texts, i, depth)
+    names = []
+    j = i  # the quantifier, then each ',' after a name
+    while not names or kinds[j] == ",":
+        if kinds[j + 1] != "ID":
+            raise expected("a variable name", texts, j + 1)
+        names.append(texts[j + 1])
+        j += 2
+    if kinds[j] != ".":
+        raise expected("'.' after the quantified variables", texts, j)
+    body, j = _chain(kinds, texts, j + 1, deeper(depth, len(names), i))  # a level per name
+    for name in reversed(names):
+        body = (kind, ((name,), body))
+    return body, j
 
 
-def _parse_atom(ts: TokenStream) -> Sentence:
-    """``term ('=' | '<=') term``, or else, after '(', a grouped sentence."""
-    saved = ts.index
-    grouped = ts.peek().kind == "("
+def _parse_atom(kinds: list[str], texts: list[str], i: int, depth: int) -> tuple[Sentence, int]:
+    """``term ('=' | '<=') term``, or else, after '(', a grouped sentence
+    read again from token `i` at the same `depth`."""
+    grouped = kinds[i] == "("
     try:
-        lhs = parse_term_stream(ts)
-    except ParseError:
+        lhs, j = term_chain(kinds, texts, i, depth)
+    except SyntaxAt:
         if not grouped:
             raise
-        lhs = None
-    tok = ts.peek()
-    if lhs is not None and tok.kind in _RELATIONS:
-        ts.advance()
-        return (_RELATIONS[tok.kind], (lhs, parse_term_stream(ts)))
-    if not grouped:
-        shown = tok.text or "end of input"
-        raise ParseError(f"expected '=' or '<=' after a term, found {shown!r}", tok.pos)
-    ts.index = saved
-    with ts.nested(ts.advance()):
-        s = parse_chains(ts, CONNECTIVES, _parse_sunary, _connect)
-        ts.expect(")", "')'")
-    return s
+    else:
+        relation = _RELATIONS.get(kinds[j])
+        if relation is not None:
+            rhs, j = term_chain(kinds, texts, j + 1, depth)
+            return (relation, (lhs, rhs)), j
+        if not grouped:
+            raise expected("'=' or '<=' after a term", texts, j)
+    s, j = _chain(kinds, texts, i + 1, deeper(depth, 1, i))
+    if kinds[j] != ")":
+        raise expected("')'", texts, j)
+    return s, j + 1
 
 
 # --- printing ---------------------------------------------------------------
@@ -232,7 +247,8 @@ def rename_bound(s: Sentence) -> Sentence:
 
     Binders are renamed in the order they are written.  A clashing
     binder gets the first free name in its x, x2, x3, ... sequence; term
-    variables are renamed through the active scope map.
+    variables are renamed through the active scope map, which holds only
+    the renamed binders, so an atom in no renamed binder's scope is kept.
     """
     used = set(free_sentence_vars(s))
     last: dict[str, int] = {}  # name -> index of its last fresh name
@@ -257,11 +273,11 @@ def rename_bound(s: Sentence) -> Sentence:
             cut = len(done) - (1 if op in QUANTIFIERS else len(args))
             done[cut:] = [rebuild(node, done[cut:])]
         elif op in ATOMS:
-            done.append((op, tuple(rename(t, scope) for t in args)))
+            done.append((op, tuple(rename(t, scope) for t in args)) if scope else node)
         elif op in QUANTIFIERS:
             names, body = args
             new = tuple(fresh(name) for name in names)
-            inner = {**scope, **dict(zip(names, new))}
+            inner = {**scope, **{a: b for a, b in zip(names, new) if a != b}}
             todo += (((op, (new, body)), None), (body, inner))
         else:
             todo.append((node, None))

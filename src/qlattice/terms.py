@@ -5,12 +5,15 @@ with constants ``0`` and ``1`` and variables as identifiers: ASCII
 letters, digits and ``_``, starting with a letter.  Binary operators
 associate to the left; ``v`` is a reserved word and cannot be a variable.
 :data:`OPERATORS`, read by the parser and :func:`format_term`, is the one
-table of binary operators; :func:`parse_chains` parses the sentences'
-table as well.  :func:`tokenize` is one regular-expression scan for terms
-and sentences: a fixed token's kind is its own text, any other
-identifier is ``ID``, and the end is ``EOF``.  Nesting is capped at
-``MAX_NESTING``; chains and runs of ``~`` are parsed by loops and may be
-any length.
+table of binary operators.  :func:`scan` is one regular-expression scan
+for terms and sentences into parallel lists of token kinds and texts: a
+fixed token's kind is its own text, any other identifier is ``ID``, and
+the end is ``EOF``.  A parser is a function of the scan, a token index
+and the nesting depth open there, and returns its result with the index
+after it; :func:`term_chain` is the one level-indexed parser of the term
+table.  A token's position in the text is found by scanning again, only
+for an error.  Nesting is capped at ``MAX_NESTING``; chains and runs of
+``~`` are parsed by loops and may be any length.
 
 A term node is one immutable ``(op, a, b)`` :class:`Term`, interned
 through a module-level weak-value table: there is one live node per
@@ -30,10 +33,10 @@ printed text.
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
 from functools import partial
+from itertools import islice
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 from weakref import WeakValueDictionary
 
 from . import subspaces as _sub
@@ -165,14 +168,7 @@ class Assignment:
         return f"Assignment(C^{self.ambient}; {inner})"
 
 
-# --- tokens -----------------------------------------------------------------
-
-
-class Token(NamedTuple):
-    kind: str  # a fixed token's own text, "ID" for other identifiers, "EOF" at the end
-    text: str
-    pos: int
-
+# --- scanning ---------------------------------------------------------------
 
 # ASCII only, as in fixture block names and SMT-LIB symbols
 IDENTIFIER = r"[A-Za-z][A-Za-z0-9_]*"
@@ -182,64 +178,54 @@ _TOKEN = re.compile(
     rf"(<->|<=|->|[01^~()=&|!.,]|(?:v|forall|exists)(?![A-Za-z0-9_]))|({IDENTIFIER})|(\S)"
 )
 
-
-def tokenize(src: str) -> list[Token]:
-    tokens: list[Token] = []
-    for m in _TOKEN.finditer(src):
-        text = m.group()
-        if m.lastindex == 3:
-            raise ParseError(f"unexpected character {text!r}", m.start())
-        tokens.append(Token("ID" if m.lastindex == 2 else text, text, m.start()))
-    tokens.append(Token("EOF", "", len(src)))
-    return tokens
-
-
 # Deepest nesting of parentheses, '!' and quantified names; parsers recurse per level.
 MAX_NESTING = 100
 
 
-class TokenStream:
-    """Cursor over a token list with one-token lookahead and backtracking;
-    ``depth`` counts the nesting levels open at the cursor."""
+class SyntaxAt(Exception):
+    """``SyntaxAt(message, index)``: a syntax error at token `index`, which
+    :func:`parse_with` reports as a :class:`ParseError` at its position."""
 
-    __slots__ = ("tokens", "index", "depth")
 
-    def __init__(self, tokens: Sequence[Token]) -> None:
-        self.tokens = tokens
-        self.index = 0
-        self.depth = 0
+def scan(src: str) -> tuple[list[str], list[str]]:
+    """The tokens of `src` as parallel lists of kinds and texts, ending in
+    ``"EOF"`` with text ``""``: a fixed token's kind is its own text, and
+    any other identifier's is ``"ID"``.  A character that starts no token
+    is reported before any syntax error."""
+    found = _TOKEN.findall(src)
+    kinds = [fixed or name and "ID" for fixed, name, _ in found] + ["EOF"]
+    if "" in kinds:
+        m = next(m for m in _TOKEN.finditer(src) if m.lastindex == 3)
+        raise ParseError(f"unexpected character {m.group()!r}", m.start())
+    return kinds, [fixed or name for fixed, name, _ in found] + [""]
 
-    @contextmanager
-    def nested(self, tok: Token, levels: int = 1) -> Iterator[None]:
-        """Hold `levels` more nesting levels, opened at `tok`, for the body."""
-        self.depth += levels
-        try:
-            if self.depth > MAX_NESTING:
-                raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
-            yield
-        finally:
-            self.depth -= levels
 
-    def peek(self) -> Token:
-        return self.tokens[self.index]
+def parse_with(src: str, parse, end: str):
+    """``parse(kinds, texts, 0, 0)`` over the scan of `src`, which must end
+    where the parse does.  A :class:`SyntaxAt` leaves as a
+    :class:`ParseError` at its token's position, which one more scan finds."""
+    kinds, texts = scan(src)
+    try:
+        out, i = parse(kinds, texts, 0, 0)
+        if kinds[i] != "EOF":
+            raise expected(f"end of {end}", texts, i)
+        return out
+    except SyntaxAt as e:
+        message, index = e.args
+        m = next(islice(_TOKEN.finditer(src), index, None), None)
+        raise ParseError(message, len(src) if m is None else m.start()) from None
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.index]
-        if tok.kind != "EOF":
-            self.index += 1
-        return tok
 
-    def match(self, kind: str) -> Token | None:
-        if self.tokens[self.index].kind == kind:
-            return self.advance()
-        return None
+def expected(what: str, texts: list[str], i: int) -> SyntaxAt:
+    return SyntaxAt(f"expected {what}, found {texts[i] or 'end of input'!r}", i)
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.tokens[self.index]
-        if tok.kind != kind:
-            shown = tok.text or "end of input"
-            raise ParseError(f"expected {what}, found {shown!r}", tok.pos)
-        return self.advance()
+
+def deeper(depth: int, levels: int, i: int) -> int:
+    """`depth` with `levels` more nesting levels, opened at token `i`."""
+    depth += levels
+    if depth > MAX_NESTING:
+        raise SyntaxAt(f"nesting deeper than {MAX_NESTING} levels", i)
+    return depth
 
 
 # --- operator tables --------------------------------------------------------
@@ -248,28 +234,6 @@ class TokenStream:
 # ``(op, (symbol, right associative))``; its parser and printer both read it.
 
 OPERATORS = (("join", ("v", False)), ("meet", ("^", False)))
-
-
-def parse_chains(ts: TokenStream, table, operand, node, level: int = 0):
-    """Operator chains of `table` from `level` on, each joined by
-    ``node(op, lhs, rhs)``; ``operand(ts)`` parses below the last level.
-    A chain of any length is a loop; nesting adds a frame per level."""
-    op, (symbol, right) = table[level]
-    below = level + 1
-    last = below == len(table)
-    out = operand(ts) if last else parse_chains(ts, table, operand, node, below)
-    if right:
-        parts = [out]
-        while ts.match(symbol):
-            parts.append(operand(ts) if last else parse_chains(ts, table, operand, node, below))
-        out = parts.pop()
-        while parts:
-            out = node(op, parts.pop(), out)
-        return out
-    while ts.match(symbol):
-        rhs = operand(ts) if last else parse_chains(ts, table, operand, node, below)
-        out = node(op, out, rhs)
-    return out
 
 
 def print_levels(table) -> dict[str, tuple[int, str, int, int]]:
@@ -285,52 +249,63 @@ def print_levels(table) -> dict[str, tuple[int, str, int, int]]:
 # term := meet ('v' meet)*
 # meet := unary ('^' unary)*
 # unary := '~' unary | '(' term ')' | '0' | '1' | identifier
+#
+# A parser reads the scan from token `i` with `depth` nesting levels open
+# there, and returns what it parsed with the index of the token after it.
 
 _CONSTANTS = {"0": BOT, "1": TOP}
+_TERM_UNARY = len(OPERATORS)  # the level of '~', constants and variables
 
 
-def parse_term_stream(ts: TokenStream) -> Term:
-    """Parse a term and stop at the first token that cannot extend it."""
-    return parse_chains(ts, OPERATORS, _parse_unary, Term)
-
-
-def _parse_unary(ts: TokenStream) -> Term:
-    negations = 0
-    while ts.match("~"):
-        negations += 1
-    tok = ts.advance()
-    if tok.kind == "(":
-        with ts.nested(tok):
-            t = parse_chains(ts, OPERATORS, _parse_unary, Term)
-            ts.expect(")", "')'")
-    elif tok.kind == "ID":
-        t = Var(tok.text)
-    elif tok.kind in _CONSTANTS:
-        t = _CONSTANTS[tok.kind]
+def term_chain(kinds: list[str], texts: list[str], i: int, depth: int,
+               level: int = 0) -> tuple[Term, int]:
+    """The term of ``OPERATORS[level:]`` from token `i`; the level past
+    the table parses a unary term.  Every term operator associates to the
+    left, and a chain of any length is a loop."""
+    if level < _TERM_UNARY:
+        op, (symbol, _) = OPERATORS[level]
+        level += 1
+        out, i = term_chain(kinds, texts, i, depth, level)
+        while kinds[i] == symbol:
+            rhs, i = term_chain(kinds, texts, i + 1, depth, level)
+            out = Term(op, out, rhs)
+        return out, i
+    start = i
+    while kinds[i] == "~":
+        i += 1
+    negations = i - start
+    kind = kinds[i]
+    if kind == "ID":
+        t = Var(texts[i])
+    elif kind == "(":
+        t, i = term_chain(kinds, texts, i + 1, deeper(depth, 1, i))
+        if kinds[i] != ")":
+            raise expected("')'", texts, i)
+    elif kind in _CONSTANTS:
+        t = _CONSTANTS[kind]
     else:
-        shown = tok.text or "end of input"
-        raise ParseError(f"expected a term, found {shown!r}", tok.pos)
+        raise expected("a term", texts, i)
     for _ in range(negations):
         t = Not(t)
-    return t
+    return t, i + 1
+
+
+def _equation(kinds: list[str], texts: list[str], i: int, depth: int) -> tuple[Equation, int]:
+    lhs, i = term_chain(kinds, texts, i, depth)
+    if kinds[i] != "=":
+        raise expected("'='", texts, i)
+    rhs, i = term_chain(kinds, texts, i + 1, depth)
+    return Equation(lhs, rhs), i
 
 
 def parse_term(src: str) -> Term:
     """Parse a complete lattice term."""
-    ts = TokenStream(tokenize(src))
-    t = parse_term_stream(ts)
-    ts.expect("EOF", "end of term")
-    return t
+    return parse_with(src, term_chain, "term")
 
 
 def parse_equation(src: str) -> Equation:
     """Parse ``term = term``."""
-    ts = TokenStream(tokenize(src))
-    lhs = parse_term_stream(ts)
-    ts.expect("=", "'='")
-    rhs = parse_term_stream(ts)
-    ts.expect("EOF", "end of equation")
-    return Equation(lhs, rhs)
+    return parse_with(src, _equation, "equation")
 
 
 # --- programs ---------------------------------------------------------------
@@ -493,6 +468,8 @@ def _nnf(t: Term, leaf) -> Term:
 def substitute(t: Term, replacements: Mapping[str, Term]) -> Term:
     """Simultaneous substitution of terms for variables; `t` itself when no
     variable of `t` is replaced."""
+    if not replacements:
+        return t
     code = Program((t,)).code
     if all(op != "var" or a not in replacements for op, a, _ in code):
         return t

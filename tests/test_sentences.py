@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import qlattice.terms as terms
 from qlattice.checker import coordinate_family
 from qlattice.compiler import eval_flat, flatten
 from qlattice.formulas import named_equations
@@ -262,6 +263,30 @@ def test_rename_bound_unique_names():
     # unchanged when names are already unique
     t = parse_sentence("forall a. exists b. a = b")
     assert rename_bound(t) == t
+
+
+def test_rename_bound_keeps_atoms_when_no_binder_is_renamed(monkeypatch):
+    # with distinct binder names, no atom is rebuilt: no Program is built
+    # beyond the ones that find the free variables
+    s = universal_closure(named_equations()["separation-1"])
+    built = []
+
+    class Counted(terms.Program):
+        __slots__ = ()
+
+        def __init__(self, roots=()):
+            built.append(1)
+            super().__init__(roots)
+
+    monkeypatch.setattr(terms, "Program", Counted)
+    free_sentence_vars(s)
+    for_free_vars = len(built)
+    r = rename_bound(s)
+    assert len(built) == 2 * for_free_vars
+    assert r == s
+    while s[0] == "forall":
+        s, r = s[1][1], r[1][1]
+    assert r is s
 
 
 def test_rename_bound_preserves_truth():
