@@ -249,9 +249,6 @@ def print_levels(table) -> dict[str, tuple[int, str, int, int]]:
 # term := meet ('v' meet)*
 # meet := unary ('^' unary)*
 # unary := '~' unary | '(' term ')' | '0' | '1' | identifier
-#
-# A parser reads the scan from token `i` with `depth` nesting levels open
-# there, and returns what it parsed with the index of the token after it.
 
 _CONSTANTS = {"0": BOT, "1": TOP}
 _TERM_UNARY = len(OPERATORS)  # the level of '~', constants and variables
