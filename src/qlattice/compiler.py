@@ -6,7 +6,7 @@ lattice of C^n:
 1. ``flatten``: name every compound subterm with a fresh universally
    quantified variable, so each atom is an equation of variables and
    the constants 0, 1; ``x <= y`` becomes ``x = x ^ y``.  Quantifiers
-   stay where they are written, and each maximal quantifier-free scope
+   stay as written, names and all, and each maximal quantifier-free scope
    becomes ``forall t1 ... tk. (defs -> matrix)`` in place.  A scope's
    definitions are atoms ``t = op(leaves)``, one per non-variable slot
    of one term ``Program`` over its atom sides, so equal subterms share
@@ -16,7 +16,8 @@ lattice of C^n:
    n x n complex matrix and expand the flat atoms into quantified
    statements about vectors: membership, orthogonality, and the join
    as the sum of two member vectors, since y v z = y + z in finite
-   dimension.  Nested quantifiers of one kind share one binder block.
+   dimension.  Nested quantifiers of one kind share one binder block,
+   and a binder that shadows a name of the block starts a new one.
 3. ``complex_to_real``: split every complex quantity into a real pair,
    leaving a sentence in quantified nonlinear real arithmetic.
 
@@ -157,7 +158,7 @@ def _name_subterms(matrix: S.Sentence, names: _FreshNames) -> S.Sentence:
 def flatten(s: S.Sentence) -> Flat:
     """Stage one; requires a closed sentence.
 
-    Quantifiers stay where they are written.  Each maximal
+    Binders stay where and as they are written, none renamed.  Each maximal
     quantifier-free subformula, the whole sentence if it has no
     quantifier, becomes ``forall fresh. (defs -> matrix)`` in place,
     which is sound in any context because the definitions pin each fresh
@@ -167,7 +168,6 @@ def flatten(s: S.Sentence) -> Flat:
         raise CompileError(
             "sentence must be closed; free: " + ", ".join(sorted(free))
         )
-    s = S.rename_bound(s)
     names = _FreshNames(s)
 
     def visit(node: S.Sentence, kids: list) -> tuple[S.Sentence, bool]:
@@ -323,39 +323,46 @@ def _encode_atom(atom: S.Sentence, n: int, namer: _Namer) -> Node:
 def encode_kernels(s: S.Sentence, n: int) -> Node:
     """Stage two, on a flat sentence: one n x n matrix of complex
     variables per lattice variable, one binder block per run of
-    quantifiers of one kind; definitions and atoms expanded per their
+    quantifiers of one kind, where a binder that shadows a name of the
+    run starts a new block; definitions and atoms expanded per their
     schemas, and a chain of conjunctions as one ``and``."""
     if n < 1:
         raise CompileError("matrix dimension must be at least 1")
     namer = _Namer()
 
     def close(f: Node) -> Node:
-        # a conjunction chain collects its operands in a list until a
-        # node other than the next ``and`` of the chain takes it
-        return ("and", tuple(f[1])) if f[0] == "and" else f
+        # a conjunction chain collects its operands in a list, and a binder
+        # block its name tuples, innermost first, its body and the lattice
+        # names it binds, until a node other than the chain's next ``and``
+        # or the block's next binder takes it
+        op, args = f
+        if op in S.QUANTIFIERS:
+            return (op, (tuple(name for part in reversed(args[0]) for name in part), args[1]))
+        return ("and", tuple(args)) if op == "and" else f
 
     def visit(node: S.Sentence, kids: list) -> Node:
         op, args = node
         if op == "and" and kids[0][0] == "and":
             kids[0][1].append(close(kids[1]))
             return kids[0]
-        kids = [close(k) for k in kids]
         if op in S.QUANTIFIERS:
-            # each lattice var binds the entries of its matrix, row by row
-            names = tuple(
-                f"{name}.{i}.{j}"
-                for name in args[0] for i in range(1, n + 1) for j in range(1, n + 1)
-            )
-            body = kids[0]
-            if body[0] == op:
-                names += body[1][0]
-                body = body[1][1]
-            return (op, (names, body))
+            block = kids[0]
+            for name in reversed(args[0]):  # innermost first, as a block's parts
+                # each lattice var binds the entries of its matrix, row by row
+                names = tuple(f"{name}.{i}.{j}"
+                              for i in range(1, n + 1) for j in range(1, n + 1))
+                if block[0] == op and name not in block[1][2]:
+                    block[1][0].append(names)
+                    block[1][2].add(name)
+                else:
+                    block = (op, ([names], close(block), {name}))
+            return block
         if op == "eq":
             lhs, rhs = args
-            if rhs.op in ("meet", "join", "not"):
-                return _encode_definition(lhs.a, rhs, n, namer)
-            return _encode_atom(node, n, namer)
+            defines = rhs.op in ("meet", "join", "not")
+            f = _encode_definition(lhs.a, rhs, n, namer) if defines else _encode_atom(node, n, namer)
+            return (f[0], ([f[1][0]], f[1][1], set()))  # a vector block binds no lattice name
+        kids = [close(k) for k in kids]
         return (op, kids if op == "and" else tuple(kids))
 
     return close(S.fold(s, visit))
@@ -582,7 +589,8 @@ def run_external_solver(
 
 
 def stats(r: Node) -> CompileStats:
-    # encode_kernels merges each run of one quantifier kind into one block
+    # the top block of encode_kernels: a run of one quantifier kind, up to
+    # a binder that shadows a name of the run
     top = len(r[1][0]) if r[0] in S.QUANTIFIERS else 0
     blocks = 0
     equations = 0

@@ -36,9 +36,10 @@ Connectives are binary and nest as the parser builds them: to the left
 for ``&``, ``|`` and ``<->``, to the right for ``->``.  The parser and
 :func:`universal_closure` put one name on each quantifier node.  The
 compiler's later stages use the same shape with more ops.  :func:`fold`
-walks a sentence bottom-up, and :func:`rename_bound` and
-:func:`eval_sentence` walk it top-down, all with explicit stacks, so no
-sentence is too long for them.
+walks a sentence bottom-up and :func:`eval_sentence` walks it top-down,
+both with explicit stacks, so no sentence is too long for them.  Bound
+names are kept as written; an inner binder shadows an outer one of the
+same name.
 
 Evaluation is over a caller-supplied finite domain of subspaces, which
 makes quantifiers decidable by brute force; that is only the truth of
@@ -63,7 +64,6 @@ from .terms import (
     free_vars,
     parse_with,
     print_levels,
-    rename,
     term_chain,
 )
 
@@ -240,49 +240,6 @@ def _free(node: Sentence, kids: list[frozenset[str]]) -> frozenset[str]:
     if op in QUANTIFIERS:
         return kids[0].difference(args[0])
     return frozenset().union(*kids)
-
-
-def rename_bound(s: Sentence) -> Sentence:
-    """Make every bound variable name unique across the whole sentence.
-
-    Binders are renamed in the order they are written.  A clashing
-    binder gets the first free name in its x, x2, x3, ... sequence; term
-    variables are renamed through the active scope map, which holds only
-    the renamed binders, so an atom in no renamed binder's scope is kept.
-    """
-    used = set(free_sentence_vars(s))
-    last: dict[str, int] = {}  # name -> index of its last fresh name
-
-    def fresh(name: str) -> str:
-        # names only ever join `used`, so every index below the last is taken
-        i = last.get(name, 1)
-        new = name if i == 1 else f"{name}{i}"
-        while new in used:
-            i += 1
-            new = f"{name}{i}"
-        last[name] = i
-        used.add(new)
-        return new
-
-    done: list[Sentence] = []  # rewritten subsentences, children before parents
-    todo: list = [(s, {})]  # (node, scope), or (node, None) to rebuild it
-    while todo:
-        node, scope = todo.pop()
-        op, args = node
-        if scope is None:
-            cut = len(done) - (1 if op in QUANTIFIERS else len(args))
-            done[cut:] = [rebuild(node, done[cut:])]
-        elif op in ATOMS:
-            done.append((op, tuple(rename(t, scope) for t in args)) if scope else node)
-        elif op in QUANTIFIERS:
-            names, body = args
-            new = tuple(fresh(name) for name in names)
-            inner = {**scope, **{a: b for a, b in zip(names, new) if a != b}}
-            todo += (((op, (new, body)), None), (body, inner))
-        else:
-            todo.append((node, None))
-            todo += ((a, scope) for a in reversed(args))
-    return done[0]
 
 
 def universal_closure(eq: Equation) -> Sentence:

@@ -205,6 +205,46 @@ def test_eval_flat_agrees_on_beta_in_the_plane():
     assert eval_sentence(s, dom, 2)
 
 
+# source -> the variables of each block in the run of binder blocks at the
+# top of its kernel encoding, outermost first: binders keep their names,
+# and one that shadows a name of the block below it starts a new block
+_SHADOWING = {
+    "forall x. forall x. x = 0": [["x"], ["x", "v!1"]],
+    "forall x, y. forall x. x v y = y v x": [["x"], ["y", "x", "t1", "t2"]],
+    "forall x. exists y. forall x. x ^ y <= y": [["x"], ["y"], ["x", "t1", "t2"]],
+    "forall x. forall y. forall x. (x v y) ^ ~x = y ^ ~x":
+        [["x"], ["y", "x", "t1", "t2", "t3", "t4"]],
+    "(forall x. x = x) & (forall x. x = x v x)": [],
+    "forall t1. t1 ^ t1 = t1 & forall t1. t1 v ~t1 = 1": [["t1"]],
+    "forall x. (exists x. x = 0) & x = x": [["x"]],
+}
+
+
+@pytest.mark.parametrize("text", _SHADOWING)
+def test_shadowing_binders_through_every_stage(text):
+    s = parse_sentence(text)
+    for ambient, extras in ((1, 0), (2, 2)):
+        dom = coordinate_family(ambient, extras)
+        assert eval_flat(flatten(s), dom, ambient) == eval_sentence(s, dom, ambient)
+    for n in (1, 2, 3):
+        check_solver_text(emit_solver_text(compile_sentence(s, n)))
+    blocks, c = [], encode_kernels(flatten(s).sentence, 1)
+    while c[0] in ("forall", "exists"):
+        blocks.append([name.split(".")[0] for name in c[1][0]])
+        c = c[1][1]
+    assert blocks == _SHADOWING[text]
+
+
+def test_a_name_repeated_in_one_quantifier_node_shadows():
+    # one node may bind several names; it compiles as one node per name
+    s = ("forall", (("x", "y", "x"), parse_sentence("x v y = y v x")))
+    nested = parse_sentence("forall x, y, x. x v y = y v x")
+    for n in (1, 2):
+        text = emit_solver_text(compile_sentence(s, n))
+        assert text == emit_solver_text(compile_sentence(nested, n))
+        check_solver_text(text)
+
+
 def test_stats_variable_count():
     # 2 n^2 (V + F) top-level reals
     for n in (1, 2):

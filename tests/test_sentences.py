@@ -4,10 +4,10 @@ import sys
 
 import pytest
 
-import qlattice.terms as terms
 from qlattice.checker import coordinate_family
-from qlattice.compiler import eval_flat, flatten
+from qlattice.compiler import compile_sentence, emit_solver_text, eval_flat, flatten
 from qlattice.formulas import named_equations
+from qlattice.smtlib import check_solver_text
 from qlattice.subspaces import Subspace
 from qlattice.sentences import (
     conjoin,
@@ -15,7 +15,6 @@ from qlattice.sentences import (
     format_sentence,
     free_sentence_vars,
     parse_sentence,
-    rename_bound,
     universal_closure,
 )
 from qlattice.terms import (
@@ -137,7 +136,6 @@ def test_long_connective_chains(op):
     printed = format_sentence(s)
     assert format_sentence(parse_sentence(printed)) == printed
     assert free_sentence_vars(s) == frozenset()
-    assert format_sentence(rename_bound(s)) == printed
     dom = coordinate_family(1, 0)
     assert eval_sentence(s, dom, 1)
     assert eval_flat(flatten(s), dom, 1)
@@ -145,12 +143,12 @@ def test_long_connective_chains(op):
 
 def test_many_binders_in_a_chain():
     s = parse_sentence(" & ".join(["(forall x. x = x)"] * 5000))
-    renamed = format_sentence(rename_bound(s))
-    assert renamed.endswith("(forall x4999. x4999 = x4999) & (forall x5000. x5000 = x5000)")
     flat = flatten(s)
-    # the binders stay in place, one per conjunct, and no atom needs a name
-    assert format_sentence(flat.sentence) == renamed
+    # the binders stay in place and as written, one per conjunct, and no
+    # atom needs a name
+    assert format_sentence(flat.sentence) == format_sentence(s)
     assert flat.fresh == ()
+    check_solver_text(emit_solver_text(compile_sentence(s, 1)))
     one = [Subspace.zero(1)]  # a one-point domain keeps brute force linear
     assert eval_sentence(s, one, 1)
     assert eval_flat(flat, one, 1)
@@ -165,7 +163,6 @@ def test_connectives_up_to_the_cap(op):
     dom = coordinate_family(1, 0)
     assert eval_sentence(s, dom, 1)
     assert eval_flat(flatten(s), dom, 1)
-    assert free_sentence_vars(rename_bound(s)) == frozenset()
     printed = format_sentence(s)
     assert format_sentence(parse_sentence(printed)) == printed
 
@@ -249,47 +246,3 @@ def test_eval_short_circuits_before_free_variables():
 def test_eval_rejects_wrong_ambient():
     with pytest.raises(ValueError):
         eval_sentence(parse_sentence("0 = 0"), coordinate_family(2, 0), 3)
-
-
-def test_rename_bound_unique_names():
-    s = parse_sentence("(forall x. x = x) & (forall x. x = x v x)")
-    r = rename_bound(s)
-    assert format_sentence(r) == "(forall x. x = x) & (forall x2. x2 = x2 v x2)"
-    # a free x2 is skipped, and later clashes go on from the last name taken
-    s = parse_sentence("(forall x. x = x) & (forall x. x = x) & (exists x. x = x2)")
-    assert format_sentence(rename_bound(s)) == (
-        "(forall x. x = x) & (forall x3. x3 = x3) & (exists x4. x4 = x2)"
-    )
-    # unchanged when names are already unique
-    t = parse_sentence("forall a. exists b. a = b")
-    assert rename_bound(t) == t
-
-
-def test_rename_bound_keeps_atoms_when_no_binder_is_renamed(monkeypatch):
-    # with distinct binder names, no atom is rebuilt: no Program is built
-    # beyond the ones that find the free variables
-    s = universal_closure(named_equations()["separation-1"])
-    built = []
-
-    class Counted(terms.Program):
-        __slots__ = ()
-
-        def __init__(self, roots=()):
-            built.append(1)
-            super().__init__(roots)
-
-    monkeypatch.setattr(terms, "Program", Counted)
-    free_sentence_vars(s)
-    for_free_vars = len(built)
-    r = rename_bound(s)
-    assert len(built) == 2 * for_free_vars
-    assert r == s
-    while s[0] == "forall":
-        s, r = s[1][1], r[1][1]
-    assert r is s
-
-
-def test_rename_bound_preserves_truth():
-    dom = coordinate_family(2, 1)
-    s = parse_sentence("forall x. (exists x. x = 0) & x = x")
-    assert eval_sentence(rename_bound(s), dom, 2) == eval_sentence(s, dom, 2)
